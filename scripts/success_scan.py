@@ -9,9 +9,9 @@ profile, so the flat-in-d behaviour is visible at a glance.
 import argparse
 import sys
 
-from hpp.fibers import good_sets, iter_eta_tables, pick_analysis, summarize_good_sets
-from hpp.gf import field_descriptor, parse_field
-from hpp.pgm import approx_success, ideal_success, lemma2_bound
+from hpp.fibers import pick_analysis
+from hpp.gf import parse_field
+from hpp.pgm import success_report
 
 
 def main(argv=None) -> int:
@@ -19,20 +19,17 @@ def main(argv=None) -> int:
     parser.add_argument("--fields", default="3,2^2,5,7,11,19,31",
                         help="comma-separated field sizes, 'p' or 'p^e'")
     parser.add_argument("-n", type=int, default=2, help="degree bound / copies")
-    parser.add_argument("--jobs", type=int, default=1)
     args = parser.parse_args(argv)
 
     print(f"{'field':>7} {'analysis':>9} {'lemma2':>10} {'approx':>10} {'ideal':>10} "
           f"{'x_good':>7} {'w_good_min':>11}")
     for desc in args.fields.split(","):
         ctx = parse_field(desc.strip())
-        analysis = pick_analysis(ctx, args.n)
-        good = good_sets(ctx, args.n, analysis)
-        tables = list(iter_eta_tables(ctx, args.n, jobs=args.jobs))
-        summary = summarize_good_sets(tables, good)
-        print(f"{field_descriptor(ctx):>7} {analysis.value:>9} "
-              f"{lemma2_bound(summary):>10.6f} {approx_success(tables, good):>10.6f} "
-              f"{ideal_success(tables):>10.6f} {summary.x_good_count:>7} "
+        report = success_report(ctx, args.n, pick_analysis(ctx, args.n))
+        summary = report.good_summary
+        print(f"{report.field:>7} {report.analysis.value:>9} "
+              f"{report.lemma2:>10.6f} {report.approx:>10.6f} "
+              f"{report.ideal:>10.6f} {summary.x_good_count:>7} "
               f"{summary.w_good_min:>11}")
     return 0
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blackbox import HiddenInstance, sample_instance
-from .errors import RecoveryError
+from .errors import InvariantViolationError, RecoveryError
 from .gf import make_field
 from .polyring import UniPoly, from_unipoly
 
@@ -65,7 +65,11 @@ def solve_linear_classical(
         v = inst.query((r,), s)
         if v in first_by_value:
             r0, s0 = first_by_value[v]
-            assert r0 != r, "distinct pairs with equal r cannot share a value"
+            if r0 == r:
+                raise InvariantViolationError(
+                    f"oracle gave the value {v} to distinct pairs {(r0, s0)} and {pair} "
+                    "with equal r"
+                )
             slope = ctx.div(ctx.sub(s, s0), ctx.sub(r, r0))
             queries = inst.query_count - start
             cand = UniPoly(ctx, (0, slope))

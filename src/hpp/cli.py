@@ -7,9 +7,11 @@ Subcommands:
   baseline  classical collision baseline and its query-scaling fit
   plan      static reduction schedule as JSON
 
-Exit codes: 0 success, 2 usage error, 3 enumeration guard tripped,
-4 internal invariant violated.  Outputs are deterministic byte-for-byte for
-fixed arguments and seed (JSON keys sorted, newline-terminated lines).
+Exit codes: 0 success, 1 recovery failure (for example a query budget
+exhausted), 2 usage error (including an output path that cannot be
+written), 3 enumeration guard tripped, 4 internal invariant violated.
+Outputs are deterministic byte-for-byte for fixed arguments and seed (JSON
+keys sorted, newline-terminated lines).
 """
 
 from __future__ import annotations
@@ -79,9 +81,7 @@ def _cmd_eta(args, parser) -> int:
         return 0
     if args.out is None:
         parser.error("eta table export needs --out FILE (CSV is not written to stdout)")
-    tables = iter_eta_tables(
-        ctx, args.n, store_solutions=args.solutions, jobs=args.jobs
-    )
+    tables = iter_eta_tables(ctx, args.n, store_solutions=args.solutions)
     write_eta_csv(tables, args.out, include_solutions=args.solutions)
     return 0
 
@@ -93,11 +93,9 @@ def _cmd_success(args, parser) -> int:
     else:
         analysis = Analysis(args.analysis)
     seed = None
-    if args.mc:
+    if args.mc > 0:
         seed = _resolve_seed(args, parser)
-    report = success_report(
-        ctx, args.n, analysis, mc_runs=args.mc, seed=seed, jobs=args.jobs
-    )
+    report = success_report(ctx, args.n, analysis, mc_runs=args.mc, seed=seed)
     _emit_json(report.as_dict(), args.out)
     if args.dump_dist:
         good = good_sets(ctx, args.n, analysis)
@@ -106,7 +104,7 @@ def _cmd_success(args, parser) -> int:
         try:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["x", "good_mass", "qprime", "probability"])
-            for table in iter_eta_tables(ctx, args.n, jobs=args.jobs):
+            for table in iter_eta_tables(ctx, args.n):
                 dist = outcome_distribution(table, good, origin)
                 if not dist.probabilities:
                     continue
@@ -133,7 +131,7 @@ def _cmd_e2e(args, parser) -> int:
         parser.error("--trials must be at least 1")
     analysis = pick_analysis(ctx, args.n)
     good = good_sets(ctx, args.n, analysis)
-    tables = {t.x: t for t in iter_eta_tables(ctx, args.n, jobs=args.jobs)}
+    tables = {t.x: t for t in iter_eta_tables(ctx, args.n)}
     if args.baseline and (args.m != 1 or args.n != 1):
         parser.error("--baseline applies only to m = 1, n = 1 instances")
 
@@ -248,7 +246,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, seed=False):
         p.add_argument("--field", required=True, help="field size, 'p' or 'p^e'")
-        p.add_argument("--jobs", type=int, default=1, help="parallel table builds")
+        p.add_argument(
+            "--jobs", type=int, default=1, help="accepted for compatibility and ignored"
+        )
         if seed:
             p.add_argument("--seed", default=None, help="RNG seed (or set HPP_SEED)")
 
@@ -320,8 +320,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "jobs", 1) < 1:
+            raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
         return args.func(args, parser)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except GuardExceededError as exc:

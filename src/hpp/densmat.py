@@ -31,7 +31,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import GuardExceededError, InvariantViolationError
-from .fibers import EtaTable, GoodSets, Point, eta_table
+from .fibers import EtaTable, GoodSets, Point, decode_point, encode_point, eta_table
 from .gf import FieldCtx, chi, dot
 from .polyring import UniPoly, eval_uni
 
@@ -142,10 +142,7 @@ def direction_block(ctx: FieldCtx, q: UniPoly, x: Point) -> np.ndarray:
     d = ctx.d
     n = len(x)
     full = copies_state(ctx, q, n)
-    xcode = 0
-    for xi in x:
-        ctx.check(xi)
-        xcode = xcode * d + xi
+    xcode = encode_point(map(ctx.check, x), d)
     view = full.reshape(d**n, d**n, d**n, d**n)
     return np.ascontiguousarray(view[:, xcode, :, xcode])
 
@@ -187,10 +184,7 @@ class VxIsometry:
         return self.ctx.d**self.n * self.cap * self.cap
 
     def good_index(self, w: Point, j: int = 0, eta: int = 0) -> int:
-        wcode = 0
-        for wi in w:
-            wcode = wcode * self.ctx.d + wi
-        return (wcode * self.cap + j) * self.cap + eta
+        return (encode_point(w, self.ctx.d) * self.cap + j) * self.cap + eta
 
     def w_state(self, w: Point) -> np.ndarray:
         vec = np.zeros(self.matrix.shape[0], dtype=np.complex128)
@@ -225,23 +219,12 @@ def build_vx(ctx: FieldCtx, table: EtaTable, good: GoodSets) -> VxIsometry:
     def gidx(wcode: int, j: int, eta: int) -> int:
         return (wcode * cap + j) * cap + eta
 
-    def wcode_of(w: Point) -> int:
-        code = 0
-        for wi in w:
-            code = code * d + wi
-        return code
-
     # Step 1: relabel points by (fiber label, rank within fiber, fiber size).
     relabel = np.zeros((dim_out, dim_in), dtype=np.complex128)
-    for w in sorted(table.counts):
-        eta = table.counts[w]
-        if not good.w_good(x, w, eta):
-            continue
-        for j, b in enumerate(table.solutions[w]):
-            bcode = 0
-            for bi in b:
-                bcode = bcode * d + bi
-            relabel[gidx(wcode_of(w), j, eta % cap), bcode] = 1.0
+    for wcode in np.flatnonzero(good.w_good(x, table.counts)).tolist():
+        eta = int(table.counts[wcode])
+        for j, b in enumerate(table.solutions[decode_point(wcode, d, n)]):
+            relabel[gidx(wcode, j, eta % cap), encode_point(b, d)] = 1.0
     flagged = np.flatnonzero(~relabel.any(axis=0))
     for bcode in flagged:
         relabel[good_dim + bcode, bcode] = 1.0
@@ -267,13 +250,7 @@ def build_vx(ctx: FieldCtx, table: EtaTable, good: GoodSets) -> VxIsometry:
     uncompute = np.zeros_like(fourier)
     uncompute[good_dim:, good_dim:] = np.eye(dim_in)
     for wcode in range(dim_in):
-        w = []
-        c = wcode
-        for _ in range(n):
-            w.append(c % d)
-            c //= d
-        w = tuple(reversed(w))
-        eta_w = table.counts.get(w, 0) % cap
+        eta_w = int(table.counts[wcode]) % cap
         for j in range(cap):
             for eta in range(cap):
                 uncompute[gidx(wcode, j, (eta - eta_w) % cap), gidx(wcode, j, eta)] = 1.0
@@ -319,15 +296,9 @@ def pipeline_probability(
 
     table = eta_table(ctx, x, store_solutions=True)
     keep = np.zeros(d**n)
-    if good.x_good(x):
-        for w, eta in table.counts.items():
-            if not good.w_good(x, w, eta):
-                continue
-            for b in table.solutions[w]:
-                bcode = 0
-                for bi in b:
-                    bcode = bcode * d + bi
-                keep[bcode] = 1.0
+    for wcode in np.flatnonzero(good.w_good(x, table.counts)).tolist():
+        for b in table.solutions[decode_point(wcode, d, n)]:
+            keep[encode_point(b, d)] = 1.0
     mass = float(np.real(np.sum(keep * np.diag(rho_x).real)))
     if not keep.any():
         return 0.0, 0.0
@@ -342,14 +313,6 @@ def pipeline_probability(
     psi = np.zeros(sigma.shape[0], dtype=np.complex128)
     w_basis = fourier_point_state(ctx, coeffs, n)
     for wcode in range(d**n):
-        psi[vx.good_index(_decode(wcode, d, n))] = w_basis[wcode]
+        psi[vx.good_index(decode_point(wcode, d, n))] = w_basis[wcode]
     prob = float(np.real(psi.conj() @ sigma @ psi))
     return mass, prob
-
-
-def _decode(code: int, d: int, n: int) -> Point:
-    out = []
-    for _ in range(n):
-        out.append(code % d)
-        code //= d
-    return tuple(reversed(out))

@@ -9,8 +9,11 @@ to b_j^i.  S_w^x is the preimage of w and eta_w^x its cardinality.  The
 fibers partition F^n, so counts over w always sum to d^n.  Everything the
 measurement analysis needs, success probabilities, conditional outcome
 distributions, block structures, reduces to these counts, so this module
-computes them exactly (integer arithmetic throughout) by enumeration, with a
-vectorized path for prime fields.
+computes them exactly (integer arithmetic throughout) by enumeration.
+
+Points of F^n are numbered by their big-endian base-d code (encode_point /
+decode_point), which is also lexicographic order; fiber tables are dense
+count arrays indexed by that code.
 
 Two classifications of "good" (x, w) pairs are provided.  The first applies
 whenever the characteristic exceeds n: x must have all coordinates nonzero
@@ -41,10 +44,28 @@ from .gf import Felt, FieldCtx, quadratic_roots
 # Largest d^n an enumeration call will attempt.
 ENUMERATION_BUDGET = 10**8
 
-# Largest d^n routed through the vectorized prime-field path.
-_NUMPY_LIMIT = 1 << 22
-
 Point = tuple[Felt, ...]
+
+
+def encode_point(point, d: int):
+    """Big-endian base-d code of a point of F^n.
+
+    The components may also be integer arrays of one shape, giving the codes
+    elementwise.
+    """
+    code = 0
+    for c in point:
+        code = code * d + c
+    return code
+
+
+def decode_point(code: int, d: int, n: int) -> Point:
+    """The point of F^n whose encode_point code is `code`."""
+    out = []
+    for _ in range(n):
+        code, c = divmod(code, d)
+        out.append(c)
+    return tuple(reversed(out))
 
 
 def apply_map(ctx: FieldCtx, x: Sequence[Felt], b: Sequence[Felt], rows: int | None = None):
@@ -67,14 +88,14 @@ def apply_map(ctx: FieldCtx, x: Sequence[Felt], b: Sequence[Felt], rows: int | N
 class EtaTable:
     """All fiber sizes of one direction x; optionally the fibers themselves.
 
-    counts maps w to eta_w^x > 0 (absent keys mean empty fiber).  When
-    solutions are stored, each fiber is listed in lexicographic order of the
-    integer-encoded b tuples, matching enumeration order.
+    counts[c] is eta_w^x for the w with encode_point code c (length d^n, zero
+    for empty fibers).  When solutions are stored, they map each w with a
+    nonempty fiber to its points in lexicographic order.
     """
 
     ctx: FieldCtx
     x: Point
-    counts: dict[Point, int]
+    counts: np.ndarray
     solutions: dict[Point, list[Point]] | None = None
 
     @property
@@ -86,14 +107,27 @@ class EtaTable:
         return len(self.x)
 
     def eta(self, w: Sequence[Felt]) -> int:
-        return self.counts.get(tuple(w), 0)
+        if len(w) != self.n:
+            raise ValueError(f"w has {len(w)} components, expected {self.n}")
+        return int(self.counts[encode_point(map(self.ctx.check, w), self.d)])
+
+    def items(self) -> Iterator[tuple[Point, int]]:
+        """(w, eta_w^x) for every nonempty fiber, in lexicographic order of w."""
+        codes = np.flatnonzero(self.counts)
+        for code, eta in zip(codes.tolist(), self.counts[codes].tolist()):
+            yield decode_point(code, self.d, self.n), eta
 
     def check_partition(self) -> None:
-        total = sum(self.counts.values())
+        total = int(self.counts.sum())
         if total != self.d**self.n:
             raise InvariantViolationError(
                 f"fiber sizes for x={self.x} sum to {total}, expected {self.d**self.n}"
             )
+
+
+def _check_n(n: int) -> None:
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n}")
 
 
 def _check_enum_budget(d: int, n: int) -> None:
@@ -103,35 +137,33 @@ def _check_enum_budget(d: int, n: int) -> None:
         )
 
 
-def _prime_w_codes(ctx: FieldCtx, x: Point) -> np.ndarray:
-    """Vectorized prime-field path: array over all b (lex order, raveled)
-    holding the integer code of w = Phi(b) @ x.  Exact int64 arithmetic."""
-    p = ctx.p
-    n = len(x)
-    idx = np.arange(p, dtype=np.int64)
-    powers = np.empty((n, p), dtype=np.int64)
-    powers[0] = idx
-    for i in range(1, n):
-        powers[i] = powers[i - 1] * idx % p
+def _w_codes(ctx: FieldCtx, x: Point, rows: int) -> np.ndarray:
+    """encode_point code of w = Phi(b) @ x, with `rows` power levels, for
+    every b in F^len(x) in lexicographic order.
+
+    Field addition is digit-wise addition mod p, so the per-column terms
+    x_j * b^(i+1) are computed once per element with FieldCtx.mul, split
+    into base-p digits and summed over a broadcast grid of all b.  A prime
+    field is the one-digit case.  Exact int64 arithmetic throughout.
+    """
+    d, p, k = ctx.d, ctx.p, len(x)
+    powers = [[1] * d]
+    for _ in range(rows):
+        powers.append([ctx.mul(pw, b) for b, pw in enumerate(powers[-1])])
+    # terms[i, j, b] = x_j * b^(i+1)
+    terms = np.array(
+        [[[ctx.mul(xj, pw) for pw in powers[i + 1]] for xj in x] for i in range(rows)],
+        dtype=np.int64,
+    )
+    place = p ** np.arange(ctx.e, dtype=np.int64)
+    digits = terms[..., None] // place % p
     comps = []
-    for i in range(n):
-        acc = np.zeros((), dtype=np.int64)
-        for j in range(n):
-            contrib = powers[i] * x[j] % p
-            acc = (acc[..., None] + contrib) % p
-        comps.append(acc)
-    codes = np.zeros((), dtype=np.int64)
-    for comp in comps:
-        codes = codes * p + comp
-    return codes.ravel()
-
-
-def _decode_point(code: int, d: int, n: int) -> Point:
-    out = []
-    for _ in range(n):
-        out.append(code % d)
-        code //= d
-    return tuple(reversed(out))
+    for i in range(rows):
+        acc = np.zeros((d,) * k + (ctx.e,), dtype=np.int64)
+        for j in range(k):
+            acc = acc + digits[i, j].reshape((1,) * j + (d,) + (1,) * (k - 1 - j) + (-1,))
+        comps.append(acc % p @ place)
+    return np.ravel(encode_point(comps, d))
 
 
 def eta_table(ctx: FieldCtx, x: Sequence[Felt], store_solutions: bool = False) -> EtaTable:
@@ -139,44 +171,21 @@ def eta_table(ctx: FieldCtx, x: Sequence[Felt], store_solutions: bool = False) -
     x = tuple(x)
     n = len(x)
     d = ctx.d
+    _check_n(n)
     for xi in x:
         ctx.check(xi)
     _check_enum_budget(d, n)
-
-    if ctx.e == 1 and not store_solutions and d**n <= _NUMPY_LIMIT:
-        codes = _prime_w_codes(ctx, x)
-        hist = np.bincount(codes, minlength=d**n)
-        nz = np.flatnonzero(hist)
-        counts = {_decode_point(int(c), d, n): int(hist[c]) for c in nz}
-        return EtaTable(ctx=ctx, x=x, counts=counts, solutions=None)
-
-    counts: dict[Point, int] = {}
-    solutions: dict[Point, list[Point]] | None = {} if store_solutions else None
-    # Per-column contribution tables avoid redoing the power ladder inside
-    # the d^n loop.
-    cols = []
-    for xj in x:
-        col = []
-        for b in range(d):
-            pw = 1
-            comp = []
-            for _ in range(n):
-                pw = ctx.mul(pw, b)
-                comp.append(ctx.mul(xj, pw))
-            col.append(tuple(comp))
-        cols.append(col)
-    add = ctx.add
-    for b in product(range(d), repeat=n):
-        w = [0] * n
-        for j in range(n):
-            comp = cols[j][b[j]]
-            for i in range(n):
-                w[i] = add(w[i], comp[i])
-        w = tuple(w)
-        counts[w] = counts.get(w, 0) + 1
-        if solutions is not None:
-            solutions.setdefault(w, []).append(b)
-    return EtaTable(ctx=ctx, x=x, counts=counts, solutions=solutions)
+    codes = _w_codes(ctx, x, n)
+    table = EtaTable(ctx=ctx, x=x, counts=np.bincount(codes, minlength=d**n))
+    if store_solutions:
+        # A stable sort keeps each fiber in enumeration (lexicographic) order.
+        points = [decode_point(b, d, n) for b in np.argsort(codes, kind="stable").tolist()]
+        table.solutions = {}
+        start = 0
+        for w, eta in table.items():
+            table.solutions[w] = points[start : start + eta]
+            start += eta
+    return table
 
 
 def brute_fiber(ctx: FieldCtx, x: Sequence[Felt], w: Sequence[Felt]) -> list[Point]:
@@ -187,36 +196,23 @@ def brute_fiber(ctx: FieldCtx, x: Sequence[Felt], w: Sequence[Felt]) -> list[Poi
     d = ctx.d
     if len(w) != n:
         raise ValueError(f"w has {len(w)} components, expected {n}")
+    for v in (*x, *w):
+        ctx.check(v)
     _check_enum_budget(d, n)
-    if ctx.e == 1 and d**n <= _NUMPY_LIMIT:
-        codes = _prime_w_codes(ctx, x)
-        target = 0
-        for wi in w:
-            ctx.check(wi)
-            target = target * d + wi
-        hits = np.flatnonzero(codes == target)
-        return [_decode_point(int(h), d, n) for h in hits]
-    return [
-        b for b in product(range(d), repeat=n) if apply_map(ctx, x, b) == w
-    ]
+    hits = np.flatnonzero(_w_codes(ctx, x, n) == encode_point(w, d))
+    return [decode_point(b, d, n) for b in hits.tolist()]
 
 
 def iter_eta_tables(
-    ctx: FieldCtx, n: int, store_solutions: bool = False, jobs: int = 1
+    ctx: FieldCtx, n: int, store_solutions: bool = False
 ) -> Iterator[EtaTable]:
-    """All x in F^n in lexicographic order; jobs > 1 parallelizes table builds."""
+    """One table per x in F^n, lazily, in lexicographic order of x."""
+    _check_n(n)
     _check_enum_budget(ctx.d, 2 * n)
-    xs = product(range(ctx.d), repeat=n)
-    if jobs <= 1:
-        for x in xs:
-            yield eta_table(ctx, x, store_solutions=store_solutions)
-        return
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        yield from pool.map(
-            lambda x: eta_table(ctx, x, store_solutions=store_solutions), xs, chunksize=16
-        )
+    return (
+        eta_table(ctx, x, store_solutions=store_solutions)
+        for x in product(range(ctx.d), repeat=n)
+    )
 
 
 def eta_moments(ctx: FieldCtx, n: int, k: int | None = None) -> tuple[Fraction, Fraction]:
@@ -226,6 +222,7 @@ def eta_moments(ctx: FieldCtx, n: int, k: int | None = None) -> tuple[Fraction, 
     the regime everything else runs in, smaller k is a diagnostic.  The
     first moment is d^(k-n) exactly, which doubles as a self-check here.
     """
+    _check_n(n)
     if k is None:
         k = n
     if not 1 <= k <= n:
@@ -234,20 +231,11 @@ def eta_moments(ctx: FieldCtx, n: int, k: int | None = None) -> tuple[Fraction, 
     _check_enum_budget(d, k + n)
     total_eta = 0
     total_eta_sq = 0
-    use_numpy = ctx.e == 1 and d**n <= _NUMPY_LIMIT
     for x in product(range(d), repeat=k):
-        if use_numpy:
-            codes = _prime_rect_w_codes(ctx, x, n)
-            hist = np.bincount(codes, minlength=d**n)
-            total_eta += int(hist.sum())
-            total_eta_sq += int(np.dot(hist, hist))
-        else:
-            counts: dict[Point, int] = {}
-            for b in product(range(d), repeat=k):
-                w = apply_map(ctx, x, b, rows=n)
-                counts[w] = counts.get(w, 0) + 1
-            total_eta += sum(counts.values())
-            total_eta_sq += sum(c * c for c in counts.values())
+        # Only the d^k codes that occur are counted, never all d^n targets.
+        _, sizes = np.unique(_w_codes(ctx, x, n), return_counts=True)
+        total_eta += int(sizes.sum())
+        total_eta_sq += int(sizes @ sizes)
     pairs = d ** (k + n)
     first = Fraction(total_eta, pairs)
     second = Fraction(total_eta_sq, pairs)
@@ -256,28 +244,6 @@ def eta_moments(ctx: FieldCtx, n: int, k: int | None = None) -> tuple[Fraction, 
             f"first moment came out {first}, expected d^(k-n) = {Fraction(d**k, d**n)}"
         )
     return first, second
-
-
-def _prime_rect_w_codes(ctx: FieldCtx, x: Point, rows: int) -> np.ndarray:
-    """Like _prime_w_codes but with len(x) = k columns and `rows` power levels."""
-    p = ctx.p
-    k = len(x)
-    idx = np.arange(p, dtype=np.int64)
-    powers = np.empty((rows, p), dtype=np.int64)
-    powers[0] = idx
-    for i in range(1, rows):
-        powers[i] = powers[i - 1] * idx % p
-    comps = []
-    for i in range(rows):
-        acc = np.zeros((), dtype=np.int64)
-        for j in range(k):
-            contrib = powers[i] * x[j] % p
-            acc = (acc[..., None] + contrib) % p
-        comps.append(acc)
-    codes = np.zeros((), dtype=np.int64)
-    for comp in comps:
-        codes = codes * p + comp
-    return codes.ravel()
 
 
 # -- the explicit n = 2 solver ------------------------------------------------
@@ -392,20 +358,21 @@ class GoodSets:
             return all(xi != 0 for xi in x)
         return n2_constraint(self.ctx, x) != 0
 
-    def w_good(self, x: Sequence[Felt], w: Sequence[Felt], eta: int) -> bool:
-        if not self.x_good(x):
-            return False
-        if self.analysis is Analysis.FIRST:
-            return 1 <= eta <= self.cap
-        if eta > self.cap:
+    def w_good(self, x: Sequence[Felt], eta):
+        """Good-target test at direction x, elementwise: eta is one fiber
+        size or a whole counts array, and the result has the same shape."""
+        eta = np.asarray(eta)
+        x_good = self.x_good(x)
+        if self.analysis is Analysis.SECOND and x_good and (eta > self.cap).any():
             raise InvariantViolationError(
-                f"fiber size {eta} exceeds the cap {self.cap} on the classified-good "
-                f"pair x={tuple(x)}, w={tuple(w)}"
+                f"fiber size {eta.max()} exceeds the cap {self.cap} over the "
+                f"classified-good direction x={tuple(x)}"
             )
-        return eta >= 1
+        return x_good & (eta >= 1) & (eta <= self.cap)
 
 
 def good_sets(ctx: FieldCtx, n: int, analysis: Analysis) -> GoodSets:
+    _check_n(n)
     if analysis is Analysis.FIRST:
         if ctx.p <= n:
             raise ValueError(
@@ -437,7 +404,7 @@ def classify_first(
     good = good_sets(ctx, n, Analysis.FIRST)
     if table.x != tuple(x):
         raise ValueError(f"table was computed for x = {table.x}, not {tuple(x)}")
-    return good.w_good(x, w, table.eta(w))
+    return bool(good.w_good(x, table.eta(w)))
 
 
 def classify_second_n2(
@@ -446,7 +413,7 @@ def classify_second_n2(
     good = good_sets(ctx, 2, Analysis.SECOND)
     if table.x != tuple(x):
         raise ValueError(f"table was computed for x = {table.x}, not {tuple(x)}")
-    return good.w_good(x, w, table.eta(w))
+    return bool(good.w_good(x, table.eta(w)))
 
 
 @dataclass(frozen=True)
@@ -461,6 +428,19 @@ class GoodSetSummary:
     w_good_min: int
     w_good_mean: float
 
+    @classmethod
+    def from_w_counts(cls, good: GoodSets, w_counts: Sequence[int]) -> GoodSetSummary:
+        """Summary from |W_good^x| for each classified-good x."""
+        return cls(
+            analysis=good.analysis,
+            cap=good.cap,
+            d=good.ctx.d,
+            n=good.n,
+            x_good_count=len(w_counts),
+            w_good_min=min(w_counts, default=0),
+            w_good_mean=sum(w_counts) / len(w_counts) if w_counts else 0.0,
+        )
+
     def as_dict(self) -> dict:
         return {
             "analysis": self.analysis.value,
@@ -473,34 +453,17 @@ class GoodSetSummary:
 
 def summarize_good_sets(tables: Iterable[EtaTable], good: GoodSets) -> GoodSetSummary:
     """|X_good| plus min and mean of |W_good^x| over classified-good x."""
-    x_count = 0
-    w_min: int | None = None
-    w_total = 0
-    d = good.ctx.d
+    w_counts = []
     seen = 0
     for table in tables:
         seen += 1
-        if not good.x_good(table.x):
-            continue
-        x_count += 1
-        w_count = sum(
-            1 for w, eta in table.counts.items() if good.w_good(table.x, w, eta)
-        )
-        w_total += w_count
-        w_min = w_count if w_min is None else min(w_min, w_count)
-    if seen != d**good.n:
+        if good.x_good(table.x):
+            w_counts.append(int(good.w_good(table.x, table.counts).sum()))
+    if seen != good.ctx.d**good.n:
         raise InvariantViolationError(
-            f"good-set scan saw {seen} tables, expected all {d**good.n} directions"
+            f"good-set scan saw {seen} tables, expected all {good.ctx.d**good.n} directions"
         )
-    return GoodSetSummary(
-        analysis=good.analysis,
-        cap=good.cap,
-        d=d,
-        n=good.n,
-        x_good_count=x_count,
-        w_good_min=0 if w_min is None else w_min,
-        w_good_mean=(w_total / x_count) if x_count else 0.0,
-    )
+    return GoodSetSummary.from_w_counts(good, w_counts)
 
 
 def write_eta_csv(
@@ -518,8 +481,8 @@ def write_eta_csv(
         writer.writerow(header)
         for table in tables:
             x_label = ";".join(str(c) for c in table.x)
-            for w in sorted(table.counts):
-                row = [x_label, ";".join(str(c) for c in w), table.counts[w]]
+            for w, eta in table.items():
+                row = [x_label, ";".join(str(c) for c in w), eta]
                 if include_solutions:
                     if table.solutions is None:
                         raise ValueError("table was built without solutions")

@@ -29,6 +29,8 @@ from functools import lru_cache
 from itertools import accumulate, product
 from typing import Callable, Iterable, Mapping
 
+import numpy as np
+
 from .blackbox import HiddenInstance, sample_instance
 from .errors import InvariantViolationError, RecoveryError
 from .fibers import (
@@ -37,9 +39,9 @@ from .fibers import (
     GoodSets,
     GoodSetSummary,
     Point,
+    decode_point,
     good_sets,
     iter_eta_tables,
-    summarize_good_sets,
 )
 from .gf import FieldCtx, chi, dot, field_descriptor
 from .polyring import UniPoly
@@ -54,50 +56,49 @@ class Branch(str, Enum):
 BAD_BRANCH = None  # sentinel returned by run_once when the run is discarded
 
 
-def _sqrt_eta_sum(table: EtaTable, good: GoodSets) -> float:
-    x = table.x
-    return math.fsum(
-        math.sqrt(eta) for w, eta in table.counts.items() if good.w_good(x, w, eta)
-    )
+def _sqrt_sum(etas: np.ndarray) -> float:
+    return math.fsum(np.sqrt(etas).tolist())
+
+
+def _success_sums(
+    tables: Iterable[EtaTable], good: GoodSets | None
+) -> tuple[float, float, list[int]]:
+    """One pass over the tables of all d^n directions.
+
+    Returns the ideal and the good-subspace success probabilities and
+    |W_good^x| for each classified-good x; with good=None only the ideal
+    value is meaningful.
+    """
+    ideal_terms = []
+    approx_terms = []
+    w_counts = []
+    d = n = None
+    for table in tables:
+        d, n = table.d, table.n
+        table.check_partition()
+        inner = _sqrt_sum(table.counts)
+        ideal_terms.append(inner * inner)
+        if good is not None and good.x_good(table.x):
+            mask = good.w_good(table.x, table.counts)
+            inner = _sqrt_sum(table.counts[mask])
+            approx_terms.append(inner * inner)
+            w_counts.append(int(mask.sum()))
+    if d is None or len(ideal_terms) != d**n:
+        raise InvariantViolationError(
+            f"success sums need a table for every x in F^n; saw {len(ideal_terms)}"
+        )
+    scale = d ** (3 * n)
+    return math.fsum(ideal_terms) / scale, math.fsum(approx_terms) / scale, w_counts
 
 
 def ideal_success(tables: Iterable[EtaTable]) -> float:
     """Exact identification probability of the ideal measurement, k = n."""
-    terms = []
-    d = n = None
-    seen = 0
-    for table in tables:
-        if d is None:
-            d, n = table.d, table.n
-        table.check_partition()
-        inner = math.fsum(math.sqrt(eta) for eta in table.counts.values())
-        terms.append(inner * inner)
-        seen += 1
-    if d is None or seen != d**n:
-        raise InvariantViolationError(
-            f"ideal_success needs a table for every x in F^n; saw {seen}"
-        )
-    total = math.fsum(terms)
-    return total / d ** (3 * n)
+    return _success_sums(tables, None)[0]
 
 
 def approx_success(tables: Iterable[EtaTable], good: GoodSets) -> float:
     """Identification probability of the good-subspace measurement, k = n."""
-    terms = []
-    d = good.ctx.d
-    n = good.n
-    seen = 0
-    for table in tables:
-        seen += 1
-        if not good.x_good(table.x):
-            continue
-        inner = _sqrt_eta_sum(table, good)
-        terms.append(inner * inner)
-    if seen != d**n:
-        raise InvariantViolationError(
-            f"approx_success needs a table for every x in F^n; saw {seen}"
-        )
-    return math.fsum(terms) / d ** (3 * n)
+    return _success_sums(tables, good)[1]
 
 
 def lemma2_bound(summary: GoodSetSummary) -> float:
@@ -150,22 +151,22 @@ class OutcomeDist:
 
 def _delta_weights(table: EtaTable, good: GoodSets | None):
     """[(w, sqrt(eta))] over the participating targets plus the normalizer."""
-    x = table.x
+    d, n = table.d, table.n
+    counts = table.counts
     if good is None:
-        pairs = [(w, math.sqrt(eta)) for w, eta in sorted(table.counts.items())]
-        norm = table.d**table.n * table.d**table.n
+        mask = counts > 0
+        norm = d**n * d**n
         mass = 1.0
     else:
-        pairs = [
-            (w, math.sqrt(eta))
-            for w, eta in sorted(table.counts.items())
-            if good.w_good(x, w, eta)
-        ]
-        b_size = sum(
-            eta for w, eta in table.counts.items() if good.w_good(x, w, eta)
-        )
-        norm = table.d**table.n * b_size
-        mass = b_size / table.d**table.n
+        mask = good.w_good(table.x, counts)
+        b_size = int(counts[mask].sum())
+        norm = d**n * b_size
+        mass = b_size / d**n
+    codes = np.flatnonzero(mask)
+    pairs = [
+        (decode_point(code, d, n), math.sqrt(eta))
+        for code, eta in zip(codes.tolist(), counts[codes].tolist())
+    ]
     return pairs, norm, mass
 
 
@@ -218,12 +219,7 @@ def outcome_distribution(
         return OutcomeDist(x=table.x, branch=branch, good_mass=mass, probabilities={})
     out = {}
     for code, pr in enumerate(probs):
-        delta = []
-        c = code
-        for _ in range(n):
-            delta.append(c % d)
-            c //= d
-        delta.reverse()
+        delta = decode_point(code, d, n)
         qprime = tuple(ctx.sub(qi, di) for qi, di in zip(q, delta))
         out[qprime] = pr
     return OutcomeDist(x=table.x, branch=branch, good_mass=mass, probabilities=out)
@@ -247,12 +243,7 @@ def sample_outcome(
         return BAD_BRANCH
     cum = list(accumulate(probs))
     u = rng.random() * cum[-1]
-    code = bisect_left(cum, u)
-    delta = []
-    for _ in range(n):
-        delta.append(code % d)
-        code //= d
-    delta.reverse()
+    delta = decode_point(bisect_left(cum, u), d, n)
     return tuple(ctx.sub(qi, di) for qi, di in zip(q, delta))
 
 
@@ -420,19 +411,26 @@ def success_report(
     analysis: Analysis,
     mc_runs: int = 0,
     seed: int | None = None,
-    jobs: int = 1,
 ) -> SuccessReport:
-    """Compute the full report; mc_runs > 0 adds a Monte Carlo cross-check."""
+    """Compute the full report in one pass over the fiber tables.
+
+    mc_runs > 0 adds a Monte Carlo cross-check, which samples from the
+    tables of that same pass.
+    """
+    if mc_runs < 0:
+        raise ValueError(f"Monte Carlo run count must be >= 0, got {mc_runs}")
+    if mc_runs and seed is None:
+        raise ValueError("a seed is required for the Monte Carlo estimate")
     good = good_sets(ctx, n, analysis)
-    ideal = ideal_success(iter_eta_tables(ctx, n, jobs=jobs))
-    approx = approx_success(iter_eta_tables(ctx, n, jobs=jobs), good)
-    summary = summarize_good_sets(iter_eta_tables(ctx, n, jobs=jobs), good)
+    tables: dict[Point, EtaTable] = {}
+    stream = iter_eta_tables(ctx, n)
+    if mc_runs:
+        stream = (tables.setdefault(t.x, t) for t in stream)
+    ideal, approx, w_counts = _success_sums(stream, good)
+    summary = GoodSetSummary.from_w_counts(good, w_counts)
     mc_estimate = mc_stderr = None
     if mc_runs:
-        if seed is None:
-            raise ValueError("a seed is required for the Monte Carlo estimate")
         inst = sample_instance(ctx, 1, n, seed)
-        tables = {t.x: t for t in iter_eta_tables(ctx, n)}
         stats = run_many(inst, tables, good, random.Random(f"hpp-mc:{seed}"), mc_runs)
         mc_estimate = stats.success_rate
         mc_stderr = stats.stderr

@@ -27,7 +27,7 @@ import random
 from dataclasses import dataclass, field
 
 from .blackbox import HiddenInstance
-from .errors import RecoveryError
+from .errors import InvariantViolationError, RecoveryError
 from .gf import Felt, FieldCtx
 from .polyring import (
     MultiPoly,
@@ -250,10 +250,18 @@ def solve_multivariate(
         rng = random.Random(f"hpp-reduction:{inst.seed}")
     if stats is None:
         stats = SolveStats()
+    before = stats.univariate_solves - stats.retries
     result = _solve_recursive(
         inst, {}, uni_solver, repetitions, verify_trials, rng, stats
     )
-    assert stats.univariate_solves - stats.retries == kappa(inst.n, inst.m)
+    # Every univariate subproblem is solved once plus its retries; stats may
+    # carry counts from earlier calls.
+    first_tries = stats.univariate_solves - stats.retries - before
+    if first_tries != kappa(inst.n, inst.m):
+        raise InvariantViolationError(
+            f"recovery solved {first_tries} univariate subproblems, expected "
+            f"kappa = {kappa(inst.n, inst.m)}"
+        )
     if not inst.verify_candidate(result, trials=verify_trials, rng=rng):
         raise RecoveryError("assembled polynomial failed full-instance verification")
     return result

@@ -68,7 +68,7 @@ def test_criterion_2_partition_identity():
     for desc in ("2", "3", "2^2", "5", "7"):
         ctx = parse_field(desc)
         for table in _tables(ctx, 2):
-            ok = ok and sum(table.counts.values()) == ctx.d**2
+            ok = ok and int(table.counts.sum()) == ctx.d**2
             checked += 1
     _check(2, ok, f"sum of fiber sizes is d^2 for all {checked} directions, d <= 7",
            time.perf_counter() - t0, 10)
@@ -206,8 +206,8 @@ def test_criterion_7_density_matrix_cross_validation():
             continue
         table = eta_table(ctx, x, store_solutions=True)
         vx = build_vx(ctx, table, good)
-        for w, eta in table.counts.items():
-            if not good.w_good(x, w, eta):
+        for w, eta in table.items():
+            if not good.w_good(x, eta):
                 continue
             state = np.zeros(9, dtype=np.complex128)
             for b in table.solutions[w]:

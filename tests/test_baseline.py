@@ -8,7 +8,7 @@ from hpp.baseline import (
     solve_linear_classical,
 )
 from hpp.blackbox import sample_instance
-from hpp.errors import RecoveryError
+from hpp.errors import InvariantViolationError, RecoveryError
 from hpp.gf import make_field
 
 
@@ -31,6 +31,23 @@ def test_default_budget_never_fails():
         inst = sample_instance(ctx, 1, 1, seed=f"pigeon:{trial}")
         result = solve_linear_classical(inst)
         assert result.queries <= 8
+
+
+def test_collision_with_equal_r_is_an_invariant_violation():
+    # A stub oracle whose value depends on r alone: its first collision
+    # joins two queries at one r, which a real permuted oracle never does.
+    class SameValuePerR:
+        ctx = make_field(7)
+        m = n = 1
+        seed = "stub"
+        query_count = 0
+
+        def query(self, r, s):
+            self.query_count += 1
+            return r[0]
+
+    with pytest.raises(InvariantViolationError):
+        solve_linear_classical(SameValuePerR(), rng=random.Random(0))
 
 
 def test_search_is_deterministic_given_seeds():

@@ -182,6 +182,28 @@ def test_invariant_violation_maps_to_exit_4(monkeypatch, capsys):
     assert "forced" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eta", "--field", "5", "-n", "0", "--out", "OUT"],
+        ["eta", "--field", "5", "-n", "-1", "--out", "OUT"],
+        ["success", "--field", "5", "-n", "0"],
+        ["success", "--field", "5", "-n", "-1"],
+        ["success", "--field", "5", "-n", "2", "--mc", "-5", "--seed", "s"],
+        ["success", "--field", "5", "-n", "2", "--jobs", "-3"],
+        ["eta", "--field", "5", "-n", "2", "--out", "MISSING/eta.csv"],
+    ],
+)
+def test_bad_arguments_exit_2_with_one_line(argv, tmp_path, capsys):
+    argv = [
+        a.replace("OUT", str(tmp_path / "out")).replace("MISSING", str(tmp_path / "no"))
+        for a in argv
+    ]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
 def test_module_entry_point(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "hpp.cli", "plan", "--field", "5", "-n", "1",

@@ -153,8 +153,8 @@ def test_vx_isometry_and_fiber_contract():
             vx = build_vx(ctx, table, good)
             v = vx.matrix
             assert np.allclose(v.conj().T @ v, np.eye(d**2), atol=1e-10)
-            for w, eta in table.counts.items():
-                if not good.w_good(x, w, eta):
+            for w, eta in table.items():
+                if not good.w_good(x, eta):
                     continue
                 state = np.zeros(d**2, dtype=np.complex128)
                 for b in table.solutions[w]:
@@ -227,7 +227,7 @@ def test_good_mass_is_good_point_fraction():
     for x in ((1, 2), (3, 3), (2, 4)):
         table = eta_table(ctx, x, store_solutions=True)
         n_good = sum(
-            eta for w, eta in table.counts.items() if good.w_good(x, w, eta)
+            eta for w, eta in table.items() if good.w_good(x, eta)
         )
         mass, _ = pipeline_probability(ctx, q, x, good)
         assert abs(mass - n_good / 25) < 1e-12

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,7 +14,9 @@ from hpp.fibers import (
     brute_fiber,
     classify_first,
     classify_second_n2,
+    decode_point,
     elimination_quadratic,
+    encode_point,
     eta_moments,
     eta_table,
     first_cap,
@@ -51,7 +54,7 @@ def test_apply_map_rows_extension():
 
 def test_eta_table_fixture_gf3():
     table = eta_table(F3, (1, 1))
-    assert table.counts == {
+    assert dict(table.items()) == {
         (0, 0): 1,
         (0, 2): 2,
         (1, 1): 2,
@@ -67,29 +70,49 @@ def test_eta_table_solutions_consistent():
     for ctx in (F3, F5, F4):
         table = eta_table(ctx, (1, 2), store_solutions=True)
         for w, bs in table.solutions.items():
-            assert len(bs) == table.counts[w]
+            assert len(bs) == table.eta(w)
             for b in bs:
                 assert apply_map(ctx, (1, 2), b) == w
 
 
-def test_numpy_and_python_paths_agree():
-    for ctx in (F3, F5, F7):
-        for x in product(range(ctx.d), repeat=2):
-            fast = eta_table(ctx, x)
-            slow = eta_table(ctx, x, store_solutions=True)
-            assert fast.counts == slow.counts
+def test_enumerator_matches_literal_apply_map():
+    # The literal oracle: evaluate Phi(b) @ x point by point.
+    cases = (("3", 2), ("5", 2), ("7", 2), ("2^2", 2), ("2^3", 2), ("3^2", 2), ("5", 3))
+    for desc, n in cases:
+        ctx = parse_field(desc)
+        for x in product(range(ctx.d), repeat=n):
+            fibers = {}
+            for b in product(range(ctx.d), repeat=n):
+                fibers.setdefault(apply_map(ctx, x, b), []).append(b)
+            table = eta_table(ctx, x, store_solutions=True)
+            assert dict(table.items()) == {w: len(bs) for w, bs in fibers.items()}, (desc, x)
+            assert table.solutions == fibers, (desc, x)
+            assert eta_table(ctx, x).counts.tolist() == table.counts.tolist(), (desc, x)
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_point_codec_round_trip(data):
+    d = data.draw(st.integers(min_value=2, max_value=1 << 20))
+    n = data.draw(st.integers(min_value=1, max_value=6))
+    point = tuple(data.draw(st.lists(st.integers(0, d - 1), min_size=n, max_size=n)))
+    code = encode_point(point, d)
+    assert 0 <= code < d**n
+    assert decode_point(code, d, n) == point
+    other = data.draw(st.integers(min_value=0, max_value=d**n - 1))
+    assert encode_point(decode_point(other, d, n), d) == other
 
 
 def test_partition_identity_exhaustive():
     for ctx in (F3, F4, F5, F7):
         for table in iter_eta_tables(ctx, 2):
             table.check_partition()
-            assert sum(table.counts.values()) == ctx.d**2
+            assert int(table.counts.sum()) == ctx.d**2
 
 
 def test_partition_check_raises_on_corruption():
     table = eta_table(F3, (1, 1))
-    table.counts[(0, 0)] += 1
+    table.counts[encode_point((0, 0), 3)] += 1
     with pytest.raises(InvariantViolationError):
         table.check_partition()
 
@@ -210,11 +233,25 @@ def test_first_analysis_fiber_structure():
         for x in product(range(1, d), repeat=2):
             table = eta_table(ctx, x)
             degenerate = ctx.add(x[0], x[1]) == 0
-            for w, eta in table.counts.items():
+            for w, eta in table.items():
                 if degenerate and w == (0, 0):
                     assert eta == d
                 else:
                     assert 1 <= eta <= 2
+
+
+def test_w_good_is_elementwise_and_keeps_the_second_cap():
+    first = good_sets(F5, 2, Analysis.FIRST)
+    etas = [0, 1, 2, 3]
+    assert first.w_good((1, 2), np.array(etas)).tolist() == [False, True, True, False]
+    assert [bool(first.w_good((1, 2), eta)) for eta in etas] == [False, True, True, False]
+    assert not first.w_good((0, 2), np.array(etas)).any()
+    second = good_sets(F5, 2, Analysis.SECOND)
+    with pytest.raises(InvariantViolationError):
+        second.w_good((1, 2), np.array([1, 5]))
+    with pytest.raises(InvariantViolationError):
+        second.w_good((1, 2), 5)
+    assert not second.w_good((1, 4), 5)  # x1 + x2 = 0: bad x, no cap applies
 
 
 def test_good_set_counts():
@@ -241,7 +278,7 @@ def test_second_analysis_cap_is_theorem():
         for table in iter_eta_tables(ctx, 2):
             if not good.x_good(table.x):
                 continue
-            assert max(table.counts.values()) <= good.cap
+            assert table.counts.max() <= good.cap
 
 
 def test_analysis_selection():
@@ -258,9 +295,9 @@ def test_classify_helpers_match_good_sets():
     table = eta_table(F5, (1, 2))
     good_f = good_sets(F5, 2, Analysis.FIRST)
     good_s = good_sets(F5, 2, Analysis.SECOND)
-    for w, eta in table.counts.items():
-        assert classify_first(F5, 2, (1, 2), w, table) == good_f.w_good((1, 2), w, eta)
-        assert classify_second_n2(F5, (1, 2), w, table) == good_s.w_good((1, 2), w, eta)
+    for w, eta in table.items():
+        assert classify_first(F5, 2, (1, 2), w, table) == good_f.w_good((1, 2), eta)
+        assert classify_second_n2(F5, (1, 2), w, table) == good_s.w_good((1, 2), eta)
     with pytest.raises(ValueError):
         classify_first(F5, 2, (2, 2), (0, 0), table)
 

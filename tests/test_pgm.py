@@ -95,7 +95,7 @@ def test_outcome_distribution_normalization_and_support():
         assert dist.branch is Branch.GOOD
         dist.check_normalized()
         total_eta = sum(
-            eta for w, eta in table.counts.items() if good.w_good(x, w, eta)
+            eta for w, eta in table.items() if good.w_good(x, eta)
         )
         assert abs(dist.good_mass - total_eta / 25) < 1e-12
 
@@ -199,6 +199,23 @@ def test_success_report_structure_and_determinism():
         F5, 2, Analysis.FIRST, mc_runs=500, seed="rep"
     ).to_json()
     json.loads(report.to_json())
+
+
+def test_success_report_enumerates_once(monkeypatch):
+    import hpp.pgm
+
+    passes = []
+    real = hpp.pgm.iter_eta_tables
+
+    def counting(*args, **kwargs):
+        passes.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(hpp.pgm, "iter_eta_tables", counting)
+    for mc_runs in (0, 50):
+        passes.clear()
+        success_report(F5, 2, Analysis.FIRST, mc_runs=mc_runs, seed="one-pass")
+        assert len(passes) == 1
 
 
 def test_success_report_requires_seed_for_mc():

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hpp.blackbox import make_instance, sample_instance
-from hpp.errors import RecoveryError
+from hpp.errors import InvariantViolationError, RecoveryError
 from hpp.gf import make_field
 from hpp.polyring import UniPoly, eval_multi, multi_poly, substitute, to_unipoly
 from hpp.reduction import (
@@ -116,6 +116,17 @@ def test_perfect_solver_recovers_exactly(d, m, n):
         assert stats.univariate_solves == kappa(n, m)
         assert stats.retries == 0
         assert stats.verify_failures == 0
+
+
+def test_stats_can_be_reused_and_solve_count_is_checked(monkeypatch):
+    stats = SolveStats()
+    for trial in range(2):
+        inst = sample_instance(F7, 2, 2, seed=f"reuse:{trial}")
+        assert solve_multivariate(inst, perfect_solver, stats=stats) == inst.Q
+    assert stats.univariate_solves == 2 * kappa(2, 2)
+    monkeypatch.setattr("hpp.reduction.kappa", lambda n, m: 0)
+    with pytest.raises(InvariantViolationError):
+        solve_multivariate(sample_instance(F7, 2, 2, seed="reuse:2"), perfect_solver)
 
 
 def test_recovered_polynomial_matches_oracle_graph():
