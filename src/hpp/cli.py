@@ -9,7 +9,8 @@ Subcommands:
 
 Exit codes: 0 success, 1 recovery failure (for example a query budget
 exhausted), 2 usage error (including an output path that cannot be
-written), 3 enumeration guard tripped, 4 internal invariant violated.
+written), 3 enumeration guard tripped, 4 internal invariant violated or
+any other unexpected error.
 Outputs are deterministic byte-for-byte for fixed arguments and seed (JSON
 keys sorted, newline-terminated lines).
 """
@@ -335,6 +336,9 @@ def main(argv=None) -> int:
     except RecoveryError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except Exception as exc:  # a bug: keep exit 1 for recovery failure alone
+        print(f"error: unexpected {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

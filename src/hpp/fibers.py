@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from itertools import product
@@ -90,13 +90,16 @@ class EtaTable:
 
     counts[c] is eta_w^x for the w with encode_point code c (length d^n, zero
     for empty fibers).  When solutions are stored, they map each w with a
-    nonempty fiber to its points in lexicographic order.
+    nonempty fiber to its points in lexicographic order.  The outcome laws
+    pgm derives from the table are cached with it, keyed by good set, and
+    live exactly as long as the table.
     """
 
     ctx: FieldCtx
     x: Point
     counts: np.ndarray
     solutions: dict[Point, list[Point]] | None = None
+    _laws: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def d(self) -> int:

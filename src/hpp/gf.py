@@ -10,7 +10,10 @@ degree e), so two contexts built from the same (p, e) are interchangeable
 and results are reproducible across runs and machines.
 
 The absolute trace Tr(a) = a + a^p + ... + a^(p^(e-1)) lands in the prime
-subfield, i.e. in [0, p).  The additive character
+subfield, i.e. in [0, p).  It is GF(p)-linear, so each context computes
+the Frobenius sums once, for the powers of t, and evaluates the trace as a
+dot product with the digits (FieldCtx.trace_vector); FieldCtx.trace_form
+does the same for the bilinear form Tr(a*b).  The additive character
 
     chi(a) = exp(2*pi*i * Tr(a) / p)
 
@@ -26,6 +29,7 @@ into the arithmetic helpers.
 from __future__ import annotations
 
 import cmath
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -228,6 +232,32 @@ class FieldCtx:
         return tuple(cmath.exp(2j * cmath.pi * t / self.p) for t in range(self.p))
 
     @cached_property
+    def trace_form(self) -> tuple[tuple[int, ...], ...]:
+        """M[j][k] = Tr(t^(j+k)), so Tr(a*b) = digits(a) . M . digits(b) mod p.
+
+        Built once from the Frobenius-sum definition of the trace; [[1]] on
+        a prime field.
+        """
+        t = self.p if self.e > 1 else 0  # t^0 = 1 is the only power used when e = 1
+        powers = []
+        for m in range(2 * self.e - 1):
+            acc = frob = self.pow(t, m)
+            for _ in range(self.e - 1):
+                frob = self.pow(frob, self.p)
+                acc = self.add(acc, frob)
+            if acc >= self.p:
+                raise InvariantViolationError(
+                    f"trace(t^{m}) = {acc} escaped the prime subfield of {self.describe()}"
+                )
+            powers.append(acc)
+        return tuple(tuple(powers[j : j + self.e]) for j in range(self.e))
+
+    @cached_property
+    def trace_vector(self) -> tuple[int, ...]:
+        """Tr(t^j) for j < e, so Tr(a) = digits(a) . v mod p."""
+        return self.trace_form[0]
+
+    @cached_property
     def _squaring_map_solver(self) -> list[tuple[int, int]]:
         # Row-reduced form of the GF(2)-linear map u -> u^2 + u, used to
         # invert it when solving Artin-Schreier equations in characteristic 2.
@@ -291,18 +321,10 @@ def field_descriptor(ctx: FieldCtx) -> str:
 
 
 def trace(ctx: FieldCtx, a: Felt) -> Felt:
-    """Absolute trace a + a^p + ... + a^(p^(e-1)); always lands in [0, p)."""
+    """Absolute trace a + a^p + ... + a^(p^(e-1)) in [0, p), as the linear
+    functional digits(a) . ctx.trace_vector mod p."""
     ctx.check(a)
-    acc = a
-    frob = a
-    for _ in range(ctx.e - 1):
-        frob = ctx.pow(frob, ctx.p)
-        acc = ctx.add(acc, frob)
-    if acc >= ctx.p:
-        raise InvariantViolationError(
-            f"trace({a}) = {acc} escaped the prime subfield of {ctx.describe()}"
-        )
-    return acc
+    return sum(map(operator.mul, ctx.digits(a), ctx.trace_vector)) % ctx.p
 
 
 def chi(ctx: FieldCtx, a: Felt) -> CharValue:

@@ -13,6 +13,14 @@ These closed forms let a plain classical loop sample measurement outcomes
 exactly, with no state-vector simulation; the dense linear-algebra pipeline
 exists separately as a cross-check at small d.
 
+The amplitude of one delta needs only the phase index Tr(<delta, w>) in
+[0, p) of every term.  Those indices form an exact integer matrix, the
+base-p digits of all delta times the field's trace form (block-diagonal
+over the n coordinates) times the digits of the participating w, mod p.
+One pass over its rows, each reduced with math.fsum, gives the same floats
+as summing the characters term by term, at numpy speed.  Each law and its
+cumulative distribution are cached on the fiber table they come from.
+
 Scalar probability accumulations run through math.fsum (compensated
 summation), keeping results stable to well below the 1e-9 test tolerances.
 """
@@ -22,11 +30,8 @@ from __future__ import annotations
 import json
 import math
 import random
-from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
-from itertools import accumulate, product
 from typing import Callable, Iterable, Mapping
 
 import numpy as np
@@ -43,7 +48,7 @@ from .fibers import (
     good_sets,
     iter_eta_tables,
 )
-from .gf import FieldCtx, chi, dot, field_descriptor
+from .gf import FieldCtx, field_descriptor
 from .polyring import UniPoly
 
 
@@ -150,7 +155,7 @@ class OutcomeDist:
 
 
 def _delta_weights(table: EtaTable, good: GoodSets | None):
-    """[(w, sqrt(eta))] over the participating targets plus the normalizer."""
+    """Codes of the participating targets w, the normalizer and the branch mass."""
     d, n = table.d, table.n
     counts = table.counts
     if good is None:
@@ -162,39 +167,68 @@ def _delta_weights(table: EtaTable, good: GoodSets | None):
         b_size = int(counts[mask].sum())
         norm = d**n * b_size
         mass = b_size / d**n
-    codes = np.flatnonzero(mask)
-    pairs = [
-        (decode_point(code, d, n), math.sqrt(eta))
-        for code, eta in zip(codes.tolist(), counts[codes].tolist())
-    ]
-    return pairs, norm, mass
+    return np.flatnonzero(mask), norm, mass
 
 
-@lru_cache(maxsize=256)
-def _delta_distribution(table: EtaTable, good: GoodSets | None) -> tuple[tuple[float, ...], float]:
+def _phase_matrix(ctx: FieldCtx, n: int, w_codes: np.ndarray) -> np.ndarray:
+    """T[delta, i] = Tr(<delta, w_i>) for every delta in F^n (by code), exactly.
+
+    With the base-p digits of a point as a row vector (e digits per
+    coordinate), Tr(<delta, w>) = digits(delta) . blockdiag_n(M) .
+    digits(w) mod p, where M is the field's trace form.
+    """
+    p = ctx.p
+    place = p ** np.arange(n * ctx.e, dtype=np.int64)
+
+    def digits(codes: np.ndarray) -> np.ndarray:
+        return codes[:, None] // place % p
+
+    form = np.kron(np.eye(n, dtype=np.int64), np.array(ctx.trace_form, dtype=np.int64))
+    left = digits(np.arange(ctx.d**n, dtype=np.int64)) @ form % p
+    return left @ digits(w_codes).T % p
+
+
+def _delta_distribution(table: EtaTable, good: GoodSets | None) -> tuple[np.ndarray, float]:
     """Probabilities over delta = q - q', indexed by the integer code of delta.
 
-    Cached by table identity; EtaTable instances compare by identity, so
-    reusing the same table objects across runs amortizes the transform.
+    amp(delta) = sum over participating w of sqrt(eta_w) * chi(<delta, w>).
+    The phase indices Tr(<delta, w>) come from _phase_matrix in exact
+    integer arithmetic; each row's terms sqrt(eta_w) * cos and * sin are
+    the IEEE products float * complex gives, and math.fsum rounds each
+    row's sum correctly, so the law is bit-identical to evaluating the
+    character sum term by term.  Rows are summed one at a time to keep the
+    float temporaries small.
     """
     ctx = table.ctx
-    d, n = table.d, table.n
-    pairs, norm, mass = _delta_weights(table, good)
-    if not pairs:
-        return (), mass
-    probs = []
-    for delta in product(range(d), repeat=n):
-        terms = [s * chi(ctx, dot(ctx, delta, w)) for w, s in pairs]
-        amp = complex(
-            math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms)
-        )
-        probs.append((amp.real * amp.real + amp.imag * amp.imag) / norm)
-    total = math.fsum(probs)
+    codes, norm, mass = _delta_weights(table, good)
+    if not codes.size:
+        return np.empty(0), mass
+    roots = ctx._unit_roots
+    cos_tab = np.array([z.real for z in roots])
+    sin_tab = np.array([z.imag for z in roots])
+    s = np.sqrt(table.counts[codes].astype(np.float64))
+    phases = _phase_matrix(ctx, table.n, codes)
+    re = np.empty(len(phases))
+    im = np.empty(len(phases))
+    for r, row in enumerate(phases):
+        re[r] = math.fsum((s * cos_tab[row]).tolist())
+        im[r] = math.fsum((s * sin_tab[row]).tolist())
+    probs = (re * re + im * im) / float(norm)
+    total = math.fsum(probs.tolist())
     if abs(total - 1.0) > 1e-9:
         raise InvariantViolationError(
             f"outcome distribution for x={table.x} sums to {total}"
         )
-    return tuple(probs), mass
+    return probs, mass
+
+
+def _outcome_law(table: EtaTable, good: GoodSets | None):
+    """(probabilities, cumulative distribution, branch mass), cached on the table."""
+    law = table._laws.get(good)
+    if law is None:
+        probs, mass = _delta_distribution(table, good)
+        law = table._laws[good] = (probs, np.cumsum(probs), mass)
+    return law
 
 
 def outcome_distribution(
@@ -213,12 +247,10 @@ def outcome_distribution(
         raise ValueError(f"q has {len(q)} components, expected {n}")
     if good is not None and not good.x_good(table.x):
         return OutcomeDist(x=table.x, branch=Branch.BAD, good_mass=0.0, probabilities={})
-    probs, mass = _delta_distribution(table, good)
+    probs, _, mass = _outcome_law(table, good)
     branch = Branch.IDEAL if good is None else Branch.GOOD
-    if not probs:
-        return OutcomeDist(x=table.x, branch=branch, good_mass=mass, probabilities={})
     out = {}
-    for code, pr in enumerate(probs):
+    for code, pr in enumerate(probs.tolist()):
         delta = decode_point(code, d, n)
         qprime = tuple(ctx.sub(qi, di) for qi, di in zip(q, delta))
         out[qprime] = pr
@@ -238,12 +270,11 @@ def sample_outcome(
     table = tables[x]
     if not good.x_good(x):
         return BAD_BRANCH
-    probs, mass = _delta_distribution(table, good)
+    _, cdf, mass = _outcome_law(table, good)
     if rng.random() >= mass:
         return BAD_BRANCH
-    cum = list(accumulate(probs))
-    u = rng.random() * cum[-1]
-    delta = decode_point(bisect_left(cum, u), d, n)
+    u = rng.random() * cdf[-1]
+    delta = decode_point(int(cdf.searchsorted(u)), d, n)
     return tuple(ctx.sub(qi, di) for qi, di in zip(q, delta))
 
 

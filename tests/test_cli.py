@@ -213,3 +213,14 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads((tmp_path / "p.json").read_text())["kappa"] == 2
+
+
+def test_unexpected_exception_maps_to_exit_4(monkeypatch, capsys):
+    def boom(*a, **k):
+        raise RuntimeError("unforeseen")
+
+    monkeypatch.setattr("hpp.cli.success_report", boom)
+    assert main(["success", "--field", "5", "-n", "2"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "RuntimeError" in err and "unforeseen" in err

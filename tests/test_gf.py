@@ -111,6 +111,31 @@ def test_character_orthogonality():
             assert abs(total - expect) < 1e-9, (desc, u)
 
 
+def _frobenius_trace(ctx, a):
+    acc = frob = a
+    for _ in range(ctx.e - 1):
+        frob = ctx.pow(frob, ctx.p)
+        acc = ctx.add(acc, frob)
+    return acc
+
+
+@pytest.mark.parametrize("desc", ["7", "2^2", "2^3", "2^4", "3^2", "3^3", "5^2"])
+def test_trace_matches_literal_frobenius_sum(desc):
+    ctx = parse_field(desc)
+    for a in range(ctx.d):
+        assert trace(ctx, a) == _frobenius_trace(ctx, a), (desc, a)
+    # the trace form gives Tr(a*b) from the digits of a and b
+    form = ctx.trace_form
+    rng = random.Random(f"trace-form:{desc}")
+    for _ in range(200):
+        a, b = rng.randrange(ctx.d), rng.randrange(ctx.d)
+        da, db = ctx.digits(a), ctx.digits(b)
+        bilinear = sum(
+            da[j] * form[j][k] * db[k] for j in range(ctx.e) for k in range(ctx.e)
+        )
+        assert bilinear % ctx.p == _frobenius_trace(ctx, ctx.mul(a, b)), (desc, a, b)
+
+
 def test_trace_surjective_onto_prime_field():
     for ctx in FIELDS:
         values = {trace(ctx, a) for a in range(ctx.d)}

@@ -1,11 +1,15 @@
 import json
 import math
 import random
-from itertools import product
+from bisect import bisect_left
+from itertools import accumulate, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hpp.blackbox import make_instance, sample_instance
+from hpp.densmat import pipeline_probability
 from hpp.errors import InvariantViolationError
 from hpp.fibers import (
     Analysis,
@@ -14,11 +18,13 @@ from hpp.fibers import (
     iter_eta_tables,
     summarize_good_sets,
 )
-from hpp.gf import make_field, parse_field
+from hpp.gf import chi, dot, make_field, parse_field
 from hpp.pgm import (
     BAD_BRANCH,
     Branch,
     SuccessReport,
+    _delta_distribution,
+    _outcome_law,
     approx_success,
     corollary_bound,
     ideal_success,
@@ -27,9 +33,10 @@ from hpp.pgm import (
     outcome_distribution,
     run_many,
     run_once,
+    sample_outcome,
     success_report,
 )
-from hpp.polyring import multi_poly
+from hpp.polyring import UniPoly, multi_poly
 
 F4 = parse_field("2^2")
 F5 = make_field(5)
@@ -238,3 +245,113 @@ def test_success_report_rejects_broken_sandwich():
             corollary=0.0,
             good_summary=summary,
         )
+
+
+def _literal_delta_distribution(table, good):
+    """The outcome law summed character by character: the oracle for the
+    vectorized law, (probabilities by delta code, good-branch mass)."""
+    ctx = table.ctx
+    d, n = table.d, table.n
+    chosen = [
+        (w, eta) for w, eta in table.items() if good is None or good.w_good(table.x, eta)
+    ]
+    if good is None:
+        norm = d**n * d**n
+        mass = 1.0
+    else:
+        b_size = sum(eta for _, eta in chosen)
+        norm = d**n * b_size
+        mass = b_size / d**n
+    if not chosen:
+        return [], mass
+    pairs = [(w, math.sqrt(eta)) for w, eta in chosen]
+    probs = []
+    for delta in product(range(d), repeat=n):
+        terms = [s * chi(ctx, dot(ctx, delta, w)) for w, s in pairs]
+        amp = complex(
+            math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms)
+        )
+        probs.append((amp.real * amp.real + amp.imag * amp.imag) / norm)
+    return probs, mass
+
+
+# (field, n, analysis, every how many-th direction to check); GF(13) and
+# GF(5)^3 are strided to keep the literal loop fast.
+ORACLE_CASES = [
+    ("5", 2, Analysis.FIRST, 1),
+    ("13", 2, Analysis.FIRST, 21),
+    ("2^2", 2, Analysis.SECOND, 1),
+    ("2^3", 2, Analysis.SECOND, 3),
+    ("3^2", 2, Analysis.SECOND, 3),
+    ("5", 3, Analysis.FIRST, 9),
+]
+
+
+@pytest.mark.parametrize("desc,n,analysis,stride", ORACLE_CASES)
+def test_outcome_law_equals_literal_character_sum(desc, n, analysis, stride):
+    ctx = parse_field(desc)
+    good = good_sets(ctx, n, analysis)
+    checked = 0
+    for i, table in enumerate(iter_eta_tables(ctx, n)):
+        if i % stride:
+            continue
+        for g in (None, good):
+            if g is not None and not g.x_good(table.x):
+                continue
+            probs, mass = _delta_distribution(table, g)
+            want, want_mass = _literal_delta_distribution(table, g)
+            assert probs.tolist() == want, (desc, table.x, g is None)
+            assert mass == want_mass
+            checked += 1
+    assert checked > 0
+
+
+def test_outcome_law_is_cached_with_its_cdf():
+    good = good_sets(F7, 2, Analysis.FIRST)
+    table = eta_table(F7, (2, 5))
+    law = _outcome_law(table, good)
+    assert _outcome_law(table, good) is law
+    assert _outcome_law(table, None) is not law
+    probs, cdf, _ = law
+    cum = list(accumulate(probs.tolist()))
+    assert cdf.tolist() == cum
+    rng = random.Random("cdf")
+    for u in [rng.random() * cum[-1] for _ in range(500)] + cum + [0.0]:
+        assert int(cdf.searchsorted(u)) == bisect_left(cum, u)
+
+
+def test_sample_outcome_returns_plain_ints():
+    good = good_sets(F5, 2, Analysis.FIRST)
+    tables = {t.x: t for t in iter_eta_tables(F5, 2)}
+    rng = random.Random("ints")
+    outcomes = [sample_outcome((1, 3), tables, good, rng) for _ in range(100)]
+    drawn = [o for o in outcomes if o is not BAD_BRANCH]
+    assert drawn
+    for out in drawn:
+        for c in out:
+            assert type(c) is int and F5.check(c) == c
+
+
+PIPELINE_CASES = [
+    (parse_field("3"), Analysis.FIRST),
+    (parse_field("3"), Analysis.SECOND),
+    (F4, Analysis.SECOND),
+    (F5, Analysis.FIRST),
+    (F5, Analysis.SECOND),
+    (F7, Analysis.FIRST),
+    (F7, Analysis.SECOND),
+]
+
+
+@given(case=st.sampled_from(PIPELINE_CASES), data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_outcome_law_matches_density_matrix_pipeline(case, data):
+    ctx, analysis = case
+    elt = st.integers(min_value=0, max_value=ctx.d - 1)
+    x = (data.draw(elt), data.draw(elt))
+    qc = (data.draw(elt), data.draw(elt))
+    good = good_sets(ctx, 2, analysis)
+    mass, p = pipeline_probability(ctx, UniPoly(ctx, (0, *qc)), x, good)
+    dist = outcome_distribution(eta_table(ctx, x), good, qc)
+    assert abs(mass - dist.good_mass) < 1e-9
+    assert abs(p - dist.probabilities.get(qc, 0.0)) < 1e-9
