@@ -134,6 +134,8 @@ def scaling_experiment(
         raise ValueError(f"need at least 30 trials per size for a stable median, got {trials}")
     if len(ds) < 3:
         raise ValueError(f"need at least 3 field sizes to fit a slope, got {len(ds)}")
+    if len(set(ds)) != len(ds):
+        raise ValueError(f"field sizes must be distinct, got {','.join(map(str, ds))}")
     per_size: list[BaselineStats] = []
     for d in ds:
         ctx = make_field(d)

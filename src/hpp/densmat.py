@@ -273,14 +273,19 @@ def fourier_point_state(ctx: FieldCtx, qprime: Point, n: int) -> np.ndarray:
 
 
 def pipeline_probability(
-    ctx: FieldCtx, q: UniPoly, x: Point, good: GoodSets
+    ctx: FieldCtx,
+    q: UniPoly,
+    x: Point,
+    good: GoodSets,
+    qprime: Point | None = None,
 ) -> tuple[float, float]:
-    """(good-branch mass, P[q' = q | good branch]) for one direction x,
-    computed end to end through explicit matrices.
+    """(good-branch mass, P[outcome = qprime | good branch]) for one
+    direction x, computed end to end through explicit matrices.
 
     Builds the n-copy state, collapses on the measured directions, projects
     onto the good-set points, applies V_x, and measures in the Fourier point
-    basis.  Returns (0, 0) when the good branch is unreachable at this x.
+    basis.  qprime defaults to the true coefficient vector of q.  Returns
+    (0, 0) when the good branch is unreachable at this x.
     """
     d = ctx.d
     n = len(x)
@@ -309,9 +314,10 @@ def pipeline_probability(
     vx = build_vx(ctx, table, good)
     sigma = vx.matrix @ rho_good @ vx.matrix.conj().T
 
-    coeffs = tuple(q.coeff(i) for i in range(1, n + 1))
+    if qprime is None:
+        qprime = tuple(q.coeff(i) for i in range(1, n + 1))
     psi = np.zeros(sigma.shape[0], dtype=np.complex128)
-    w_basis = fourier_point_state(ctx, coeffs, n)
+    w_basis = fourier_point_state(ctx, qprime, n)
     for wcode in range(d**n):
         psi[vx.good_index(decode_point(wcode, d, n))] = w_basis[wcode]
     prob = float(np.real(psi.conj() @ sigma @ psi))

@@ -17,8 +17,14 @@ The amplitude of one delta needs only the phase index Tr(<delta, w>) in
 [0, p) of every term.  Those indices form an exact integer matrix, the
 base-p digits of all delta times the field's trace form (block-diagonal
 over the n coordinates) times the digits of the participating w, mod p.
-One pass over its rows, each reduced with math.fsum, gives the same floats
-as summing the characters term by term, at numpy speed.  Each law and its
+A term is fixed by its phase index and its fiber size, so each row is an
+integer count of each of the p*K distinct products sqrt(size) * cos_t (and
+sin_t), K being the number of distinct fiber sizes.  Each product splits
+exactly into two halves of at most 26 significant bits; halves grouped
+into exponent windows narrow enough to keep every partial sum below 2^53
+make one int64 matmul give each row's window totals exactly.  Rounding
+each row once then gives the correctly rounded exact sum: the same floats
+as summing the characters term by term with math.fsum.  Each law and its
 cumulative distribution are cached on the fiber table they come from.
 
 Scalar probability accumulations run through math.fsum (compensated
@@ -30,6 +36,7 @@ from __future__ import annotations
 import json
 import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, Mapping
@@ -175,7 +182,8 @@ def _phase_matrix(ctx: FieldCtx, n: int, w_codes: np.ndarray) -> np.ndarray:
 
     With the base-p digits of a point as a row vector (e digits per
     coordinate), Tr(<delta, w>) = digits(delta) . blockdiag_n(M) .
-    digits(w) mod p, where M is the field's trace form.
+    digits(w) mod p, where M is the field's trace form.  The outer product
+    is accumulated one digit position at a time.
     """
     p = ctx.p
     place = p ** np.arange(n * ctx.e, dtype=np.int64)
@@ -185,34 +193,92 @@ def _phase_matrix(ctx: FieldCtx, n: int, w_codes: np.ndarray) -> np.ndarray:
 
     form = np.kron(np.eye(n, dtype=np.int64), np.array(ctx.trace_form, dtype=np.int64))
     left = digits(np.arange(ctx.d**n, dtype=np.int64)) @ form % p
-    return left @ digits(w_codes).T % p
+    right = digits(w_codes)
+    phases = left[:, :1] * right[:, 0]
+    for j in range(1, len(place)):
+        phases += left[:, j : j + 1] * right[:, j]
+    phases %= p
+    return phases
+
+
+def _exact_row_sums(counts: np.ndarray, values: list[list[float]]) -> np.ndarray:
+    """S[r, c] = sum over j of counts[r, j] * values[j][c], correctly rounded.
+
+    counts is a nonnegative int64 matrix (rows x J) and values holds J rows
+    of C floats.  Each value's Veltkamp halves are integer mantissas below
+    2^26 times powers of two.  The halves are grouped into windows of
+    exponents at most `width` apart, so within a window a half is an
+    integer below 2^(26 + width) times the window's base power, and one
+    value puts at most two halves in a window.  With every row's counts
+    summing below 2^L and width = 26 - L, each window total of a row, and
+    every partial sum on the way, stays below 2^53: one int64 matmul gives
+    them all exactly, and they convert to floats exactly.  Rounding each
+    row once, by math.fsum over its window totals (or the single total
+    itself), then yields the correctly rounded exact sum, the same float
+    math.fsum returns over the expanded terms.  Nonzero values must be far
+    enough above the subnormal range that every 2^exp involved is normal.
+    """
+    rows = len(counts)
+    width = 26 - int(counts.sum(axis=1).max()).bit_length()
+    if width < 0:
+        raise InvariantViolationError(
+            "row counts reach 2^26; exponent windows cannot keep sums below 2^53"
+        )
+    halves = []
+    for j, row in enumerate(values):
+        for c, v in enumerate(row):
+            hi = v * 134217729.0  # Veltkamp's 2^27 + 1
+            hi -= hi - v
+            for half in (hi, v - hi):
+                if half:  # 26 significant bits: half = m * 2^exp, |m| < 2^26
+                    f, e = math.frexp(half)
+                    halves.append((j, c, int(math.ldexp(f, 26)), e - 26))
+    starts: list[int] = []
+    for exp in sorted({h[3] for h in halves}):
+        if not starts or exp > starts[-1] + width:
+            starts.append(exp)
+    nwin = len(starts)
+    ncols = len(values[0])
+    mantissas = [[0] * (ncols * nwin) for _ in values]
+    for j, c, m, exp in halves:
+        i = bisect_right(starts, exp) - 1
+        mantissas[j][c * nwin + i] += m << (exp - starts[i])
+    totals = counts @ np.array(mantissas, dtype=np.int64)
+    scaled = totals.astype(np.float64) * np.array([2.0**s for s in starts] * ncols)
+    cells = scaled.reshape(rows * ncols, nwin)
+    sums = cells[:, 0] if nwin == 1 else np.array(list(map(math.fsum, cells.tolist())))
+    return sums.reshape(rows, ncols)
 
 
 def _delta_distribution(table: EtaTable, good: GoodSets | None) -> tuple[np.ndarray, float]:
     """Probabilities over delta = q - q', indexed by the integer code of delta.
 
     amp(delta) = sum over participating w of sqrt(eta_w) * chi(<delta, w>).
-    The phase indices Tr(<delta, w>) come from _phase_matrix in exact
-    integer arithmetic; each row's terms sqrt(eta_w) * cos and * sin are
-    the IEEE products float * complex gives, and math.fsum rounds each
-    row's sum correctly, so the law is bit-identical to evaluating the
-    character sum term by term.  Rows are summed one at a time to keep the
-    float temporaries small.
+    A term is fixed by its phase index t = Tr(<delta, w>), from
+    _phase_matrix in exact integer arithmetic, and by its fiber size, one
+    of K distinct values.  One bincount over the phase matrix counts every
+    row's terms by (t, size); the p*K distinct products sqrt(size) * cos_t
+    and * sin_t are the IEEE products float * complex gives.
+    _exact_row_sums then rounds each row's exact sum once, so the law is
+    bit-identical to evaluating the character sum term by term.
     """
     ctx = table.ctx
     codes, norm, mass = _delta_weights(table, good)
     if not codes.size:
         return np.empty(0), mass
-    roots = ctx._unit_roots
-    cos_tab = np.array([z.real for z in roots])
-    sin_tab = np.array([z.imag for z in roots])
-    s = np.sqrt(table.counts[codes].astype(np.float64))
-    phases = _phase_matrix(ctx, table.n, codes)
-    re = np.empty(len(phases))
-    im = np.empty(len(phases))
-    for r, row in enumerate(phases):
-        re[r] = math.fsum((s * cos_tab[row]).tolist())
-        im[r] = math.fsum((s * sin_tab[row]).tolist())
+    eta = table.counts[codes]
+    sizes = np.flatnonzero(np.bincount(eta))
+    k = len(sizes)
+    rows, bins = ctx.d**table.n, ctx.p * k
+    keys = _phase_matrix(ctx, table.n, codes)  # turned in place into bin numbers
+    keys *= k
+    keys += np.searchsorted(sizes, eta)
+    keys += np.arange(0, rows * bins, bins)[:, None]
+    terms = np.bincount(keys.ravel(), minlength=rows * bins).reshape(rows, bins)
+    roots = [math.sqrt(s) for s in sizes.tolist()]
+    values = [[r * z.real, r * z.imag] for z in ctx._unit_roots for r in roots]
+    amps = _exact_row_sums(terms, values)
+    re, im = amps[:, 0], amps[:, 1]
     probs = (re * re + im * im) / float(norm)
     total = math.fsum(probs.tolist())
     if abs(total - 1.0) > 1e-9:

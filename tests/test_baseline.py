@@ -102,6 +102,8 @@ def test_scaling_experiment_validation():
         scaling_experiment(ds=(11, 31, 101), trials=10)
     with pytest.raises(ValueError):
         scaling_experiment(ds=(11, 31), trials=30)
+    with pytest.raises(ValueError):
+        scaling_experiment(ds=(5, 7, 7), trials=30)
 
 
 def test_scaling_experiment_small_run():

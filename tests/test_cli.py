@@ -192,6 +192,7 @@ def test_invariant_violation_maps_to_exit_4(monkeypatch, capsys):
         ["success", "--field", "5", "-n", "2", "--mc", "-5", "--seed", "s"],
         ["success", "--field", "5", "-n", "2", "--jobs", "-3"],
         ["eta", "--field", "5", "-n", "2", "--out", "MISSING/eta.csv"],
+        ["baseline", "--sizes", "5,7,7", "--trials", "30", "--seed", "a"],
     ],
 )
 def test_bad_arguments_exit_2_with_one_line(argv, tmp_path, capsys):
