@@ -213,10 +213,10 @@ def _exact_row_sums(counts: np.ndarray, values: list[list[float]]) -> np.ndarray
     summing below 2^L and width = 26 - L, each window total of a row, and
     every partial sum on the way, stays below 2^53: one int64 matmul gives
     them all exactly, and they convert to floats exactly.  Rounding each
-    row once, by math.fsum over its window totals (or the single total
-    itself), then yields the correctly rounded exact sum, the same float
-    math.fsum returns over the expanded terms.  Nonzero values must be far
-    enough above the subnormal range that every 2^exp involved is normal.
+    row once, by math.fsum over its window totals, then yields the
+    correctly rounded exact sum, the same float math.fsum returns over the
+    expanded terms.  Nonzero values must be far enough above the subnormal
+    range that every 2^exp involved is normal.
     """
     rows = len(counts)
     width = 26 - int(counts.sum(axis=1).max()).bit_length()
@@ -246,8 +246,7 @@ def _exact_row_sums(counts: np.ndarray, values: list[list[float]]) -> np.ndarray
     totals = counts @ np.array(mantissas, dtype=np.int64)
     scaled = totals.astype(np.float64) * np.array([2.0**s for s in starts] * ncols)
     cells = scaled.reshape(rows * ncols, nwin)
-    sums = cells[:, 0] if nwin == 1 else np.array(list(map(math.fsum, cells.tolist())))
-    return sums.reshape(rows, ncols)
+    return np.array(list(map(math.fsum, cells.tolist()))).reshape(rows, ncols)
 
 
 def _delta_distribution(table: EtaTable, good: GoodSets | None) -> tuple[np.ndarray, float]:

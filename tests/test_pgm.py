@@ -395,7 +395,10 @@ def test_outcome_law_matches_density_matrix_pipeline(case, data):
     qc = (data.draw(elt), data.draw(elt))
     qprime = (data.draw(elt), data.draw(elt))
     good = good_sets(ctx, 2, analysis)
-    mass, p = pipeline_probability(ctx, UniPoly(ctx, (0, *qc)), x, good, qprime)
+    q = UniPoly(ctx, (0, *qc))
+    mass, p0 = pipeline_probability(ctx, q, x, good)
+    _, p = pipeline_probability(ctx, q, x, good, qprime)
     dist = outcome_distribution(eta_table(ctx, x), good, qc)
     assert abs(mass - dist.good_mass) < 1e-9
+    assert abs(p0 - dist.probabilities.get(qc, 0.0)) < 1e-9
     assert abs(p - dist.probabilities.get(qprime, 0.0)) < 1e-9
