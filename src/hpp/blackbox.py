@@ -63,18 +63,6 @@ class HiddenInstance:
         self.query_count += 1
         return value
 
-    def verify_candidate(self, cand: MultiPoly, trials: int, rng=None) -> bool:
-        """Probabilistic equality test: query the candidate's graph at distinct points.
-
-        All returned values coincide iff (candidate - Q) was constant on the
-        sample; a wrong candidate of total degree <= n agrees with any fixed
-        offset on at most an n/d fraction of the line through each trial, so
-        the false-accept probability decays like (n/d)^(trials-1).  Constant
-        offsets are deliberately tolerated: oracle restrictions that absorb a
-        constant into the permutation verify the same way.
-        """
-        return verify_candidate(self, cand, trials, rng=rng)
-
 
 def sample_instance(ctx: FieldCtx, m: int, n: int, seed: int) -> HiddenInstance:
     """Draw Q uniformly (total degree <= n, zero constant term) and pi uniformly."""
@@ -128,6 +116,15 @@ def _sample_distinct_points(ctx: FieldCtx, m: int, count: int, rng) -> list[tupl
 
 
 def verify_candidate(inst: HiddenInstance, cand: MultiPoly, trials: int, rng=None) -> bool:
+    """Probabilistic equality test: query the candidate's graph at distinct points.
+
+    All returned values coincide iff (candidate - Q) was constant on the
+    sample; a wrong candidate of total degree <= n agrees with any fixed
+    offset on at most an n/d fraction of the line through each trial, so
+    the false-accept probability decays like (n/d)^(trials-1).  Constant
+    offsets are deliberately tolerated: oracle restrictions that absorb a
+    constant into the permutation verify the same way.
+    """
     if trials < 2:
         raise ValueError(f"verification needs at least 2 trials, got {trials}")
     if cand.arity != inst.m:

@@ -18,6 +18,7 @@ keys sorted, newline-terminated lines).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import os
@@ -49,23 +50,27 @@ def _resolve_seed(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
     return seed
 
 
-def _open_out(path: str | None):
+@contextlib.contextmanager
+def _output(path: str | None):
+    """The file at path, opened for writing, or stdout for None or "-"."""
     if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w", newline="\n", encoding="utf-8"), True
+        yield sys.stdout
+    else:
+        with open(path, "w", newline="\n", encoding="utf-8") as fh:
+            yield fh
 
 
 def _emit_json(doc, path: str | None) -> None:
     text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
-    fh, close = _open_out(path)
-    try:
+    with _output(path) as fh:
         fh.write(text)
-    finally:
-        if close:
-            fh.close()
 
 
 def _cmd_eta(args, parser) -> int:
+    if args.k is not None and not args.moments:
+        raise ValueError("--k applies only with --moments")
+    if args.solutions and args.moments:
+        raise ValueError("--solutions applies only to the table export, not --moments")
     ctx = parse_field(args.field)
     if args.moments:
         first, second = eta_moments(ctx, args.n, k=args.k)
@@ -82,8 +87,7 @@ def _cmd_eta(args, parser) -> int:
         return 0
     if args.out is None:
         parser.error("eta table export needs --out FILE (CSV is not written to stdout)")
-    tables = iter_eta_tables(ctx, args.n, store_solutions=args.solutions)
-    write_eta_csv(tables, args.out, include_solutions=args.solutions)
+    write_eta_csv(iter_eta_tables(ctx, args.n), args.out, include_solutions=args.solutions)
     return 0
 
 
@@ -101,8 +105,7 @@ def _cmd_success(args, parser) -> int:
     if args.dump_dist:
         good = good_sets(ctx, args.n, analysis)
         origin = (0,) * args.n
-        fh, close = _open_out(args.dump_dist)
-        try:
+        with _output(args.dump_dist) as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["x", "good_mass", "qprime", "probability"])
             for table in iter_eta_tables(ctx, args.n):
@@ -119,9 +122,6 @@ def _cmd_success(args, parser) -> int:
                             f"{dist.probabilities[qprime]:.12g}",
                         ]
                     )
-        finally:
-            if close:
-                fh.close()
     return 0
 
 
@@ -130,11 +130,11 @@ def _cmd_e2e(args, parser) -> int:
     seed = _resolve_seed(args, parser)
     if args.trials < 1:
         parser.error("--trials must be at least 1")
+    if args.baseline and (args.m != 1 or args.n != 1):
+        parser.error("--baseline applies only to m = 1, n = 1 instances")
     analysis = pick_analysis(ctx, args.n)
     good = good_sets(ctx, args.n, analysis)
     tables = {t.x: t for t in iter_eta_tables(ctx, args.n)}
-    if args.baseline and (args.m != 1 or args.n != 1):
-        parser.error("--baseline applies only to m = 1, n = 1 instances")
 
     rows = []
     successes = 0
@@ -174,14 +174,10 @@ def _cmd_e2e(args, parser) -> int:
                 }
             )
 
-    fh, close = _open_out(args.out)
-    try:
+    with _output(args.out) as fh:
         writer = csv.DictWriter(fh, fieldnames=list(rows[0]), lineterminator="\n")
         writer.writeheader()
         writer.writerows(rows)
-    finally:
-        if close:
-            fh.close()
 
     summary = {
         "field": field_descriptor(ctx),
@@ -205,16 +201,12 @@ def _cmd_baseline(args, parser) -> int:
     stats, fit = baseline_mod.scaling_experiment(
         ds=ds, trials=args.trials, seed=seed, max_queries=args.max_queries
     )
-    fh, close = _open_out(args.out)
-    try:
+    with _output(args.out) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["d", "trial", "queries", "success"])
         for s in stats:
             for trial, (q, ok) in enumerate(zip(s.queries, s.verified)):
                 writer.writerow([s.d, trial, q, int(ok)])
-    finally:
-        if close:
-            fh.close()
     _emit_json(
         {
             "sizes": list(ds),
@@ -232,10 +224,7 @@ def _cmd_baseline(args, parser) -> int:
 
 def _cmd_plan(args, parser) -> int:
     ctx = parse_field(args.field)
-    plan = build_plan(ctx, args.n, args.m)
-    _emit_json(
-        {"n": plan.n, "m": plan.m, "kappa": plan.kappa, "tree": plan.tree}, args.out
-    )
+    _emit_json(build_plan(ctx, args.n, args.m), args.out)
     return 0
 
 

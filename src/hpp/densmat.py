@@ -195,15 +195,13 @@ class VxIsometry:
 def build_vx(ctx: FieldCtx, table: EtaTable, good: GoodSets) -> VxIsometry:
     """Assemble V_x = (uncompute eta) o (embedded Fourier) o (relabel).
 
-    Needs a table with stored solutions.  Step one sends a good-set point b
-    to |w(b), rank of b in its fiber, eta_w mod cap>; points outside the good
-    set go to the flagged sector.  Step two applies the size-eta uniform
-    Fourier transform on the rank register, controlled on the eta register,
-    sending uniform fiber superpositions to rank 0.  Step three subtracts
-    eta_w from the eta register (mod cap, a permutation) to disentangle it.
+    Step one sends a good-set point b to |w(b), rank of b in its fiber,
+    eta_w mod cap>; points outside the good set go to the flagged sector.
+    Step two applies the size-eta uniform Fourier transform on the rank
+    register, controlled on the eta register, sending uniform fiber
+    superpositions to rank 0.  Step three subtracts eta_w from the eta
+    register (mod cap, a permutation) to disentangle it.
     """
-    if table.solutions is None:
-        raise ValueError("build_vx needs an eta table built with store_solutions=True")
     d = ctx.d
     n = table.n
     if d > MAX_PIPELINE_D or n != 2:
@@ -272,20 +270,27 @@ def fourier_point_state(ctx: FieldCtx, qprime: Point, n: int) -> np.ndarray:
     return vec / math.sqrt(d**n)
 
 
+@lru_cache(maxsize=8)
+def _fourier_point_basis(ctx: FieldCtx, n: int) -> np.ndarray:
+    """Column c is |psi_q'> for the q' with code c.  Cached, one entry per
+    field the pipeline guard admits, because every pipeline run reads it.
+    The array is read-only."""
+    points = (decode_point(code, ctx.d, n) for code in range(ctx.d**n))
+    basis = np.column_stack([fourier_point_state(ctx, qp, n) for qp in points])
+    basis.flags.writeable = False
+    return basis
+
+
 def pipeline_probability(
-    ctx: FieldCtx,
-    q: UniPoly,
-    x: Point,
-    good: GoodSets,
-    qprime: Point | None = None,
-) -> tuple[float, float]:
-    """(good-branch mass, P[outcome = qprime | good branch]) for one
+    ctx: FieldCtx, q: UniPoly, x: Point, good: GoodSets
+) -> tuple[float, dict[Point, float]]:
+    """(good-branch mass, {q': P[outcome = q' | good branch]}) for one
     direction x, computed end to end through explicit matrices.
 
     Builds the n-copy state, collapses on the measured directions, projects
-    onto the good-set points, applies V_x, and measures in the Fourier point
-    basis.  qprime defaults to the true coefficient vector of q.  Returns
-    (0, 0) when the good branch is unreachable at this x.
+    onto the good-set points, applies V_x, and reads every outcome's
+    probability off the diagonal of the resulting state in the Fourier point
+    basis.  Returns (0, {}) when the good branch is unreachable at this x.
     """
     d = ctx.d
     n = len(x)
@@ -299,14 +304,14 @@ def pipeline_probability(
         )
     rho_x = block / tr
 
-    table = eta_table(ctx, x, store_solutions=True)
+    table = eta_table(ctx, x)
     keep = np.zeros(d**n)
     for wcode in np.flatnonzero(good.w_good(x, table.counts)).tolist():
         for b in table.solutions[decode_point(wcode, d, n)]:
             keep[encode_point(b, d)] = 1.0
     mass = float(np.real(np.sum(keep * np.diag(rho_x).real)))
     if not keep.any():
-        return 0.0, 0.0
+        return 0.0, {}
 
     projected = rho_x * np.outer(keep, keep)
     rho_good = projected / mass
@@ -314,11 +319,10 @@ def pipeline_probability(
     vx = build_vx(ctx, table, good)
     sigma = vx.matrix @ rho_good @ vx.matrix.conj().T
 
-    if qprime is None:
-        qprime = tuple(q.coeff(i) for i in range(1, n + 1))
-    psi = np.zeros(sigma.shape[0], dtype=np.complex128)
-    w_basis = fourier_point_state(ctx, qprime, n)
-    for wcode in range(d**n):
-        psi[vx.good_index(decode_point(wcode, d, n))] = w_basis[wcode]
-    prob = float(np.real(psi.conj() @ sigma @ psi))
-    return mass, prob
+    # The Fourier point states live on the |w, 0, 0> slots of the output.
+    points = [decode_point(code, d, n) for code in range(d**n)]
+    w_slots = [vx.good_index(w) for w in points]
+    on_w = sigma[np.ix_(w_slots, w_slots)]
+    psi = _fourier_point_basis(ctx, n)
+    probs = np.einsum("wc,wv,vc->c", psi.conj(), on_w, psi).real
+    return mass, dict(zip(points, probs.tolist()))

@@ -33,6 +33,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 from typing import Iterable, Iterator, Sequence
 
@@ -86,19 +87,17 @@ def apply_map(ctx: FieldCtx, x: Sequence[Felt], b: Sequence[Felt], rows: int | N
 
 @dataclass(eq=False)
 class EtaTable:
-    """All fiber sizes of one direction x; optionally the fibers themselves.
+    """All fiber sizes of one direction x.
 
     counts[c] is eta_w^x for the w with encode_point code c (length d^n, zero
-    for empty fibers).  When solutions are stored, they map each w with a
-    nonempty fiber to its points in lexicographic order.  The outcome laws
-    pgm derives from the table are cached with it, keyed by good set, and
-    live exactly as long as the table.
+    for empty fibers).  The fibers themselves are the lazy `solutions`
+    property.  The outcome laws pgm derives from the table are cached with
+    it, keyed by good set, and live exactly as long as the table.
     """
 
     ctx: FieldCtx
     x: Point
     counts: np.ndarray
-    solutions: dict[Point, list[Point]] | None = None
     _laws: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
@@ -119,6 +118,21 @@ class EtaTable:
         codes = np.flatnonzero(self.counts)
         for code, eta in zip(codes.tolist(), self.counts[codes].tolist()):
             yield decode_point(code, self.d, self.n), eta
+
+    @cached_property
+    def solutions(self) -> dict[Point, list[Point]]:
+        """Each w with a nonempty fiber mapped to its points in lexicographic
+        order.  Built on first use by enumerating F^n again."""
+        d, n = self.d, self.n
+        # A stable sort keeps each fiber in enumeration (lexicographic) order.
+        order = np.argsort(_w_codes(self.ctx, self.x, n), kind="stable").tolist()
+        points = [decode_point(b, d, n) for b in order]
+        out = {}
+        start = 0
+        for w, eta in self.items():
+            out[w] = points[start : start + eta]
+            start += eta
+        return out
 
     def check_partition(self) -> None:
         total = int(self.counts.sum())
@@ -169,7 +183,7 @@ def _w_codes(ctx: FieldCtx, x: Point, rows: int) -> np.ndarray:
     return np.ravel(encode_point(comps, d))
 
 
-def eta_table(ctx: FieldCtx, x: Sequence[Felt], store_solutions: bool = False) -> EtaTable:
+def eta_table(ctx: FieldCtx, x: Sequence[Felt]) -> EtaTable:
     """Exact fiber sizes for one x by full enumeration of F^n."""
     x = tuple(x)
     n = len(x)
@@ -179,16 +193,7 @@ def eta_table(ctx: FieldCtx, x: Sequence[Felt], store_solutions: bool = False) -
         ctx.check(xi)
     _check_enum_budget(d, n)
     codes = _w_codes(ctx, x, n)
-    table = EtaTable(ctx=ctx, x=x, counts=np.bincount(codes, minlength=d**n))
-    if store_solutions:
-        # A stable sort keeps each fiber in enumeration (lexicographic) order.
-        points = [decode_point(b, d, n) for b in np.argsort(codes, kind="stable").tolist()]
-        table.solutions = {}
-        start = 0
-        for w, eta in table.items():
-            table.solutions[w] = points[start : start + eta]
-            start += eta
-    return table
+    return EtaTable(ctx=ctx, x=x, counts=np.bincount(codes, minlength=d**n))
 
 
 def brute_fiber(ctx: FieldCtx, x: Sequence[Felt], w: Sequence[Felt]) -> list[Point]:
@@ -206,16 +211,11 @@ def brute_fiber(ctx: FieldCtx, x: Sequence[Felt], w: Sequence[Felt]) -> list[Poi
     return [decode_point(b, d, n) for b in hits.tolist()]
 
 
-def iter_eta_tables(
-    ctx: FieldCtx, n: int, store_solutions: bool = False
-) -> Iterator[EtaTable]:
+def iter_eta_tables(ctx: FieldCtx, n: int) -> Iterator[EtaTable]:
     """One table per x in F^n, lazily, in lexicographic order of x."""
     _check_n(n)
     _check_enum_budget(ctx.d, 2 * n)
-    return (
-        eta_table(ctx, x, store_solutions=store_solutions)
-        for x in product(range(ctx.d), repeat=n)
-    )
+    return (eta_table(ctx, x) for x in product(range(ctx.d), repeat=n))
 
 
 def eta_moments(ctx: FieldCtx, n: int, k: int | None = None) -> tuple[Fraction, Fraction]:
@@ -401,24 +401,6 @@ def pick_analysis(ctx: FieldCtx, n: int) -> Analysis:
     )
 
 
-def classify_first(
-    ctx: FieldCtx, n: int, x: Sequence[Felt], w: Sequence[Felt], table: EtaTable
-) -> bool:
-    good = good_sets(ctx, n, Analysis.FIRST)
-    if table.x != tuple(x):
-        raise ValueError(f"table was computed for x = {table.x}, not {tuple(x)}")
-    return bool(good.w_good(x, table.eta(w)))
-
-
-def classify_second_n2(
-    ctx: FieldCtx, x: Sequence[Felt], w: Sequence[Felt], table: EtaTable
-) -> bool:
-    good = good_sets(ctx, 2, Analysis.SECOND)
-    if table.x != tuple(x):
-        raise ValueError(f"table was computed for x = {table.x}, not {tuple(x)}")
-    return bool(good.w_good(x, table.eta(w)))
-
-
 @dataclass(frozen=True)
 class GoodSetSummary:
     """Scan statistics of the good sets over all of F^n."""
@@ -454,21 +436,6 @@ class GoodSetSummary:
         }
 
 
-def summarize_good_sets(tables: Iterable[EtaTable], good: GoodSets) -> GoodSetSummary:
-    """|X_good| plus min and mean of |W_good^x| over classified-good x."""
-    w_counts = []
-    seen = 0
-    for table in tables:
-        seen += 1
-        if good.x_good(table.x):
-            w_counts.append(int(good.w_good(table.x, table.counts).sum()))
-    if seen != good.ctx.d**good.n:
-        raise InvariantViolationError(
-            f"good-set scan saw {seen} tables, expected all {good.ctx.d**good.n} directions"
-        )
-    return GoodSetSummary.from_w_counts(good, w_counts)
-
-
 def write_eta_csv(
     tables: EtaTable | Iterable[EtaTable], path, include_solutions: bool = False
 ) -> None:
@@ -487,8 +454,6 @@ def write_eta_csv(
             for w, eta in table.items():
                 row = [x_label, ";".join(str(c) for c in w), eta]
                 if include_solutions:
-                    if table.solutions is None:
-                        raise ValueError("table was built without solutions")
                     row.append(
                         "|".join(",".join(str(c) for c in b) for b in table.solutions[w])
                     )

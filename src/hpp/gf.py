@@ -147,9 +147,6 @@ class FieldCtx:
             acc += (c % self.p) * self.p**i
         return acc
 
-    def elements(self) -> range:
-        return range(self.d)
-
     # -- arithmetic --------------------------------------------------------
 
     def add(self, a: Felt, b: Felt) -> Felt:

@@ -33,7 +33,6 @@ summation), keeping results stable to well below the 1e-9 test tolerances.
 
 from __future__ import annotations
 
-import json
 import math
 import random
 from bisect import bisect_right
@@ -65,7 +64,7 @@ class Branch(str, Enum):
     BAD = "bad"
 
 
-BAD_BRANCH = None  # sentinel returned by run_once when the run is discarded
+BAD_BRANCH = None  # sentinel sample_outcome returns when the run is discarded
 
 
 def _sqrt_sum(etas: np.ndarray) -> float:
@@ -150,15 +149,6 @@ class OutcomeDist:
     branch: Branch
     good_mass: float
     probabilities: dict[Point, float]
-
-    def check_normalized(self, tol: float = 1e-9) -> None:
-        if not self.probabilities:
-            return
-        total = math.fsum(self.probabilities.values())
-        if abs(total - 1.0) > tol:
-            raise InvariantViolationError(
-                f"outcome distribution for x={self.x} sums to {total}"
-            )
 
 
 def _delta_weights(table: EtaTable, good: GoodSets | None):
@@ -349,22 +339,6 @@ def _instance_coeff_vector(inst: HiddenInstance) -> Point:
     return tuple(inst.Q.coeff((i,)) for i in range(1, inst.n + 1))
 
 
-def run_once(
-    inst: HiddenInstance,
-    tables: Mapping[Point, EtaTable],
-    good: GoodSets,
-    rng: random.Random,
-):
-    """One full algorithm run against a univariate instance.
-
-    Returns the measured coefficient tuple q' or BAD_BRANCH.  The sampler
-    reads the instance's secret coefficients to evaluate the closed-form
-    outcome law; that is a simulation shortcut, not an oracle query, so
-    query_count is untouched.
-    """
-    return sample_outcome(_instance_coeff_vector(inst), tables, good, rng)
-
-
 @dataclass
 class RunStats:
     runs: int = 0
@@ -390,7 +364,12 @@ def run_many(
     rng: random.Random,
     runs: int,
 ) -> RunStats:
-    """Monte Carlo estimate of the unconditional success probability."""
+    """Monte Carlo estimate of the unconditional success probability.
+
+    The sampler reads the instance's secret coefficients to evaluate the
+    closed-form outcome law; that is a simulation shortcut, not an oracle
+    query, so query_count is untouched.
+    """
     q = _instance_coeff_vector(inst)
     stats = RunStats()
     for _ in range(runs):
@@ -496,9 +475,6 @@ class SuccessReport:
         else:
             doc["mc"] = None
         return doc
-
-    def to_json(self) -> str:
-        return json.dumps(self.as_dict(), sort_keys=True, indent=2)
 
 
 def success_report(

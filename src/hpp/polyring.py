@@ -21,14 +21,13 @@ def _graded_lex_key(alpha: tuple[int, ...]) -> tuple:
     return (sum(alpha), alpha)
 
 
-def monomials(arity: int, max_total_degree: int, include_constant: bool = False):
-    """All exponent vectors with total degree <= bound, in graded-lex order."""
+def monomials(arity: int, max_total_degree: int):
+    """All nonconstant exponent vectors with total degree <= bound, in
+    graded-lex order."""
     out = []
     for alpha in product(range(max_total_degree + 1), repeat=arity):
         total = sum(alpha)
-        if total > max_total_degree:
-            continue
-        if total == 0 and not include_constant:
+        if total == 0 or total > max_total_degree:
             continue
         out.append(alpha)
     out.sort(key=_graded_lex_key)
@@ -253,13 +252,6 @@ def substitute(q: MultiPoly, assignment: Mapping[int, Felt]) -> MultiPoly:
     return multi_poly(ctx, len(keep), acc, degree_bound=q.degree_bound)
 
 
-def slice_multi(q: MultiPoly, t: Felt) -> MultiPoly:
-    """Substitute the last variable with t; arity drops by one."""
-    if q.arity < 2:
-        raise ValueError("slice needs arity >= 2; use eval_uni for univariate forms")
-    return substitute(q, {q.arity - 1: t})
-
-
 def from_unipoly(q: UniPoly, degree_bound: int = -1) -> MultiPoly:
     terms = {(i,): c for i, c in enumerate(q.coeffs) if c != 0}
     return multi_poly(q.ctx, 1, terms, degree_bound=degree_bound)
@@ -273,13 +265,6 @@ def to_unipoly(q: MultiPoly) -> UniPoly:
     for (a,), c in q.terms:
         coeffs[a] = c
     return UniPoly(q.ctx, tuple(coeffs))
-
-
-def format_unipoly(q: UniPoly) -> str:
-    if q.is_zero():
-        return "0"
-    parts = [f"{c}*X^{i}" for i, c in enumerate(q.coeffs) if c != 0]
-    return "+".join(parts)
 
 
 def format_multipoly(q: MultiPoly) -> str:

@@ -22,11 +22,10 @@ unreliable solver down exponentially.
 
 from __future__ import annotations
 
-import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .blackbox import HiddenInstance
+from .blackbox import HiddenInstance, verify_candidate
 from .errors import InvariantViolationError, RecoveryError
 from .gf import Felt, FieldCtx
 from .polyring import (
@@ -262,7 +261,7 @@ def solve_multivariate(
             f"recovery solved {first_tries} univariate subproblems, expected "
             f"kappa = {kappa(inst.n, inst.m)}"
         )
-    if not inst.verify_candidate(result, trials=verify_trials, rng=rng):
+    if not verify_candidate(inst, result, trials=verify_trials, rng=rng):
         raise RecoveryError("assembled polynomial failed full-instance verification")
     return result
 
@@ -288,24 +287,6 @@ def faulty_solver(error_rate: float, rng: random.Random):
 
 
 # -- static schedule ------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ReductionPlan:
-    """Static solve schedule for (n, m): a tree whose leaves are the
-    univariate subproblems, each recording its fixed assignment and target."""
-
-    n: int
-    m: int
-    kappa: int
-    tree: dict = field(compare=False)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {"n": self.n, "m": self.m, "kappa": self.kappa, "tree": self.tree},
-            sort_keys=True,
-            indent=2,
-        )
 
 
 def _plan_node(ctx: FieldCtx, n: int, arity: int, suffix: dict[int, Felt]) -> dict:
@@ -344,14 +325,10 @@ def _plan_node(ctx: FieldCtx, n: int, arity: int, suffix: dict[int, Felt]) -> di
     }
 
 
-def build_plan(ctx: FieldCtx, n: int, m: int) -> ReductionPlan:
+def build_plan(ctx: FieldCtx, n: int, m: int) -> dict:
+    """Static solve schedule for (n, m) as {"n", "m", "kappa", "tree"}: a tree
+    whose leaves are the univariate subproblems, each recording its fixed
+    assignment and target."""
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-    tree = _plan_node(ctx, n, m, {})
-    return ReductionPlan(n=n, m=m, kappa=kappa(n, m), tree=tree)
-
-
-def count_plan_leaves(tree: dict) -> int:
-    if tree["kind"] == "univariate":
-        return 1
-    return 1 + sum(count_plan_leaves(b["subplan"]) for b in tree["branches"])
+    return {"n": n, "m": m, "kappa": kappa(n, m), "tree": _plan_node(ctx, n, m, {})}

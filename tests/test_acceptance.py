@@ -22,14 +22,13 @@ from hpp.fibers import (
     n2_constraint,
     pick_analysis,
     solve_n2_triangular,
-    summarize_good_sets,
 )
 from hpp.gf import make_field, parse_field
 from hpp.pgm import (
     approx_success,
     ideal_success,
-    lemma2_bound,
     run_many,
+    success_report,
 )
 from hpp.polyring import UniPoly, multi_poly
 from hpp.reduction import SolveStats, kappa, perfect_solver, solve_multivariate
@@ -127,7 +126,7 @@ def test_criterion_5_sandwich_bounds():
         analysis = pick_analysis(ctx, 2)
         good = good_sets(ctx, 2, analysis)
         tables = _tables(ctx, 2)
-        lo = lemma2_bound(summarize_good_sets(tables, good))
+        lo = success_report(ctx, 2, analysis).lemma2
         mid = approx_success(tables, good)
         hi = ideal_success(tables)
         ok = ok and lo <= mid + tol and mid <= hi + tol and hi <= 1 + tol
@@ -204,7 +203,7 @@ def test_criterion_7_density_matrix_cross_validation():
     for x in product(range(3), repeat=2):
         if not good.x_good(x):
             continue
-        table = eta_table(ctx, x, store_solutions=True)
+        table = eta_table(ctx, x)
         vx = build_vx(ctx, table, good)
         for w, eta in table.items():
             if not good.w_good(x, eta):
@@ -225,10 +224,11 @@ def test_criterion_7_density_matrix_cross_validation():
         qc = (2 % ctx.d, 1)
         q = UP(ctx, (0, *qc))
         for x in product(range(ctx.d), repeat=2):
-            mass, p = pipeline_probability(ctx, q, x, good)
+            mass, law = pipeline_probability(ctx, q, x, good)
             dist = outcome_distribution(eta_table(ctx, x), good, qc)
-            worst_pipe = max(worst_pipe, abs(mass - dist.good_mass),
-                             abs(p - dist.probabilities.get(qc, 0.0)))
+            ok = ok and law.keys() == dist.probabilities.keys()
+            worst_pipe = max(worst_pipe, abs(mass - dist.good_mass), *(
+                abs(p - dist.probabilities[qp]) for qp, p in law.items()))
     ok = ok and worst_pipe < 1e-9
     _check(7, ok,
            f"off-block mass < 1e-10, isometry defect {worst_vx:.1e}, pipeline delta {worst_pipe:.1e}",

@@ -1,6 +1,9 @@
+import csv
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -193,6 +196,8 @@ def test_invariant_violation_maps_to_exit_4(monkeypatch, capsys):
         ["success", "--field", "5", "-n", "2", "--jobs", "-3"],
         ["eta", "--field", "5", "-n", "2", "--out", "MISSING/eta.csv"],
         ["baseline", "--sizes", "5,7,7", "--trials", "30", "--seed", "a"],
+        ["eta", "--field", "5", "-n", "2", "--k", "1", "--out", "OUT"],
+        ["eta", "--field", "7", "-n", "2", "--moments", "--solutions"],
     ],
 )
 def test_bad_arguments_exit_2_with_one_line(argv, tmp_path, capsys):
@@ -214,6 +219,34 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads((tmp_path / "p.json").read_text())["kappa"] == 2
+
+
+def test_traced_cli_wraps_every_binding(tmp_path):
+    # The benchmark's tracer rebinds every copy of each library function; a
+    # layer that calls a function through a binding it cannot see would drop
+    # out of the per-layer metrics.
+    root = Path(__file__).resolve().parents[1]
+    stats, trials = tmp_path / "stats.json", tmp_path / "trials.csv"
+    path = filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    proc = subprocess.run(
+        [sys.executable, str(root / "perfbench" / "traced_cli.py"), str(stats),
+         "e2e", "--field", "5", "-n", "2", "-m", "2", "--trials", "1", "--seed", "g",
+         "--out", str(trials), "--summary-out", str(tmp_path / "summary.json")],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(stats.read_text())
+    assert doc["unpatched"] == []
+    spans = doc["spans"]
+    assert spans["blackbox.verify_candidate"][0] > 0
+    assert spans["reduction.view.verify_candidate"][0] > 0
+    with trials.open(newline="") as fh:
+        retries = sum(int(row["retries"]) for row in csv.DictReader(fh))
+    solves = spans["pgm.solver"][0] - spans["reduction.univariate_oracle_view"][0]
+    assert solves == retries
 
 
 def test_unexpected_exception_maps_to_exit_4(monkeypatch, capsys):

@@ -12,8 +12,6 @@ from hpp.fibers import (
     Analysis,
     apply_map,
     brute_fiber,
-    classify_first,
-    classify_second_n2,
     decode_point,
     elimination_quadratic,
     encode_point,
@@ -25,10 +23,10 @@ from hpp.fibers import (
     n2_constraint,
     pick_analysis,
     solve_n2_triangular,
-    summarize_good_sets,
     write_eta_csv,
 )
 from hpp.gf import make_field, parse_field
+from hpp.pgm import success_report
 
 F3 = make_field(3)
 F5 = make_field(5)
@@ -68,7 +66,7 @@ def test_eta_table_fixture_gf3():
 
 def test_eta_table_solutions_consistent():
     for ctx in (F3, F5, F4):
-        table = eta_table(ctx, (1, 2), store_solutions=True)
+        table = eta_table(ctx, (1, 2))
         for w, bs in table.solutions.items():
             assert len(bs) == table.eta(w)
             for b in bs:
@@ -84,10 +82,9 @@ def test_enumerator_matches_literal_apply_map():
             fibers = {}
             for b in product(range(ctx.d), repeat=n):
                 fibers.setdefault(apply_map(ctx, x, b), []).append(b)
-            table = eta_table(ctx, x, store_solutions=True)
+            table = eta_table(ctx, x)
             assert dict(table.items()) == {w: len(bs) for w, bs in fibers.items()}, (desc, x)
             assert table.solutions == fibers, (desc, x)
-            assert eta_table(ctx, x).counts.tolist() == table.counts.tolist(), (desc, x)
 
 
 @given(data=st.data())
@@ -124,7 +121,7 @@ def test_enumeration_budget_guard():
 
 
 def test_brute_fiber_matches_table():
-    table = eta_table(F5, (2, 3), store_solutions=True)
+    table = eta_table(F5, (2, 3))
     for w, bs in table.solutions.items():
         assert brute_fiber(F5, (2, 3), w) == sorted(bs)
 
@@ -164,7 +161,7 @@ def test_elimination_quadratic_annihilates_fiber():
         for x in product(range(ctx.d), repeat=2):
             if n2_constraint(ctx, x) == 0:
                 continue
-            table = eta_table(ctx, x, store_solutions=True)
+            table = eta_table(ctx, x)
             for w, bs in table.solutions.items():
                 for var in (0, 1):
                     a2, a1, a0 = elimination_quadratic(ctx, x, w, var)
@@ -291,25 +288,11 @@ def test_analysis_selection():
         good_sets(F4, 2, Analysis.FIRST)  # needs p > n
 
 
-def test_classify_helpers_match_good_sets():
-    table = eta_table(F5, (1, 2))
-    good_f = good_sets(F5, 2, Analysis.FIRST)
-    good_s = good_sets(F5, 2, Analysis.SECOND)
-    for w, eta in table.items():
-        assert classify_first(F5, 2, (1, 2), w, table) == good_f.w_good((1, 2), eta)
-        assert classify_second_n2(F5, (1, 2), w, table) == good_s.w_good((1, 2), eta)
-    with pytest.raises(ValueError):
-        classify_first(F5, 2, (2, 2), (0, 0), table)
-
-
 def test_summary_scan():
-    good = good_sets(F4, 2, Analysis.SECOND)
-    summary = summarize_good_sets(iter_eta_tables(F4, 2), good)
+    summary = success_report(F4, 2, Analysis.SECOND).good_summary
     assert summary.x_good_count == 6
     assert summary.w_good_min == 16
     assert summary.as_dict()["D"] == 4
-    with pytest.raises(InvariantViolationError):
-        summarize_good_sets([eta_table(F4, (1, 2))], good)
 
 
 def test_csv_export(tmp_path):
@@ -319,9 +302,7 @@ def test_csv_export(tmp_path):
     assert lines[0] == "x,w,eta"
     assert "1;1,0;0,1" in lines
     path2 = tmp_path / "eta_sol.csv"
-    write_eta_csv(
-        eta_table(F3, (1, 1), store_solutions=True), path2, include_solutions=True
-    )
+    write_eta_csv(eta_table(F3, (1, 1)), path2, include_solutions=True)
     text = path2.read_text()
     assert "solutions" in text.splitlines()[0]
     assert "0,2|2,0" in text

@@ -17,7 +17,6 @@ from hpp.fibers import (
     eta_table,
     good_sets,
     iter_eta_tables,
-    summarize_good_sets,
 )
 from hpp.gf import chi, dot, make_field, parse_field
 from hpp.pgm import (
@@ -34,7 +33,6 @@ from hpp.pgm import (
     make_quantum_solver,
     outcome_distribution,
     run_many,
-    run_once,
     sample_outcome,
     success_report,
 )
@@ -57,7 +55,7 @@ def test_gf4_frozen_values():
     good = good_sets(F4, 2, Analysis.SECOND)
     ideal = ideal_success(iter_eta_tables(F4, 2))
     approx = approx_success(iter_eta_tables(F4, 2), good)
-    summary = summarize_good_sets(iter_eta_tables(F4, 2), good)
+    summary = success_report(F4, 2, Analysis.SECOND).good_summary
     assert abs(ideal - 2128 / 4096) < 1e-12
     assert abs(approx - 0.375) < 1e-12
     assert abs(lemma2_bound(summary) - 0.375) < 1e-12
@@ -75,7 +73,7 @@ def test_sandwich_small_fields():
         good = good_sets(ctx, 2, analysis)
         ideal = ideal_success(iter_eta_tables(ctx, 2))
         approx = approx_success(iter_eta_tables(ctx, 2), good)
-        lemma2 = lemma2_bound(summarize_good_sets(iter_eta_tables(ctx, 2), good))
+        lemma2 = success_report(ctx, 2, analysis).lemma2
         assert lemma2 <= approx + 1e-9
         assert approx <= ideal + 1e-9
         assert ideal <= 1.0 + 1e-12
@@ -102,7 +100,7 @@ def test_outcome_distribution_normalization_and_support():
             assert dist.good_mass == 0.0
             continue
         assert dist.branch is Branch.GOOD
-        dist.check_normalized()
+        assert abs(math.fsum(dist.probabilities.values()) - 1.0) < 1e-9
         total_eta = sum(
             eta for w, eta in table.items() if good.w_good(x, eta)
         )
@@ -126,7 +124,7 @@ def test_ideal_outcome_distribution():
     table = eta_table(F5, (1, 2))
     dist = outcome_distribution(table, None, (2, 1))
     assert dist.branch is Branch.IDEAL
-    dist.check_normalized()
+    assert abs(math.fsum(dist.probabilities.values()) - 1.0) < 1e-9
     assert abs(dist.good_mass - 1.0) < 1e-12
 
 
@@ -136,15 +134,16 @@ def test_outcome_distribution_validates_q():
         outcome_distribution(table, None, (1, 2, 3))
 
 
-def test_run_once_returns_outcome_or_bad():
+def test_sample_outcome_returns_outcome_or_bad():
     ctx = F5
     good = good_sets(ctx, 2, Analysis.FIRST)
     tables = {t.x: t for t in iter_eta_tables(ctx, 2)}
     inst = sample_instance(ctx, 1, 2, seed="runonce")
+    q = tuple(inst.Q.coeff((i,)) for i in (1, 2))
     rng = random.Random("runonce")
     seen_bad = seen_good = False
     for _ in range(200):
-        out = run_once(inst, tables, good, rng)
+        out = sample_outcome(q, tables, good, rng)
         if out is BAD_BRANCH:
             seen_bad = True
         else:
@@ -204,27 +203,29 @@ def test_success_report_structure_and_determinism():
     assert doc["field"] == "5"
     assert doc["analysis"] == "first"
     assert doc["mc"]["runs"] == 500
-    assert report.to_json() == success_report(
-        F5, 2, Analysis.FIRST, mc_runs=500, seed="rep"
-    ).to_json()
-    json.loads(report.to_json())
+    assert doc == success_report(F5, 2, Analysis.FIRST, mc_runs=500, seed="rep").as_dict()
+    assert json.loads(json.dumps(doc)) == doc
 
 
 def test_success_report_enumerates_once(monkeypatch):
     import hpp.pgm
 
     passes = []
+    built = []
     real = hpp.pgm.iter_eta_tables
 
     def counting(*args, **kwargs):
         passes.append(args)
-        return real(*args, **kwargs)
+        return (built.append(t) or t for t in real(*args, **kwargs))
 
     monkeypatch.setattr(hpp.pgm, "iter_eta_tables", counting)
     for mc_runs in (0, 50):
         passes.clear()
+        built.clear()
         success_report(F5, 2, Analysis.FIRST, mc_runs=mc_runs, seed="one-pass")
         assert len(passes) == 1
+        # The fibers themselves are never enumerated on the report's path.
+        assert len(built) == 25 and not any("solutions" in vars(t) for t in built)
 
 
 def test_success_report_requires_seed_for_mc():
@@ -233,8 +234,7 @@ def test_success_report_requires_seed_for_mc():
 
 
 def test_success_report_rejects_broken_sandwich():
-    good = good_sets(F5, 2, Analysis.FIRST)
-    summary = summarize_good_sets(iter_eta_tables(F5, 2), good)
+    summary = success_report(F5, 2, Analysis.FIRST).good_summary
     with pytest.raises(InvariantViolationError):
         SuccessReport(
             field="5",
@@ -373,6 +373,7 @@ def test_sample_outcome_returns_plain_ints():
     for out in drawn:
         for c in out:
             assert type(c) is int and F5.check(c) == c
+    assert not any("solutions" in vars(t) for t in tables.values())
 
 
 PIPELINE_CASES = [
@@ -393,12 +394,10 @@ def test_outcome_law_matches_density_matrix_pipeline(case, data):
     elt = st.integers(min_value=0, max_value=ctx.d - 1)
     x = (data.draw(elt), data.draw(elt))
     qc = (data.draw(elt), data.draw(elt))
-    qprime = (data.draw(elt), data.draw(elt))
     good = good_sets(ctx, 2, analysis)
-    q = UniPoly(ctx, (0, *qc))
-    mass, p0 = pipeline_probability(ctx, q, x, good)
-    _, p = pipeline_probability(ctx, q, x, good, qprime)
+    mass, law = pipeline_probability(ctx, UniPoly(ctx, (0, *qc)), x, good)
     dist = outcome_distribution(eta_table(ctx, x), good, qc)
     assert abs(mass - dist.good_mass) < 1e-9
-    assert abs(p0 - dist.probabilities.get(qc, 0.0)) < 1e-9
-    assert abs(p - dist.probabilities.get(qprime, 0.0)) < 1e-9
+    assert law.keys() == dist.probabilities.keys()
+    for qprime, p in law.items():
+        assert abs(p - dist.probabilities[qprime]) < 1e-9, qprime

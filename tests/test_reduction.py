@@ -12,7 +12,6 @@ from hpp.reduction import (
     SolveStats,
     UnivariateView,
     build_plan,
-    count_plan_leaves,
     faulty_solver,
     kappa,
     perfect_solver,
@@ -214,18 +213,25 @@ def test_repetitions_validation():
         solve_multivariate(inst, perfect_solver, repetitions=0)
 
 
+def _plan_leaves(tree):
+    if tree["kind"] == "univariate":
+        return 1
+    return 1 + sum(_plan_leaves(b["subplan"]) for b in tree["branches"])
+
+
 def test_plan_leaf_count_is_kappa():
     for n, m in [(1, 1), (2, 2), (2, 3), (3, 2), (3, 3)]:
         plan = build_plan(F7, n, m)
-        assert plan.kappa == kappa(n, m)
-        assert count_plan_leaves(plan.tree) == plan.kappa
+        assert plan["kappa"] == kappa(n, m)
+        assert _plan_leaves(plan["tree"]) == plan["kappa"]
 
 
 def test_plan_structure_and_json():
     import json
 
     plan = build_plan(F5, 2, 2)
-    doc = json.loads(plan.to_json())
+    doc = json.loads(json.dumps(plan))
+    assert doc == plan
     assert doc["kappa"] == 3
     tree = doc["tree"]
     assert tree["kind"] == "split"
