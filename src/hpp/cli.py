@@ -100,6 +100,8 @@ def _cmd_success(args, parser) -> int:
     seed = None
     if args.mc > 0:
         seed = _resolve_seed(args, parser)
+    elif args.seed is not None and args.mc == 0:
+        raise ValueError("--seed applies only with --mc")
     report = success_report(ctx, args.n, analysis, mc_runs=args.mc, seed=seed)
     _emit_json(report.as_dict(), args.out)
     if args.dump_dist:

@@ -173,7 +173,9 @@ def _phase_matrix(ctx: FieldCtx, n: int, w_codes: np.ndarray) -> np.ndarray:
     With the base-p digits of a point as a row vector (e digits per
     coordinate), Tr(<delta, w>) = digits(delta) . blockdiag_n(M) .
     digits(w) mod p, where M is the field's trace form.  The outer product
-    is accumulated one digit position at a time.
+    is accumulated one digit position at a time; every accumulated entry is
+    at most n*e*(p-1)^2, so one gather from a table of residues reduces the
+    matrix mod p.
     """
     p = ctx.p
     place = p ** np.arange(n * ctx.e, dtype=np.int64)
@@ -187,8 +189,7 @@ def _phase_matrix(ctx: FieldCtx, n: int, w_codes: np.ndarray) -> np.ndarray:
     phases = left[:, :1] * right[:, 0]
     for j in range(1, len(place)):
         phases += left[:, j : j + 1] * right[:, j]
-    phases %= p
-    return phases
+    return (np.arange(len(place) * (p - 1) ** 2 + 1, dtype=np.int64) % p)[phases]
 
 
 def _exact_row_sums(counts: np.ndarray, values: list[list[float]]) -> np.ndarray:
@@ -321,7 +322,7 @@ def sample_outcome(
     """One measurement run for true coefficient vector q: sampled q' or BAD_BRANCH."""
     ctx = good.ctx
     d, n = ctx.d, good.n
-    x = tuple(rng.randrange(d) for _ in range(n))
+    x = tuple([rng.randrange(d) for _ in range(n)])
     table = tables[x]
     if not good.x_good(x):
         return BAD_BRANCH
@@ -330,7 +331,7 @@ def sample_outcome(
         return BAD_BRANCH
     u = rng.random() * cdf[-1]
     delta = decode_point(int(cdf.searchsorted(u)), d, n)
-    return tuple(ctx.sub(qi, di) for qi, di in zip(q, delta))
+    return tuple([ctx.sub(qi, di) for qi, di in zip(q, delta)])
 
 
 def _instance_coeff_vector(inst: HiddenInstance) -> Point:

@@ -6,11 +6,18 @@ exponent vectors to nonzero coefficients, kept in graded-lexicographic order
 so that serialization and iteration are deterministic.  Evaluation,
 Lagrange interpolation, and variable substitution are all exact field
 arithmetic; nothing here ever touches floating point.
+
+Evaluation and substitution read each coordinate's powers from a row
+[1, v, ..., v^top], built with one multiplication per power beyond v, where
+top is the largest exponent of that variable.  Each term's nonzero (position,
+exponent) factors are listed once per polynomial and cached on it, so a
+term costs one multiplication per factor and no exponentiation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product
 from typing import Iterable, Mapping, Sequence
 
@@ -191,6 +198,30 @@ class MultiPoly:
     def constant_term(self) -> Felt:
         return self.coeff((0,) * self.arity)
 
+    @cached_property
+    def _factors(self) -> tuple[tuple[Felt, tuple[tuple[int, int], ...]], ...]:
+        """(coefficient, its nonzero (position, exponent) pairs) per term;
+        cached outside the dataclass fields, so == and hash ignore it."""
+        return tuple(
+            (c, tuple((i, a) for i, a in enumerate(alpha) if a)) for alpha, c in self.terms
+        )
+
+    @cached_property
+    def _tops(self) -> tuple[int, ...]:
+        """The largest exponent of each variable."""
+        return tuple(max((a[i] for a, _ in self.terms), default=0) for i in range(self.arity))
+
+
+def _power_rows(ctx: FieldCtx, values: Iterable[Felt], tops: Iterable[int]) -> list:
+    """[1, v, ..., v^max(top, 1)] per value: one ctx.mul per power above v."""
+    mul, rows = ctx.mul, []
+    for v, top in zip(values, tops):
+        row = [1, v]
+        for _ in range(1, top):
+            row.append(mul(row[-1], v))
+        rows.append(row)
+    return rows
+
 
 def multi_poly(
     ctx: FieldCtx,
@@ -211,13 +242,12 @@ def eval_multi(q: MultiPoly, point: Sequence[Felt]) -> Felt:
         raise ValueError(f"point has {len(point)} coordinates, polynomial has {q.arity}")
     for v in point:
         ctx.check(v)
-    acc = 0
-    for alpha, c in q.terms:
-        term = c
-        for v, a in zip(point, alpha):
-            if a:
-                term = ctx.mul(term, ctx.pow(v, a))
-        acc = ctx.add(acc, term)
+    rows = _power_rows(ctx, point, q._tops)
+    mul, add, acc = ctx.mul, ctx.add, 0
+    for term, factors in q._factors:
+        for i, a in factors:
+            term = mul(term, rows[i][a])
+        acc = add(acc, term)
     return acc
 
 
@@ -237,19 +267,36 @@ def substitute(q: MultiPoly, assignment: Mapping[int, Felt]) -> MultiPoly:
     keep = [i for i in range(q.arity) if i not in assignment]
     if not keep:
         raise ValueError("substitution must leave at least one free variable")
+    tops = [q._tops[pos] for pos in assignment]
+    rows = dict(zip(assignment, _power_rows(ctx, assignment.values(), tops)))
     acc: dict[tuple[int, ...], Felt] = {}
-    for alpha, c in q.terms:
-        term = c
-        for pos, val in assignment.items():
-            a = alpha[pos]
-            if a:
-                term = ctx.mul(term, ctx.pow(val, a))
+    for (alpha, _), (term, factors) in zip(q.terms, q._factors):
+        for i, a in factors:
+            if i in rows:
+                term = ctx.mul(term, rows[i][a])
         if term == 0:
             continue
         new_alpha = tuple(alpha[i] for i in keep)
         acc[new_alpha] = ctx.add(acc.get(new_alpha, 0), term)
     acc = {a: c for a, c in acc.items() if c != 0}
     return multi_poly(ctx, len(keep), acc, degree_bound=q.degree_bound)
+
+
+def _restrict(q: MultiPoly, point: Sequence[Felt], free: int) -> list[Felt]:
+    """Coefficients, by power of variable `free`, of q with every other
+    variable fixed to its coordinate in point (point[free] is not read)."""
+    ctx = q.ctx
+    rows = _power_rows(ctx, point, q._tops)
+    coeffs = [0] * (q._tops[free] + 1)
+    for term, factors in q._factors:
+        k = 0
+        for i, a in factors:
+            if i == free:
+                k = a
+            else:
+                term = ctx.mul(term, rows[i][a])
+        coeffs[k] = ctx.add(coeffs[k], term)
+    return coeffs
 
 
 def from_unipoly(q: UniPoly, degree_bound: int = -1) -> MultiPoly:

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 
 from .blackbox import HiddenInstance, verify_candidate
 from .errors import InvariantViolationError, RecoveryError
@@ -31,12 +32,11 @@ from .gf import Felt, FieldCtx
 from .polyring import (
     MultiPoly,
     UniPoly,
+    _restrict,
     eval_uni,
     from_unipoly,
     lagrange_interpolate,
     multi_poly,
-    substitute,
-    to_unipoly,
 )
 
 
@@ -69,7 +69,10 @@ class UnivariateView:
     Classical queries pass through to the parent (so query counting stays
     exact).  The view's effective hidden polynomial is the restriction of the
     parent's Q; effective_coeffs() exposes its non-constant coefficients and
-    is a simulation/debug hook, not something a real solver could call.
+    is a simulation/debug hook, not something a real solver could call.  The
+    restriction is computed from Q's terms once per view, on first use, and
+    every retry on the view reuses it; reading it is not an oracle call, so
+    query_count is untouched.
     """
 
     def __init__(self, inst: HiddenInstance, fixed: dict[int, Felt], free: int):
@@ -87,23 +90,22 @@ class UnivariateView:
         self.free = free
         self.ctx = inst.ctx
         self.n = inst.n
+        point = tuple(fixed.get(i, 0) for i in range(inst.m))
+        self._head, self._tail = point[:free], point[free + 1 :]
 
     def _lift(self, r: Felt) -> tuple[Felt, ...]:
-        point = [0] * self.inst.m
-        for pos, val in self.fixed.items():
-            point[pos] = val
-        point[self.free] = r
-        return tuple(point)
+        return self._head + (r,) + self._tail
 
     def query(self, r: Felt, s: Felt) -> Felt:
         return self.inst.query(self._lift(r), s)
 
     def effective_coeffs(self) -> tuple[Felt, ...]:
-        restricted = (
-            substitute(self.inst.Q, self.fixed) if self.fixed else self.inst.Q
-        )
-        uni = to_unipoly(restricted)
-        return tuple(uni.coeff(i) for i in range(1, self.n + 1))
+        return self._coeffs
+
+    @cached_property
+    def _coeffs(self) -> tuple[Felt, ...]:
+        coeffs = _restrict(self.inst.Q, self._lift(0), self.free) + [0] * self.n
+        return tuple(coeffs[1 : self.n + 1])
 
     def verify_candidate(self, cand: UniPoly, trials: int, rng) -> bool:
         """All-equal graph test through the view; constant offsets pass."""

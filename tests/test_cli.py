@@ -198,6 +198,7 @@ def test_invariant_violation_maps_to_exit_4(monkeypatch, capsys):
         ["baseline", "--sizes", "5,7,7", "--trials", "30", "--seed", "a"],
         ["eta", "--field", "5", "-n", "2", "--k", "1", "--out", "OUT"],
         ["eta", "--field", "7", "-n", "2", "--moments", "--solutions"],
+        ["success", "--field", "5", "-n", "2", "--seed", "s"],
     ],
 )
 def test_bad_arguments_exit_2_with_one_line(argv, tmp_path, capsys):
@@ -244,9 +245,19 @@ def test_traced_cli_wraps_every_binding(tmp_path):
     assert spans["blackbox.verify_candidate"][0] > 0
     assert spans["reduction.view.verify_candidate"][0] > 0
     with trials.open(newline="") as fh:
-        retries = sum(int(row["retries"]) for row in csv.DictReader(fh))
+        rows = list(csv.DictReader(fh))
+    retries = sum(int(row["retries"]) for row in rows)
     solves = spans["pgm.solver"][0] - spans["reduction.univariate_oracle_view"][0]
     assert solves == retries
+    # Every oracle evaluation is a metered HiddenInstance.query, and in this
+    # run every query is a verification query: verify_trials = n + 3 = 5 per
+    # verification, for the views and for the assembled polynomial alike.
+    queries = spans["blackbox.query"][0]
+    assert queries == sum(int(row["queries"]) for row in rows)
+    verifications = (
+        spans["reduction.view.verify_candidate"][0] + spans["blackbox.verify_candidate"][0]
+    )
+    assert queries == 5 * verifications
 
 
 def test_unexpected_exception_maps_to_exit_4(monkeypatch, capsys):

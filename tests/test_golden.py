@@ -63,6 +63,16 @@ CASES = {
          "--out", "{trials.csv}", "--summary-out", "{summary.json}"],
         ["trials.csv", "summary.json"],
     ),
+    "e2e_gf8_m3": (
+        ["e2e", "--field", "2^3", "-n", "2", "-m", "3", "--trials", "3", "--seed", "g",
+         "--out", "{trials.csv}", "--summary-out", "{summary.json}"],
+        ["trials.csv", "summary.json"],
+    ),
+    "e2e_gf9_m3": (
+        ["e2e", "--field", "3^2", "-n", "2", "-m", "3", "--trials", "3", "--seed", "g",
+         "--out", "{trials.csv}", "--summary-out", "{summary.json}"],
+        ["trials.csv", "summary.json"],
+    ),
     "plan": (
         ["plan", "--field", "7", "-n", "2", "-m", "3", "--out", "{plan.json}"],
         ["plan.json"],

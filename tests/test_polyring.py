@@ -1,9 +1,11 @@
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hpp.blackbox import make_instance
 from hpp.gf import make_field, parse_field
 from hpp.polyring import (
     MultiPoly,
@@ -18,6 +20,7 @@ from hpp.polyring import (
     substitute,
     to_unipoly,
 )
+from hpp.reduction import univariate_oracle_view
 
 F5 = make_field(5)
 F7 = make_field(7)
@@ -147,3 +150,67 @@ def test_uni_multi_conversions():
 def test_formatting():
     m = multi_poly(F5, 2, {(1, 0): 3, (1, 1): 1})
     assert format_multipoly(m) == "3*X1^1+1*X1^1*X2^1"
+
+
+POWER_ROW_FIELDS = [parse_field(f) for f in ("7", "13", "2^3", "3^2")]
+
+
+def _literal_term(ctx, c, values, alpha):
+    for v, a in zip(values, alpha):
+        c = ctx.mul(c, ctx.pow(v, a))
+    return c
+
+
+def _literal_eval(q, point):
+    """Sum over terms of c * prod v_i^a_i, each power by ctx.pow."""
+    acc = 0
+    for alpha, c in q.terms:
+        acc = q.ctx.add(acc, _literal_term(q.ctx, c, point, alpha))
+    return acc
+
+
+def _literal_substitute(q, fixed):
+    """Kept exponent vector -> coefficient, zero sums dropped."""
+    acc = {}
+    for alpha, c in q.terms:
+        term = _literal_term(q.ctx, c, fixed.values(), [alpha[i] for i in fixed])
+        key = tuple(a for i, a in enumerate(alpha) if i not in fixed)
+        acc[key] = q.ctx.add(acc.get(key, 0), term)
+    return {key: c for key, c in acc.items() if c}
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_power_row_evaluation_matches_literal_powers(data):
+    ctx = data.draw(st.sampled_from(POWER_ROW_FIELDS))
+    arity = data.draw(st.integers(1, 4))
+    bound = data.draw(st.integers(0, 3))
+    alphas = [a for a in product(range(bound + 1), repeat=arity) if sum(a) <= bound]
+    elt = st.integers(0, ctx.d - 1)
+    coeffs = data.draw(st.lists(elt, min_size=len(alphas), max_size=len(alphas)))
+    point = tuple(data.draw(st.lists(elt, min_size=arity, max_size=arity)))
+    fixed_at = data.draw(st.sets(st.integers(0, arity - 1), max_size=arity - 1))
+    free = data.draw(st.integers(0, arity - 1))
+    for q in (
+        multi_poly(ctx, arity, zip(alphas, coeffs), degree_bound=bound),
+        multi_poly(ctx, arity, {}, degree_bound=bound),
+    ):
+        twin = multi_poly(ctx, arity, q.terms)
+        key = hash(q)
+        assert eval_multi(q, point) == _literal_eval(q, point)
+        fixed = {i: point[i] for i in sorted(fixed_at)}
+        assert dict(substitute(q, fixed).terms) == _literal_substitute(q, fixed)
+        # The cached factor lists are not fields: == and hash ignore them.
+        assert "_factors" in vars(q) and "_factors" not in vars(twin)
+        assert q == twin and hash(q) == hash(twin) == key
+
+        # A view's restriction, against the literal substitute-and-flatten.
+        hidden = multi_poly(ctx, arity, [(a, c) for a, c in q.terms if any(a)])
+        inst = make_instance(ctx, hidden, n=max(bound, 1))
+        view_fixed = {i: point[i] for i in range(arity) if i != free}
+        view = univariate_oracle_view(inst, view_fixed, free)
+        uni = to_unipoly(substitute(hidden, view_fixed))
+        expected = tuple(uni.coeff(i) for i in range(1, inst.n + 1))
+        assert view.effective_coeffs() == expected
+        assert view.effective_coeffs() is view.effective_coeffs()
+        assert inst.query_count == 0
