@@ -86,8 +86,9 @@ def _cmd_eta(args, parser) -> int:
         )
         return 0
     if args.out is None:
-        parser.error("eta table export needs --out FILE (CSV is not written to stdout)")
-    write_eta_csv(iter_eta_tables(ctx, args.n), args.out, include_solutions=args.solutions)
+        parser.error("eta table export needs --out FILE, or --out - for stdout")
+    with _output(args.out) as fh:
+        write_eta_csv(iter_eta_tables(ctx, args.n), fh, include_solutions=args.solutions)
     return 0
 
 
@@ -102,18 +103,19 @@ def _cmd_success(args, parser) -> int:
         seed = _resolve_seed(args, parser)
     elif args.seed is not None and args.mc == 0:
         raise ValueError("--seed applies only with --mc")
-    report = success_report(ctx, args.n, analysis, mc_runs=args.mc, seed=seed)
-    _emit_json(report.as_dict(), args.out)
-    if args.dump_dist:
-        good = good_sets(ctx, args.n, analysis)
-        origin = (0,) * args.n
-        with _output(args.dump_dist) as fh:
+    dump = None
+    with contextlib.ExitStack() as stack:
+        if args.dump_dist:
+            # Opened before the pass and filled from the report's own pass
+            # over the tables, so an unwritable path fails before any JSON.
+            fh = stack.enter_context(_output(args.dump_dist))
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["x", "good_mass", "qprime", "probability"])
-            for table in iter_eta_tables(ctx, args.n):
+            good = good_sets(ctx, args.n, analysis)
+            origin = (0,) * args.n
+
+            def dump(table) -> None:
                 dist = outcome_distribution(table, good, origin)
-                if not dist.probabilities:
-                    continue
                 x_label = ";".join(str(c) for c in table.x)
                 for qprime in sorted(dist.probabilities):
                     writer.writerow(
@@ -124,6 +126,11 @@ def _cmd_success(args, parser) -> int:
                             f"{dist.probabilities[qprime]:.12g}",
                         ]
                     )
+
+        report = success_report(
+            ctx, args.n, analysis, mc_runs=args.mc, seed=seed, on_table=dump
+        )
+    _emit_json(report.as_dict(), args.out)
     return 0
 
 

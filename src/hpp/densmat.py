@@ -14,32 +14,35 @@ The single-copy query state for a hidden univariate polynomial Q is
 equivalently (1/d^2) sum_{b,c} |b><c| (x) S_{Q(b)-Q(c)} with S the cyclic
 shift by a field element.  Conjugating the second register by the character
 transform diagonalizes the shifts and makes the state block-diagonal over
-the measured direction x; n copies then collapse, given measured directions
-(x_1..x_n), to a block whose entries are characters of fiber data.  The
-good-subspace isometry V_x is assembled from the fibers as a relabeling,
-followed by an embedded uniform-to-point Fourier transform of size eta
-controlled on a fiber-size register, followed by uncomputation of that
-register.  Dimension guards keep every matrix at desk scale.
+the measured direction x.  The n-copy state is the n-th tensor power of that
+state, so its block at measured directions (x_1..x_n) is the Kronecker
+product of the single-copy blocks at each x_j; its entries are characters
+of fiber data.  The good-subspace isometry V_x is assembled from the fibers
+as a relabeling of points (an index map), followed by an embedded
+uniform-to-point Fourier transform of size eta controlled on a fiber-size
+register (one small kernel per fiber label), followed by uncomputation of
+that register (a row permutation).  Dimension guards keep every matrix at
+desk scale: d <= 31 for one copy, d^n <= 625 for the n-copy pipeline.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .errors import GuardExceededError, InvariantViolationError
 from .fibers import EtaTable, GoodSets, Point, decode_point, encode_point, eta_table
-from .gf import FieldCtx, chi, dot
+from .gf import FieldCtx, chi
 from .polyring import UniPoly, eval_uni
 
 # Single-copy density matrices are (d^2)^2 complex entries; cap d.
 MAX_SINGLE_COPY_D = 31
 
-# The n-copy pipeline handles d^(2n) total dimension; cap at n = 2, d <= 7.
-MAX_PIPELINE_D = 7
+# The n-copy pipeline works on d^n-dimensional point registers, and V_x has
+# d^n * (cap^2 + 1) rows; cap d^n, which admits n = 2 up to GF(5^2).
+MAX_PIPELINE_DIM = 625
 
 
 def dft_matrix(ctx: FieldCtx) -> np.ndarray:
@@ -109,42 +112,29 @@ def conjugate_fourier(ctx: FieldCtx, rho: np.ndarray) -> np.ndarray:
     return u @ rho @ u.conj().T
 
 
-@lru_cache(maxsize=2)
-def copies_state(ctx: FieldCtx, q: UniPoly, n: int) -> np.ndarray:
-    """n-fold tensor power of the Fourier-conjugated single-copy state,
-    with registers reordered to (points..., directions...).
-
-    Cached because direction sweeps slice the same state d^n times; callers
-    must treat the returned array as read-only.
-    """
-    d = ctx.d
-    if d**(2 * n) > (MAX_PIPELINE_D**4):
+def _check_pipeline_dim(d: int, n: int) -> None:
+    if d**n > MAX_PIPELINE_DIM:
         raise GuardExceededError(
-            f"{n}-copy state dimension d^(2n) = {d ** (2 * n)} exceeds the guard"
+            f"{n}-copy pipeline dimension d^n = {d**n} exceeds {MAX_PIPELINE_DIM}"
         )
-    single = conjugate_fourier(ctx, build_rho_q(ctx, q))
-    full = single
-    for _ in range(n - 1):
-        full = np.kron(full, single)
-    # Axes are (b_1, x_1, b_2, x_2, ...); bring all b's forward.
-    perm = list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))
-    tensor = full.reshape((d,) * (4 * n))
-    tensor = tensor.transpose(perm + [2 * n + i for i in perm])
-    return tensor.reshape(d ** (2 * n), d ** (2 * n))
 
 
 def direction_block(ctx: FieldCtx, q: UniPoly, x: Point) -> np.ndarray:
     """Unnormalized block of the n-copy state at measured directions x.
 
-    The returned d^n x d^n matrix carries the factor 1/d^(2n); its trace is
-    the probability 1/d^n of measuring x.
+    The n-copy state is the n-th tensor power of the Fourier-conjugated
+    single-copy state, so its block at x is the Kronecker product over the
+    copies of the single-copy blocks at x_1..x_n.  The returned d^n x d^n
+    matrix, indexed by point codes, carries the factor 1/d^(2n); its trace
+    is the probability 1/d^n of measuring x.
     """
     d = ctx.d
-    n = len(x)
-    full = copies_state(ctx, q, n)
-    xcode = encode_point(map(ctx.check, x), d)
-    view = full.reshape(d**n, d**n, d**n, d**n)
-    return np.ascontiguousarray(view[:, xcode, :, xcode])
+    _check_pipeline_dim(d, len(x))
+    single = conjugate_fourier(ctx, build_rho_q(ctx, q)).reshape(d, d, d, d)
+    block = np.ones((1, 1), dtype=np.complex128)
+    for xj in map(ctx.check, x):
+        block = np.kron(block, single[:, xj, :, xj])
+    return block
 
 
 def x_marginals(ctx: FieldCtx, q: UniPoly, n: int) -> dict[Point, float]:
@@ -200,32 +190,27 @@ def build_vx(ctx: FieldCtx, table: EtaTable, good: GoodSets) -> VxIsometry:
     Step two applies the size-eta uniform Fourier transform on the rank
     register, controlled on the eta register, sending uniform fiber
     superpositions to rank 0.  Step three subtracts eta_w from the eta
-    register (mod cap, a permutation) to disentangle it.
+    register (mod cap, a permutation) to disentangle it.  Each step is
+    applied to the images of the input basis: the relabel is an index map,
+    the Fourier step is one cap^2 x cap^2 kernel per w block, and the
+    uncompute is a permutation of rows.
     """
     d = ctx.d
     n = table.n
-    if d > MAX_PIPELINE_D or n != 2:
-        raise GuardExceededError(
-            f"V_x construction is guarded to n = 2, d <= {MAX_PIPELINE_D}"
-        )
+    _check_pipeline_dim(d, n)
     cap = good.cap
     x = table.x
     dim_in = d**n
     good_dim = dim_in * cap * cap
     dim_out = good_dim + dim_in
 
-    def gidx(wcode: int, j: int, eta: int) -> int:
-        return (wcode * cap + j) * cap + eta
-
-    # Step 1: relabel points by (fiber label, rank within fiber, fiber size).
-    relabel = np.zeros((dim_out, dim_in), dtype=np.complex128)
+    # Step 1: relabel points by (fiber label, rank within fiber, fiber size);
+    # dest[b] is the output index of input point b, flagged by default.
+    dest = good_dim + np.arange(dim_in)
     for wcode in np.flatnonzero(good.w_good(x, table.counts)).tolist():
         eta = int(table.counts[wcode])
         for j, b in enumerate(table.solutions[decode_point(wcode, d, n)]):
-            relabel[gidx(wcode, j, eta % cap), encode_point(b, d)] = 1.0
-    flagged = np.flatnonzero(~relabel.any(axis=0))
-    for bcode in flagged:
-        relabel[good_dim + bcode, bcode] = 1.0
+            dest[encode_point(b, d)] = (wcode * cap + j) * cap + eta % cap
 
     # Step 2: embedded Fourier on the rank register, controlled on fiber size.
     # Register slot 0 stands for eta = cap; good fibers never have eta = 0.
@@ -240,44 +225,37 @@ def build_vx(ctx: FieldCtx, table: EtaTable, good: GoodSets) -> VxIsometry:
         for a in range(cap):
             for b in range(cap):
                 kernel[a * cap + slot, b * cap + slot] = f[a, b]
-    embedded = np.kron(np.eye(dim_in, dtype=np.complex128), kernel)
-    fourier = np.eye(dim_out, dtype=np.complex128)
-    fourier[:good_dim, :good_dim] = embedded
+    # A flagged point keeps its unit vector; a good point relabeled to
+    # (w, j, slot) becomes kernel column j*cap + slot within w's cap^2 rows.
+    relabeled = np.zeros((dim_out, dim_in), dtype=np.complex128)
+    flagged = dest >= good_dim
+    relabeled[dest[flagged], np.flatnonzero(flagged)] = 1.0
+    bs = np.flatnonzero(~flagged)
+    w_block, local = np.divmod(dest[bs], cap * cap)
+    rows = w_block * cap * cap + np.arange(cap * cap)[:, None]
+    relabeled[rows, bs] = kernel[:, local]
 
-    # Step 3: uncompute the fiber-size register, conditioned on w.
-    uncompute = np.zeros_like(fourier)
-    uncompute[good_dim:, good_dim:] = np.eye(dim_in)
-    for wcode in range(dim_in):
-        eta_w = int(table.counts[wcode]) % cap
-        for j in range(cap):
-            for eta in range(cap):
-                uncompute[gidx(wcode, j, (eta - eta_w) % cap), gidx(wcode, j, eta)] = 1.0
+    # Step 3: uncompute the fiber-size register, conditioned on w: row
+    # (w, j, eta) moves to (w, j, eta - eta_w mod cap).
+    w, j, eta = np.unravel_index(np.arange(good_dim), (dim_in, cap, cap))
+    target = np.arange(dim_out)
+    target[:good_dim] = (w * cap + j) * cap + (eta - table.counts[w]) % cap
+    matrix = np.empty_like(relabeled)
+    matrix[target] = relabeled
 
-    matrix = uncompute @ fourier @ relabel
     if not np.allclose(matrix.conj().T @ matrix, np.eye(dim_in), atol=1e-10):
         raise InvariantViolationError(f"V_x for x={x} failed the isometry check")
     return VxIsometry(ctx=ctx, x=x, cap=cap, matrix=matrix)
 
 
-def fourier_point_state(ctx: FieldCtx, qprime: Point, n: int) -> np.ndarray:
-    """|psi_q'> = (1/sqrt(d^n)) sum_w chi(<q', w>) |w> on the w register."""
-    from itertools import product as _product
-
-    d = ctx.d
-    vec = np.empty(d**n, dtype=np.complex128)
-    for idx, w in enumerate(_product(range(d), repeat=n)):
-        vec[idx] = chi(ctx, dot(ctx, qprime, w))
-    return vec / math.sqrt(d**n)
-
-
-@lru_cache(maxsize=8)
-def _fourier_point_basis(ctx: FieldCtx, n: int) -> np.ndarray:
-    """Column c is |psi_q'> for the q' with code c.  Cached, one entry per
-    field the pipeline guard admits, because every pipeline run reads it.
-    The array is read-only."""
-    points = (decode_point(code, ctx.d, n) for code in range(ctx.d**n))
-    basis = np.column_stack([fourier_point_state(ctx, qp, n) for qp in points])
-    basis.flags.writeable = False
+def fourier_point_basis(ctx: FieldCtx, n: int) -> np.ndarray:
+    """Column c is |psi_q'> = (1/sqrt(d^n)) sum_w chi(<q', w>) |w> for the
+    q' with code c: the n-fold Kronecker power of the character transform,
+    because chi(<q', w>) is the product of the chi(q'_j * w_j)."""
+    f = dft_matrix(ctx)
+    basis = np.ones((1, 1), dtype=np.complex128)
+    for _ in range(n):
+        basis = np.kron(basis, f)
     return basis
 
 
@@ -287,7 +265,7 @@ def pipeline_probability(
     """(good-branch mass, {q': P[outcome = q' | good branch]}) for one
     direction x, computed end to end through explicit matrices.
 
-    Builds the n-copy state, collapses on the measured directions, projects
+    Builds the n-copy state's block at the measured directions, projects
     onto the good-set points, applies V_x, and reads every outcome's
     probability off the diagonal of the resulting state in the Fourier point
     basis.  Returns (0, {}) when the good branch is unreachable at this x.
@@ -317,12 +295,12 @@ def pipeline_probability(
     rho_good = projected / mass
 
     vx = build_vx(ctx, table, good)
-    sigma = vx.matrix @ rho_good @ vx.matrix.conj().T
 
-    # The Fourier point states live on the |w, 0, 0> slots of the output.
+    # The Fourier point states live on the |w, 0, 0> slots of the output, so
+    # only those rows of V_x rho V_x^dag are formed.
     points = [decode_point(code, d, n) for code in range(d**n)]
-    w_slots = [vx.good_index(w) for w in points]
-    on_w = sigma[np.ix_(w_slots, w_slots)]
-    psi = _fourier_point_basis(ctx, n)
-    probs = np.einsum("wc,wv,vc->c", psi.conj(), on_w, psi).real
+    w_rows = vx.matrix[[vx.good_index(w) for w in points]]
+    on_w = w_rows @ rho_good @ w_rows.conj().T
+    psi = fourier_point_basis(ctx, n)
+    probs = np.einsum("wc,wc->c", psi.conj(), on_w @ psi).real
     return mass, dict(zip(points, probs.tolist()))

@@ -35,7 +35,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -437,24 +437,24 @@ class GoodSetSummary:
 
 
 def write_eta_csv(
-    tables: EtaTable | Iterable[EtaTable], path, include_solutions: bool = False
+    tables: EtaTable | Iterable[EtaTable], fh: TextIO, include_solutions: bool = False
 ) -> None:
-    """CSV export: columns x, w, eta (semicolon-joined digit codes), lex order in w.
+    """CSV export to the text stream fh: columns x, w, eta (semicolon-joined
+    digit codes), lex order in w.
 
     Only w with nonempty fibers get rows.  Accepts one table or a stream.
     """
     if isinstance(tables, EtaTable):
         tables = [tables]
-    with open(path, "w", newline="\n", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        header = ["x", "w", "eta"] + (["solutions"] if include_solutions else [])
-        writer.writerow(header)
-        for table in tables:
-            x_label = ";".join(str(c) for c in table.x)
-            for w, eta in table.items():
-                row = [x_label, ";".join(str(c) for c in w), eta]
-                if include_solutions:
-                    row.append(
-                        "|".join(",".join(str(c) for c in b) for b in table.solutions[w])
-                    )
-                writer.writerow(row)
+    writer = csv.writer(fh, lineterminator="\n")
+    header = ["x", "w", "eta"] + (["solutions"] if include_solutions else [])
+    writer.writerow(header)
+    for table in tables:
+        x_label = ";".join(str(c) for c in table.x)
+        for w, eta in table.items():
+            row = [x_label, ";".join(str(c) for c in w), eta]
+            if include_solutions:
+                row.append(
+                    "|".join(",".join(str(c) for c in b) for b in table.solutions[w])
+                )
+            writer.writerow(row)

@@ -215,8 +215,6 @@ class FieldCtx:
     def inv(self, a: Felt) -> Felt:
         if a == 0:
             raise ZeroDivisionError(f"0 has no inverse in {self.describe()}")
-        if self.e == 1:
-            return pow(a, self.p - 2, self.p)
         return self.pow(a, self.d - 2)
 
     def div(self, a: Felt, b: Felt) -> Felt:

@@ -484,11 +484,13 @@ def success_report(
     analysis: Analysis,
     mc_runs: int = 0,
     seed: int | None = None,
+    on_table: Callable[[EtaTable], None] | None = None,
 ) -> SuccessReport:
     """Compute the full report in one pass over the fiber tables.
 
     mc_runs > 0 adds a Monte Carlo cross-check, which samples from the
-    tables of that same pass.
+    tables of that same pass.  on_table, when given, is called with each
+    table of the pass, in direction-code order.
     """
     if mc_runs < 0:
         raise ValueError(f"Monte Carlo run count must be >= 0, got {mc_runs}")
@@ -497,6 +499,8 @@ def success_report(
     good = good_sets(ctx, n, analysis)
     tables: dict[Point, EtaTable] = {}
     stream = iter_eta_tables(ctx, n)
+    if on_table is not None:
+        stream = (on_table(t) or t for t in stream)
     if mc_runs:
         stream = (tables.setdefault(t.x, t) for t in stream)
     ideal, approx, w_counts = _success_sums(stream, good)

@@ -40,6 +40,15 @@ def test_eta_table_csv_and_determinism(tmp_path):
     assert len(lines) > 1
 
 
+def test_eta_table_out_dash_is_stdout(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "eta.csv"
+    assert main(["eta", "--field", "3", "-n", "2", "--out", str(path)]) == 0
+    assert main(["eta", "--field", "3", "-n", "2", "--out", "-"]) == 0
+    assert capsys.readouterr().out == path.read_text()
+    assert not (tmp_path / "-").exists()
+
+
 def test_eta_table_to_stdout_is_a_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["eta", "--field", "5", "-n", "2"])
@@ -84,6 +93,31 @@ def test_success_mc_and_dump_dist(tmp_path):
     lines = dist.read_text().splitlines()
     assert lines[0] == "x,good_mass,qprime,probability"
     assert len(lines) > 1
+
+
+def test_dump_dist_reuses_the_report_pass(tmp_path, monkeypatch):
+    import hpp.cli
+    import hpp.pgm
+    from hpp.fibers import iter_eta_tables
+
+    built = []
+
+    def counting(*args, **kwargs):
+        return (built.append(t.x) or t for t in iter_eta_tables(*args, **kwargs))
+
+    monkeypatch.setattr(hpp.pgm, "iter_eta_tables", counting)
+    monkeypatch.setattr(hpp.cli, "iter_eta_tables", counting)
+    assert main(["success", "--field", "5", "-n", "2", "--out", str(tmp_path / "s.json"),
+                 "--dump-dist", str(tmp_path / "dist.csv")]) == 0
+    assert len(built) == len(set(built)) == 25
+
+
+def test_unwritable_dump_dist_exits_2_before_any_json(tmp_path, capsys):
+    assert main(["success", "--field", "5", "-n", "2",
+                 "--dump-dist", str(tmp_path / "no" / "dist.csv")]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 def test_seed_falls_back_to_environment(tmp_path, monkeypatch):

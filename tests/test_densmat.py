@@ -5,28 +5,85 @@ import numpy as np
 import pytest
 
 from hpp.densmat import (
-    MAX_PIPELINE_D,
-    MAX_SINGLE_COPY_D,
-    VxIsometry,
+    MAX_PIPELINE_DIM,
     build_rho_q,
     build_vx,
     conjugate_fourier,
-    copies_state,
     dft_matrix,
     direction_block,
-    fourier_point_state,
+    fourier_point_basis,
     pipeline_probability,
     shift_operator,
     x_marginals,
 )
 from hpp.errors import GuardExceededError
-from hpp.fibers import Analysis, eta_table, good_sets
+from hpp.fibers import Analysis, decode_point, encode_point, eta_table, good_sets
 from hpp.gf import chi, dot, make_field, parse_field
 from hpp.polyring import UniPoly, eval_uni
 
 F3 = make_field(3)
 F5 = make_field(5)
 F4 = parse_field("2^2")
+
+
+def _copies_state(ctx, q, n):
+    """The whole d^(2n)-square n-copy state: the n-th tensor power of the
+    Fourier-conjugated single-copy state, registers reordered to
+    (points..., directions...).  The reference direction_block's Kronecker
+    factorization is checked against."""
+    d = ctx.d
+    single = conjugate_fourier(ctx, build_rho_q(ctx, q))
+    full = single
+    for _ in range(n - 1):
+        full = np.kron(full, single)
+    # Axes are (b_1, x_1, b_2, x_2, ...); bring all b's forward.
+    perm = list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))
+    tensor = full.reshape((d,) * (4 * n))
+    tensor = tensor.transpose(perm + [2 * n + i for i in perm])
+    return tensor.reshape(d ** (2 * n), d ** (2 * n))
+
+
+def _dense_vx(ctx, table, good):
+    """V_x as the product of its three factors, each a dense dim_out-square
+    matrix: the reference build_vx's index-map construction is checked
+    against."""
+    d, n, cap, x = ctx.d, table.n, good.cap, table.x
+    dim_in = d**n
+    good_dim = dim_in * cap * cap
+    dim_out = good_dim + dim_in
+
+    def gidx(wcode, j, eta):
+        return (wcode * cap + j) * cap + eta
+
+    relabel = np.zeros((dim_out, dim_in), dtype=np.complex128)
+    for wcode in np.flatnonzero(good.w_good(x, table.counts)).tolist():
+        eta = int(table.counts[wcode])
+        for j, b in enumerate(table.solutions[decode_point(wcode, d, n)]):
+            relabel[gidx(wcode, j, eta % cap), encode_point(b, d)] = 1.0
+    for bcode in np.flatnonzero(~relabel.any(axis=0)):
+        relabel[good_dim + bcode, bcode] = 1.0
+
+    kernel = np.zeros((cap * cap, cap * cap), dtype=np.complex128)
+    for slot in range(cap):
+        eta = cap if slot == 0 else slot
+        f = np.eye(cap, dtype=np.complex128)
+        for a in range(eta):
+            for b in range(eta):
+                f[a, b] = np.exp(2j * np.pi * a * b / eta) / math.sqrt(eta)
+        for a in range(cap):
+            for b in range(cap):
+                kernel[a * cap + slot, b * cap + slot] = f[a, b]
+    fourier = np.eye(dim_out, dtype=np.complex128)
+    fourier[:good_dim, :good_dim] = np.kron(np.eye(dim_in), kernel)
+
+    uncompute = np.zeros_like(fourier)
+    uncompute[good_dim:, good_dim:] = np.eye(dim_in)
+    for wcode in range(dim_in):
+        eta_w = int(table.counts[wcode]) % cap
+        for j in range(cap):
+            for eta in range(cap):
+                uncompute[gidx(wcode, j, (eta - eta_w) % cap), gidx(wcode, j, eta)] = 1.0
+    return uncompute @ (fourier @ relabel)
 
 
 def _density_checks(rho):
@@ -137,8 +194,28 @@ def test_two_copy_block_matches_fiber_reconstruction():
 
 
 def test_copies_state_is_density_operator():
-    full = copies_state(F3, UniPoly(F3, (0, 1, 1)), 2)
+    full = _copies_state(F3, UniPoly(F3, (0, 1, 1)), 2)
     _density_checks(full)
+
+
+@pytest.mark.parametrize(
+    "desc,analyses", [("3", "first second"), ("2^2", "second"), ("5", "first second"),
+                      ("7", "first second")]
+)
+def test_factored_block_and_vx_equal_full_constructions(desc, analyses):
+    ctx = parse_field(desc)
+    d, n = ctx.d, 2
+    q = UniPoly(ctx, (0, 2 % d, 1))
+    full = _copies_state(ctx, q, n).reshape(d**n, d**n, d**n, d**n)
+    for x in product(range(d), repeat=n):
+        want = full[:, encode_point(x, d), :, encode_point(x, d)]
+        assert np.abs(direction_block(ctx, q, x) - want).max() <= 1e-12, x
+    for analysis in analyses.split():
+        good = good_sets(ctx, n, Analysis(analysis))
+        for x in product(range(d), repeat=n):
+            table = eta_table(ctx, x)
+            got = build_vx(ctx, table, good).matrix
+            assert np.abs(got - _dense_vx(ctx, table, good)).max() <= 1e-12, (analysis, x)
 
 
 def test_vx_isometry_and_fiber_contract():
@@ -178,16 +255,27 @@ def test_vx_flags_bad_points_orthogonally():
         assert abs(np.linalg.norm(out) - 1.0) < 1e-10
 
 
-def test_vx_requires_solutions_and_guards():
-    big = make_field(11)
-    with pytest.raises(GuardExceededError):
-        build_vx(big, eta_table(big, (1, 2)), good_sets(big, 2, Analysis.FIRST))
+def test_pipeline_guards_point_register_dimension():
+    for desc, n in (("3^3", 2), ("7", 4)):
+        big = parse_field(desc)
+        assert big.d**n > MAX_PIPELINE_DIM
+        x = (1,) * n
+        with pytest.raises(GuardExceededError):
+            build_vx(big, eta_table(big, x), good_sets(big, n, Analysis.FIRST))
+        with pytest.raises(GuardExceededError):
+            direction_block(big, UniPoly(big, (0, 1)), x)
 
 
 def test_fourier_point_states_orthonormal():
-    vecs = [fourier_point_state(F3, qp, 2) for qp in product(range(3), repeat=2)]
-    gram = np.array([[abs(np.vdot(a, b)) for b in vecs] for a in vecs])
-    assert np.allclose(gram, np.eye(9), atol=1e-10)
+    for ctx, n in ((F3, 2), (F4, 2), (F3, 3)):
+        d = ctx.d
+        basis = fourier_point_basis(ctx, n)
+        points = list(product(range(d), repeat=n))
+        # column c is the literal character sum for the q' with code c
+        for c, qp in enumerate(points):
+            want = [chi(ctx, dot(ctx, qp, w)) / math.sqrt(d**n) for w in points]
+            assert np.abs(basis[:, c] - want).max() < 1e-12, (d, qp)
+        assert np.allclose(basis.conj().T @ basis, np.eye(d**n), atol=1e-10)
 
 
 def test_pipeline_matches_analytic_law():

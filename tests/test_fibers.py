@@ -1,3 +1,4 @@
+import io
 import random
 from fractions import Fraction
 from itertools import product
@@ -295,14 +296,14 @@ def test_summary_scan():
     assert summary.as_dict()["D"] == 4
 
 
-def test_csv_export(tmp_path):
-    path = tmp_path / "eta.csv"
-    write_eta_csv(eta_table(F3, (1, 1)), path)
-    lines = path.read_text().splitlines()
+def test_csv_export():
+    out = io.StringIO()
+    write_eta_csv(eta_table(F3, (1, 1)), out)
+    lines = out.getvalue().splitlines()
     assert lines[0] == "x,w,eta"
     assert "1;1,0;0,1" in lines
-    path2 = tmp_path / "eta_sol.csv"
-    write_eta_csv(eta_table(F3, (1, 1)), path2, include_solutions=True)
-    text = path2.read_text()
+    out = io.StringIO()
+    write_eta_csv(eta_table(F3, (1, 1)), out, include_solutions=True)
+    text = out.getvalue()
     assert "solutions" in text.splitlines()[0]
     assert "0,2|2,0" in text

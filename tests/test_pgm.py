@@ -376,6 +376,16 @@ def test_sample_outcome_returns_plain_ints():
     assert not any("solutions" in vars(t) for t in tables.values())
 
 
+def _assert_pipeline_matches_law(ctx, analysis, x, qc):
+    good = good_sets(ctx, len(x), analysis)
+    mass, law = pipeline_probability(ctx, UniPoly(ctx, (0, *qc)), x, good)
+    dist = outcome_distribution(eta_table(ctx, x), good, qc)
+    assert abs(mass - dist.good_mass) < 1e-12
+    assert law.keys() == dist.probabilities.keys()
+    for qprime, p in law.items():
+        assert abs(p - dist.probabilities[qprime]) < 1e-12, qprime
+
+
 PIPELINE_CASES = [
     (parse_field("3"), Analysis.FIRST),
     (parse_field("3"), Analysis.SECOND),
@@ -384,6 +394,9 @@ PIPELINE_CASES = [
     (F5, Analysis.SECOND),
     (F7, Analysis.FIRST),
     (F7, Analysis.SECOND),
+    (parse_field("2^3"), Analysis.SECOND),
+    (parse_field("3^2"), Analysis.FIRST),
+    (make_field(11), Analysis.FIRST),
 ]
 
 
@@ -394,10 +407,18 @@ def test_outcome_law_matches_density_matrix_pipeline(case, data):
     elt = st.integers(min_value=0, max_value=ctx.d - 1)
     x = (data.draw(elt), data.draw(elt))
     qc = (data.draw(elt), data.draw(elt))
-    good = good_sets(ctx, 2, analysis)
-    mass, law = pipeline_probability(ctx, UniPoly(ctx, (0, *qc)), x, good)
-    dist = outcome_distribution(eta_table(ctx, x), good, qc)
-    assert abs(mass - dist.good_mass) < 1e-9
-    assert law.keys() == dist.probabilities.keys()
-    for qprime, p in law.items():
-        assert abs(p - dist.probabilities[qprime]) < 1e-9, qprime
+    _assert_pipeline_matches_law(ctx, analysis, x, qc)
+
+
+# GF(5^2) is the smallest field where a wrong trace form in the phase matrix
+# moves a good-branch law by more than rounding: the identity form moves the
+# law at x = (1, 1) by 2.65e-4, and those at GF(2^2), GF(2^3), GF(2^4),
+# GF(3^2), GF(3^3) and GF(7^2) by at most 3e-17.  GF(5) at n = 3 runs the
+# pipeline on three copies; (2, 0, 3) is a bad direction there.
+@pytest.mark.parametrize(
+    "desc,x,qc",
+    [("5^2", (1, 1), (1, 1)), ("5", (1, 2, 3), (1, 2, 3)), ("5", (4, 4, 1), (0, 3, 2)),
+     ("5", (2, 0, 3), (4, 1, 0))],
+)
+def test_outcome_law_matches_pipeline_at_fixed_directions(desc, x, qc):
+    _assert_pipeline_matches_law(parse_field(desc), Analysis.FIRST, x, qc)
