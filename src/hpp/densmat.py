@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
@@ -138,15 +139,17 @@ def direction_block(ctx: FieldCtx, q: UniPoly, x: Point) -> np.ndarray:
 
 
 def x_marginals(ctx: FieldCtx, q: UniPoly, n: int) -> dict[Point, float]:
-    """Probability of each measured direction tuple; uniform by symmetry."""
-    from itertools import product as _product
+    """Probability of each measured direction tuple; uniform by symmetry.
 
+    The trace of a Kronecker product is the product of the traces, so each
+    marginal is the product of the single-copy block traces at x_1..x_n, and
+    the single-copy state is built once for all d^n directions.
+    """
     d = ctx.d
-    out = {}
-    for x in _product(range(d), repeat=n):
-        block = direction_block(ctx, q, x)
-        out[x] = float(np.trace(block).real)
-    return out
+    _check_pipeline_dim(d, n)
+    single = conjugate_fourier(ctx, build_rho_q(ctx, q)).reshape(d, d, d, d)
+    traces = np.einsum("bxbx->x", single).real.tolist()
+    return {x: math.prod(traces[xj] for xj in x) for x in product(range(d), repeat=n)}
 
 
 @dataclass

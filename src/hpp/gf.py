@@ -252,36 +252,6 @@ class FieldCtx:
         """Tr(t^j) for j < e, so Tr(a) = digits(a) . v mod p."""
         return self.trace_form[0]
 
-    @cached_property
-    def _squaring_map_solver(self) -> list[tuple[int, int]]:
-        # Row-reduced form of the GF(2)-linear map u -> u^2 + u, used to
-        # invert it when solving Artin-Schreier equations in characteristic 2.
-        # Columns are images of the basis 1, t, ..., t^(e-1) packed as bitmasks.
-        cols = []
-        for i in range(self.e):
-            beta = 1 << i  # encodes t^i when p = 2
-            img = self.add(self.mul(beta, beta), beta)
-            cols.append(img)
-        # Gaussian elimination over GF(2): track (pivot_bit, column_combo).
-        pivots: list[tuple[int, int]] = []
-        for j, col in enumerate(cols):
-            combo = 1 << j
-            for bit, cmb in pivots:
-                if col >> bit & 1:
-                    col ^= self._squaring_image(cmb)
-                    combo ^= cmb
-            if col:
-                pivots.append((col.bit_length() - 1, combo))
-        return pivots
-
-    def _squaring_image(self, combo_mask: int) -> int:
-        img = 0
-        for i in range(self.e):
-            if combo_mask >> i & 1:
-                beta = 1 << i
-                img = self.add(img, self.add(self.mul(beta, beta), beta))
-        return img
-
 
 def make_field(p: int, e: int = 1) -> FieldCtx:
     """Build GF(p^e) with the canonical modulus; errors on bad or oversized input."""
@@ -387,13 +357,18 @@ def sqrt_elem(ctx: FieldCtx, a: Felt) -> list[Felt]:
 
 
 def _artin_schreier_root(ctx: FieldCtx, delta: Felt) -> Felt:
-    """Some u with u^2 + u = delta in characteristic 2; requires Tr(delta) = 0."""
-    u = 0
-    residual = delta
-    for bit, combo in ctx._squaring_map_solver:
-        if residual >> bit & 1:
-            residual ^= ctx._squaring_image(combo)
-            u ^= combo
+    """Some u with u^2 + u = delta in characteristic 2; requires Tr(delta) = 0.
+
+    With theta the first element of trace 1, u = sum over 0 <= i < j < e of
+    theta^(2^j) * delta^(2^i) has u^2 + u = Tr(theta)*delta + Tr(delta)*theta.
+    """
+    theta = next(a for a in range(ctx.d) if trace(ctx, a) == 1)
+    u = lower = 0  # lower = sum over i < j of delta^(2^i)
+    t, s = theta, delta  # theta^(2^j), delta^(2^j)
+    for _ in range(ctx.e):
+        u = ctx.add(u, ctx.mul(t, lower))
+        lower = ctx.add(lower, s)
+        t, s = ctx.mul(t, t), ctx.mul(s, s)
     if ctx.add(ctx.mul(u, u), u) != delta:
         raise InvariantViolationError("Artin-Schreier solve failed on a trace-zero input")
     return u

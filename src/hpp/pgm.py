@@ -66,6 +66,11 @@ class Branch(str, Enum):
 
 BAD_BRANCH = None  # sentinel sample_outcome returns when the run is discarded
 
+# corollary_bound: degree of the locus of distinct-coordinate points sharing an image.
+CURVE_DEGREE = 2
+# Draws one quantum-solver call may spend before it gives up on the good branch.
+MAX_SOLVER_DRAWS = 10_000
+
 
 def _sqrt_sum(etas: np.ndarray) -> float:
     return math.fsum(np.sqrt(etas).tolist())
@@ -120,18 +125,17 @@ def lemma2_bound(summary: GoodSetSummary) -> float:
     )
 
 
-def corollary_bound(d: int, n: int, cap: int, curve_degree: int = 2) -> float:
+def corollary_bound(d: int, n: int, cap: int) -> float:
     """Asymptotic form of the counting bound: roughly 1/cap^2 - O(1/d).
 
-    (d-1)^n directions qualify; at least (d(d-1)...(d-n+1)/cap - curve_degree
-    * d^(n-1)) targets survive per direction, where curve_degree bounds the
-    locus of distinct-coordinate points sharing an image.  Clamped at zero
-    for tiny d where the estimate goes negative.
+    (d-1)^n directions qualify; at least (d(d-1)...(d-n+1)/cap - CURVE_DEGREE
+    * d^(n-1)) targets survive per direction.  Clamped at zero for tiny d
+    where the estimate goes negative.
     """
     falling = 1
     for i in range(n):
         falling *= d - i
-    per_x = max(0.0, falling / cap - curve_degree * d ** (n - 1))
+    per_x = max(0.0, falling / cap - CURVE_DEGREE * d ** (n - 1))
     return (d - 1) ** n * per_x**2 / d ** (3 * n)
 
 
@@ -388,13 +392,12 @@ def make_quantum_solver(
     good: GoodSets,
     rng: random.Random,
     votes: int = 5,
-    max_draws: int = 10_000,
 ) -> Callable:
     """Univariate solver backed by the measurement sampler.
 
     The returned callable takes any view exposing ctx, n, and
     effective_coeffs(), collects `votes` good-branch outcomes (discarding bad
-    branches, up to max_draws total), and returns the majority vote as a
+    branches, up to MAX_SOLVER_DRAWS total), and returns the majority vote as a
     candidate polynomial with zero constant term.  Verification and retries
     are the caller's business.
     """
@@ -405,9 +408,9 @@ def make_quantum_solver(
         draws = 0
         collected = 0
         while collected < votes:
-            if draws >= max_draws:
+            if draws >= MAX_SOLVER_DRAWS:
                 raise RecoveryError(
-                    f"good branch not reached in {max_draws} draws; "
+                    f"good branch not reached in {MAX_SOLVER_DRAWS} draws; "
                     "good sets are too thin for sampling"
                 )
             draws += 1

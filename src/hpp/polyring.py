@@ -12,6 +12,11 @@ Evaluation and substitution read each coordinate's powers from a row
 top is the largest exponent of that variable.  Each term's nonzero (position,
 exponent) factors are listed once per polynomial and cached on it, so a
 term costs one multiplication per factor and no exponentiation.
+
+The Lagrange basis L_i = prod_{j != i} (X - t_j) / (t_i - t_j) over a set of
+abscissae is built in one place, _lagrange_basis.  lagrange_interpolate sums
+y_i * L_i; the reduction weights whole coefficient maps by the same basis,
+so it interpolates every coefficient polynomial from one basis per split.
 """
 
 from __future__ import annotations
@@ -81,6 +86,29 @@ def eval_uni(q: UniPoly, r: Felt) -> Felt:
     return acc
 
 
+def _lagrange_basis(ctx: FieldCtx, ts: Sequence[Felt]) -> list[list[Felt]]:
+    """Coefficient lists of L_i = prod_{j != i} (X - t_j) / (t_i - t_j) over
+    pairwise distinct abscissae ts; each has len(ts) entries."""
+    out = []
+    for i, ti in enumerate(ts):
+        # Numerator polynomial prod_{j != i} (X - t_j), built incrementally.
+        basis = [1]
+        denom = 1
+        for j, tj in enumerate(ts):
+            if j == i:
+                continue
+            neg_tj = ctx.neg(tj)
+            nxt = [0] * (len(basis) + 1)
+            for k, c in enumerate(basis):
+                nxt[k] = ctx.add(nxt[k], ctx.mul(c, neg_tj))
+                nxt[k + 1] = ctx.add(nxt[k + 1], c)
+            basis = nxt
+            denom = ctx.mul(denom, ctx.sub(ti, tj))
+        scale = ctx.inv(denom)
+        out.append([ctx.mul(scale, c) for c in basis])
+    return out
+
+
 def lagrange_interpolate(
     ctx: FieldCtx, points: Sequence[tuple[Felt, Felt]], degree_bound: int
 ) -> UniPoly:
@@ -105,25 +133,10 @@ def lagrange_interpolate(
         ctx.check(t)
         ctx.check(y)
 
-    n_pts = len(points)
-    coeffs = [0] * n_pts
-    for i, (ti, yi) in enumerate(points):
-        # Numerator polynomial prod_{j != i} (X - t_j), built incrementally.
-        basis = [1]
-        denom = 1
-        for j, (tj, _) in enumerate(points):
-            if j == i:
-                continue
-            neg_tj = ctx.neg(tj)
-            nxt = [0] * (len(basis) + 1)
-            for k, c in enumerate(basis):
-                nxt[k] = ctx.add(nxt[k], ctx.mul(c, neg_tj))
-                nxt[k + 1] = ctx.add(nxt[k + 1], c)
-            basis = nxt
-            denom = ctx.mul(denom, ctx.sub(ti, tj))
-        scale = ctx.mul(yi, ctx.inv(denom))
+    coeffs = [0] * len(points)
+    for (_, y), basis in zip(points, _lagrange_basis(ctx, ts)):
         for k, c in enumerate(basis):
-            coeffs[k] = ctx.add(coeffs[k], ctx.mul(scale, c))
+            coeffs[k] = ctx.add(coeffs[k], ctx.mul(y, c))
 
     result = UniPoly(ctx, tuple(coeffs))
     if result.degree > degree_bound:

@@ -3,10 +3,15 @@
 An m-variate hidden polynomial of total degree <= n is recovered from
 kappa(n, m) = 1 + n + n^2 + ... + n^(m-1) univariate identifications.  One
 solve pins the coefficient polynomial of the last variable along the origin
-slice (all other variables zero); n more slices at distinct nonzero points
-t_1..t_n reduce to (m-1)-variate problems whose solutions evaluate every
-remaining coefficient polynomial Q_alpha at the t_j, after which Lagrange
-interpolation under the degree bound n - |alpha| reconstructs each one.
+slice (all other variables zero); with one variable that solve is the whole
+problem.  Otherwise n more slices at distinct nonzero points t_1..t_n reduce
+to (m-1)-variate problems whose solutions evaluate every remaining
+coefficient polynomial Q_alpha at the t_j.  Interpolation is
+polynomial-valued: each slice's {alpha: coeff} map is weighted by its
+Lagrange basis polynomial L_j, built once per split over t_1..t_n, and the
+weighted maps are summed, which reconstructs every Q_alpha in one pass.  The
+degree bound deg Q_alpha <= n - |alpha| becomes "no term above total degree
+n", and the assembled terms make a single MultiPoly.
 
 Restricting the oracle shifts the hidden polynomial by a constant (the value
 of the discarded terms at the fixed point).  That constant is invisible to
@@ -29,15 +34,7 @@ from functools import cached_property
 from .blackbox import HiddenInstance, verify_candidate
 from .errors import InvariantViolationError, RecoveryError
 from .gf import Felt, FieldCtx
-from .polyring import (
-    MultiPoly,
-    UniPoly,
-    _restrict,
-    eval_uni,
-    from_unipoly,
-    lagrange_interpolate,
-    multi_poly,
-)
+from .polyring import MultiPoly, UniPoly, _lagrange_basis, _restrict, eval_uni, multi_poly
 
 
 def kappa(n: int, m: int) -> int:
@@ -139,122 +136,79 @@ class SolveStats:
     verify_failures: int = 0
 
 
-def _solve_univariate(
-    inst: HiddenInstance,
-    fixed: dict[int, Felt],
-    free: int,
-    uni_solver,
-    repetitions: int,
-    verify_trials: int,
-    rng: random.Random,
-    stats: SolveStats,
-) -> UniPoly:
-    view = univariate_oracle_view(inst, fixed, free)
-    last_error = None
-    for attempt in range(repetitions):
-        if attempt:
-            stats.retries += 1
-        stats.univariate_solves += 1
-        try:
-            cand = uni_solver(view)
-        except RecoveryError as exc:
-            last_error = exc
-            continue
-        if cand.constant_term() != 0:
-            raise ValueError("univariate solvers must return zero constant term")
-        if view.verify_candidate(cand, verify_trials, rng):
-            return cand
-        stats.verify_failures += 1
-    raise RecoveryError(
-        f"univariate solve failed {repetitions} times at fixed={fixed}, free={free}"
-        + (f" (last error: {last_error})" if last_error else "")
-    )
-
-
-def _solve_recursive(
-    inst: HiddenInstance,
-    suffix: dict[int, Felt],
-    uni_solver,
-    repetitions: int,
-    verify_trials: int,
-    rng: random.Random,
-    stats: SolveStats,
-) -> MultiPoly:
-    """Recover the non-constant part of Q restricted by the suffix assignment."""
-    ctx = inst.ctx
-    n = inst.n
-    arity = inst.m - len(suffix)
-    if arity == 1:
-        uni = _solve_univariate(
-            inst, suffix, 0, uni_solver, repetitions, verify_trials, rng, stats
-        )
-        return from_unipoly(uni, degree_bound=n)
-
-    last = arity - 1  # position of the variable this level works on
-
-    # Origin slice: all earlier variables pinned to zero leaves a univariate
-    # problem in the last variable, giving the alpha = 0 coefficient polynomial.
-    origin_fixed = {**suffix, **{i: 0 for i in range(last)}}
-    origin = _solve_univariate(
-        inst, origin_fixed, last, uni_solver, repetitions, verify_trials, rng, stats
-    )
-
-    # Slices at n distinct nonzero points drop to arity-1 subproblems.
-    ts = slice_points(ctx, n)
-    subs = [
-        _solve_recursive(
-            inst, {**suffix, last: t}, uni_solver, repetitions, verify_trials, rng, stats
-        )
-        for t in ts
-    ]
-
-    terms: dict[tuple[int, ...], Felt] = {}
-    for i, c in enumerate(origin.coeffs):
-        if i and c:
-            terms[(0,) * last + (i,)] = c
-    alphas = sorted({a for sub in subs for a, _ in sub.terms})
-    for alpha in alphas:
-        points = [(t, sub.coeff(alpha)) for t, sub in zip(ts, subs)]
-        try:
-            coeff_poly = lagrange_interpolate(ctx, points, n - sum(alpha))
-        except ValueError as exc:
-            # A sub-solve that slipped past verification poisons interpolation.
-            raise RecoveryError(f"inconsistent slice data at alpha={alpha}: {exc}")
-        for i, c in enumerate(coeff_poly.coeffs):
-            if c:
-                terms[alpha + (i,)] = c
-    return multi_poly(ctx, arity, terms, degree_bound=n)
-
-
 def solve_multivariate(
     inst: HiddenInstance,
     uni_solver,
     repetitions: int = 3,
-    verify_trials: int | None = None,
     rng: random.Random | None = None,
     stats: SolveStats | None = None,
 ) -> MultiPoly:
     """Recover the hidden polynomial through kappa(n, m) univariate solves.
 
     uni_solver(view) -> UniPoly performs one identification attempt against a
-    restricted oracle; this driver verifies each attempt and retries up to
-    `repetitions` times, then verifies the assembled polynomial against the
-    full instance.  Raises RecoveryError when the budget runs out rather
-    than returning an unverified answer.  Pass a SolveStats to collect
-    retry accounting.
+    restricted oracle; this driver verifies each attempt with n + 3 queries
+    and retries up to `repetitions` times, then verifies the assembled
+    polynomial against the full instance.  Raises RecoveryError when the
+    budget runs out rather than returning an unverified answer.  Pass a
+    SolveStats to collect retry accounting.
     """
     if repetitions < 1:
         raise ValueError(f"repetitions must be >= 1, got {repetitions}")
-    if verify_trials is None:
-        verify_trials = inst.n + 3
     if rng is None:
         rng = random.Random(f"hpp-reduction:{inst.seed}")
     if stats is None:
         stats = SolveStats()
+    ctx, n = inst.ctx, inst.n
+    trials = n + 3
+
+    def solve_univariate(fixed: dict[int, Felt], free: int) -> UniPoly:
+        view = univariate_oracle_view(inst, fixed, free)
+        last_error = None
+        for attempt in range(repetitions):
+            if attempt:
+                stats.retries += 1
+            stats.univariate_solves += 1
+            try:
+                cand = uni_solver(view)
+            except RecoveryError as exc:
+                last_error = exc
+                continue
+            if cand.constant_term() != 0:
+                raise ValueError("univariate solvers must return zero constant term")
+            if view.verify_candidate(cand, trials, rng):
+                return cand
+            stats.verify_failures += 1
+        raise RecoveryError(
+            f"univariate solve failed {repetitions} times at fixed={fixed}, free={free}"
+            + (f" (last error: {last_error})" if last_error else "")
+        )
+
+    def solve_recursive(suffix: dict[int, Felt]) -> dict[tuple[int, ...], Felt]:
+        """Non-constant terms of Q restricted by the suffix assignment."""
+        last = inst.m - len(suffix) - 1  # position of the variable this level works on
+        # Origin slice: all earlier variables pinned to zero leaves a univariate
+        # problem in the last variable, giving the alpha = 0 coefficient polynomial.
+        origin = solve_univariate({**suffix, **{i: 0 for i in range(last)}}, last)
+        terms = {(0,) * last + (i,): c for i, c in enumerate(origin.coeffs) if i and c}
+        if last:
+            # Slices at n nonzero points drop to arity-1 subproblems; weighting
+            # each one's terms by its L_t interpolates every Q_alpha at once.
+            ts = slice_points(ctx, n)
+            for t, basis in zip(ts, _lagrange_basis(ctx, ts)):
+                for alpha, c in solve_recursive({**suffix, last: t}).items():
+                    for i, b in enumerate(basis):
+                        key = alpha + (i,)
+                        terms[key] = ctx.add(terms.get(key, 0), ctx.mul(c, b))
+            terms = {alpha: c for alpha, c in terms.items() if c}
+        # deg Q_alpha <= n - |alpha|: a sub-solve that slipped past
+        # verification shows up as a term above total degree n.
+        high = sorted(alpha for alpha in terms if sum(alpha) > n)
+        if high:
+            raise RecoveryError(f"inconsistent slice data: {high} exceed total degree {n}")
+        return terms
+
     before = stats.univariate_solves - stats.retries
-    result = _solve_recursive(
-        inst, {}, uni_solver, repetitions, verify_trials, rng, stats
-    )
+    result = multi_poly(ctx, inst.m, solve_recursive({}), degree_bound=n)
     # Every univariate subproblem is solved once plus its retries; stats may
     # carry counts from earlier calls.
     first_tries = stats.univariate_solves - stats.retries - before
@@ -263,7 +217,7 @@ def solve_multivariate(
             f"recovery solved {first_tries} univariate subproblems, expected "
             f"kappa = {kappa(inst.n, inst.m)}"
         )
-    if not verify_candidate(inst, result, trials=verify_trials, rng=rng):
+    if not verify_candidate(inst, result, trials=trials, rng=rng):
         raise RecoveryError("assembled polynomial failed full-instance verification")
     return result
 
@@ -292,33 +246,28 @@ def faulty_solver(error_rate: float, rng: random.Random):
 
 
 def _plan_node(ctx: FieldCtx, n: int, arity: int, suffix: dict[int, Felt]) -> dict:
-    if arity == 1:
-        return {
-            "kind": "univariate",
-            "free_variable": 1,
-            "fixed": {str(k + 1): v for k, v in sorted(suffix.items())},
-            "solves": "non-constant coefficients of the restricted polynomial",
-        }
     last = arity - 1
+    fixed = {**suffix, **{i: 0 for i in range(last)}}
     origin = {
         "kind": "univariate",
-        "free_variable": last + 1,
-        "fixed": {
-            str(k + 1): v
-            for k, v in sorted({**suffix, **{i: 0 for i in range(last)}}.items())
-        },
-        "solves": f"coefficient polynomial of X{last + 1} along the origin slice",
+        "free_variable": arity,
+        "fixed": {str(k + 1): v for k, v in sorted(fixed.items())},
+        "solves": f"coefficient polynomial of X{arity} along the origin slice"
+        if last
+        else "non-constant coefficients of the restricted polynomial",
     }
+    if not last:
+        return origin
     branches = [
         {
             "slice_point": t,
-            "subplan": _plan_node(ctx, n, arity - 1, {**suffix, last: t}),
+            "subplan": _plan_node(ctx, n, last, {**suffix, last: t}),
         }
         for t in slice_points(ctx, n)
     ]
     return {
         "kind": "split",
-        "variable": last + 1,
+        "variable": arity,
         "origin": origin,
         "branches": branches,
         "interpolation_degree_bounds": {

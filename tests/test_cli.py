@@ -284,7 +284,7 @@ def test_traced_cli_wraps_every_binding(tmp_path):
     solves = spans["pgm.solver"][0] - spans["reduction.univariate_oracle_view"][0]
     assert solves == retries
     # Every oracle evaluation is a metered HiddenInstance.query, and in this
-    # run every query is a verification query: verify_trials = n + 3 = 5 per
+    # run every query is a verification query: n + 3 = 5 queries per
     # verification, for the views and for the assembled polynomial alike.
     queries = spans["blackbox.query"][0]
     assert queries == sum(int(row["queries"]) for row in rows)

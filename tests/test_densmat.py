@@ -170,6 +170,20 @@ def test_direction_block_trace_and_marginals():
     for x, p in marg.items():
         assert abs(p - 1 / 9) < 1e-10
     assert abs(sum(marg.values()) - 1.0) < 1e-10
+    for x in ((0, 0), (1, 2), (2, 1)):
+        assert abs(np.trace(direction_block(F3, q, x)).real - marg[x]) < 1e-12, x
+
+
+def test_marginals_reach_the_pipeline_guard():
+    # one single-copy state serves all 625 directions of GF(5^2), n = 2
+    ctx = parse_field("5^2")
+    q = UniPoly(ctx, (0, 7, 3))
+    marg = x_marginals(ctx, q, 2)
+    assert len(marg) == 625
+    assert max(abs(p - 1 / 625) for p in marg.values()) < 1e-12
+    assert abs(np.trace(direction_block(ctx, q, (3, 17))).real - marg[3, 17]) < 1e-12
+    with pytest.raises(GuardExceededError):
+        x_marginals(ctx, q, 3)
 
 
 def test_two_copy_block_matches_fiber_reconstruction():

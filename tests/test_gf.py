@@ -166,7 +166,7 @@ def test_char2_squaring_is_bijective():
 
 
 def test_quadratic_roots_vs_brute_force():
-    for desc in ("3", "5", "7", "2^2", "2^3", "3^2"):
+    for desc in ("3", "5", "7", "2^2", "2^3", "2^4", "3^2"):
         ctx = parse_field(desc)
         for a2, a1, a0 in product(range(ctx.d), repeat=3):
             if a2 == 0 and a1 == 0:

@@ -137,6 +137,34 @@ def test_recovered_polynomial_matches_oracle_graph():
         assert eval_multi(cand, r) == eval_multi(inst.Q, r)
 
 
+def test_inconsistent_slice_data_is_a_recovery_error(monkeypatch):
+    # a wrong slice solve that passes verification makes some interpolated
+    # coefficient polynomial exceed its degree bound n - |alpha|
+    monkeypatch.setattr(UnivariateView, "verify_candidate", lambda *args: True)
+    inst = sample_instance(F7, 2, 2, seed="inconsistent")
+
+    def skewed(view):
+        good = perfect_solver(view)
+        if view.fixed != {1: 1}:
+            return good
+        coeffs = list(good.coeffs) + [0] * (3 - len(good.coeffs))
+        coeffs[2] = F7.add(coeffs[2], 1)
+        return UniPoly(F7, tuple(coeffs))
+
+    with pytest.raises(RecoveryError, match="inconsistent"):
+        solve_multivariate(inst, skewed)
+
+
+def test_univariate_recovery_needs_no_slice_points():
+    # with one variable there is no split, so d <= n is no obstacle
+    ctx = make_field(3)
+    q = multi_poly(ctx, 1, {(1,): 2, (2,): 1}, degree_bound=3)
+    inst = make_instance(ctx, q, 3, seed="uni")
+    with pytest.raises(ValueError):
+        slice_points(ctx, 3)
+    assert solve_multivariate(inst, perfect_solver) == q
+
+
 def test_retry_amplification_with_faulty_solver():
     # per-solve failure rate p^reps; verification always catches a corrupt
     # candidate because n + 3 distinct sample points exceed the degree bound
