@@ -9,7 +9,10 @@ to b_j^i.  S_w^x is the preimage of w and eta_w^x its cardinality.  The
 fibers partition F^n, so counts over w always sum to d^n.  Everything the
 measurement analysis needs, success probabilities, conditional outcome
 distributions, block structures, reduces to these counts, so this module
-computes them exactly (integer arithmetic throughout) by enumeration.
+computes them exactly (integer arithmetic throughout) by enumeration.  The
+enumerator reads every term x_j * b^i from the field's log and antilog
+tables (FieldCtx.log_tables), so one table costs a few numpy calls and no
+field multiplication; building the tables takes d - 2, once per field.
 
 Points of F^n are numbered by their big-endian base-d code (encode_point /
 decode_point), which is also lexicographic order; fiber tables are dense
@@ -42,7 +45,8 @@ import numpy as np
 from .errors import GuardExceededError, InvariantViolationError
 from .gf import Felt, FieldCtx, quadratic_roots
 
-# Largest d^n an enumeration call will attempt.
+# Most points (d^n for one table, d^(2n) for a pass over every direction) an
+# enumeration call will attempt.
 ENUMERATION_BUDGET = 10**8
 
 Point = tuple[Felt, ...]
@@ -147,10 +151,12 @@ def _check_n(n: int) -> None:
         raise ValueError(f"n must be at least 1, got {n}")
 
 
-def _check_enum_budget(d: int, n: int) -> None:
-    if d**n > ENUMERATION_BUDGET:
+def _check_enum_budget(d: int, exponent: int) -> None:
+    """Refuse an enumeration of d^exponent points above ENUMERATION_BUDGET."""
+    if d**exponent > ENUMERATION_BUDGET:
         raise GuardExceededError(
-            f"enumeration over d^n = {d}^{n} exceeds the budget of {ENUMERATION_BUDGET}"
+            f"enumeration over {d}^{exponent} = {d**exponent} points exceeds the "
+            f"budget of {ENUMERATION_BUDGET}"
         )
 
 
@@ -158,29 +164,30 @@ def _w_codes(ctx: FieldCtx, x: Point, rows: int) -> np.ndarray:
     """encode_point code of w = Phi(b) @ x, with `rows` power levels, for
     every b in F^len(x) in lexicographic order.
 
-    Field addition is digit-wise addition mod p, so the per-column terms
-    x_j * b^(i+1) are computed once per element with FieldCtx.mul, split
-    into base-p digits and summed over a broadcast grid of all b.  A prime
-    field is the one-digit case.  Exact int64 arithmetic throughout.
+    Each term x_j * b^(i+1) is one lookup in the field's antilog table, at
+    (log x_j + (i+1) * log b) mod (d - 1), or at the zero index when x_j or b
+    is zero.  Field addition is digit-wise addition mod p, so the terms are
+    split into base-p digits, each coordinate's digits are summed over one
+    broadcast grid of all b and reduced mod p in place, and one product with
+    the place weights p^t * d^(rows-1-i) of digit t of w_i gives the codes.
+    A prime field is the one-digit case.  Exact int64 arithmetic throughout.
     """
-    d, p, k = ctx.d, ctx.p, len(x)
-    powers = [[1] * d]
-    for _ in range(rows):
-        powers.append([ctx.mul(pw, b) for b, pw in enumerate(powers[-1])])
-    # terms[i, j, b] = x_j * b^(i+1)
-    terms = np.array(
-        [[[ctx.mul(xj, pw) for pw in powers[i + 1]] for xj in x] for i in range(rows)],
-        dtype=np.int64,
-    )
-    place = p ** np.arange(ctx.e, dtype=np.int64)
-    digits = terms[..., None] // place % p
-    comps = []
-    for i in range(rows):
-        acc = np.zeros((d,) * k + (ctx.e,), dtype=np.int64)
-        for j in range(k):
-            acc = acc + digits[i, j].reshape((1,) * j + (d,) + (1,) * (k - 1 - j) + (-1,))
-        comps.append(acc % p @ place)
-    return np.ravel(encode_point(comps, d))
+    d, p, e, k = ctx.d, ctx.p, ctx.e, len(x)
+    log, exp = ctx.log_tables
+    xs = np.asarray(x, dtype=np.int64)
+    levels = np.arange(1, rows + 1, dtype=np.int64)[:, None]
+    # idx[j, i, b] indexes x_j * b^(i+1) in exp; d - 1 is the zero element.
+    idx = (log[xs][:, None, None] + levels * log) % (d - 1)
+    idx[:, :, 0] = d - 1
+    idx[xs == 0] = d - 1
+    place = p ** np.arange(e, dtype=np.int64)
+    digits = (exp[idx][:, :, None, :] // place[:, None] % p).reshape(k, rows * e, d)
+    acc = 0
+    for j in range(k):
+        acc = acc + digits[j].reshape((-1,) + (1,) * j + (d,) + (1,) * (k - 1 - j))
+    acc %= p
+    weights = d ** (rows - levels) * place
+    return weights.ravel() @ acc.reshape(rows * e, -1)
 
 
 def eta_table(ctx: FieldCtx, x: Sequence[Felt]) -> EtaTable:

@@ -34,6 +34,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .errors import GuardExceededError, InvariantViolationError
 
 # Largest field the integer-encoded representation will agree to build.
@@ -198,6 +200,31 @@ class FieldCtx:
         if table is not None:
             return table[a * self.d + b]
         return self._mul_poly(a, b)
+
+    @cached_property
+    def log_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """(log, exp) for the first primitive element g, as read-only int64
+        arrays of length d: exp[k] = g^k for k < d - 1 and log[exp[k]] = k,
+        so a * b = exp[(log[a] + log[b]) % (d - 1)] for nonzero a, b.  Index
+        d - 1 stands for zero (exp[d - 1] = 0, log[0] = d - 1), which keeps
+        exp[log[a]] = a for every a; products with zero are the caller's.
+
+        g is the first element with g^((d-1)/q) != 1 for every prime q
+        dividing d - 1, and exp takes d - 2 multiplications by g.
+        """
+        order = self.d - 1
+        primes = [q for q in range(2, order + 1) if order % q == 0 and _is_prime(q)]
+        g = next(
+            a for a in range(1, self.d) if all(self.pow(a, order // q) != 1 for q in primes)
+        )
+        powers = [1]
+        for _ in range(order - 1):
+            powers.append(self.mul(powers[-1], g))
+        exp = np.array(powers + [0], dtype=np.int64)
+        log = np.empty(self.d, dtype=np.int64)
+        log[exp] = np.arange(self.d)
+        log.flags.writeable = exp.flags.writeable = False
+        return log, exp
 
     def pow(self, a: Felt, k: int) -> Felt:
         if k < 0:

@@ -27,8 +27,9 @@ each row once then gives the correctly rounded exact sum: the same floats
 as summing the characters term by term with math.fsum.  Each law and its
 cumulative distribution are cached on the fiber table they come from.
 
-Scalar probability accumulations run through math.fsum (compensated
-summation), keeping results stable to well below the 1e-9 test tolerances.
+The success sums are correctly rounded as well: each inner sum
+sum_w sqrt(eta_w) is an exact integer over the histogram of fiber sizes,
+rounded once (_sqrt_sum), and the outer sums over x run through math.fsum.
 """
 
 from __future__ import annotations
@@ -73,7 +74,18 @@ MAX_SOLVER_DRAWS = 10_000
 
 
 def _sqrt_sum(etas: np.ndarray) -> float:
-    return math.fsum(np.sqrt(etas).tolist())
+    """Sum of sqrt(eta) over a nonnegative integer array, correctly rounded.
+
+    Each size k >= 1 has sqrt(k) >= 1, a float that is an integer multiple
+    of 2^-52, so the sum over the histogram of count_k * sqrt(k) * 2^52 is
+    an exact integer; int/int true division rounds it once, to the float
+    math.fsum returns over the expanded entries.  The histogram has
+    max(etas) + 1 bins, at most d^n + 1 for a fiber table.
+    """
+    hist = np.bincount(etas)
+    sizes = hist.nonzero()[0]
+    roots = (np.sqrt(sizes) * 2.0**52).tolist()
+    return sum(map(int.__mul__, hist[sizes].tolist(), map(int, roots))) / 2**52
 
 
 def _success_sums(

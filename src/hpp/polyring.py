@@ -16,7 +16,7 @@ term costs one multiplication per factor and no exponentiation.
 The Lagrange basis L_i = prod_{j != i} (X - t_j) / (t_i - t_j) over a set of
 abscissae is built in one place, _lagrange_basis.  lagrange_interpolate sums
 y_i * L_i; the reduction weights whole coefficient maps by the same basis,
-so it interpolates every coefficient polynomial from one basis per split.
+so it interpolates every coefficient polynomial from one basis per recovery.
 """
 
 from __future__ import annotations

@@ -8,10 +8,10 @@ problem.  Otherwise n more slices at distinct nonzero points t_1..t_n reduce
 to (m-1)-variate problems whose solutions evaluate every remaining
 coefficient polynomial Q_alpha at the t_j.  Interpolation is
 polynomial-valued: each slice's {alpha: coeff} map is weighted by its
-Lagrange basis polynomial L_j, built once per split over t_1..t_n, and the
-weighted maps are summed, which reconstructs every Q_alpha in one pass.  The
-degree bound deg Q_alpha <= n - |alpha| becomes "no term above total degree
-n", and the assembled terms make a single MultiPoly.
+Lagrange basis polynomial L_j over t_1..t_n, built once per recovery, and
+the weighted maps are summed, which reconstructs every Q_alpha in one pass.
+The degree bound deg Q_alpha <= n - |alpha| becomes "no term above total
+degree n", and the assembled terms make a single MultiPoly.
 
 Restricting the oracle shifts the hidden polynomial by a constant (the value
 of the discarded terms at the fixed point).  That constant is invisible to
@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 from .blackbox import HiddenInstance, verify_candidate
 from .errors import InvariantViolationError, RecoveryError
@@ -183,6 +183,12 @@ def solve_multivariate(
             + (f" (last error: {last_error})" if last_error else "")
         )
 
+    @cache
+    def slice_basis() -> list[tuple[Felt, list[Felt]]]:
+        """(t, L_t) for each slice point, built at the first split and shared."""
+        ts = slice_points(ctx, n)
+        return list(zip(ts, _lagrange_basis(ctx, ts)))
+
     def solve_recursive(suffix: dict[int, Felt]) -> dict[tuple[int, ...], Felt]:
         """Non-constant terms of Q restricted by the suffix assignment."""
         last = inst.m - len(suffix) - 1  # position of the variable this level works on
@@ -193,8 +199,7 @@ def solve_multivariate(
         if last:
             # Slices at n nonzero points drop to arity-1 subproblems; weighting
             # each one's terms by its L_t interpolates every Q_alpha at once.
-            ts = slice_points(ctx, n)
-            for t, basis in zip(ts, _lagrange_basis(ctx, ts)):
+            for t, basis in slice_basis():
                 for alpha, c in solve_recursive({**suffix, last: t}).items():
                     for i, b in enumerate(basis):
                         key = alpha + (i,)

@@ -60,6 +60,12 @@ def test_field_guard_maps_to_exit_3(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_enumeration_guard_names_the_checked_point_count(capsys):
+    # A success pass enumerates d^(2n) points, not d^n.
+    assert main(["success", "--field", "101", "-n", "3"]) == 3
+    assert "101^6 = 1061520150601 points" in capsys.readouterr().err
+
+
 def test_bad_field_string_is_a_usage_error(capsys):
     assert main(["eta", "--field", "6", "-n", "1", "--moments"]) == 2
     assert "error:" in capsys.readouterr().err

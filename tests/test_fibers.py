@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from hpp.errors import GuardExceededError, InvariantViolationError
 from hpp.fibers import (
     Analysis,
+    _w_codes,
     apply_map,
     brute_fiber,
     decode_point,
@@ -26,7 +27,7 @@ from hpp.fibers import (
     solve_n2_triangular,
     write_eta_csv,
 )
-from hpp.gf import make_field, parse_field
+from hpp.gf import FieldCtx, make_field, parse_field
 from hpp.pgm import success_report
 
 F3 = make_field(3)
@@ -75,17 +76,79 @@ def test_eta_table_solutions_consistent():
 
 
 def test_enumerator_matches_literal_apply_map():
-    # The literal oracle: evaluate Phi(b) @ x point by point.
-    cases = (("3", 2), ("5", 2), ("7", 2), ("2^2", 2), ("2^3", 2), ("3^2", 2), ("5", 3))
-    for desc, n in cases:
+    # The literal oracle: evaluate Phi(b) @ x point by point.  GF(2) is the
+    # d - 1 = 1 edge of the log table; GF(5^2) checks every 37th direction.
+    cases = (
+        ("2", 2, 1),
+        ("3", 2, 1),
+        ("5", 2, 1),
+        ("7", 2, 1),
+        ("2^2", 2, 1),
+        ("2^3", 2, 1),
+        ("3^2", 2, 1),
+        ("5^2", 2, 37),
+        ("5", 3, 1),
+    )
+    for desc, n, stride in cases:
         ctx = parse_field(desc)
-        for x in product(range(ctx.d), repeat=n):
+        for x in list(product(range(ctx.d), repeat=n))[::stride]:
             fibers = {}
             for b in product(range(ctx.d), repeat=n):
                 fibers.setdefault(apply_map(ctx, x, b), []).append(b)
             table = eta_table(ctx, x)
             assert dict(table.items()) == {w: len(bs) for w, bs in fibers.items()}, (desc, x)
             assert table.solutions == fibers, (desc, x)
+
+
+def test_enumerator_with_fewer_copies_than_power_rows():
+    # eta_moments(k < n) enumerates k copies against n power rows.
+    for desc, k, rows in (("7", 1, 3), ("13", 1, 2), ("3^2", 2, 3), ("2^3", 2, 4), ("2", 1, 3)):
+        ctx = parse_field(desc)
+        for x in product(range(ctx.d), repeat=k):
+            expected = [
+                encode_point(apply_map(ctx, x, b, rows=rows), ctx.d)
+                for b in product(range(ctx.d), repeat=k)
+            ]
+            assert _w_codes(ctx, x, rows).tolist() == expected, (desc, x, rows)
+
+
+def test_log_tables_reproduce_field_multiplication():
+    for desc in ("2", "13", "2^4", "3^3", "7^2", "2^10"):
+        ctx = parse_field(desc)
+        log, exp = ctx.log_tables
+        d = ctx.d
+        # exp runs through every nonzero element once, then zero at d - 1.
+        assert sorted(exp[:-1].tolist()) == list(range(1, d)) and exp[-1] == 0
+        assert exp[log].tolist() == list(range(d))
+        if d <= 64:
+            pairs = list(product(range(d), repeat=2))
+        else:  # above _MUL_TABLE_LIMIT: mul multiplies polynomials
+            rng = random.Random(f"log-tables:{desc}")
+            pairs = [(rng.randrange(d), rng.randrange(d)) for _ in range(3000)]
+            pairs += [(0, 5), (7, 0), (1, d - 1)]
+        for a, b in pairs:
+            via_logs = int(exp[(log[a] + log[b]) % (d - 1)]) if a and b else 0
+            assert via_logs == ctx.mul(a, b), (desc, a, b)
+
+
+def test_enumeration_pass_multiplies_only_to_build_the_log_tables(monkeypatch):
+    calls = []
+    real = FieldCtx.mul
+
+    def counting(self, a, b):
+        calls.append(1)
+        return real(self, a, b)
+
+    monkeypatch.setattr(FieldCtx, "mul", counting)
+    for desc in ("13", "3^2", "2^3"):
+        ctx = parse_field(desc)  # a fresh context, so the tables are built here
+        calls.clear()
+        tables = list(iter_eta_tables(ctx, 2))
+        assert len(tables) == ctx.d**2
+        assert len(calls) <= 3 * ctx.d, (desc, len(calls))
+        calls.clear()
+        list(iter_eta_tables(ctx, 2))
+        assert not calls, desc
 
 
 @given(data=st.data())
@@ -116,9 +179,13 @@ def test_partition_check_raises_on_corruption():
 
 
 def test_enumeration_budget_guard():
+    # The message names the exponent that was checked: 2n for a full pass,
+    # k + n for the moments.
     big = make_field(1021)
-    with pytest.raises(GuardExceededError):
+    with pytest.raises(GuardExceededError, match=rf"1021\^8 = {1021**8} points"):
         next(iter_eta_tables(big, 4))
+    with pytest.raises(GuardExceededError, match=rf"1021\^5 = {1021**5} points"):
+        eta_moments(big, 3, k=2)
 
 
 def test_brute_fiber_matches_table():

@@ -26,6 +26,7 @@ from hpp.pgm import (
     _delta_distribution,
     _exact_row_sums,
     _outcome_law,
+    _sqrt_sum,
     approx_success,
     corollary_bound,
     ideal_success,
@@ -341,6 +342,28 @@ def test_grouped_row_sums_equal_fsum_of_expanded_terms(nrows, nvalues, rnd):
         for c in range(2):
             terms = [v[c] for v, k in zip(values, counts) for _ in range(k)]
             assert sums[r, c] == math.fsum(terms), (r, c)
+
+
+def test_sqrt_sum_equals_fsum_of_expanded_roots():
+    def fsum_roots(a):
+        return math.fsum(np.sqrt(a).tolist())
+
+    rng = np.random.default_rng(20260)
+    for _ in range(2000):
+        top = int(rng.choice([1, 4, 30, 10**4]))
+        a = rng.integers(0, top + 1, size=int(rng.integers(0, 3000)))
+        assert _sqrt_sum(a) == fsum_roots(a), a
+    # All-zero and empty arrays, and the single fiber of size d^n at x = 0.
+    for a in (np.zeros(0, np.int64), np.zeros(49, np.int64), eta_table(F7, (0, 0)).counts):
+        assert _sqrt_sum(a) == fsum_roots(a)
+    # The full tables and the masked good-target slices success_report sums.
+    for ctx, analysis in ((F7, Analysis.FIRST), (parse_field("3^2"), Analysis.SECOND)):
+        good = good_sets(ctx, 2, analysis)
+        for table in iter_eta_tables(ctx, 2):
+            assert _sqrt_sum(table.counts) == fsum_roots(table.counts), table.x
+            if good.x_good(table.x):
+                masked = table.counts[good.w_good(table.x, table.counts)]
+                assert _sqrt_sum(masked) == fsum_roots(masked), table.x
 
 
 def test_grouped_row_sums_refuse_row_counts_of_2_to_the_26():

@@ -165,6 +165,24 @@ def test_univariate_recovery_needs_no_slice_points():
     assert solve_multivariate(inst, perfect_solver) == q
 
 
+def test_lagrange_basis_is_built_once_per_recovery(monkeypatch):
+    import hpp.reduction
+
+    built = []
+    real = hpp.reduction._lagrange_basis
+
+    def counting(ctx, ts):
+        built.append(tuple(ts))
+        return real(ctx, ts)
+
+    monkeypatch.setattr(hpp.reduction, "_lagrange_basis", counting)
+    for m, splits in ((1, 0), (2, 1), (4, 1)):
+        built.clear()
+        inst = sample_instance(F7, m, 2, seed=f"basis:{m}")
+        assert solve_multivariate(inst, perfect_solver) == inst.Q
+        assert built == [(1, 2)] * splits, m
+
+
 def test_retry_amplification_with_faulty_solver():
     # per-solve failure rate p^reps; verification always catches a corrupt
     # candidate because n + 3 distinct sample points exceed the degree bound
