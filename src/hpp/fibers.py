@@ -178,8 +178,10 @@ def _w_codes(ctx: FieldCtx, x: Point, rows: int) -> np.ndarray:
     levels = np.arange(1, rows + 1, dtype=np.int64)[:, None]
     # idx[j, i, b] indexes x_j * b^(i+1) in exp; d - 1 is the zero element.
     idx = (log[xs][:, None, None] + levels * log) % (d - 1)
-    idx[:, :, 0] = d - 1
-    idx[xs == 0] = d - 1
+    idx[:, :, 0] = d - 1  # b = 0
+    for j, xj in enumerate(x):
+        if xj == 0:
+            idx[j] = d - 1
     place = p ** np.arange(e, dtype=np.int64)
     digits = (exp[idx][:, :, None, :] // place[:, None] % p).reshape(k, rows * e, d)
     acc = 0
