@@ -76,16 +76,18 @@ MAX_SOLVER_DRAWS = 10_000
 def _sqrt_sum(etas: np.ndarray) -> float:
     """Sum of sqrt(eta) over a nonnegative integer array, correctly rounded.
 
-    Each size k >= 1 has sqrt(k) >= 1, a float that is an integer multiple
-    of 2^-52, so the sum over the histogram of count_k * sqrt(k) * 2^52 is
-    an exact integer; int/int true division rounds it once, to the float
-    math.fsum returns over the expanded entries.  The histogram has
-    max(etas) + 1 bins, at most d^n + 1 for a fiber table.
+    Each size k >= 1 has sqrt(k) >= 1 (math.sqrt rounds correctly, as
+    np.sqrt does), a float that is an integer multiple of 2^-52, so the sum
+    over the histogram of count_k * sqrt(k) * 2^52 is an exact integer;
+    int/int true division rounds it once, to the float math.fsum returns
+    over the expanded entries.  The histogram has max(etas) + 1 bins, at
+    most d^n + 1 for a fiber table.
     """
     hist = np.bincount(etas)
-    sizes = hist.nonzero()[0]
-    roots = (np.sqrt(sizes) * 2.0**52).tolist()
-    return sum(map(int.__mul__, hist[sizes].tolist(), map(int, roots))) / 2**52
+    sizes = np.flatnonzero(hist)
+    return sum(
+        c * int(math.sqrt(k) * 2.0**52) for k, c in zip(sizes.tolist(), hist[sizes].tolist())
+    ) / 2**52
 
 
 def _success_sums(

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 
 from .blackbox import HiddenInstance, verify_candidate
 from .errors import InvariantViolationError, RecoveryError
@@ -183,11 +183,7 @@ def solve_multivariate(
             + (f" (last error: {last_error})" if last_error else "")
         )
 
-    @cache
-    def slice_basis() -> list[tuple[Felt, list[Felt]]]:
-        """(t, L_t) for each slice point, built at the first split and shared."""
-        ts = slice_points(ctx, n)
-        return list(zip(ts, _lagrange_basis(ctx, ts)))
+    slices: list[tuple[Felt, list[Felt]]] = []  # (t, L_t), built at the first split
 
     def solve_recursive(suffix: dict[int, Felt]) -> dict[tuple[int, ...], Felt]:
         """Non-constant terms of Q restricted by the suffix assignment."""
@@ -199,7 +195,10 @@ def solve_multivariate(
         if last:
             # Slices at n nonzero points drop to arity-1 subproblems; weighting
             # each one's terms by its L_t interpolates every Q_alpha at once.
-            for t, basis in slice_basis():
+            if not slices:
+                ts = slice_points(ctx, n)
+                slices.extend(zip(ts, _lagrange_basis(ctx, ts)))
+            for t, basis in slices:
                 for alpha, c in solve_recursive({**suffix, last: t}).items():
                     for i, b in enumerate(basis):
                         key = alpha + (i,)
