@@ -3,11 +3,14 @@
 A field element is a single integer in [0, p^e).  Its base-p digits, least
 significant first, are the coefficients of the element in the polynomial
 basis {1, t, ..., t^(e-1)}.  Prime fields (e = 1) are plain modular
-arithmetic; extension fields multiply coefficient vectors and reduce modulo
-a fixed monic irreducible polynomial.  The modulus is chosen
-deterministically (smallest integer encoding among monic irreducibles of
-degree e), so two contexts built from the same (p, e) are interchangeable
-and results are reproducible across runs and machines.
+arithmetic.  Extension fields multiply, invert and raise to powers through
+discrete-log and antilog tables of the first primitive element
+(FieldCtx.log_tables); the one polynomial product, which reduces modulo a
+fixed monic irreducible polynomial, builds those tables.  The modulus is
+chosen deterministically (smallest integer encoding among monic irreducibles
+of degree e), so two contexts built from the same (p, e) are interchangeable
+and results are reproducible across runs and machines.  Square roots read
+the same tables on every field.
 
 The absolute trace Tr(a) = a + a^p + ... + a^(p^(e-1)) lands in the prime
 subfield, i.e. in [0, p).  It is GF(p)-linear, so each context computes
@@ -40,9 +43,6 @@ from .errors import GuardExceededError, InvariantViolationError
 
 # Largest field the integer-encoded representation will agree to build.
 MAX_FIELD_SIZE = 1 << 20
-
-# Extension fields at or below this order get a cached multiplication table.
-_MUL_TABLE_LIMIT = 512
 
 Felt = int
 CharValue = complex
@@ -177,12 +177,6 @@ class FieldCtx:
     def sub(self, a: Felt, b: Felt) -> Felt:
         return self.add(a, self.neg(b))
 
-    @cached_property
-    def _mul_table(self) -> list[int] | None:
-        if self.e == 1 or self.d > _MUL_TABLE_LIMIT:
-            return None
-        return [self._mul_poly(a, b) for a in range(self.d) for b in range(self.d)]
-
     def _mul_poly(self, a: Felt, b: Felt) -> Felt:
         p = self.p
         da, db = self.digits(a), self.digits(b)
@@ -196,10 +190,10 @@ class FieldCtx:
     def mul(self, a: Felt, b: Felt) -> Felt:
         if self.e == 1:
             return (a * b) % self.p
-        table = self._mul_table
-        if table is not None:
-            return table[a * self.d + b]
-        return self._mul_poly(a, b)
+        if a == 0 or b == 0:
+            return 0
+        log, exp = self._log_lists
+        return exp[(log[a] + log[b]) % (self.d - 1)]
 
     @cached_property
     def log_tables(self) -> tuple[np.ndarray, np.ndarray]:
@@ -209,35 +203,46 @@ class FieldCtx:
         d - 1 stands for zero (exp[d - 1] = 0, log[0] = d - 1), which keeps
         exp[log[a]] = a for every a; products with zero are the caller's.
 
-        g is the first element with g^((d-1)/q) != 1 for every prime q
-        dividing d - 1, and exp takes d - 2 multiplications by g.
+        g is the first element of order d - 1: the powers of 1, 2, ... are
+        walked in turn, skipping elements some earlier walk reached (their
+        order divides its order), until a walk meets d - 1 distinct powers.
+        Prime fields step with a * g % p; extension fields step with
+        _mul_poly, because their mul reads these tables.
         """
-        order = self.d - 1
-        primes = [q for q in range(2, order + 1) if order % q == 0 and _is_prime(q)]
-        g = next(
-            a for a in range(1, self.d) if all(self.pow(a, order // q) != 1 for q in primes)
-        )
-        powers = [1]
-        for _ in range(order - 1):
-            powers.append(self.mul(powers[-1], g))
+        d = self.d
+        step = self._mul_poly if self.e > 1 else lambda a, b: a * b % d
+        seen: set[int] = set()
+        for g in range(1, d):
+            if g in seen:
+                continue
+            powers, x = [1], g
+            while x != 1:
+                powers.append(x)
+                x = step(x, g)
+            if len(powers) == d - 1:
+                break
+            seen.update(powers)
         exp = np.array(powers + [0], dtype=np.int64)
-        log = np.empty(self.d, dtype=np.int64)
-        log[exp] = np.arange(self.d)
+        log = np.empty(d, dtype=np.int64)
+        log[exp] = np.arange(d)
         log.flags.writeable = exp.flags.writeable = False
         return log, exp
+
+    @cached_property
+    def _log_lists(self) -> tuple[list[int], list[int]]:
+        """log_tables as lists of ints, for element-at-a-time arithmetic."""
+        log, exp = self.log_tables
+        return log.tolist(), exp.tolist()
 
     def pow(self, a: Felt, k: int) -> Felt:
         if k < 0:
             return self.pow(self.inv(a), -k)
         if self.e == 1:
             return pow(a, k, self.p)
-        out, base = 1, a
-        while k:
-            if k & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
-            k >>= 1
-        return out
+        if a == 0:
+            return 0 if k else 1
+        log, exp = self._log_lists
+        return exp[log[a] * k % (self.d - 1)]
 
     def inv(self, a: Felt) -> Felt:
         if a == 0:
@@ -282,16 +287,15 @@ class FieldCtx:
 
 def make_field(p: int, e: int = 1) -> FieldCtx:
     """Build GF(p^e) with the canonical modulus; errors on bad or oversized input."""
-    if not _is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
     if e < 1:
         raise ValueError(f"extension degree must be >= 1, got {e}")
-    d = p**e
-    if d > MAX_FIELD_SIZE:
-        raise GuardExceededError(
-            f"field size {p}^{e} = {d} exceeds the cap of {MAX_FIELD_SIZE}"
-        )
-    return FieldCtx(p=p, e=e, modulus=_find_modulus(p, e), d=d)
+    # The cap comes before the primality test and p**e, which take too long
+    # for huge p or e; p >= 2 with e at the cap's bit length is past it.
+    if p >= 2 and (e >= MAX_FIELD_SIZE.bit_length() or p**e > MAX_FIELD_SIZE):
+        raise GuardExceededError(f"field size {p}^{e} exceeds the cap of {MAX_FIELD_SIZE}")
+    if not _is_prime(p):
+        raise ValueError(f"p must be prime, got {p}")
+    return FieldCtx(p=p, e=e, modulus=_find_modulus(p, e), d=p**e)
 
 
 def parse_field(descriptor: str) -> FieldCtx:
@@ -337,49 +341,21 @@ def dot(ctx: FieldCtx, v: Sequence[Felt], w: Sequence[Felt]) -> Felt:
 # -- square roots and quadratics ---------------------------------------------
 
 
-def _tonelli_shanks(ctx: FieldCtx, a: Felt) -> Felt:
-    """One square root of a known residue in a field of odd order."""
-    q1 = ctx.d - 1
-    s = 0
-    t = q1
-    while t % 2 == 0:
-        t //= 2
-        s += 1
-    minus_one = ctx.neg(1)
-    z = next(
-        c for c in range(2, ctx.d) if ctx.pow(c, q1 // 2) == minus_one
-    )  # deterministic scan keeps results reproducible
-    m = s
-    c = ctx.pow(z, t)
-    u = ctx.pow(a, t)
-    r = ctx.pow(a, (t + 1) // 2)
-    while u != 1:
-        i = 0
-        probe = u
-        while probe != 1:
-            probe = ctx.mul(probe, probe)
-            i += 1
-        b = c
-        for _ in range(m - i - 1):
-            b = ctx.mul(b, b)
-        m = i
-        c = ctx.mul(b, b)
-        u = ctx.mul(u, c)
-        r = ctx.mul(r, b)
-    return r
-
-
 def sqrt_elem(ctx: FieldCtx, a: Felt) -> list[Felt]:
-    """All square roots of a, sorted; empty when a is a non-residue."""
+    """All square roots of a, sorted; empty when a is a non-residue.
+
+    With a = g^k, g^(k/2) is a root for even k.  For odd k a is a square
+    only when d is even: then d - 1 is odd and g^((k + d - 1)/2) is the one
+    root, since squaring is the Frobenius there.
+    """
     ctx.check(a)
     if a == 0:
         return [0]
-    if ctx.p == 2:
-        # Squaring is the Frobenius, a bijection: the unique root is a^(d/2).
-        return [ctx.pow(a, ctx.d // 2)]
-    if ctx.pow(a, (ctx.d - 1) // 2) != 1:
+    log, exp = ctx._log_lists
+    k = log[a]
+    if k % 2 and ctx.d % 2:
         return []
-    r = _tonelli_shanks(ctx, a)
+    r = exp[(k + k % 2 * (ctx.d - 1)) // 2]
     return sorted({r, ctx.neg(r)})
 
 
@@ -405,8 +381,8 @@ def quadratic_roots(ctx: FieldCtx, a2: Felt, a1: Felt, a0: Felt) -> list[Felt]:
     """Distinct roots in F of a2*T^2 + a1*T + a0, sorted.
 
     Handles the degenerate linear case a2 = 0 as long as a1 != 0.  Odd
-    characteristic goes through the discriminant and a Tonelli-Shanks square
-    root; characteristic 2 substitutes T = (a1/a2)*U to reach U^2 + U = delta,
+    characteristic goes through the discriminant and its square roots;
+    characteristic 2 substitutes T = (a1/a2)*U to reach U^2 + U = delta,
     which has solutions exactly when Tr(delta) = 0.
     """
     for c in (a2, a1, a0):
@@ -424,7 +400,7 @@ def quadratic_roots(ctx: FieldCtx, a2: Felt, a1: Felt, a0: Felt) -> list[Felt]:
         inv_2a = ctx.inv(ctx.mul(2 % ctx.p, a2))
         return sorted({ctx.mul(ctx.add(ctx.neg(a1), r), inv_2a) for r in droots})
     if a1 == 0:
-        return [ctx.pow(ctx.mul(a0, ctx.inv(a2)), ctx.d // 2)]
+        return sqrt_elem(ctx, ctx.div(a0, a2))
     delta = ctx.mul(ctx.mul(a0, a2), ctx.inv(ctx.mul(a1, a1)))
     if trace(ctx, delta) != 0:
         return []

@@ -58,6 +58,22 @@ def test_eta_table_to_stdout_is_a_usage_error():
 def test_field_guard_maps_to_exit_3(capsys):
     assert main(["eta", "--field", "2^21", "-n", "1", "--moments"]) == 3
     assert "error:" in capsys.readouterr().err
+    # A huge prime and a huge exponent must meet the cap before a primality
+    # test or p**e; a child process with a timeout turns a hang into a failure.
+    root = Path(__file__).resolve().parents[1]
+    path = filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    for field in ("1000000000000000003", "3^99999999999"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "hpp.cli", "plan", "--field", field, "-n", "2", "-m", "1"],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=20,
+        )
+        assert proc.returncode == 3, (field, proc.stderr)
+        assert proc.stderr.startswith("error: field size ") and proc.stderr.count("\n") == 1
+        assert proc.stderr.endswith(" exceeds the cap of 1048576\n"), proc.stderr
 
 
 def test_enumeration_guard_names_the_checked_point_count(capsys):

@@ -113,33 +113,41 @@ def test_enumerator_with_fewer_copies_than_power_rows():
 
 
 def test_log_tables_reproduce_field_multiplication():
-    for desc in ("2", "13", "2^4", "3^3", "7^2", "2^10"):
+    # Against the polynomial product: mul itself reads these tables.
+    for desc in ("2", "13", "2^4", "3^3", "7^2", "3^5", "2^9", "2^10"):
         ctx = parse_field(desc)
         log, exp = ctx.log_tables
         d = ctx.d
         # exp runs through every nonzero element once, then zero at d - 1.
         assert sorted(exp[:-1].tolist()) == list(range(1, d)) and exp[-1] == 0
         assert exp[log].tolist() == list(range(d))
+        # The generator exp[1] is the first element of order d - 1.
+        for a in range(1, int(exp[1]) if d > 2 else 1):
+            x, order = a, 1
+            while x != 1:
+                x, order = ctx._mul_poly(x, a), order + 1
+            assert order < d - 1, (desc, a)
         if d <= 64:
             pairs = list(product(range(d), repeat=2))
-        else:  # above _MUL_TABLE_LIMIT: mul multiplies polynomials
+        else:
             rng = random.Random(f"log-tables:{desc}")
             pairs = [(rng.randrange(d), rng.randrange(d)) for _ in range(3000)]
             pairs += [(0, 5), (7, 0), (1, d - 1)]
         for a, b in pairs:
             via_logs = int(exp[(log[a] + log[b]) % (d - 1)]) if a and b else 0
-            assert via_logs == ctx.mul(a, b), (desc, a, b)
+            assert via_logs == ctx._mul_poly(a, b), (desc, a, b)
 
 
 def test_enumeration_pass_multiplies_only_to_build_the_log_tables(monkeypatch):
     calls = []
-    real = FieldCtx.mul
+    for name in ("mul", "_mul_poly"):
+        real = getattr(FieldCtx, name)
 
-    def counting(self, a, b):
-        calls.append(1)
-        return real(self, a, b)
+        def counting(self, a, b, real=real):
+            calls.append(1)
+            return real(self, a, b)
 
-    monkeypatch.setattr(FieldCtx, "mul", counting)
+        monkeypatch.setattr(FieldCtx, name, counting)
     for desc in ("13", "3^2", "2^3"):
         ctx = parse_field(desc)  # a fresh context, so the tables are built here
         calls.clear()

@@ -39,6 +39,11 @@ def test_rejects_non_prime_and_oversize():
         parse_field("6^2")
     with pytest.raises(GuardExceededError):
         parse_field("2^21")
+    # Both are refused by the size cap before a primality test or p**e runs.
+    with pytest.raises(GuardExceededError):
+        parse_field("1000000000000000003")
+    with pytest.raises(GuardExceededError):
+        parse_field("3^99999999999")
 
 
 def test_deterministic_moduli():
@@ -149,11 +154,67 @@ def test_dot_product():
 
 
 def test_sqrt_vs_brute_force():
-    for desc in ("3", "5", "7", "13", "2^2", "2^3", "3^2"):
+    for desc in ("3", "5", "7", "13", "2^2", "2^3", "3^2", "2^4", "3^3", "5^2", "7^2"):
         ctx = parse_field(desc)
         for a in range(ctx.d):
-            want = sorted(t for t in range(ctx.d) if ctx.mul(t, t) == a)
+            want = sorted(t for t in range(ctx.d) if ctx._mul_poly(t, t) == a)
             assert sqrt_elem(ctx, a) == want, (desc, a)
+
+
+def _pow_poly(ctx, a, k):
+    """a^k by square-and-multiply over the polynomial product, k >= 0."""
+    out = 1
+    while k:
+        if k & 1:
+            out = ctx._mul_poly(out, a)
+        a = ctx._mul_poly(a, a)
+        k >>= 1
+    return out
+
+
+@pytest.mark.parametrize("desc", ["2^4", "3^3", "5^2", "2^9"])
+def test_table_arithmetic_matches_square_and_multiply(desc):
+    ctx = parse_field(desc)
+    d = ctx.d
+    rng = random.Random(f"table-arithmetic:{desc}")
+    elements = range(d) if d <= 32 else [0, 1, d - 1, *rng.sample(range(2, d - 1), 40)]
+    exponents = [0, 1, 2, 3, d - 2, d - 1, d, d + 1, 2 * d + 5, rng.randrange(d**2)]
+    for a in elements:
+        for k in exponents:
+            assert ctx.pow(a, k) == _pow_poly(ctx, a, k), (desc, a, k)
+        squares = sorted({t for t in range(d) if ctx._mul_poly(t, t) == a})
+        assert sqrt_elem(ctx, a) == squares, (desc, a)
+        if a == 0:
+            continue
+        a_inv = _pow_poly(ctx, a, d - 2)
+        assert ctx._mul_poly(a, a_inv) == 1
+        assert ctx.inv(a) == a_inv, (desc, a)
+        for k in (1, 2, d, rng.randrange(1, d**2)):
+            assert ctx.pow(a, -k) == _pow_poly(ctx, a_inv, k), (desc, a, -k)
+        b = rng.randrange(d)
+        assert ctx.div(b, a) == ctx._mul_poly(b, a_inv), (desc, b, a)
+    assert ctx.pow(0, 0) == 1
+    assert ctx.pow(0, d) == 0
+    with pytest.raises(ZeroDivisionError):
+        ctx.inv(0)
+    with pytest.raises(ZeroDivisionError):
+        ctx.pow(0, -1)
+
+
+def test_first_extension_multiplication_builds_only_the_log_tables(monkeypatch):
+    # A fresh GF(2^9) spends its polynomial products on the log tables alone:
+    # one walk over the powers of each candidate generator.
+    calls = []
+    real = FieldCtx._mul_poly
+
+    def counting(self, a, b):
+        calls.append(1)
+        return real(self, a, b)
+
+    monkeypatch.setattr(FieldCtx, "_mul_poly", counting)
+    ctx = parse_field("2^9")
+    assert ctx.mul(3, 5) == real(ctx, 3, 5)
+    assert len(calls) <= 3 * ctx.d, len(calls)
 
 
 def test_char2_squaring_is_bijective():
