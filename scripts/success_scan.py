@@ -26,11 +26,10 @@ def main(argv=None) -> int:
     for desc in args.fields.split(","):
         ctx = parse_field(desc.strip())
         report = success_report(ctx, args.n, pick_analysis(ctx, args.n))
-        summary = report.good_summary
         print(f"{report.field:>7} {report.analysis.value:>9} "
               f"{report.lemma2:>10.6f} {report.approx:>10.6f} "
-              f"{report.ideal:>10.6f} {summary.x_good_count:>7} "
-              f"{summary.w_good_min:>11}")
+              f"{report.ideal:>10.6f} {report.x_good_count:>7} "
+              f"{report.w_good_min:>11}")
     return 0
 
 

@@ -9,7 +9,7 @@ package provides:
   polyring   dense univariate / sparse multivariate polynomials, interpolation
   blackbox   hidden instances and the permuted oracle
   fibers     fiber-size tables of the direction map, good sets, moments
-  pgm        measurement success probabilities, bounds, outcome sampling
+  pgm        success report (probabilities, bounds), outcome sampling
   densmat    explicit density-matrix cross-validation of the closed forms
   reduction  multivariate-to-univariate recovery schedule
   baseline   classical collision-search reference point
@@ -28,13 +28,7 @@ from .fibers import (
     pick_analysis,
 )
 from .gf import FieldCtx, chi, make_field, parse_field, trace
-from .pgm import (
-    approx_success,
-    ideal_success,
-    outcome_distribution,
-    run_many,
-    success_report,
-)
+from .pgm import outcome_distribution, run_many, success_report
 from .polyring import MultiPoly, UniPoly, lagrange_interpolate, multi_poly
 from .reduction import kappa, solve_multivariate, univariate_oracle_view
 
@@ -50,12 +44,10 @@ __all__ = [
     "MultiPoly",
     "RecoveryError",
     "UniPoly",
-    "approx_success",
     "chi",
     "eta_moments",
     "eta_table",
     "good_sets",
-    "ideal_success",
     "iter_eta_tables",
     "kappa",
     "lagrange_interpolate",

@@ -372,7 +372,7 @@ class GoodSets:
 
     def w_good(self, x: Sequence[Felt], eta):
         """Good-target test at direction x, elementwise: eta is one fiber
-        size or a whole counts array, and the result has the same shape."""
+        size or an array of them, and the result has the same shape."""
         eta = np.asarray(eta)
         x_good = self.x_good(x)
         if self.analysis is Analysis.SECOND and x_good and (eta > self.cap).any():
@@ -410,51 +410,14 @@ def pick_analysis(ctx: FieldCtx, n: int) -> Analysis:
     )
 
 
-@dataclass(frozen=True)
-class GoodSetSummary:
-    """Scan statistics of the good sets over all of F^n."""
-
-    analysis: Analysis
-    cap: int
-    d: int
-    n: int
-    x_good_count: int
-    w_good_min: int
-    w_good_mean: float
-
-    @classmethod
-    def from_w_counts(cls, good: GoodSets, w_counts: Sequence[int]) -> GoodSetSummary:
-        """Summary from |W_good^x| for each classified-good x."""
-        return cls(
-            analysis=good.analysis,
-            cap=good.cap,
-            d=good.ctx.d,
-            n=good.n,
-            x_good_count=len(w_counts),
-            w_good_min=min(w_counts, default=0),
-            w_good_mean=sum(w_counts) / len(w_counts) if w_counts else 0.0,
-        )
-
-    def as_dict(self) -> dict:
-        return {
-            "analysis": self.analysis.value,
-            "D": self.cap,
-            "x_good_count": self.x_good_count,
-            "w_good_min": self.w_good_min,
-            "w_good_mean": self.w_good_mean,
-        }
-
-
 def write_eta_csv(
-    tables: EtaTable | Iterable[EtaTable], fh: TextIO, include_solutions: bool = False
+    tables: Iterable[EtaTable], fh: TextIO, include_solutions: bool = False
 ) -> None:
     """CSV export to the text stream fh: columns x, w, eta (semicolon-joined
     digit codes), lex order in w.
 
-    Only w with nonempty fibers get rows.  Accepts one table or a stream.
+    Only w with nonempty fibers get rows.
     """
-    if isinstance(tables, EtaTable):
-        tables = [tables]
     writer = csv.writer(fh, lineterminator="\n")
     header = ["x", "w", "eta"] + (["solutions"] if include_solutions else [])
     writer.writerow(header)

@@ -27,9 +27,13 @@ each row once then gives the correctly rounded exact sum: the same floats
 as summing the characters term by term with math.fsum.  Each law and its
 cumulative distribution are cached on the fiber table they come from.
 
-The success sums are correctly rounded as well: each inner sum
-sum_w sqrt(eta_w) is an exact integer over the histogram of fiber sizes,
-rounded once (_sqrt_sum), and the outer sums over x run through math.fsum.
+success_report is the one entry for the success analysis.  Every quantity
+it reports depends on a direction x only through x_good(x) and the
+histogram of x's fiber sizes, so the pass builds that histogram once per
+direction; the good-target rule, a condition on the fiber size, masks its
+size axis.  Each inner sum sum_w sqrt(eta_w) is an exact integer over the
+(masked) histogram, rounded once (_sqrt_sum), and the outer sums over x run
+through math.fsum, so the sums are correctly rounded as well.
 """
 
 from __future__ import annotations
@@ -49,7 +53,6 @@ from .fibers import (
     Analysis,
     EtaTable,
     GoodSets,
-    GoodSetSummary,
     Point,
     decode_point,
     good_sets,
@@ -73,17 +76,15 @@ CURVE_DEGREE = 2
 MAX_SOLVER_DRAWS = 10_000
 
 
-def _sqrt_sum(etas: np.ndarray) -> float:
-    """Sum of sqrt(eta) over a nonnegative integer array, correctly rounded.
+def _sqrt_sum(hist: np.ndarray) -> float:
+    """Sum of sqrt(k) over the sizes a histogram counts (hist[k] entries of
+    size k), correctly rounded.
 
     Each size k >= 1 has sqrt(k) >= 1 (math.sqrt rounds correctly, as
     np.sqrt does), a float that is an integer multiple of 2^-52, so the sum
-    over the histogram of count_k * sqrt(k) * 2^52 is an exact integer;
-    int/int true division rounds it once, to the float math.fsum returns
-    over the expanded entries.  The histogram has max(etas) + 1 bins, at
-    most d^n + 1 for a fiber table.
+    of count_k * sqrt(k) * 2^52 is an exact integer; int/int true division
+    rounds it once, to the float math.fsum returns over the expanded sizes.
     """
-    hist = np.bincount(etas)
     sizes = np.flatnonzero(hist)
     return sum(
         c * int(math.sqrt(k) * 2.0**52) for k, c in zip(sizes.tolist(), hist[sizes].tolist())
@@ -91,13 +92,13 @@ def _sqrt_sum(etas: np.ndarray) -> float:
 
 
 def _success_sums(
-    tables: Iterable[EtaTable], good: GoodSets | None
+    tables: Iterable[EtaTable], good: GoodSets
 ) -> tuple[float, float, list[int]]:
     """One pass over the tables of all d^n directions.
 
     Returns the ideal and the good-subspace success probabilities and
-    |W_good^x| for each classified-good x; with good=None only the ideal
-    value is meaningful.
+    |W_good^x| for each classified-good x, all read from one fiber-size
+    histogram per direction.
     """
     ideal_terms = []
     approx_terms = []
@@ -106,13 +107,14 @@ def _success_sums(
     for table in tables:
         d, n = table.d, table.n
         table.check_partition()
-        inner = _sqrt_sum(table.counts)
+        hist = np.bincount(table.counts)
+        inner = _sqrt_sum(hist)
         ideal_terms.append(inner * inner)
-        if good is not None and good.x_good(table.x):
-            mask = good.w_good(table.x, table.counts)
-            inner = _sqrt_sum(table.counts[mask])
+        if good.x_good(table.x):
+            hist *= good.w_good(table.x, np.arange(len(hist)))
+            inner = _sqrt_sum(hist)
             approx_terms.append(inner * inner)
-            w_counts.append(int(mask.sum()))
+            w_counts.append(int(hist.sum()))
     if d is None or len(ideal_terms) != d**n:
         raise InvariantViolationError(
             f"success sums need a table for every x in F^n; saw {len(ideal_terms)}"
@@ -121,22 +123,10 @@ def _success_sums(
     return math.fsum(ideal_terms) / scale, math.fsum(approx_terms) / scale, w_counts
 
 
-def ideal_success(tables: Iterable[EtaTable]) -> float:
-    """Exact identification probability of the ideal measurement, k = n."""
-    return _success_sums(tables, None)[0]
-
-
-def approx_success(tables: Iterable[EtaTable], good: GoodSets) -> float:
-    """Identification probability of the good-subspace measurement, k = n."""
-    return _success_sums(tables, good)[1]
-
-
-def lemma2_bound(summary: GoodSetSummary) -> float:
+def lemma2_bound(d: int, n: int, x_good_count: int, w_good_min: int) -> float:
     """Counting lower bound |X_good| * |W_good|^2 / d^(3n) with
     |W_good| = min over good x of |W_good^x|."""
-    return (
-        summary.x_good_count * summary.w_good_min**2 / summary.d ** (3 * summary.n)
-    )
+    return x_good_count * w_good_min**2 / d ** (3 * n)
 
 
 def corollary_bound(d: int, n: int, cap: int) -> float:
@@ -456,7 +446,10 @@ class SuccessReport:
     approx: float
     lemma2: float
     corollary: float
-    good_summary: GoodSetSummary
+    cap: int
+    x_good_count: int
+    w_good_min: int
+    w_good_mean: float
     mc_runs: int = 0
     mc_estimate: float | None = None
     mc_stderr: float | None = None
@@ -482,7 +475,13 @@ class SuccessReport:
             "approx_success": self.approx,
             "lemma2_lower_bound": self.lemma2,
             "corollary_bound": self.corollary,
-            "good_sets": self.good_summary.as_dict(),
+            "good_sets": {
+                "analysis": self.analysis.value,
+                "D": self.cap,
+                "x_good_count": self.x_good_count,
+                "w_good_min": self.w_good_min,
+                "w_good_mean": self.w_good_mean,
+            },
         }
         if self.mc_runs:
             doc["mc"] = {
@@ -521,7 +520,8 @@ def success_report(
     if mc_runs:
         stream = (tables.setdefault(t.x, t) for t in stream)
     ideal, approx, w_counts = _success_sums(stream, good)
-    summary = GoodSetSummary.from_w_counts(good, w_counts)
+    x_good_count = len(w_counts)
+    w_good_min = min(w_counts, default=0)
     mc_estimate = mc_stderr = None
     if mc_runs:
         inst = sample_instance(ctx, 1, n, seed)
@@ -535,9 +535,12 @@ def success_report(
         analysis=analysis,
         ideal=ideal,
         approx=approx,
-        lemma2=lemma2_bound(summary),
+        lemma2=lemma2_bound(ctx.d, n, x_good_count, w_good_min),
         corollary=corollary_bound(ctx.d, n, good.cap),
-        good_summary=summary,
+        cap=good.cap,
+        x_good_count=x_good_count,
+        w_good_min=w_good_min,
+        w_good_mean=sum(w_counts) / x_good_count if w_counts else 0.0,
         mc_runs=mc_runs,
         mc_estimate=mc_estimate,
         mc_stderr=mc_stderr,

@@ -286,4 +286,6 @@ def build_plan(ctx: FieldCtx, n: int, m: int) -> dict:
     assignment and target."""
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
+    if ctx.d <= n:
+        raise ValueError(f"need more than n = {n} field elements, got d = {ctx.d}")
     return {"n": n, "m": m, "kappa": kappa(n, m), "tree": _plan_node(ctx, n, m, {})}

@@ -24,24 +24,9 @@ from hpp.fibers import (
     solve_n2_triangular,
 )
 from hpp.gf import make_field, parse_field
-from hpp.pgm import (
-    approx_success,
-    ideal_success,
-    run_many,
-    success_report,
-)
+from hpp.pgm import run_many, success_report
 from hpp.polyring import UniPoly, multi_poly
 from hpp.reduction import SolveStats, kappa, perfect_solver, solve_multivariate
-
-_TABLE_CACHE: dict[tuple[int, int], list] = {}
-
-
-def _tables(ctx, n):
-    key = (ctx.d, n)
-    if key not in _TABLE_CACHE:
-        _TABLE_CACHE[key] = list(iter_eta_tables(ctx, n))
-    return _TABLE_CACHE[key]
-
 
 def _check(num: int, ok: bool, detail: str, elapsed: float, budget: float) -> None:
     status = "PASS" if ok and elapsed < budget else "FAIL"
@@ -66,7 +51,7 @@ def test_criterion_2_partition_identity():
     ok = True
     for desc in ("2", "3", "2^2", "5", "7"):
         ctx = parse_field(desc)
-        for table in _tables(ctx, 2):
+        for table in iter_eta_tables(ctx, 2):
             ok = ok and int(table.counts.sum()) == ctx.d**2
             checked += 1
     _check(2, ok, f"sum of fiber sizes is d^2 for all {checked} directions, d <= 7",
@@ -110,7 +95,7 @@ def test_criterion_4_ideal_closed_form():
     worst = 0.0
     for d in (3, 5, 7, 11):
         ctx = make_field(d)
-        got = ideal_success(_tables(ctx, 1))
+        got = success_report(ctx, 1, Analysis.FIRST).ideal
         want = 1 - 1 / d + 1 / d**2
         worst = max(worst, abs(got - want))
     _check(4, worst < 1e-12, f"n=1 ideal success equals 1 - 1/d + 1/d^2, worst delta {worst:.2e}",
@@ -123,12 +108,8 @@ def test_criterion_5_sandwich_bounds():
     ok = True
     for d in (7, 11, 19, 31):
         ctx = make_field(d)
-        analysis = pick_analysis(ctx, 2)
-        good = good_sets(ctx, 2, analysis)
-        tables = _tables(ctx, 2)
-        lo = success_report(ctx, 2, analysis).lemma2
-        mid = approx_success(tables, good)
-        hi = ideal_success(tables)
+        report = success_report(ctx, 2, pick_analysis(ctx, 2))
+        lo, mid, hi = report.lemma2, report.approx, report.ideal
         ok = ok and lo <= mid + tol and mid <= hi + tol and hi <= 1 + tol
     _check(5, ok, "lemma bound <= approximate <= ideal <= 1 at n=2, d in {7,11,19,31}",
            time.perf_counter() - t0, 300)
@@ -157,11 +138,10 @@ def test_criterion_6_constant_success_regression():
     approx = {}
     for d in sorted(APPROX_N2):
         ctx = make_field(d)
-        good = good_sets(ctx, 2, pick_analysis(ctx, 2))
-        tables = _tables(ctx, 2)
-        approx[d] = approx_success(tables, good)
+        report = success_report(ctx, 2, pick_analysis(ctx, 2))
+        approx[d] = report.approx
         ok = ok and abs(approx[d] - APPROX_N2[d]) < 1e-12
-        ok = ok and abs(ideal_success(tables) - IDEAL_N2[d]) < 1e-12
+        ok = ok and abs(report.ideal - IDEAL_N2[d]) < 1e-12
     floor = min(v for d, v in approx.items() if d >= 11)
     ok = ok and floor >= 0.05
     # non-vanishing: the success level rises with d instead of decaying
@@ -240,8 +220,8 @@ def test_criterion_8_monte_carlo_consistency():
     ctx = make_field(7)
     analysis = pick_analysis(ctx, 2)
     good = good_sets(ctx, 2, analysis)
-    tables = {t.x: t for t in _tables(ctx, 2)}
-    target = approx_success(tables.values(), good)
+    tables = {t.x: t for t in iter_eta_tables(ctx, 2)}
+    target = success_report(ctx, 2, analysis).approx
     runs = 10_000
     sigma = math.sqrt(target * (1 - target) / runs)
 

@@ -232,6 +232,14 @@ def test_plan_command(tmp_path):
     assert doc["tree"]["kind"] == "split"
 
 
+def test_plan_refuses_a_field_no_larger_than_n(capsys):
+    # sample_instance refuses d <= n, so no schedule exists there at any m.
+    for m in ("1", "2"):
+        assert main(["plan", "--field", "3", "-n", "3", "-m", m]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: need more than n = 3 field elements, got d = 3\n", m
+
+
 def test_invariant_violation_maps_to_exit_4(monkeypatch, capsys):
     def boom(*a, **k):
         raise InvariantViolationError("forced")

@@ -365,20 +365,20 @@ def test_analysis_selection():
 
 
 def test_summary_scan():
-    summary = success_report(F4, 2, Analysis.SECOND).good_summary
-    assert summary.x_good_count == 6
-    assert summary.w_good_min == 16
-    assert summary.as_dict()["D"] == 4
+    report = success_report(F4, 2, Analysis.SECOND)
+    assert report.x_good_count == 6
+    assert report.w_good_min == 16
+    assert report.as_dict()["good_sets"]["D"] == 4
 
 
 def test_csv_export():
     out = io.StringIO()
-    write_eta_csv(eta_table(F3, (1, 1)), out)
+    write_eta_csv([eta_table(F3, (1, 1))], out)
     lines = out.getvalue().splitlines()
     assert lines[0] == "x,w,eta"
     assert "1;1,0;0,1" in lines
     out = io.StringIO()
-    write_eta_csv(eta_table(F3, (1, 1)), out, include_solutions=True)
+    write_eta_csv([eta_table(F3, (1, 1))], out, include_solutions=True)
     text = out.getvalue()
     assert "solutions" in text.splitlines()[0]
     assert "0,2|2,0" in text

@@ -1,7 +1,11 @@
 import cmath
 import math
+import os
 import random
+import subprocess
+import sys
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -40,10 +44,30 @@ def test_rejects_non_prime_and_oversize():
     with pytest.raises(GuardExceededError):
         parse_field("2^21")
     # Both are refused by the size cap before a primality test or p**e runs.
-    with pytest.raises(GuardExceededError):
-        parse_field("1000000000000000003")
-    with pytest.raises(GuardExceededError):
-        parse_field("3^99999999999")
+    # Each is parsed in a child process with a timeout, so a regression that
+    # runs either fails the test instead of hanging the suite.
+    probe = (
+        "import sys\n"
+        "from hpp.errors import GuardExceededError\n"
+        "from hpp.gf import parse_field\n"
+        "try:\n"
+        "    parse_field(sys.argv[1])\n"
+        "except GuardExceededError:\n"
+        "    sys.exit(0)\n"
+        "sys.exit('parse_field accepted ' + sys.argv[1])\n"
+    )
+    root = Path(__file__).resolve().parents[1]
+    path = filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    for desc in ("1000000000000000003", "3^99999999999"):
+        proc = subprocess.run(
+            [sys.executable, "-c", probe, desc],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=20,
+        )
+        assert proc.returncode == 0, (desc, proc.stderr)
 
 
 def test_deterministic_moduli():

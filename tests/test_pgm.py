@@ -27,9 +27,8 @@ from hpp.pgm import (
     _exact_row_sums,
     _outcome_law,
     _sqrt_sum,
-    approx_success,
+    _success_sums,
     corollary_bound,
-    ideal_success,
     lemma2_bound,
     make_quantum_solver,
     outcome_distribution,
@@ -47,19 +46,17 @@ F7 = make_field(7)
 def test_ideal_n1_closed_form():
     for d in (3, 5, 7, 11):
         ctx = make_field(d)
-        val = ideal_success(iter_eta_tables(ctx, 1))
+        val = success_report(ctx, 1, Analysis.FIRST).ideal
         assert abs(val - (1 - 1 / d + 1 / d**2)) < 1e-12
 
 
 def test_gf4_frozen_values():
     # hand-derived: 4096 * ideal = 2128; approx = lemma2 = 3/8 exactly
-    good = good_sets(F4, 2, Analysis.SECOND)
-    ideal = ideal_success(iter_eta_tables(F4, 2))
-    approx = approx_success(iter_eta_tables(F4, 2), good)
-    summary = success_report(F4, 2, Analysis.SECOND).good_summary
-    assert abs(ideal - 2128 / 4096) < 1e-12
-    assert abs(approx - 0.375) < 1e-12
-    assert abs(lemma2_bound(summary) - 0.375) < 1e-12
+    report = success_report(F4, 2, Analysis.SECOND)
+    assert abs(report.ideal - 2128 / 4096) < 1e-12
+    assert abs(report.approx - 0.375) < 1e-12
+    assert abs(report.lemma2 - 0.375) < 1e-12
+    assert lemma2_bound(4, 2, report.x_good_count, report.w_good_min) == report.lemma2
 
 
 def test_sandwich_small_fields():
@@ -70,14 +67,41 @@ def test_sandwich_small_fields():
         ("5", Analysis.SECOND),
         ("3^2", Analysis.SECOND),
     ):
-        ctx = parse_field(desc)
-        good = good_sets(ctx, 2, analysis)
-        ideal = ideal_success(iter_eta_tables(ctx, 2))
-        approx = approx_success(iter_eta_tables(ctx, 2), good)
-        lemma2 = success_report(ctx, 2, analysis).lemma2
+        report = success_report(parse_field(desc), 2, analysis)
+        ideal, approx, lemma2 = report.ideal, report.approx, report.lemma2
         assert lemma2 <= approx + 1e-9
         assert approx <= ideal + 1e-9
         assert ideal <= 1.0 + 1e-12
+
+
+ODD_FIELDS_TO_61 = (
+    "3", "5", "7", "3^2", "11", "13", "17", "19", "23", "5^2", "3^3",
+    "29", "31", "37", "41", "43", "47", "7^2", "53", "59", "61",
+)
+
+
+@pytest.mark.parametrize("desc", ODD_FIELDS_TO_61)
+def test_first_analysis_n2_closed_form(desc):
+    # Odd characteristic, n = 2: the fibers of every direction are known by
+    # hand, so the whole report has a closed form that shares no code with
+    # the enumeration.
+    #   x1*x2*(x1+x2) != 0, (d-1)(d-2) of them: d fibers of size 1 and
+    #     (d^2-d)/2 of size 2;
+    #   x1 + x2 = 0 != x1, d-1 of them: one fiber of size d, d^2-d of size 1;
+    #   exactly one x_i = 0, 2(d-1) of them: d fibers of size d;
+    #   x = 0: one fiber of size d^2.
+    ctx = parse_field(desc)
+    d = ctx.d
+    report = success_report(ctx, 2, Analysis.FIRST)
+    r = (d - 1) * (d - 2) * (d + (d * d - d) / math.sqrt(2)) ** 2
+    ideal = (r + (d - 1) * (math.sqrt(d) + d * d - d) ** 2 + 2 * (d - 1) * d**3 + d * d) / d**6
+    approx = (r + (d - 1) * (d * d - d) ** 2) / d**6
+    assert abs(report.ideal - ideal) <= 1e-15
+    assert abs(report.approx - approx) <= 1e-15
+    assert report.x_good_count == (d - 1) ** 2
+    assert report.w_good_min == (d * d + d) // 2
+    mean = ((d - 2) * (d * d + d) // 2 + d * d - d) / (d - 1)
+    assert report.w_good_mean == pytest.approx(mean, rel=1e-12, abs=0)
 
 
 def test_corollary_bound_fixture():
@@ -87,8 +111,8 @@ def test_corollary_bound_fixture():
 
 
 def test_ideal_requires_full_scan():
-    with pytest.raises(InvariantViolationError):
-        ideal_success([eta_table(F5, (1, 2))])
+    with pytest.raises(InvariantViolationError, match="a table for every x"):
+        _success_sums([eta_table(F5, (1, 2))], good_sets(F5, 2, Analysis.FIRST))
 
 
 def test_outcome_distribution_normalization_and_support():
@@ -157,7 +181,7 @@ def test_run_many_matches_approx_success():
     ctx = F5
     good = good_sets(ctx, 2, Analysis.FIRST)
     tables = {t.x: t for t in iter_eta_tables(ctx, 2)}
-    approx = approx_success(iter_eta_tables(ctx, 2), good)
+    approx = success_report(ctx, 2, Analysis.FIRST).approx
     inst = sample_instance(ctx, 1, 2, seed="mc")
     stats = run_many(inst, tables, good, random.Random("mc"), runs=4000)
     sigma = math.sqrt(approx * (1 - approx) / stats.runs)
@@ -235,7 +259,7 @@ def test_success_report_requires_seed_for_mc():
 
 
 def test_success_report_rejects_broken_sandwich():
-    summary = success_report(F5, 2, Analysis.FIRST).good_summary
+    report = success_report(F5, 2, Analysis.FIRST)
     with pytest.raises(InvariantViolationError):
         SuccessReport(
             field="5",
@@ -246,7 +270,10 @@ def test_success_report_rejects_broken_sandwich():
             approx=0.7,  # impossible: above ideal
             lemma2=0.1,
             corollary=0.0,
-            good_summary=summary,
+            cap=report.cap,
+            x_good_count=report.x_good_count,
+            w_good_min=report.w_good_min,
+            w_good_mean=report.w_good_mean,
         )
 
 
@@ -352,18 +379,22 @@ def test_sqrt_sum_equals_fsum_of_expanded_roots():
     for _ in range(2000):
         top = int(rng.choice([1, 4, 30, 10**4]))
         a = rng.integers(0, top + 1, size=int(rng.integers(0, 3000)))
-        assert _sqrt_sum(a) == fsum_roots(a), a
+        assert _sqrt_sum(np.bincount(a)) == fsum_roots(a), a
     # All-zero and empty arrays, and the single fiber of size d^n at x = 0.
     for a in (np.zeros(0, np.int64), np.zeros(49, np.int64), eta_table(F7, (0, 0)).counts):
-        assert _sqrt_sum(a) == fsum_roots(a)
-    # The full tables and the masked good-target slices success_report sums.
+        assert _sqrt_sum(np.bincount(a)) == fsum_roots(a)
+    # The full tables and the good-target slices success_report sums, the
+    # latter read from the histogram masked on its size axis.
     for ctx, analysis in ((F7, Analysis.FIRST), (parse_field("3^2"), Analysis.SECOND)):
         good = good_sets(ctx, 2, analysis)
         for table in iter_eta_tables(ctx, 2):
-            assert _sqrt_sum(table.counts) == fsum_roots(table.counts), table.x
+            hist = np.bincount(table.counts)
+            assert _sqrt_sum(hist) == fsum_roots(table.counts), table.x
             if good.x_good(table.x):
                 masked = table.counts[good.w_good(table.x, table.counts)]
-                assert _sqrt_sum(masked) == fsum_roots(masked), table.x
+                by_size = hist * good.w_good(table.x, np.arange(len(hist)))
+                assert _sqrt_sum(by_size) == fsum_roots(masked), table.x
+                assert by_size.sum() == masked.size, table.x
 
 
 def test_grouped_row_sums_refuse_row_counts_of_2_to_the_26():

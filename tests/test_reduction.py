@@ -287,3 +287,5 @@ def test_plan_structure_and_json():
         assert b["subplan"]["kind"] == "univariate"
     with pytest.raises(ValueError):
         build_plan(F5, 2, 0)
+    with pytest.raises(ValueError, match="need more than n = 5"):
+        build_plan(F5, 5, 1)
