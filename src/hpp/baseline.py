@@ -96,10 +96,6 @@ class BaselineStats:
     def median_queries(self) -> float:
         return float(statistics.median(self.queries))
 
-    @property
-    def mean_queries(self) -> float:
-        return float(statistics.fmean(self.queries))
-
 
 @dataclass(frozen=True)
 class ScalingFit:

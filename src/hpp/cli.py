@@ -143,6 +143,7 @@ def _cmd_e2e(args, parser) -> int:
         parser.error("--baseline applies only to m = 1, n = 1 instances")
     analysis = pick_analysis(ctx, args.n)
     good = good_sets(ctx, args.n, analysis)
+    solves = kappa(args.n, args.m)  # guards the schedule before any table or instance
     tables = {t.x: t for t in iter_eta_tables(ctx, args.n)}
 
     rows = []
@@ -193,7 +194,7 @@ def _cmd_e2e(args, parser) -> int:
         "m": args.m,
         "n": args.n,
         "trials": args.trials,
-        "kappa": kappa(args.n, args.m),
+        "kappa": solves,
         "success_rate": successes / args.trials,
         "median_queries": float(statistics.median(r["queries"] for r in rows)),
         "analysis": analysis.value,

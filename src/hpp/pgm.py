@@ -42,7 +42,6 @@ import math
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
-from enum import Enum
 from typing import Callable, Iterable, Mapping
 
 import numpy as np
@@ -60,12 +59,6 @@ from .fibers import (
 )
 from .gf import FieldCtx, field_descriptor
 from .polyring import UniPoly
-
-
-class Branch(str, Enum):
-    IDEAL = "ideal"
-    GOOD = "good"
-    BAD = "bad"
 
 
 BAD_BRANCH = None  # sentinel sample_outcome returns when the run is discarded
@@ -145,34 +138,14 @@ def corollary_bound(d: int, n: int, cap: int) -> float:
 
 @dataclass(frozen=True)
 class OutcomeDist:
-    """Distribution of the measured coefficient vector q' for one direction x.
-
-    branch=IDEAL is the full measurement (good_mass 1); branch=GOOD
-    conditions on passing the good-subspace projection, whose acceptance
-    probability is good_mass.  probabilities is empty when the branch cannot
-    be reached (bad x, or empty good target set).
-    """
+    """Good-branch distribution of the measured coefficient vector q' for one
+    direction x; good_mass is the good-subspace projection's acceptance
+    probability.  A bad x, or an empty good target set, gives good_mass 0
+    and no probabilities."""
 
     x: Point
-    branch: Branch
     good_mass: float
     probabilities: dict[Point, float]
-
-
-def _delta_weights(table: EtaTable, good: GoodSets | None):
-    """Codes of the participating targets w, the normalizer and the branch mass."""
-    d, n = table.d, table.n
-    counts = table.counts
-    if good is None:
-        mask = counts > 0
-        norm = d**n * d**n
-        mass = 1.0
-    else:
-        mask = good.w_good(table.x, counts)
-        b_size = int(counts[mask].sum())
-        norm = d**n * b_size
-        mass = b_size / d**n
-    return np.flatnonzero(mask), norm, mass
 
 
 def _phase_matrix(ctx: FieldCtx, n: int, w_codes: np.ndarray) -> np.ndarray:
@@ -248,10 +221,11 @@ def _exact_row_sums(counts: np.ndarray, values: list[list[float]]) -> np.ndarray
     return np.array(list(map(math.fsum, cells.tolist()))).reshape(rows, ncols)
 
 
-def _delta_distribution(table: EtaTable, good: GoodSets | None) -> tuple[np.ndarray, float]:
-    """Probabilities over delta = q - q', indexed by the integer code of delta.
+def _delta_distribution(table: EtaTable, good: GoodSets) -> tuple[np.ndarray, float]:
+    """Good-branch probabilities over delta = q - q', indexed by the integer
+    code of delta, and the good-branch mass.
 
-    amp(delta) = sum over participating w of sqrt(eta_w) * chi(<delta, w>).
+    amp(delta) = sum over good targets w of sqrt(eta_w) * chi(<delta, w>).
     A term is fixed by its phase index t = Tr(<delta, w>), from
     _phase_matrix in exact integer arithmetic, and by its fiber size, one
     of K distinct values.  One bincount over the phase matrix counts every
@@ -261,13 +235,16 @@ def _delta_distribution(table: EtaTable, good: GoodSets | None) -> tuple[np.ndar
     bit-identical to evaluating the character sum term by term.
     """
     ctx = table.ctx
-    codes, norm, mass = _delta_weights(table, good)
+    rows = ctx.d**table.n
+    codes = np.flatnonzero(good.w_good(table.x, table.counts))
+    eta = table.counts[codes]
+    b_size = int(eta.sum())
+    mass = b_size / rows
     if not codes.size:
         return np.empty(0), mass
-    eta = table.counts[codes]
     sizes = np.flatnonzero(np.bincount(eta))
     k = len(sizes)
-    rows, bins = ctx.d**table.n, ctx.p * k
+    bins = ctx.p * k
     keys = _phase_matrix(ctx, table.n, codes)  # turned in place into bin numbers
     keys *= k
     keys += np.searchsorted(sizes, eta)
@@ -277,7 +254,7 @@ def _delta_distribution(table: EtaTable, good: GoodSets | None) -> tuple[np.ndar
     values = [[r * z.real, r * z.imag] for z in ctx._unit_roots for r in roots]
     amps = _exact_row_sums(terms, values)
     re, im = amps[:, 0], amps[:, 1]
-    probs = (re * re + im * im) / float(norm)
+    probs = (re * re + im * im) / float(rows * b_size)
     total = math.fsum(probs.tolist())
     if abs(total - 1.0) > 1e-9:
         raise InvariantViolationError(
@@ -286,8 +263,9 @@ def _delta_distribution(table: EtaTable, good: GoodSets | None) -> tuple[np.ndar
     return probs, mass
 
 
-def _outcome_law(table: EtaTable, good: GoodSets | None):
-    """(probabilities, cumulative distribution, branch mass), cached on the table."""
+def _outcome_law(table: EtaTable, good: GoodSets):
+    """(probabilities, cumulative distribution, good-branch mass), cached on
+    the table per good set."""
     law = table._laws.get(good)
     if law is None:
         probs, mass = _delta_distribution(table, good)
@@ -295,30 +273,23 @@ def _outcome_law(table: EtaTable, good: GoodSets | None):
     return law
 
 
-def outcome_distribution(
-    table: EtaTable, good: GoodSets | None, q: Point
-) -> OutcomeDist:
-    """Distribution of q' for a fixed direction x and true coefficient vector q.
-
-    good=None gives the ideal-measurement law; otherwise the law conditions
-    on the good branch.  Probabilities depend on q only through q - q', a
-    covariance the sampler exploits.
-    """
+def outcome_distribution(table: EtaTable, good: GoodSets, q: Point) -> OutcomeDist:
+    """Good-branch distribution of q' for direction x and true coefficient
+    vector q; it depends on q only through q - q', which the sampler exploits."""
     ctx = table.ctx
     d, n = table.d, table.n
     q = tuple(q)
     if len(q) != n:
         raise ValueError(f"q has {len(q)} components, expected {n}")
-    if good is not None and not good.x_good(table.x):
-        return OutcomeDist(x=table.x, branch=Branch.BAD, good_mass=0.0, probabilities={})
+    if not good.x_good(table.x):
+        return OutcomeDist(x=table.x, good_mass=0.0, probabilities={})
     probs, _, mass = _outcome_law(table, good)
-    branch = Branch.IDEAL if good is None else Branch.GOOD
     out = {}
     for code, pr in enumerate(probs.tolist()):
         delta = decode_point(code, d, n)
         qprime = tuple(ctx.sub(qi, di) for qi, di in zip(q, delta))
         out[qprime] = pr
-    return OutcomeDist(x=table.x, branch=branch, good_mass=mass, probabilities=out)
+    return OutcomeDist(x=table.x, good_mass=mass, probabilities=out)
 
 
 def sample_outcome(

@@ -23,26 +23,24 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import product
+from itertools import combinations_with_replacement
 from typing import Iterable, Mapping, Sequence
 
 from .gf import Felt, FieldCtx
 
 
-def _graded_lex_key(alpha: tuple[int, ...]) -> tuple:
-    return (sum(alpha), alpha)
-
-
 def monomials(arity: int, max_total_degree: int):
     """All nonconstant exponent vectors with total degree <= bound, in
-    graded-lex order."""
+    graded-lex order, built degree by degree from multisets of variables."""
     out = []
-    for alpha in product(range(max_total_degree + 1), repeat=arity):
-        total = sum(alpha)
-        if total == 0 or total > max_total_degree:
-            continue
-        out.append(alpha)
-    out.sort(key=_graded_lex_key)
+    for degree in range(1, max_total_degree + 1):
+        group = []
+        for variables in combinations_with_replacement(range(arity), degree):
+            alpha = [0] * arity
+            for i in variables:
+                alpha[i] += 1
+            group.append(tuple(alpha))
+        out.extend(sorted(group))
     return out
 
 
@@ -187,7 +185,7 @@ class MultiPoly:
         object.__setattr__(
             self,
             "terms",
-            tuple(sorted(cleaned.items(), key=lambda kv: _graded_lex_key(kv[0]))),
+            tuple(sorted(cleaned.items(), key=lambda kv: (sum(kv[0]), kv[0]))),
         )
         object.__setattr__(self, "degree_bound", bound)
 

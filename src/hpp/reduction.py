@@ -32,19 +32,32 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .blackbox import HiddenInstance, verify_candidate
-from .errors import InvariantViolationError, RecoveryError
+from .errors import GuardExceededError, InvariantViolationError, RecoveryError
 from .gf import Felt, FieldCtx
 from .polyring import MultiPoly, UniPoly, _lagrange_basis, _restrict, eval_uni, multi_poly
 
+# Schedule guards: the recursion, and the plan JSON nested under it, go m
+# levels deep inside Python's recursion limit; a plan of 10^4 solves is
+# already about 20 MB of JSON.
+MAX_ARITY = 100
+MAX_SOLVES = 10**4
+
 
 def kappa(n: int, m: int) -> int:
-    """Number of univariate solves: 1 + n + ... + n^(m-1)."""
+    """Number of univariate solves: 1 + n + ... + n^(m-1).  Raises
+    GuardExceededError past MAX_ARITY variables or MAX_SOLVES solves."""
     if n < 1 or m < 1:
         raise ValueError(f"need n, m >= 1, got n = {n}, m = {m}")
+    if m > MAX_ARITY:
+        raise GuardExceededError(f"m = {m} exceeds the cap of {MAX_ARITY} variables")
     total = 0
     power = 1
     for _ in range(m):
         total += power
+        if total > MAX_SOLVES:
+            raise GuardExceededError(
+                f"kappa(n = {n}, m = {m}) exceeds the budget of {MAX_SOLVES} univariate solves"
+            )
         power *= n
     return total
 
@@ -150,7 +163,7 @@ def solve_multivariate(
     and retries up to `repetitions` times, then verifies the assembled
     polynomial against the full instance.  Raises RecoveryError when the
     budget runs out rather than returning an unverified answer.  Pass a
-    SolveStats to collect retry accounting.
+    SolveStats to collect retry accounting.  kappa's guards run first.
     """
     if repetitions < 1:
         raise ValueError(f"repetitions must be >= 1, got {repetitions}")
@@ -159,6 +172,7 @@ def solve_multivariate(
     if stats is None:
         stats = SolveStats()
     ctx, n = inst.ctx, inst.n
+    solves = kappa(n, inst.m)
     trials = n + 3
 
     def solve_univariate(fixed: dict[int, Felt], free: int) -> UniPoly:
@@ -216,10 +230,10 @@ def solve_multivariate(
     # Every univariate subproblem is solved once plus its retries; stats may
     # carry counts from earlier calls.
     first_tries = stats.univariate_solves - stats.retries - before
-    if first_tries != kappa(inst.n, inst.m):
+    if first_tries != solves:
         raise InvariantViolationError(
             f"recovery solved {first_tries} univariate subproblems, expected "
-            f"kappa = {kappa(inst.n, inst.m)}"
+            f"kappa = {solves}"
         )
     if not verify_candidate(inst, result, trials=trials, rng=rng):
         raise RecoveryError("assembled polynomial failed full-instance verification")
@@ -288,4 +302,5 @@ def build_plan(ctx: FieldCtx, n: int, m: int) -> dict:
         raise ValueError(f"m must be >= 1, got {m}")
     if ctx.d <= n:
         raise ValueError(f"need more than n = {n} field elements, got d = {ctx.d}")
-    return {"n": n, "m": m, "kappa": kappa(n, m), "tree": _plan_node(ctx, n, m, {})}
+    solves = kappa(n, m)  # checks both guards before the recursion
+    return {"n": n, "m": m, "kappa": solves, "tree": _plan_node(ctx, n, m, {})}

@@ -94,7 +94,6 @@ def test_stats_summaries():
                       verified=(True, True, False, True))
     assert s.success_rate == 0.75
     assert s.median_queries == 4.5
-    assert s.mean_queries == 5.5
 
 
 def test_scaling_experiment_validation():

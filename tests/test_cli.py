@@ -11,8 +11,24 @@ from hpp.cli import main
 from hpp.errors import InvariantViolationError
 
 
+ROOT = Path(__file__).resolve().parents[1]
+
+
 def _read(path):
     return path.read_bytes()
+
+
+def _child(*argv, timeout=None):
+    """Run argv under this interpreter with the repository's src/ first on
+    PYTHONPATH; a timeout turns a hang into a failure."""
+    path = filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])
+    return subprocess.run(
+        [sys.executable, *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(path)},
+        timeout=timeout,
+    )
 
 
 def test_eta_moments_json(tmp_path):
@@ -59,21 +75,35 @@ def test_field_guard_maps_to_exit_3(capsys):
     assert main(["eta", "--field", "2^21", "-n", "1", "--moments"]) == 3
     assert "error:" in capsys.readouterr().err
     # A huge prime and a huge exponent must meet the cap before a primality
-    # test or p**e; a child process with a timeout turns a hang into a failure.
-    root = Path(__file__).resolve().parents[1]
-    path = filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    # test or p**e.
     for field in ("1000000000000000003", "3^99999999999"):
-        proc = subprocess.run(
-            [sys.executable, "-m", "hpp.cli", "plan", "--field", field, "-n", "2", "-m", "1"],
-            capture_output=True,
-            text=True,
-            env=env,
-            timeout=20,
-        )
+        proc = _child("-m", "hpp.cli", "plan", "--field", field, "-n", "2", "-m", "1", timeout=20)
         assert proc.returncode == 3, (field, proc.stderr)
         assert proc.stderr.startswith("error: field size ") and proc.stderr.count("\n") == 1
         assert proc.stderr.endswith(" exceeds the cap of 1048576\n"), proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        # Deeper than the recursion limit allows.
+        (["plan", "--field", "7", "-n", "1", "-m", "400"], "m = 400 exceeds the cap"),
+        # The guard trips before kappa counts 10^12 terms.
+        (["plan", "--field", "7", "-n", "2", "-m", "1000000000000"], "exceeds the cap"),
+        # The guard trips before a 3000-variable instance is sampled.
+        (["e2e", "--field", "7", "-n", "1", "-m", "3000", "--trials", "1", "--seed", "s"],
+         "m = 3000 exceeds the cap"),
+        (["plan", "--field", "7", "-n", "2", "-m", "14"],
+         "kappa(n = 2, m = 14) exceeds the budget of 10000 univariate solves"),
+    ],
+    ids=["plan-deep", "plan-huge-m", "e2e-deep", "plan-over-budget"],
+)
+def test_schedule_guards_map_to_exit_3(argv, message):
+    proc = _child("-m", "hpp.cli", *argv, timeout=20)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+    assert message in proc.stderr
+    assert proc.stdout == ""
 
 
 def test_enumeration_guard_names_the_checked_point_count(capsys):
@@ -276,36 +306,41 @@ def test_bad_arguments_exit_2_with_one_line(argv, tmp_path, capsys):
 
 
 def test_module_entry_point(tmp_path):
-    proc = subprocess.run(
-        [sys.executable, "-m", "hpp.cli", "plan", "--field", "5", "-n", "1",
-         "-m", "2", "--out", str(tmp_path / "p.json")],
-        capture_output=True,
-        text=True,
-    )
+    proc = _child("-m", "hpp.cli", "plan", "--field", "5", "-n", "1",
+                  "-m", "2", "--out", str(tmp_path / "p.json"))
     assert proc.returncode == 0, proc.stderr
     assert json.loads((tmp_path / "p.json").read_text())["kappa"] == 2
 
 
-def test_traced_cli_wraps_every_binding(tmp_path):
-    # The benchmark's tracer rebinds every copy of each library function; a
-    # layer that calls a function through a binding it cannot see would drop
-    # out of the per-layer metrics.
-    root = Path(__file__).resolve().parents[1]
-    stats, trials = tmp_path / "stats.json", tmp_path / "trials.csv"
-    path = filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
-    proc = subprocess.run(
-        [sys.executable, str(root / "perfbench" / "traced_cli.py"), str(stats),
-         "e2e", "--field", "5", "-n", "2", "-m", "2", "--trials", "1", "--seed", "g",
-         "--out", str(trials), "--summary-out", str(tmp_path / "summary.json")],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
+def _traced_spans(stats, *argv):
+    """Spans of one CLI run under the benchmark's tracer, which rebinds every
+    copy of each library function; a layer that calls a function through a
+    binding it cannot see would drop out of the per-layer metrics."""
+    proc = _child(str(ROOT / "perfbench" / "traced_cli.py"), str(stats), *argv)
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(stats.read_text())
     assert doc["unpatched"] == []
     spans = doc["spans"]
+    # The benchmark's traced check tables_built = enum_passes * d^n, at d^n = 25.
+    assert spans["fibers.eta_table"][0] == spans["fibers.iter_eta_tables"][0] * 25
+    return spans
+
+
+def test_traced_success_builds_one_table_per_direction(tmp_path):
+    spans = _traced_spans(
+        tmp_path / "stats.json", "success", "--field", "5", "-n", "2",
+        "--out", str(tmp_path / "success.json"),
+    )
+    assert spans["fibers.iter_eta_tables"][0] == 1
+
+
+def test_traced_cli_wraps_every_binding(tmp_path):
+    trials = tmp_path / "trials.csv"
+    spans = _traced_spans(
+        tmp_path / "stats.json",
+        "e2e", "--field", "5", "-n", "2", "-m", "2", "--trials", "1", "--seed", "g",
+        "--out", str(trials), "--summary-out", str(tmp_path / "summary.json"),
+    )
     assert spans["blackbox.verify_candidate"][0] > 0
     assert spans["reduction.view.verify_candidate"][0] > 0
     with trials.open(newline="") as fh:

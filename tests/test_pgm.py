@@ -21,7 +21,6 @@ from hpp.fibers import (
 from hpp.gf import chi, dot, make_field, parse_field
 from hpp.pgm import (
     BAD_BRANCH,
-    Branch,
     SuccessReport,
     _delta_distribution,
     _exact_row_sums,
@@ -121,10 +120,8 @@ def test_outcome_distribution_normalization_and_support():
         table = eta_table(F5, x)
         dist = outcome_distribution(table, good, (1, 3))
         if not good.x_good(x):
-            assert dist.branch is Branch.BAD
-            assert dist.good_mass == 0.0
+            assert dist.good_mass == 0.0 and dist.probabilities == {}
             continue
-        assert dist.branch is Branch.GOOD
         assert abs(math.fsum(dist.probabilities.values()) - 1.0) < 1e-9
         total_eta = sum(
             eta for w, eta in table.items() if good.w_good(x, eta)
@@ -145,18 +142,10 @@ def test_outcome_distribution_shift_covariance():
             assert abs(p - base.probabilities[base_qprime]) < 1e-12
 
 
-def test_ideal_outcome_distribution():
-    table = eta_table(F5, (1, 2))
-    dist = outcome_distribution(table, None, (2, 1))
-    assert dist.branch is Branch.IDEAL
-    assert abs(math.fsum(dist.probabilities.values()) - 1.0) < 1e-9
-    assert abs(dist.good_mass - 1.0) < 1e-12
-
-
 def test_outcome_distribution_validates_q():
     table = eta_table(F5, (1, 2))
     with pytest.raises(ValueError):
-        outcome_distribution(table, None, (1, 2, 3))
+        outcome_distribution(table, good_sets(F5, 2, Analysis.FIRST), (1, 2, 3))
 
 
 def test_sample_outcome_returns_outcome_or_bad():
@@ -282,16 +271,10 @@ def _literal_delta_distribution(table, good):
     vectorized law, (probabilities by delta code, good-branch mass)."""
     ctx = table.ctx
     d, n = table.d, table.n
-    chosen = [
-        (w, eta) for w, eta in table.items() if good is None or good.w_good(table.x, eta)
-    ]
-    if good is None:
-        norm = d**n * d**n
-        mass = 1.0
-    else:
-        b_size = sum(eta for _, eta in chosen)
-        norm = d**n * b_size
-        mass = b_size / d**n
+    chosen = [(w, eta) for w, eta in table.items() if good.w_good(table.x, eta)]
+    b_size = sum(eta for _, eta in chosen)
+    norm = d**n * b_size
+    mass = b_size / d**n
     if not chosen:
         return [], mass
     pairs = [(w, math.sqrt(eta)) for w, eta in chosen]
@@ -305,44 +288,39 @@ def _literal_delta_distribution(table, good):
     return probs, mass
 
 
-# (field, n, analysis, every how many-th direction to check, whether the
-# ideal branch is checked too); the larger fields are strided to keep the
-# literal loop fast.  GF(3^3) has a three-digit trace form, and GF(31)
-# checks one direction with |W| = 496, whose row sums need several exponent
-# windows; each literal law there takes about 1.7 s, so only the good
-# branch, the one the sampler draws from, is checked.
+# (field, n, analysis, every how many-th direction to check); the larger
+# fields are strided to keep the literal loop fast.  GF(3^3) has a
+# three-digit trace form, and GF(31) checks one direction with |W| = 496,
+# whose row sums need several exponent windows (about 1.7 s per literal law).
 ORACLE_CASES = [
-    ("5", 2, Analysis.FIRST, 1, True),
-    ("13", 2, Analysis.FIRST, 21, True),
-    ("2^2", 2, Analysis.SECOND, 1, True),
-    ("2^3", 2, Analysis.SECOND, 3, True),
-    ("3^2", 2, Analysis.SECOND, 3, True),
-    ("5", 3, Analysis.FIRST, 9, True),
-    ("3^3", 2, Analysis.FIRST, 365, False),
-    ("31", 2, Analysis.FIRST, 500, False),
+    ("5", 2, Analysis.FIRST, 1),
+    ("13", 2, Analysis.FIRST, 21),
+    ("2^2", 2, Analysis.SECOND, 1),
+    ("2^3", 2, Analysis.SECOND, 3),
+    ("3^2", 2, Analysis.SECOND, 3),
+    ("5", 3, Analysis.FIRST, 9),
+    ("3^3", 2, Analysis.FIRST, 365),
+    ("31", 2, Analysis.FIRST, 500),
 ]
 
 
 @pytest.mark.parametrize(
-    "desc,n,analysis,stride,with_ideal",
+    "desc,n,analysis,stride",
     ORACLE_CASES,
     ids=[f"{c[0]}-{c[1]}-{c[2].value}-{c[3]}" for c in ORACLE_CASES],
 )
-def test_outcome_law_equals_literal_character_sum(desc, n, analysis, stride, with_ideal):
+def test_outcome_law_equals_literal_character_sum(desc, n, analysis, stride):
     ctx = parse_field(desc)
     good = good_sets(ctx, n, analysis)
     checked = 0
     for i, table in enumerate(iter_eta_tables(ctx, n)):
-        if i % stride:
+        if i % stride or not good.x_good(table.x):
             continue
-        for g in (None, good) if with_ideal else (good,):
-            if g is not None and not g.x_good(table.x):
-                continue
-            probs, mass = _delta_distribution(table, g)
-            want, want_mass = _literal_delta_distribution(table, g)
-            assert probs.tolist() == want, (desc, table.x, g is None)
-            assert mass == want_mass
-            checked += 1
+        probs, mass = _delta_distribution(table, good)
+        want, want_mass = _literal_delta_distribution(table, good)
+        assert probs.tolist() == want, (desc, table.x)
+        assert mass == want_mass
+        checked += 1
     assert checked > 0
 
 
@@ -408,7 +386,8 @@ def test_outcome_law_is_cached_with_its_cdf():
     table = eta_table(F7, (2, 5))
     law = _outcome_law(table, good)
     assert _outcome_law(table, good) is law
-    assert _outcome_law(table, None) is not law
+    # The two analyses share this table at p > 2, n = 2; each has its own law.
+    assert _outcome_law(table, good_sets(F7, 2, Analysis.SECOND)) is not law
     probs, cdf, _ = law
     cum = list(accumulate(probs.tolist()))
     assert cdf.tolist() == cum

@@ -30,6 +30,16 @@ F4 = parse_field("2^2")
 def test_monomials_graded_lex():
     assert monomials(2, 2) == [(0, 1), (1, 0), (0, 2), (1, 1), (2, 0)]
     assert monomials(1, 3) == [(1,), (2,), (3,)]
+    # The bounding-box filter, sorted by (total degree, vector), is the reference.
+    for arity in range(6):
+        for bound in range(5):
+            box = product(range(bound + 1), repeat=arity)
+            want = sorted((a for a in box if 0 < sum(a) <= bound), key=lambda a: (sum(a), a))
+            assert monomials(arity, bound) == want, (arity, bound)
+    # Many variables cost as much as the output, not (bound + 1)^arity.
+    assert monomials(1000, 1) == [
+        tuple(int(j == i) for j in range(1000)) for i in reversed(range(1000))
+    ]
 
 
 def test_unipoly_degree_and_trim():

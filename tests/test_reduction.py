@@ -5,10 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hpp.blackbox import make_instance, sample_instance
-from hpp.errors import InvariantViolationError, RecoveryError
+from hpp.errors import GuardExceededError, InvariantViolationError, RecoveryError
 from hpp.gf import make_field
 from hpp.polyring import UniPoly, eval_multi, multi_poly, substitute, to_unipoly
 from hpp.reduction import (
+    MAX_ARITY,
+    MAX_SOLVES,
     SolveStats,
     UnivariateView,
     build_plan,
@@ -43,6 +45,35 @@ def test_kappa_rejects_bad_shapes():
         kappa(0, 2)
     with pytest.raises(ValueError):
         kappa(2, 0)
+
+
+def test_kappa_guards_the_schedule():
+    assert kappa(1, MAX_ARITY) == MAX_ARITY
+    with pytest.raises(GuardExceededError, match=f"cap of {MAX_ARITY} variables"):
+        kappa(1, MAX_ARITY + 1)
+    assert kappa(2, 13) == 2**13 - 1 <= MAX_SOLVES
+    with pytest.raises(GuardExceededError, match=f"budget of {MAX_SOLVES} univariate"):
+        kappa(2, 14)
+    with pytest.raises(GuardExceededError):
+        kappa(2, 10**12)
+
+
+def test_schedule_guards_trip_before_any_recursion():
+    with pytest.raises(GuardExceededError):
+        build_plan(F7, 2, 14)
+    inst = sample_instance(F7, MAX_ARITY + 1, 1, seed="deep")
+    with pytest.raises(GuardExceededError):
+        solve_multivariate(inst, perfect_solver)
+    assert inst.query_count == 0
+    # The deepest accepted schedule stays inside the recursion limit, for the
+    # plan's JSON as well as for the recovery.
+    import json
+
+    json.dumps(build_plan(F7, 1, MAX_ARITY), indent=2)
+    inst = sample_instance(F7, MAX_ARITY, 1, seed="deep")
+    stats = SolveStats()
+    assert solve_multivariate(inst, perfect_solver, stats=stats) == inst.Q
+    assert stats.univariate_solves == MAX_ARITY
 
 
 def test_slice_points():
