@@ -6,7 +6,7 @@ quantum identification algorithm recovers Q from few oracle uses.  This
 package provides:
 
   gf         finite-field contexts, characters, square and quadratic roots
-  polyring   dense univariate / sparse multivariate polynomials, interpolation
+  polyring   uni/multivariate polynomials, restriction, Lagrange basis
   blackbox   hidden instances and the permuted oracle
   fibers     fiber-size tables of the direction map, good sets, moments
   pgm        success report (probabilities, bounds), outcome sampling
@@ -29,7 +29,7 @@ from .fibers import (
 )
 from .gf import FieldCtx, chi, make_field, parse_field, trace
 from .pgm import outcome_distribution, run_many, success_report
-from .polyring import MultiPoly, UniPoly, lagrange_interpolate, multi_poly
+from .polyring import MultiPoly, UniPoly, multi_poly
 from .reduction import kappa, solve_multivariate, univariate_oracle_view
 
 __version__ = "0.1.0"
@@ -50,7 +50,6 @@ __all__ = [
     "good_sets",
     "iter_eta_tables",
     "kappa",
-    "lagrange_interpolate",
     "make_field",
     "make_instance",
     "multi_poly",

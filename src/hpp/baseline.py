@@ -19,7 +19,7 @@ import numpy as np
 from .blackbox import HiddenInstance, sample_instance, verify_candidate
 from .errors import InvariantViolationError, RecoveryError
 from .gf import make_field
-from .polyring import UniPoly, from_unipoly
+from .polyring import UniPoly, multi_poly
 
 
 @dataclass(frozen=True)
@@ -73,7 +73,8 @@ def solve_linear_classical(
             slope = ctx.div(ctx.sub(s, s0), ctx.sub(r, r0))
             queries = inst.query_count - start
             cand = UniPoly(ctx, (0, slope))
-            ok = verify_candidate(inst, from_unipoly(cand, degree_bound=1), trials=4)
+            line = multi_poly(ctx, 1, {(1,): slope}, degree_bound=1)
+            ok = verify_candidate(inst, line, trials=4)
             return BaselineResult(candidate=cand, queries=queries, verified=ok)
         first_by_value[v] = pair
     raise RecoveryError(f"no value collision within {max_queries} queries")

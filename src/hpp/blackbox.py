@@ -160,11 +160,15 @@ def instance_from_json(text: str) -> HiddenInstance:
     """Rebuild an instance from its JSON descriptor.
 
     Revealed documents restore Q and pi directly; unrevealed ones require a
-    seed and re-derive the secrets from it.
+    seed and re-derive the secrets from it.  A document that carries only one
+    of Q and pi is rejected rather than rebuilt from its seed.
     """
     doc = json.loads(text)
     ctx = parse_field(doc["field"])
-    if "Q" in doc and "pi" in doc:
+    if ("Q" in doc) != ("pi" in doc):
+        missing = "pi" if "Q" in doc else "Q"
+        raise ValueError(f"instance document reveals one secret but has no {missing!r}")
+    if "Q" in doc:
         q = multi_poly(
             ctx, doc["m"], {tuple(a): c for a, c in doc["Q"]}, degree_bound=doc["n"]
         )

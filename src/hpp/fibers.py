@@ -342,12 +342,6 @@ class Analysis(str, Enum):
     SECOND = "second"
 
 
-def first_cap(n: int) -> int:
-    """Fiber-size cap for the first analysis: product of the triangular
-    degrees 1*2*...*n, which bounds any zero-dimensional fiber."""
-    return math.factorial(n)
-
-
 @dataclass(frozen=True)
 class GoodSets:
     """Membership predicates for good directions x and good targets w.
@@ -390,7 +384,8 @@ def good_sets(ctx: FieldCtx, n: int, analysis: Analysis) -> GoodSets:
             raise ValueError(
                 f"first analysis needs characteristic > n; got p = {ctx.p}, n = {n}"
             )
-        return GoodSets(ctx=ctx, n=n, analysis=analysis, cap=first_cap(n))
+        # The product of the triangular degrees, n!, bounds a zero-dimensional fiber.
+        return GoodSets(ctx=ctx, n=n, analysis=analysis, cap=math.factorial(n))
     if n != 2:
         raise ValueError(f"second analysis is specific to n = 2, got n = {n}")
     if ctx.d < 3:

@@ -4,19 +4,19 @@ Univariate polynomials are dense coefficient tuples indexed by exponent with
 trailing zeros trimmed.  Multivariate polynomials are sparse maps from
 exponent vectors to nonzero coefficients, kept in graded-lexicographic order
 so that serialization and iteration are deterministic.  Evaluation,
-Lagrange interpolation, and variable substitution are all exact field
-arithmetic; nothing here ever touches floating point.
+restriction and the Lagrange basis are all exact field arithmetic; nothing
+here ever touches floating point.
 
-Evaluation and substitution read each coordinate's powers from a row
+Evaluation and restriction read each coordinate's powers from a row
 [1, v, ..., v^top], built with one multiplication per power beyond v, where
 top is the largest exponent of that variable.  Each term's nonzero (position,
 exponent) factors are listed once per polynomial and cached on it, so a
 term costs one multiplication per factor and no exponentiation.
 
 The Lagrange basis L_i = prod_{j != i} (X - t_j) / (t_i - t_j) over a set of
-abscissae is built in one place, _lagrange_basis.  lagrange_interpolate sums
-y_i * L_i; the reduction weights whole coefficient maps by the same basis,
-so it interpolates every coefficient polynomial from one basis per recovery.
+abscissae is built in one place, _lagrange_basis.  The reduction weights
+whole coefficient maps by it, so it interpolates every coefficient
+polynomial from one basis per recovery.
 """
 
 from __future__ import annotations
@@ -64,9 +64,6 @@ class UniPoly:
         """Degree of the zero polynomial is -1 by convention."""
         return len(self.coeffs) - 1
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def coeff(self, i: int) -> Felt:
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
 
@@ -105,44 +102,6 @@ def _lagrange_basis(ctx: FieldCtx, ts: Sequence[Felt]) -> list[list[Felt]]:
         scale = ctx.inv(denom)
         out.append([ctx.mul(scale, c) for c in basis])
     return out
-
-
-def lagrange_interpolate(
-    ctx: FieldCtx, points: Sequence[tuple[Felt, Felt]], degree_bound: int
-) -> UniPoly:
-    """Unique interpolant through the given points, checked against a degree bound.
-
-    The bound is an explicit argument because callers always know it a
-    priori; an interpolant that comes out with higher degree means the
-    supplied values were inconsistent, and that is reported rather than
-    silently returned.
-    """
-    if degree_bound < 0:
-        raise ValueError(f"degree bound must be >= 0, got {degree_bound}")
-    if len(points) < degree_bound + 1:
-        raise ValueError(
-            f"need at least {degree_bound + 1} points for degree bound {degree_bound}, "
-            f"got {len(points)}"
-        )
-    ts = [t for t, _ in points]
-    if len(set(ts)) != len(ts):
-        raise ValueError("interpolation abscissae must be pairwise distinct")
-    for t, y in points:
-        ctx.check(t)
-        ctx.check(y)
-
-    coeffs = [0] * len(points)
-    for (_, y), basis in zip(points, _lagrange_basis(ctx, ts)):
-        for k, c in enumerate(basis):
-            coeffs[k] = ctx.add(coeffs[k], ctx.mul(y, c))
-
-    result = UniPoly(ctx, tuple(coeffs))
-    if result.degree > degree_bound:
-        raise ValueError(
-            f"interpolant has degree {result.degree}, exceeding the stated bound "
-            f"{degree_bound}; input values are inconsistent"
-        )
-    return result
 
 
 @dataclass(frozen=True)
@@ -199,9 +158,6 @@ class MultiPoly:
             if a == key:
                 return c
         return 0
-
-    def as_dict(self) -> dict[tuple[int, ...], Felt]:
-        return dict(self.terms)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -262,37 +218,6 @@ def eval_multi(q: MultiPoly, point: Sequence[Felt]) -> Felt:
     return acc
 
 
-def substitute(q: MultiPoly, assignment: Mapping[int, Felt]) -> MultiPoly:
-    """Fix some variables (0-based positions) to field values.
-
-    Returns a polynomial over the remaining variables in their original
-    order.  Substituting every variable leaves an arity-1 constant in the
-    sole surviving slot convention; callers wanting a scalar should use
-    eval_multi instead.
-    """
-    ctx = q.ctx
-    for pos, val in assignment.items():
-        if not 0 <= pos < q.arity:
-            raise ValueError(f"position {pos} out of range for arity {q.arity}")
-        ctx.check(val)
-    keep = [i for i in range(q.arity) if i not in assignment]
-    if not keep:
-        raise ValueError("substitution must leave at least one free variable")
-    tops = [q._tops[pos] for pos in assignment]
-    rows = dict(zip(assignment, _power_rows(ctx, assignment.values(), tops)))
-    acc: dict[tuple[int, ...], Felt] = {}
-    for (alpha, _), (term, factors) in zip(q.terms, q._factors):
-        for i, a in factors:
-            if i in rows:
-                term = ctx.mul(term, rows[i][a])
-        if term == 0:
-            continue
-        new_alpha = tuple(alpha[i] for i in keep)
-        acc[new_alpha] = ctx.add(acc.get(new_alpha, 0), term)
-    acc = {a: c for a, c in acc.items() if c != 0}
-    return multi_poly(ctx, len(keep), acc, degree_bound=q.degree_bound)
-
-
 def _restrict(q: MultiPoly, point: Sequence[Felt], free: int) -> list[Felt]:
     """Coefficients, by power of variable `free`, of q with every other
     variable fixed to its coordinate in point (point[free] is not read)."""
@@ -308,21 +233,6 @@ def _restrict(q: MultiPoly, point: Sequence[Felt], free: int) -> list[Felt]:
                 term = ctx.mul(term, rows[i][a])
         coeffs[k] = ctx.add(coeffs[k], term)
     return coeffs
-
-
-def from_unipoly(q: UniPoly, degree_bound: int = -1) -> MultiPoly:
-    terms = {(i,): c for i, c in enumerate(q.coeffs) if c != 0}
-    return multi_poly(q.ctx, 1, terms, degree_bound=degree_bound)
-
-
-def to_unipoly(q: MultiPoly) -> UniPoly:
-    if q.arity != 1:
-        raise ValueError(f"cannot flatten arity-{q.arity} polynomial to univariate form")
-    size = q.total_degree + 1 if q.terms else 0
-    coeffs = [0] * size
-    for (a,), c in q.terms:
-        coeffs[a] = c
-    return UniPoly(q.ctx, tuple(coeffs))
 
 
 def format_multipoly(q: MultiPoly) -> str:

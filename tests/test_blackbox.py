@@ -152,3 +152,8 @@ def test_json_roundtrip_by_seed():
 def test_json_requires_seed_or_secrets():
     with pytest.raises(ValueError):
         instance_from_json('{"field": "5", "m": 1, "n": 1, "seed": null}')
+    # One revealed secret without the other is an error, not a reseed.
+    head = '{"field": "5", "m": 1, "n": 2, "seed": "s", '
+    for secret, missing in (('"Q": [[[1], 1]]}', "'pi'"), ('"pi": [0, 1, 2, 3, 4]}', "'Q'")):
+        with pytest.raises(ValueError, match=missing):
+            instance_from_json(head + secret)

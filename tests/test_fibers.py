@@ -1,4 +1,5 @@
 import io
+import math
 import random
 from fractions import Fraction
 from itertools import product
@@ -19,7 +20,6 @@ from hpp.fibers import (
     encode_point,
     eta_moments,
     eta_table,
-    first_cap,
     good_sets,
     iter_eta_tables,
     n2_constraint,
@@ -292,9 +292,8 @@ def test_triangular_property(data):
 
 
 def test_first_cap_is_factorial():
-    assert first_cap(1) == 1
-    assert first_cap(2) == 2
-    assert first_cap(3) == 6
+    for n in range(1, 5):
+        assert good_sets(make_field(5), n, Analysis.FIRST).cap == math.factorial(n)
 
 
 def test_first_analysis_fiber_structure():

@@ -10,15 +10,13 @@ from hpp.gf import make_field, parse_field
 from hpp.polyring import (
     MultiPoly,
     UniPoly,
+    _lagrange_basis,
+    _restrict,
     eval_multi,
     eval_uni,
     format_multipoly,
-    from_unipoly,
-    lagrange_interpolate,
     monomials,
     multi_poly,
-    substitute,
-    to_unipoly,
 )
 from hpp.reduction import univariate_oracle_view
 
@@ -55,22 +53,27 @@ def test_eval_uni_horner():
         assert eval_uni(q, r) == (1 + 2 * r + 3 * r * r) % 7
 
 
+def _interpolate(ctx, points):
+    """sum y_i * L_i, after checking the basis: each L_i has degree < k and
+    L_i(t_j) = [i == j], which fixes it uniquely."""
+    ts = [t for t, _ in points]
+    basis = _lagrange_basis(ctx, ts)
+    coeffs = [0] * len(ts)
+    for i, ((_, y), row) in enumerate(zip(points, basis)):
+        assert len(row) == len(ts)
+        assert [eval_uni(UniPoly(ctx, tuple(row)), t) for t in ts] == [
+            int(i == j) for j in range(len(ts))
+        ]
+        for k, c in enumerate(row):
+            coeffs[k] = ctx.add(coeffs[k], ctx.mul(y, c))
+    return UniPoly(ctx, tuple(coeffs))
+
+
 def test_interpolate_fixture():
+    # The basis over 1, 2, 3 in GF(7), by hand: (X-2)(X-3)/2, -(X-1)(X-3), (X-1)(X-2)/2.
+    assert _lagrange_basis(F7, [1, 2, 3]) == [[3, 1, 4], [4, 4, 6], [1, 2, 4]]
     # three points on X^2 over GF(7)
-    q = lagrange_interpolate(F7, [(1, 1), (2, 4), (3, 2)], degree_bound=2)
-    assert q.coeffs == (0, 0, 1)
-
-
-def test_interpolate_degree_bound_violation():
-    # points of a cubic cannot fit a quadratic
-    pts = [(r, pow(r, 3, 7)) for r in range(4)]
-    with pytest.raises(ValueError):
-        lagrange_interpolate(F7, pts, degree_bound=2)
-
-
-def test_interpolate_rejects_duplicates():
-    with pytest.raises(ValueError):
-        lagrange_interpolate(F5, [(1, 1), (1, 2)], degree_bound=1)
+    assert _interpolate(F7, [(1, 1), (2, 4), (3, 2)]).coeffs == (0, 0, 1)
 
 
 def test_eval_interpolate_roundtrip_random():
@@ -81,9 +84,7 @@ def test_eval_interpolate_roundtrip_random():
         coeffs = tuple(rng.randrange(ctx.d) for _ in range(deg + 1))
         q = UniPoly(ctx, coeffs)
         pts = rng.sample(range(ctx.d), deg + 1)
-        viewed = [(r, eval_uni(q, r)) for r in pts]
-        back = lagrange_interpolate(ctx, viewed, degree_bound=deg)
-        assert back == q
+        assert _interpolate(ctx, [(r, eval_uni(q, r)) for r in pts]) == q
 
 
 @given(data=st.data())
@@ -95,8 +96,7 @@ def test_interpolation_matches_everywhere(data):
         data.draw(st.integers(min_value=0, max_value=ctx.d - 1)) for _ in range(deg + 1)
     )
     q = UniPoly(ctx, coeffs)
-    pts = [(r, eval_uni(q, r)) for r in range(deg + 1)]
-    back = lagrange_interpolate(ctx, pts, degree_bound=deg)
+    back = _interpolate(ctx, [(r, eval_uni(q, r)) for r in range(deg + 1)])
     for r in range(ctx.d):
         assert eval_uni(back, r) == eval_uni(q, r)
 
@@ -126,35 +126,18 @@ def test_substitute_matches_eval():
         for mono in monomials(3, 2):
             terms[mono] = rng.randrange(ctx.d)
         q = multi_poly(ctx, 3, terms)
-        fixed = {0: rng.randrange(ctx.d), 2: rng.randrange(ctx.d)}
-        restricted = substitute(q, fixed)
-        assert restricted.arity == 1
+        fixed = (rng.randrange(ctx.d), rng.randrange(ctx.d))
+        restricted = UniPoly(ctx, tuple(_restrict(q, (fixed[0], 0, fixed[1]), 1)))
         for t in range(ctx.d):
-            full_point = (fixed[0], t, fixed[2])
-            assert eval_multi(restricted, (t,)) == eval_multi(q, full_point)
-
-
-def test_substitute_requires_free_variable():
-    q = multi_poly(F5, 2, {(1, 0): 1})
-    with pytest.raises(ValueError):
-        substitute(q, {0: 1, 1: 2})
+            full_point = (fixed[0], t, fixed[1])
+            assert eval_uni(restricted, t) == eval_multi(q, full_point)
 
 
 def test_slice_fixture():
-    # X1*X2 + X2^2 at X2=2 over GF(5): 2*X1 + 4
+    # X1*X2 + X2^2 at X2=2 over GF(5): 2*X1 + 4; the free coordinate is not read
     q = multi_poly(F5, 2, {(1, 1): 1, (0, 2): 1})
-    s = substitute(q, {1: 2})
-    assert s.arity == 1
-    assert dict(s.terms) == {(1,): 2, (0,): 4}
-
-
-def test_uni_multi_conversions():
-    q = UniPoly(F7, (0, 3, 0, 5))
-    m = from_unipoly(q, degree_bound=3)
-    assert m.arity == 1
-    assert to_unipoly(m) == q
-    with pytest.raises(ValueError):
-        to_unipoly(multi_poly(F7, 2, {(1, 1): 1}))
+    for x1 in range(5):
+        assert _restrict(q, (x1, 2), 0) == [4, 2]
 
 
 def test_formatting():
@@ -199,8 +182,6 @@ def test_power_row_evaluation_matches_literal_powers(data):
     elt = st.integers(0, ctx.d - 1)
     coeffs = data.draw(st.lists(elt, min_size=len(alphas), max_size=len(alphas)))
     point = tuple(data.draw(st.lists(elt, min_size=arity, max_size=arity)))
-    fixed_at = data.draw(st.sets(st.integers(0, arity - 1), max_size=arity - 1))
-    free = data.draw(st.integers(0, arity - 1))
     for q in (
         multi_poly(ctx, arity, zip(alphas, coeffs), degree_bound=bound),
         multi_poly(ctx, arity, {}, degree_bound=bound),
@@ -208,19 +189,21 @@ def test_power_row_evaluation_matches_literal_powers(data):
         twin = multi_poly(ctx, arity, q.terms)
         key = hash(q)
         assert eval_multi(q, point) == _literal_eval(q, point)
-        fixed = {i: point[i] for i in sorted(fixed_at)}
-        assert dict(substitute(q, fixed).terms) == _literal_substitute(q, fixed)
         # The cached factor lists are not fields: == and hash ignore them.
         assert "_factors" in vars(q) and "_factors" not in vars(twin)
         assert q == twin and hash(q) == hash(twin) == key
 
-        # A view's restriction, against the literal substitute-and-flatten.
+        # Restriction to each free position, alone and through a view of the
+        # instance hiding q without its constant term, against the literal.
         hidden = multi_poly(ctx, arity, [(a, c) for a, c in q.terms if any(a)])
         inst = make_instance(ctx, hidden, n=max(bound, 1))
-        view_fixed = {i: point[i] for i in range(arity) if i != free}
-        view = univariate_oracle_view(inst, view_fixed, free)
-        uni = to_unipoly(substitute(hidden, view_fixed))
-        expected = tuple(uni.coeff(i) for i in range(1, inst.n + 1))
-        assert view.effective_coeffs() == expected
-        assert view.effective_coeffs() is view.effective_coeffs()
+        for free in range(arity):
+            fixed = {i: point[i] for i in range(arity) if i != free}
+            literal = _literal_substitute(q, fixed)
+            coeffs = _restrict(q, point, free)
+            assert {(k,): c for k, c in enumerate(coeffs) if c} == literal
+            view = univariate_oracle_view(inst, fixed, free)
+            expected = tuple(literal.get((k,), 0) for k in range(1, inst.n + 1))
+            assert view.effective_coeffs() == expected
+            assert view.effective_coeffs() is view.effective_coeffs()
         assert inst.query_count == 0
