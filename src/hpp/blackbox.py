@@ -161,7 +161,8 @@ def instance_from_json(text: str) -> HiddenInstance:
 
     Revealed documents restore Q and pi directly; unrevealed ones require a
     seed and re-derive the secrets from it.  A document that carries only one
-    of Q and pi is rejected rather than rebuilt from its seed.
+    of Q and pi is rejected rather than rebuilt from its seed, and so is a
+    query_count that is not a non-negative int.
     """
     doc = json.loads(text)
     ctx = parse_field(doc["field"])
@@ -179,5 +180,8 @@ def instance_from_json(text: str) -> HiddenInstance:
         inst = sample_instance(ctx, doc["m"], doc["n"], doc["seed"])
     else:
         raise ValueError("instance document has neither secrets nor a seed")
-    inst.query_count = doc.get("query_count", 0)
+    count = doc.get("query_count", 0)
+    if not isinstance(count, int) or isinstance(count, bool) or count < 0:
+        raise ValueError(f"query_count must be a non-negative integer, got {count!r}")
+    inst.query_count = count
     return inst

@@ -96,7 +96,7 @@ class EtaTable:
     counts[c] is eta_w^x for the w with encode_point code c (length d^n, zero
     for empty fibers).  The fibers themselves are the lazy `solutions`
     property.  The outcome laws pgm derives from the table are cached with
-    it, keyed by good set, and live exactly as long as the table.
+    it, keyed by the GoodSets object, and live exactly as long as the table.
     """
 
     ctx: FieldCtx
@@ -342,7 +342,7 @@ class Analysis(str, Enum):
     SECOND = "second"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GoodSets:
     """Membership predicates for good directions x and good targets w.
 
@@ -350,6 +350,9 @@ class GoodSets:
     Second analysis (n = 2 only): x1*x2*(x1+x2) != 0, eta >= 1, cap 4.
     The second-analysis cap is a theorem rather than part of the predicate,
     so violating it raises instead of classifying the pair as bad.
+
+    Compared and hashed by identity: the sampler looks up the outcome law
+    cached under the good set on every draw.
     """
 
     ctx: FieldCtx
@@ -361,8 +364,15 @@ class GoodSets:
         if len(x) != self.n:
             raise ValueError(f"x has {len(x)} coordinates, expected {self.n}")
         if self.analysis is Analysis.FIRST:
-            return all(xi != 0 for xi in x)
+            return 0 not in x
         return n2_constraint(self.ctx, x) != 0
+
+    @cached_property
+    def points(self) -> list[Point]:
+        """Every point of F^n, indexed by its encode_point code; decoded once,
+        it turns a sampled code into an outcome."""
+        d, n = self.ctx.d, self.n
+        return [decode_point(code, d, n) for code in range(d**n)]
 
     def w_good(self, x: Sequence[Felt], eta):
         """Good-target test at direction x, elementwise: eta is one fiber

@@ -164,18 +164,19 @@ class FieldCtx:
         return out
 
     def neg(self, a: Felt) -> Felt:
+        return self.sub(0, a)
+
+    def sub(self, a: Felt, b: Felt) -> Felt:
         if self.e == 1:
-            return (-a) % self.p
+            return (a - b) % self.p
         p = self.p
         out, scale = 0, 1
         for _ in range(self.e):
-            out += ((-a) % p) * scale
+            out += ((a - b) % p) * scale
             a //= p
+            b //= p
             scale *= p
         return out
-
-    def sub(self, a: Felt, b: Felt) -> Felt:
-        return self.add(a, self.neg(b))
 
     def _mul_poly(self, a: Felt, b: Felt) -> Felt:
         p = self.p

@@ -53,7 +53,6 @@ from .fibers import (
     EtaTable,
     GoodSets,
     Point,
-    decode_point,
     good_sets,
     iter_eta_tables,
 )
@@ -276,8 +275,7 @@ def _outcome_law(table: EtaTable, good: GoodSets):
 def outcome_distribution(table: EtaTable, good: GoodSets, q: Point) -> OutcomeDist:
     """Good-branch distribution of q' for direction x and true coefficient
     vector q; it depends on q only through q - q', which the sampler exploits."""
-    ctx = table.ctx
-    d, n = table.d, table.n
+    ctx, n = table.ctx, table.n
     q = tuple(q)
     if len(q) != n:
         raise ValueError(f"q has {len(q)} components, expected {n}")
@@ -285,10 +283,8 @@ def outcome_distribution(table: EtaTable, good: GoodSets, q: Point) -> OutcomeDi
         return OutcomeDist(x=table.x, good_mass=0.0, probabilities={})
     probs, _, mass = _outcome_law(table, good)
     out = {}
-    for code, pr in enumerate(probs.tolist()):
-        delta = decode_point(code, d, n)
-        qprime = tuple(ctx.sub(qi, di) for qi, di in zip(q, delta))
-        out[qprime] = pr
+    for delta, pr in zip(good.points, probs.tolist()):
+        out[tuple(ctx.sub(qi, di) for qi, di in zip(q, delta))] = pr
     return OutcomeDist(x=table.x, good_mass=mass, probabilities=out)
 
 
@@ -298,18 +294,22 @@ def sample_outcome(
     good: GoodSets,
     rng: random.Random,
 ):
-    """One measurement run for true coefficient vector q: sampled q' or BAD_BRANCH."""
+    """One measurement run for true coefficient vector q: sampled q' or BAD_BRANCH.
+
+    The draw takes n randrange(d) for the direction x; for a good x, one
+    random() against the law's good-branch mass and one for the inverse-CDF
+    pick of delta, which returns q' = q - delta.  The law is cached under the
+    good set, found by identity, and delta is read from good.points.
+    """
     ctx = good.ctx
-    d, n = ctx.d, good.n
-    x = tuple([rng.randrange(d) for _ in range(n)])
+    x = tuple([rng.randrange(ctx.d) for _ in range(good.n)])
     table = tables[x]
     if not good.x_good(x):
         return BAD_BRANCH
     _, cdf, mass = _outcome_law(table, good)
     if rng.random() >= mass:
         return BAD_BRANCH
-    u = rng.random() * cdf[-1]
-    delta = decode_point(int(cdf.searchsorted(u)), d, n)
+    delta = good.points[cdf.searchsorted(rng.random() * cdf[-1])]
     return tuple([ctx.sub(qi, di) for qi, di in zip(q, delta)])
 
 

@@ -7,11 +7,11 @@ so that serialization and iteration are deterministic.  Evaluation,
 restriction and the Lagrange basis are all exact field arithmetic; nothing
 here ever touches floating point.
 
-Evaluation and restriction read each coordinate's powers from a row
-[1, v, ..., v^top], built with one multiplication per power beyond v, where
-top is the largest exponent of that variable.  Each term's nonzero (position,
-exponent) factors are listed once per polynomial and cached on it, so a
-term costs one multiplication per factor and no exponentiation.
+Evaluation and restriction read the field's discrete-log/antilog tables
+(FieldCtx._log_lists) on every GF(p^e): a term c * prod v_i^a_i is one
+antilog, exp[(log c + sum a_i*log v_i) mod (d - 1)], dropped when a zero
+coordinate carries a nonzero exponent.  Each polynomial caches its terms'
+coefficient logs and nonzero (position, exponent) pairs.
 
 The Lagrange basis L_i = prod_{j != i} (X - t_j) / (t_i - t_j) over a set of
 abscissae is built in one place, _lagrange_basis.  The reduction weights
@@ -72,12 +72,14 @@ class UniPoly:
 
 
 def eval_uni(q: UniPoly, r: Felt) -> Felt:
-    """Horner evaluation of q at r."""
+    """q(r), one antilog per nonzero term; r = 0 keeps only the constant."""
     ctx = q.ctx
     ctx.check(r)
-    acc = 0
-    for c in reversed(q.coeffs):
-        acc = ctx.add(ctx.mul(acc, r), c)
+    log, exp = ctx._log_lists
+    add, order, lr, acc = ctx.add, ctx.d - 1, log[r], 0
+    for i, c in enumerate(q.coeffs):
+        if c and (r or not i):
+            acc = add(acc, exp[(log[c] + i * lr) % order])
     return acc
 
 
@@ -166,28 +168,18 @@ class MultiPoly:
         return self.coeff((0,) * self.arity)
 
     @cached_property
-    def _factors(self) -> tuple[tuple[Felt, tuple[tuple[int, int], ...]], ...]:
-        """(coefficient, its nonzero (position, exponent) pairs) per term;
-        cached outside the dataclass fields, so == and hash ignore it."""
+    def _factors(self) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]:
+        """(log c, nonzero (position, exponent) pairs) per term; cached
+        outside the dataclass fields, so == and hash ignore it."""
+        log = self.ctx._log_lists[0]
         return tuple(
-            (c, tuple((i, a) for i, a in enumerate(alpha) if a)) for alpha, c in self.terms
+            (log[c], tuple((i, a) for i, a in enumerate(alpha) if a)) for alpha, c in self.terms
         )
 
     @cached_property
     def _tops(self) -> tuple[int, ...]:
         """The largest exponent of each variable."""
         return tuple(max((a[i] for a, _ in self.terms), default=0) for i in range(self.arity))
-
-
-def _power_rows(ctx: FieldCtx, values: Iterable[Felt], tops: Iterable[int]) -> list:
-    """[1, v, ..., v^max(top, 1)] per value: one ctx.mul per power above v."""
-    mul, rows = ctx.mul, []
-    for v, top in zip(values, tops):
-        row = [1, v]
-        for _ in range(1, top):
-            row.append(mul(row[-1], v))
-        rows.append(row)
-    return rows
 
 
 def multi_poly(
@@ -209,12 +201,15 @@ def eval_multi(q: MultiPoly, point: Sequence[Felt]) -> Felt:
         raise ValueError(f"point has {len(point)} coordinates, polynomial has {q.arity}")
     for v in point:
         ctx.check(v)
-    rows = _power_rows(ctx, point, q._tops)
-    mul, add, acc = ctx.mul, ctx.add, 0
-    for term, factors in q._factors:
+    log, exp = ctx._log_lists
+    add, order, acc = ctx.add, ctx.d - 1, 0
+    for k, factors in q._factors:
         for i, a in factors:
-            term = mul(term, rows[i][a])
-        acc = add(acc, term)
+            if not point[i]:
+                break
+            k += a * log[point[i]]
+        else:
+            acc = add(acc, exp[k % order])
     return acc
 
 
@@ -222,16 +217,20 @@ def _restrict(q: MultiPoly, point: Sequence[Felt], free: int) -> list[Felt]:
     """Coefficients, by power of variable `free`, of q with every other
     variable fixed to its coordinate in point (point[free] is not read)."""
     ctx = q.ctx
-    rows = _power_rows(ctx, point, q._tops)
+    log, exp = ctx._log_lists
+    add, order = ctx.add, ctx.d - 1
     coeffs = [0] * (q._tops[free] + 1)
-    for term, factors in q._factors:
-        k = 0
+    for k, factors in q._factors:
+        power = 0
         for i, a in factors:
             if i == free:
-                k = a
+                power = a
+            elif not point[i]:
+                break
             else:
-                term = ctx.mul(term, rows[i][a])
-        coeffs[k] = ctx.add(coeffs[k], term)
+                k += a * log[point[i]]
+        else:
+            coeffs[power] = add(coeffs[power], exp[k % order])
     return coeffs
 
 

@@ -157,3 +157,17 @@ def test_json_requires_seed_or_secrets():
     for secret, missing in (('"Q": [[[1], 1]]}', "'pi'"), ('"pi": [0, 1, 2, 3, 4]}', "'Q'")):
         with pytest.raises(ValueError, match=missing):
             instance_from_json(head + secret)
+
+
+def test_json_query_count_must_be_a_non_negative_int():
+    inst = sample_instance(F5, m=2, n=2, seed="s")
+    for count in (0, 7):
+        doc = instance_to_json(inst).replace('"query_count": 0', f'"query_count": {count}')
+        back = instance_from_json(doc)
+        assert back.query_count == count
+        back.query((1, 2), 3)
+        assert back.query_count == count + 1
+    for bad in ("-7", "true", "false", "2.5", '"3"', "null", "[1]"):
+        doc = instance_to_json(inst).replace('"query_count": 0', f'"query_count": {bad}')
+        with pytest.raises(ValueError, match="query_count"):
+            instance_from_json(doc)

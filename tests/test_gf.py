@@ -90,6 +90,7 @@ def test_field_axioms_seeded_samples():
             assert ctx.mul(a, ctx.add(b, c)) == ctx.add(ctx.mul(a, b), ctx.mul(a, c))
             assert ctx.add(a, ctx.neg(a)) == 0
             assert ctx.sub(a, b) == ctx.add(a, ctx.neg(b))
+            assert ctx.add(ctx.sub(a, b), b) == a
             if a:
                 assert ctx.mul(a, ctx.inv(a)) == 1
                 assert ctx.div(b, a) == ctx.mul(b, ctx.inv(a))

@@ -1,5 +1,6 @@
 import json
 import math
+import operator
 import random
 from bisect import bisect_left
 from itertools import accumulate, product
@@ -14,6 +15,7 @@ from hpp.densmat import pipeline_probability
 from hpp.errors import InvariantViolationError
 from hpp.fibers import (
     Analysis,
+    decode_point,
     eta_table,
     good_sets,
     iter_eta_tables,
@@ -394,6 +396,47 @@ def test_outcome_law_is_cached_with_its_cdf():
     rng = random.Random("cdf")
     for u in [rng.random() * cum[-1] for _ in range(500)] + cum + [0.0]:
         assert int(cdf.searchsorted(u)) == bisect_left(cum, u)
+
+
+def _literal_draw(q, tables, good, rng):
+    """One draw spelled out: randrange per coordinate of x, x_good, the law,
+    random() >= mass, the CDF search and decode_point, then q - delta by
+    base-p digits."""
+    ctx = good.ctx
+    x = tuple(rng.randrange(ctx.d) for _ in range(good.n))
+    if not good.x_good(x):
+        return BAD_BRANCH
+    _, cdf, mass = _outcome_law(tables[x], good)
+    if rng.random() >= mass:
+        return BAD_BRANCH
+    u = rng.random() * cdf[-1]
+    delta = decode_point(int(cdf.searchsorted(u)), ctx.d, good.n)
+    return tuple(
+        ctx.from_digits(map(operator.sub, ctx.digits(qi), ctx.digits(di)))
+        for qi, di in zip(q, delta)
+    )
+
+
+@pytest.mark.parametrize(
+    "desc, analysis, q",
+    [
+        ("7", Analysis.FIRST, (3, 5)),
+        ("2^3", Analysis.SECOND, (6, 3)),
+        # Unlike GF(2^3)'s point mass, this law moves q by nonzero deltas.
+        ("3^2", Analysis.SECOND, (4, 7)),
+    ],
+)
+def test_sample_outcome_replays_the_literal_draw(desc, analysis, q):
+    ctx = parse_field(desc)
+    good = good_sets(ctx, 2, analysis)
+    tables = {t.x: t for t in iter_eta_tables(ctx, 2)}
+    rng = random.Random(f"replay:{desc}")
+    twin = random.Random()
+    twin.setstate(rng.getstate())
+    got = [sample_outcome(q, tables, good, rng) for _ in range(500)]
+    assert got == [_literal_draw(q, tables, good, twin) for _ in range(500)]
+    assert rng.getstate() == twin.getstate()
+    assert BAD_BRANCH in got and q in got
 
 
 def test_sample_outcome_returns_plain_ints():

@@ -145,19 +145,24 @@ def test_formatting():
     assert format_multipoly(m) == "3*X1^1+1*X1^1*X2^1"
 
 
-POWER_ROW_FIELDS = [parse_field(f) for f in ("7", "13", "2^3", "3^2")]
+# GF(2) has d - 1 = 1, so every nonzero term is the antilog exp[0] = 1.
+LOG_DOMAIN_FIELDS = [parse_field(f) for f in ("2", "7", "13", "2^3", "3^2")]
 
 
 def _literal_term(ctx, c, values, alpha):
+    """c * prod v^a by repeated polynomial products: no log tables, no pow."""
     for v, a in zip(values, alpha):
-        c = ctx.mul(c, ctx.pow(v, a))
+        for _ in range(a):
+            c = ctx._mul_poly(c, v)
     return c
 
 
 def _literal_eval(q, point):
-    """Sum over terms of c * prod v_i^a_i, each power by ctx.pow."""
+    """Sum over the terms of q (a MultiPoly, or a UniPoly at the point (r,))
+    of c * prod v_i^a_i, each product taken literally."""
+    terms = q.terms if isinstance(q, MultiPoly) else [((i,), c) for i, c in enumerate(q.coeffs)]
     acc = 0
-    for alpha, c in q.terms:
+    for alpha, c in terms:
         acc = q.ctx.add(acc, _literal_term(q.ctx, c, point, alpha))
     return acc
 
@@ -172,10 +177,34 @@ def _literal_substitute(q, fixed):
     return {key: c for key, c in acc.items() if c}
 
 
+@pytest.mark.parametrize("desc", ["2", "7", "2^3", "3^2"])
+def test_log_domain_terms_match_literal_products_at_every_point(desc):
+    # Every monomial of total degree <= 4 in two variables, and a univariate
+    # polynomial of degree 4 with zero and nonzero coefficients, at every
+    # point: zero coordinates, free or fixed, are all visited.
+    ctx = parse_field(desc)
+    bound = 4
+    rng = random.Random(desc)
+    alphas = [a for a in product(range(bound + 1), repeat=2) if sum(a) <= bound]
+    q = multi_poly(ctx, 2, {a: rng.randrange(1, ctx.d) for a in alphas}, degree_bound=bound)
+    assert len(q.terms) == len(alphas)
+    uni = UniPoly(ctx, tuple(rng.randrange(ctx.d) for _ in range(bound)) + (1,))
+    for point in product(range(ctx.d), repeat=2):
+        assert eval_multi(q, point) == _literal_eval(q, point), point
+        for free in (0, 1):
+            fixed = {1 - free: point[1 - free]}
+            coeffs = _restrict(q, point, free)
+            assert len(coeffs) == bound + 1
+            literal = _literal_substitute(q, fixed)
+            assert {(k,): c for k, c in enumerate(coeffs) if c} == literal, (point, free)
+    for r in range(ctx.d):
+        assert eval_uni(uni, r) == _literal_eval(uni, (r,)), r
+
+
 @given(data=st.data())
 @settings(max_examples=150, deadline=None)
-def test_power_row_evaluation_matches_literal_powers(data):
-    ctx = data.draw(st.sampled_from(POWER_ROW_FIELDS))
+def test_log_domain_evaluation_matches_literal_powers(data):
+    ctx = data.draw(st.sampled_from(LOG_DOMAIN_FIELDS))
     arity = data.draw(st.integers(1, 4))
     bound = data.draw(st.integers(0, 3))
     alphas = [a for a in product(range(bound + 1), repeat=arity) if sum(a) <= bound]
