@@ -32,6 +32,7 @@ from .errors import GuardExceededError, InvariantViolationError, RecoveryError
 from .fibers import (
     Analysis,
     eta_moments,
+    eta_tables,
     good_sets,
     iter_eta_tables,
     pick_analysis,
@@ -144,7 +145,7 @@ def _cmd_e2e(args, parser) -> int:
     analysis = pick_analysis(ctx, args.n)
     good = good_sets(ctx, args.n, analysis)
     solves = kappa(args.n, args.m)  # guards the schedule before any table or instance
-    tables = {t.x: t for t in iter_eta_tables(ctx, args.n)}
+    tables = eta_tables(ctx, args.n)
 
     rows = []
     successes = 0

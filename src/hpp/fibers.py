@@ -12,7 +12,8 @@ distributions, block structures, reduces to these counts, so this module
 computes them exactly (integer arithmetic throughout) by enumeration.  The
 enumerator reads every term x_j * b^i from the field's log and antilog
 tables (FieldCtx.log_tables), so one table costs a few numpy calls and no
-field multiplication; building the tables takes d - 2, once per field.
+field multiplication; the tables are built once per field, in about
+log2(d) numpy steps.
 
 Points of F^n are numbered by their big-endian base-d code (encode_point /
 decode_point), which is also lexicographic order; fiber tables are dense
@@ -220,11 +221,31 @@ def brute_fiber(ctx: FieldCtx, x: Sequence[Felt], w: Sequence[Felt]) -> list[Poi
     return [decode_point(b, d, n) for b in hits.tolist()]
 
 
+def direction_orbit(ctx: FieldCtx, x: Sequence[Felt]) -> tuple[Point, Felt]:
+    """(r, lam) with x = lam * sigma(r) for a permutation sigma of the
+    coordinates, r being the least point of x's orbit under scaling by F*
+    and permuting coordinates: the least sorted(x_i^-1 * x) over the
+    nonzero x_i, zeros first.  x = 0 is its own orbit, with lam = 1.
+
+    Permuting coordinates leaves the fiber sizes alone and scaling by lam
+    scales every w, so the table of x is that of r with w scaled by lam.
+    """
+    return min(
+        ((tuple(sorted(ctx.div(xi, c) for xi in x)), c) for c in x if c),
+        default=(tuple(x), 1),
+    )
+
+
 def iter_eta_tables(ctx: FieldCtx, n: int) -> Iterator[EtaTable]:
     """One table per x in F^n, lazily, in lexicographic order of x."""
     _check_n(n)
     _check_enum_budget(ctx.d, 2 * n)
     return (eta_table(ctx, x) for x in product(range(ctx.d), repeat=n))
+
+
+def eta_tables(ctx: FieldCtx, n: int) -> dict[Point, EtaTable]:
+    """iter_eta_tables collected into a dict keyed by direction."""
+    return {t.x: t for t in iter_eta_tables(ctx, n)}
 
 
 def eta_moments(ctx: FieldCtx, n: int, k: int | None = None) -> tuple[Fraction, Fraction]:
@@ -352,13 +373,16 @@ class GoodSets:
     so violating it raises instead of classifying the pair as bad.
 
     Compared and hashed by identity: the sampler looks up the outcome law
-    cached under the good set on every draw.
+    cached under the good set on every draw.  Both predicates are invariant
+    under direction_orbit's maps, so pgm caches one outcome law per
+    direction orbit here, keyed by the orbit's representative.
     """
 
     ctx: FieldCtx
     n: int
     analysis: Analysis
     cap: int
+    _orbit_laws: dict = field(default_factory=dict, init=False, repr=False)
 
     def x_good(self, x: Sequence[Felt]) -> bool:
         if len(x) != self.n:

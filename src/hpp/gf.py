@@ -32,6 +32,7 @@ into the arithmetic helpers.
 from __future__ import annotations
 
 import cmath
+import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property
@@ -204,26 +205,40 @@ class FieldCtx:
         d - 1 stands for zero (exp[d - 1] = 0, log[0] = d - 1), which keeps
         exp[log[a]] = a for every a; products with zero are the caller's.
 
-        g is the first element of order d - 1: the powers of 1, 2, ... are
-        walked in turn, skipping elements some earlier walk reached (their
-        order divides its order), until a walk meets d - 1 distinct powers.
-        Prime fields step with a * g % p; extension fields step with
-        _mul_poly, because their mul reads these tables.
+        g is the first element of order d - 1, the first with g^((d-1)/q)
+        != 1 for every prime q dividing d - 1.  (Walking the powers of 1, 2,
+        ... and skipping elements an earlier walk reached finds the same g:
+        a skipped element is a power of one of lower order.)  With exp
+        filled up to m, exp[m + k] = exp[k] * h for h = g^m, so each step
+        doubles the filled prefix, by at most 2^16 entries to bound the
+        digit matrix: multiplying by a fixed h is the F_p-linear map whose
+        e x e matrix has the digits of h * t^i as column i, applied to the
+        digit rows mod p; a prime field is the case e = 1.  Every product
+        that builds the tables is _mul_poly, since mul reads them.
         """
-        d = self.d
-        step = self._mul_poly if self.e > 1 else lambda a, b: a * b % d
-        seen: set[int] = set()
-        for g in range(1, d):
-            if g in seen:
-                continue
-            powers, x = [1], g
-            while x != 1:
-                powers.append(x)
-                x = step(x, g)
-            if len(powers) == d - 1:
-                break
-            seen.update(powers)
-        exp = np.array(powers + [0], dtype=np.int64)
+        d, p, e = self.d, self.p, self.e
+        divisors = [f for f in range(1, math.isqrt(d - 1) + 1) if (d - 1) % f == 0]
+        primes = [q for f in divisors for q in (f, (d - 1) // f) if _is_prime(q)]
+
+        def power(a: Felt, k: int) -> Felt:
+            out = 1
+            for bit in bin(k)[2:]:
+                out = self._mul_poly(out, out)
+                if bit == "1":
+                    out = self._mul_poly(out, a)
+            return out
+
+        g = next(g for g in range(1, d) if all(power(g, (d - 1) // q) != 1 for q in primes))
+        place = p ** np.arange(e, dtype=np.int64)
+        exp = np.zeros(d, dtype=np.int64)
+        exp[0] = 1
+        filled = 1
+        while filled < d - 1:
+            top = min(2 * filled, filled + 2**16, d - 1)
+            h = self._mul_poly(int(exp[filled - 1]), g)
+            cols = np.array([self.digits(self._mul_poly(h, t)) for t in place.tolist()])
+            exp[filled:top] = (exp[: top - filled, None] // place % p @ cols % p) @ place
+            filled = top
         log = np.empty(d, dtype=np.int64)
         log[exp] = np.arange(d)
         log.flags.writeable = exp.flags.writeable = False

@@ -15,17 +15,27 @@ exists separately as a cross-check at small d.
 
 The amplitude of one delta needs only the phase index Tr(<delta, w>) in
 [0, p) of every term.  Those indices form an exact integer matrix, the
-base-p digits of all delta times the field's trace form (block-diagonal
-over the n coordinates) times the digits of the participating w, mod p.
-A term is fixed by its phase index and its fiber size, so each row is an
-integer count of each of the p*K distinct products sqrt(size) * cos_t (and
-sin_t), K being the number of distinct fiber sizes.  Each product splits
-exactly into two halves of at most 26 significant bits; halves grouped
-into exponent windows narrow enough to keep every partial sum below 2^53
-make one int64 matmul give each row's window totals exactly.  Rounding
-each row once then gives the correctly rounded exact sum: the same floats
-as summing the characters term by term with math.fsum.  Each law and its
-cumulative distribution are cached on the fiber table they come from.
+base-p digits of delta times the field's trace form (block-diagonal over
+the n coordinates) times the digits of the participating w, mod p.  A term
+is fixed by its phase index and its fiber size, so each row is an integer
+count of each of the p*K distinct products sqrt(size) * cos_t (and sin_t),
+K being the number of distinct fiber sizes.  The trace is F_p-linear, so
+the row of lam * delta, lam in F_p*, is the row of delta with its phase
+axis permuted: only one delta per F_p-line is counted, and one gather
+gives the other rows.  Each product splits exactly into two halves of at
+most 26 significant bits; halves grouped into exponent windows narrow
+enough to keep every partial sum below 2^53 make one int64 matmul give
+each row's window totals exactly.  Rounding each of the d^n rows once
+then gives the correctly rounded exact sum: the same floats as summing
+the characters term by term with math.fsum.
+
+A law is built once per orbit of directions under x -> lam * sigma(x), lam
+in F* and sigma a permutation of the coordinates: the fiber sizes of
+lam * sigma(x) are those of x with every w scaled by lam, so its law at
+delta is x's law at lam * delta.  The orbit's law is cached on the good
+set, in the coordinates of the orbit's least point, and each direction's
+law is one gather from it; that law and its cumulative distribution are
+cached on the direction's fiber table, where every draw finds them.
 
 success_report is the one entry for the success analysis.  Every quantity
 it reports depends on a direction x only through x_good(x) and the
@@ -42,6 +52,7 @@ import math
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Iterable, Mapping
 
 import numpy as np
@@ -53,6 +64,7 @@ from .fibers import (
     EtaTable,
     GoodSets,
     Point,
+    direction_orbit,
     good_sets,
     iter_eta_tables,
 )
@@ -147,29 +159,70 @@ class OutcomeDist:
     probabilities: dict[Point, float]
 
 
-def _phase_matrix(ctx: FieldCtx, n: int, w_codes: np.ndarray) -> np.ndarray:
-    """T[delta, i] = Tr(<delta, w_i>) for every delta in F^n (by code), exactly.
+@lru_cache(maxsize=1)
+def _delta_lines(ctx: FieldCtx, n: int) -> tuple[np.ndarray, ...]:
+    """Constants of the line-reduced phase counts of one (field, n), as
+    read-only arrays kept for the most recent (field, n).
+
+    Scaling delta by lam in F_p* scales each base-p digit of its code, so
+    every nonzero delta is lam * rho for the one rho on its F_p-line whose
+    most significant nonzero digit is 1; delta = 0 is a line of its own.
+    Returns the place values p^j of the digits; left, the digits of each
+    line's rho times the block trace form blockdiag_n(M) mod p; the residue
+    table of every sum _term_counts accumulates; and gather, which reads
+    row lam * rho of the (phase, size) count matrix from row rho, since
+    Tr(<lam * rho, w>) = lam * Tr(<rho, w>) mod p: gather[delta, t] =
+    line(delta) * p + (lam^-1 * t mod p).
+    """
+    p, ndig = ctx.p, n * ctx.e
+    place = p ** np.arange(ndig, dtype=np.int64)
+    codes = np.arange(ctx.d**n, dtype=np.int64)
+    # lam: the most significant nonzero base-p digit of each code.
+    lam = codes // place[np.searchsorted(place, codes, side="right") - 1]
+    lam[0] = 1  # delta = 0
+    lines = np.flatnonzero(lam == 1)
+    line_of = np.zeros_like(codes)
+    line_of[lines] = np.arange(len(lines))
+    lam_inv = np.array([0] + [pow(c, p - 2, p) for c in range(1, p)])[lam][:, None]
+    line = line_of[codes[:, None] // place % p * lam_inv % p @ place]
+    form = np.kron(np.eye(n, dtype=np.int64), np.array(ctx.trace_form, dtype=np.int64))
+    left = lines[:, None] // place % p @ form % p
+    residues = np.arange(ndig * (p - 1) ** 2 + 1, dtype=np.int64) % p
+    gather = line[:, None] * p + lam_inv * np.arange(p) % p
+    for a in (place, left, residues, gather):
+        a.flags.writeable = False
+    return place, left, residues, gather
+
+
+def _term_counts(
+    ctx: FieldCtx, n: int, w_codes: np.ndarray, size_index: np.ndarray, k: int
+) -> np.ndarray:
+    """terms[delta, t * k + s]: how many targets w (by code, each with its
+    index s among k distinct fiber sizes) have phase index Tr(<delta, w>) =
+    t, for every delta by code, exactly.
 
     With the base-p digits of a point as a row vector (e digits per
     coordinate), Tr(<delta, w>) = digits(delta) . blockdiag_n(M) .
-    digits(w) mod p, where M is the field's trace form.  The outer product
-    is accumulated one digit position at a time; every accumulated entry is
-    at most n*e*(p-1)^2, so one gather from a table of residues reduces the
-    matrix mod p.
+    digits(w) mod p, where M is the field's trace form.  Only the rows of
+    the line representatives are computed (_delta_lines): the outer
+    product is accumulated one digit position at a time, every entry stays
+    at most n*e*(p-1)^2, one gather from the residue table reduces it mod
+    p, and one bincount counts each row's terms.  One more gather derives
+    the rows of the other deltas.
     """
     p = ctx.p
-    place = p ** np.arange(n * ctx.e, dtype=np.int64)
-
-    def digits(codes: np.ndarray) -> np.ndarray:
-        return codes[:, None] // place % p
-
-    form = np.kron(np.eye(n, dtype=np.int64), np.array(ctx.trace_form, dtype=np.int64))
-    left = digits(np.arange(ctx.d**n, dtype=np.int64)) @ form % p
-    right = digits(w_codes)
-    phases = left[:, :1] * right[:, 0]
+    place, left, residues, gather = _delta_lines(ctx, n)
+    right = w_codes[:, None] // place % p
+    keys = left[:, :1] * right[:, 0]
     for j in range(1, len(place)):
-        phases += left[:, j : j + 1] * right[:, j]
-    return (np.arange(len(place) * (p - 1) ** 2 + 1, dtype=np.int64) % p)[phases]
+        keys += left[:, j : j + 1] * right[:, j]
+    keys = residues[keys]  # turned in place into bin numbers
+    bins = p * k
+    keys *= k
+    keys += size_index
+    keys += np.arange(0, len(left) * bins, bins)[:, None]
+    terms = np.bincount(keys.ravel(), minlength=len(left) * bins)
+    return terms.reshape(-1, k)[gather].reshape(len(gather), bins)
 
 
 def _exact_row_sums(counts: np.ndarray, values: list[list[float]]) -> np.ndarray:
@@ -225,13 +278,12 @@ def _delta_distribution(table: EtaTable, good: GoodSets) -> tuple[np.ndarray, fl
     code of delta, and the good-branch mass.
 
     amp(delta) = sum over good targets w of sqrt(eta_w) * chi(<delta, w>).
-    A term is fixed by its phase index t = Tr(<delta, w>), from
-    _phase_matrix in exact integer arithmetic, and by its fiber size, one
-    of K distinct values.  One bincount over the phase matrix counts every
-    row's terms by (t, size); the p*K distinct products sqrt(size) * cos_t
-    and * sin_t are the IEEE products float * complex gives.
-    _exact_row_sums then rounds each row's exact sum once, so the law is
-    bit-identical to evaluating the character sum term by term.
+    A term is fixed by its phase index t = Tr(<delta, w>) and by its fiber
+    size, one of K distinct values; _term_counts counts every row's terms
+    by (t, size) in exact integer arithmetic.  The p*K distinct products
+    sqrt(size) * cos_t and * sin_t are the IEEE products float * complex
+    gives, and _exact_row_sums rounds each row's exact sum once, so the
+    law is bit-identical to evaluating the character sum term by term.
     """
     ctx = table.ctx
     rows = ctx.d**table.n
@@ -242,13 +294,7 @@ def _delta_distribution(table: EtaTable, good: GoodSets) -> tuple[np.ndarray, fl
     if not codes.size:
         return np.empty(0), mass
     sizes = np.flatnonzero(np.bincount(eta))
-    k = len(sizes)
-    bins = ctx.p * k
-    keys = _phase_matrix(ctx, table.n, codes)  # turned in place into bin numbers
-    keys *= k
-    keys += np.searchsorted(sizes, eta)
-    keys += np.arange(0, rows * bins, bins)[:, None]
-    terms = np.bincount(keys.ravel(), minlength=rows * bins).reshape(rows, bins)
+    terms = _term_counts(ctx, table.n, codes, np.searchsorted(sizes, eta), len(sizes))
     roots = [math.sqrt(s) for s in sizes.tolist()]
     values = [[r * z.real, r * z.imag] for z in ctx._unit_roots for r in roots]
     amps = _exact_row_sums(terms, values)
@@ -262,12 +308,35 @@ def _delta_distribution(table: EtaTable, good: GoodSets) -> tuple[np.ndarray, fl
     return probs, mass
 
 
+def _scaled(probs: np.ndarray, ctx: FieldCtx, n: int, lam: int) -> np.ndarray:
+    """probs read at lam * delta: out[code(delta)] = probs[code(lam * delta)]."""
+    if lam == 1 or not probs.size:
+        return probs
+    times = codes = np.array([ctx.mul(lam, a) for a in range(ctx.d)])
+    for _ in range(n - 1):
+        codes = (codes[:, None] * ctx.d + times).ravel()
+    return probs[codes]
+
+
 def _outcome_law(table: EtaTable, good: GoodSets):
     """(probabilities, cumulative distribution, good-branch mass), cached on
-    the table per good set."""
+    the table per good set.
+
+    The probabilities are read from the law of x's orbit (direction_orbit),
+    cached on the good set in the coordinates of its representative r and
+    built from whichever member's table comes first: for x = lam *
+    sigma(r), law_x[delta] = law_r[lam * delta].
+    """
     law = table._laws.get(good)
     if law is None:
-        probs, mass = _delta_distribution(table, good)
+        ctx, n = table.ctx, table.n
+        rep, lam = direction_orbit(ctx, table.x)
+        if rep in good._orbit_laws:
+            rep_probs, mass = good._orbit_laws[rep]
+            probs = _scaled(rep_probs, ctx, n, lam)
+        else:
+            probs, mass = _delta_distribution(table, good)
+            good._orbit_laws[rep] = (_scaled(probs, ctx, n, ctx.inv(lam)), mass)
         law = table._laws[good] = (probs, np.cumsum(probs), mass)
     return law
 

@@ -17,6 +17,7 @@ from hpp.fibers import (
     Analysis,
     brute_fiber,
     eta_moments,
+    eta_tables,
     good_sets,
     iter_eta_tables,
     n2_constraint,
@@ -220,7 +221,7 @@ def test_criterion_8_monte_carlo_consistency():
     ctx = make_field(7)
     analysis = pick_analysis(ctx, 2)
     good = good_sets(ctx, 2, analysis)
-    tables = {t.x: t for t in iter_eta_tables(ctx, 2)}
+    tables = eta_tables(ctx, 2)
     target = success_report(ctx, 2, analysis).approx
     runs = 10_000
     sigma = math.sqrt(target * (1 - target) / runs)

@@ -2,7 +2,7 @@ import io
 import math
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
 import numpy as np
 import pytest
@@ -16,6 +16,7 @@ from hpp.fibers import (
     apply_map,
     brute_fiber,
     decode_point,
+    direction_orbit,
     elimination_quadratic,
     encode_point,
     eta_moments,
@@ -157,6 +158,26 @@ def test_enumeration_pass_multiplies_only_to_build_the_log_tables(monkeypatch):
         calls.clear()
         list(iter_eta_tables(ctx, 2))
         assert not calls, desc
+
+
+@pytest.mark.parametrize("desc,n", [("7", 3), ("3^2", 2), ("2^2", 3)])
+def test_direction_orbit_is_the_least_point_with_the_scaled_table(desc, n):
+    ctx = parse_field(desc)
+    d = ctx.d
+    points = list(product(range(d), repeat=n))
+    for x in points:
+        orbit = {
+            tuple(ctx.mul(lam, c) for c in perm)
+            for lam in range(1, d)
+            for perm in permutations(x)
+        }
+        rep, lam = direction_orbit(ctx, x)
+        assert rep == min(orbit), x
+        assert sorted(x) == sorted(ctx.mul(lam, c) for c in rep), x
+        # x = lam * sigma(rep): the fiber of x over lam * w is rep's over w.
+        counts = eta_table(ctx, x).counts
+        scaled = [encode_point([ctx.mul(lam, c) for c in w], d) for w in points]
+        assert counts[scaled].tolist() == eta_table(ctx, rep).counts.tolist(), x
 
 
 @given(data=st.data())

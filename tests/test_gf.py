@@ -242,6 +242,50 @@ def test_first_extension_multiplication_builds_only_the_log_tables(monkeypatch):
     assert len(calls) <= 3 * ctx.d, len(calls)
 
 
+def _walked_log_tables(ctx):
+    """(log, exp) by the literal walk: the powers of 1, 2, ... in turn,
+    skipping elements an earlier walk reached, until one walk meets d - 1
+    distinct powers."""
+    d = ctx.d
+    step = ctx._mul_poly if ctx.e > 1 else lambda a, b: a * b % d
+    seen = set()
+    for g in range(1, d):
+        if g in seen:
+            continue
+        powers, x = [1], g
+        while x != 1:
+            powers.append(x)
+            x = step(x, g)
+        if len(powers) == d - 1:
+            break
+        seen.update(powers)
+    exp = powers + [0]
+    log = [0] * d
+    for k, a in enumerate(exp):
+        log[a] = k
+    return log, exp
+
+
+SMALL_FIELDS = [
+    (p, e) for p in range(2, 1025) if all(p % q for q in range(2, p)) for e in range(1, 11)
+    if p**e <= 2**10
+]
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [SMALL_FIELDS, [(2, 16)], [(3, 8)]],
+    ids=["every-d-to-2^10", "2^16", "3^8"],
+)
+def test_log_tables_equal_the_literal_walk(fields):
+    for p, e in fields:
+        ctx = make_field(p, e)
+        log, exp = ctx.log_tables
+        want_log, want_exp = _walked_log_tables(ctx)
+        assert exp.tolist() == want_exp, (p, e)
+        assert log.tolist() == want_log, (p, e)
+
+
 def test_char2_squaring_is_bijective():
     for desc in ("2^2", "2^3"):
         ctx = parse_field(desc)

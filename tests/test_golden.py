@@ -48,6 +48,12 @@ CASES = {
          "--dump-dist", "{dist.csv}"],
         ["s.json", "dist.csv"],
     ),
+    # F_p-lines of deltas have 12 points at GF(13).
+    "success_dist_gf13": (
+        ["success", "--field", "13", "-n", "2", "--out", "{s.json}",
+         "--dump-dist", "{dist.csv}"],
+        ["s.json", "dist.csv"],
+    ),
     "success_mc_gf5": (
         ["success", "--field", "5", "-n", "2", "--mc", "200", "--seed", "g",
          "--out", "{s.json}"],
@@ -70,6 +76,12 @@ CASES = {
     ),
     "e2e_gf9_m3": (
         ["e2e", "--field", "3^2", "-n", "2", "-m", "3", "--trials", "3", "--seed", "g",
+         "--out", "{trials.csv}", "--summary-out", "{summary.json}"],
+        ["trials.csv", "summary.json"],
+    ),
+    # 16 direction orbits serve the 900 good directions of GF(31).
+    "e2e_gf31_m3": (
+        ["e2e", "--field", "31", "-n", "2", "-m", "3", "--trials", "5", "--seed", "d31",
          "--out", "{trials.csv}", "--summary-out", "{summary.json}"],
         ["trials.csv", "summary.json"],
     ),

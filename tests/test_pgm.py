@@ -17,6 +17,7 @@ from hpp.fibers import (
     Analysis,
     decode_point,
     eta_table,
+    eta_tables,
     good_sets,
     iter_eta_tables,
 )
@@ -29,6 +30,7 @@ from hpp.pgm import (
     _outcome_law,
     _sqrt_sum,
     _success_sums,
+    _term_counts,
     corollary_bound,
     lemma2_bound,
     make_quantum_solver,
@@ -153,7 +155,7 @@ def test_outcome_distribution_validates_q():
 def test_sample_outcome_returns_outcome_or_bad():
     ctx = F5
     good = good_sets(ctx, 2, Analysis.FIRST)
-    tables = {t.x: t for t in iter_eta_tables(ctx, 2)}
+    tables = eta_tables(ctx, 2)
     inst = sample_instance(ctx, 1, 2, seed="runonce")
     q = tuple(inst.Q.coeff((i,)) for i in (1, 2))
     rng = random.Random("runonce")
@@ -171,7 +173,7 @@ def test_sample_outcome_returns_outcome_or_bad():
 def test_run_many_matches_approx_success():
     ctx = F5
     good = good_sets(ctx, 2, Analysis.FIRST)
-    tables = {t.x: t for t in iter_eta_tables(ctx, 2)}
+    tables = eta_tables(ctx, 2)
     approx = success_report(ctx, 2, Analysis.FIRST).approx
     inst = sample_instance(ctx, 1, 2, seed="mc")
     stats = run_many(inst, tables, good, random.Random("mc"), runs=4000)
@@ -185,7 +187,7 @@ def test_run_many_pi_independent():
     # identical seeds, different permutations: same sampled outcomes
     ctx = F5
     good = good_sets(ctx, 2, Analysis.FIRST)
-    tables = {t.x: t for t in iter_eta_tables(ctx, 2)}
+    tables = eta_tables(ctx, 2)
     q = multi_poly(ctx, 1, {(1,): 2, (2,): 3}, degree_bound=2)
     ident = make_instance(ctx, q, n=2)
     rng = random.Random("perm")
@@ -200,7 +202,7 @@ def test_run_many_pi_independent():
 def test_quantum_solver_majority_vote():
     ctx = F7
     good = good_sets(ctx, 2, Analysis.FIRST)
-    tables = {t.x: t for t in iter_eta_tables(ctx, 2)}
+    tables = eta_tables(ctx, 2)
     inst = sample_instance(ctx, 1, 2, seed="vote")
     from hpp.reduction import univariate_oracle_view
 
@@ -398,6 +400,80 @@ def test_outcome_law_is_cached_with_its_cdf():
         assert int(cdf.searchsorted(u)) == bisect_left(cum, u)
 
 
+def test_an_empty_orbit_law_is_shared_without_a_gather():
+    # One orbit of GF(7) whose directions are bad under the second analysis:
+    # no good target, so every member's law is empty.
+    good = good_sets(F7, 2, Analysis.SECOND)
+    for x in ((2, 5), (1, 6), (5, 2)):
+        probs, cdf, mass = _outcome_law(eta_table(F7, x), good)
+        assert probs.size == cdf.size == 0 and mass == 0.0, x
+    assert list(good._orbit_laws) == [(1, 6)]
+
+
+# (field, n, analysis, orbit laws built, good directions)
+ORBIT_CASES = [
+    ("13", 2, Analysis.FIRST, 7, 144),
+    ("31", 2, Analysis.FIRST, 16, 900),
+    ("3^2", 2, Analysis.FIRST, 5, 64),
+    ("2^3", 2, Analysis.SECOND, 3, 42),
+    ("5^2", 2, Analysis.FIRST, 13, 576),
+    ("7", 3, Analysis.FIRST, 10, 216),
+    ("7", 2, Analysis.SECOND, 3, 30),
+]
+
+
+@pytest.mark.parametrize(
+    "desc,n,analysis,built,good_count",
+    ORBIT_CASES,
+    ids=[f"{c[0]}-{c[1]}-{c[2].value}" for c in ORBIT_CASES],
+)
+def test_orbit_laws_equal_fresh_builds(desc, n, analysis, built, good_count):
+    ctx = parse_field(desc)
+    good = good_sets(ctx, n, analysis)
+    tables = [t for t in iter_eta_tables(ctx, n) if good.x_good(t.x)]
+    assert len(tables) == good_count
+    # In reverse order most orbits are first met at a member other than
+    # their least point, so their laws are stored through the inverse gather.
+    for table in reversed(tables):
+        probs, cdf, mass = _outcome_law(table, good)
+        want, want_mass = _delta_distribution(table, good)
+        assert np.array_equal(probs, want) and mass == want_mass, table.x
+        assert np.array_equal(cdf, np.cumsum(want)), table.x
+    assert len(good._orbit_laws) == built
+
+
+def _full_term_counts(ctx, n, w_codes, size_index, k):
+    """Every row of the (phase, size) count matrix, each from its own row of
+    the full phase matrix, in blocks of rows."""
+    p, rows = ctx.p, ctx.d**n
+    place = p ** np.arange(n * ctx.e)
+    form = np.kron(np.eye(n, dtype=np.int64), np.array(ctx.trace_form))
+    right = form @ (w_codes[:, None] // place % p).T
+    out = []
+    for start in range(0, rows, 512):
+        deltas = np.arange(start, min(start + 512, rows))
+        keys = (deltas[:, None] // place % p) @ right % p * k + size_index
+        out += [np.bincount(row, minlength=p * k) for row in keys]
+    return np.array(out)
+
+
+@pytest.mark.parametrize(
+    "desc,x",
+    [("13", (2, 7)), ("61", (3, 10)), ("97", (5, 41)), ("3^2", (2, 7)), ("5^2", (3, 17)),
+     ("2^3", (3, 6)), ("13", (1, 4, 9)), ("17", (2, 3, 11))],
+)
+def test_line_reduced_term_counts_equal_the_full_count(desc, x):
+    ctx = parse_field(desc)
+    n = len(x)
+    table = eta_table(ctx, x)
+    good = good_sets(ctx, n, Analysis.SECOND if ctx.p == 2 else Analysis.FIRST)
+    codes = np.flatnonzero(good.w_good(x, table.counts))
+    eta = table.counts[codes]
+    sizes = np.flatnonzero(np.bincount(eta))
+    args = (ctx, n, codes, np.searchsorted(sizes, eta), len(sizes))
+    assert (_term_counts(*args) == _full_term_counts(*args)).all()
+
+
 def _literal_draw(q, tables, good, rng):
     """One draw spelled out: randrange per coordinate of x, x_good, the law,
     random() >= mass, the CDF search and decode_point, then q - delta by
@@ -429,7 +505,7 @@ def _literal_draw(q, tables, good, rng):
 def test_sample_outcome_replays_the_literal_draw(desc, analysis, q):
     ctx = parse_field(desc)
     good = good_sets(ctx, 2, analysis)
-    tables = {t.x: t for t in iter_eta_tables(ctx, 2)}
+    tables = eta_tables(ctx, 2)
     rng = random.Random(f"replay:{desc}")
     twin = random.Random()
     twin.setstate(rng.getstate())
@@ -441,7 +517,7 @@ def test_sample_outcome_replays_the_literal_draw(desc, analysis, q):
 
 def test_sample_outcome_returns_plain_ints():
     good = good_sets(F5, 2, Analysis.FIRST)
-    tables = {t.x: t for t in iter_eta_tables(F5, 2)}
+    tables = eta_tables(F5, 2)
     rng = random.Random("ints")
     outcomes = [sample_outcome((1, 3), tables, good, rng) for _ in range(100)]
     drawn = [o for o in outcomes if o is not BAD_BRANCH]
