@@ -97,7 +97,9 @@ class EtaTable:
     counts[c] is eta_w^x for the w with encode_point code c (length d^n, zero
     for empty fibers).  The fibers themselves are the lazy `solutions`
     property.  The outcome laws pgm derives from the table are cached with
-    it, keyed by the GoodSets object, and live exactly as long as the table.
+    it, keyed by the GoodSets object, and live as long as the table; a
+    good set's draw records keep the laws' cumulative distributions alive
+    as long as the good set.
     """
 
     ctx: FieldCtx
@@ -372,10 +374,11 @@ class GoodSets:
     The second-analysis cap is a theorem rather than part of the predicate,
     so violating it raises instead of classifying the pair as bad.
 
-    Compared and hashed by identity: the sampler looks up the outcome law
-    cached under the good set on every draw.  Both predicates are invariant
-    under direction_orbit's maps, so pgm caches one outcome law per
-    direction orbit here, keyed by the orbit's representative.
+    Compared and hashed by identity: each fiber table caches its outcome
+    laws keyed by the good set.  Both predicates are invariant under
+    direction_orbit's maps, so pgm caches one outcome law per direction
+    orbit here, keyed by the orbit's representative, and one draw record
+    per direction in _draws, indexed by the direction's encode_point code.
     """
 
     ctx: FieldCtx
@@ -390,6 +393,12 @@ class GoodSets:
         if self.analysis is Analysis.FIRST:
             return 0 not in x
         return n2_constraint(self.ctx, x) != 0
+
+    @cached_property
+    def _draws(self) -> list:
+        """pgm's draw record of each direction, by code; None until the
+        direction's first draw."""
+        return [None] * self.ctx.d**self.n
 
     @cached_property
     def points(self) -> list[Point]:

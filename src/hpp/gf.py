@@ -27,6 +27,15 @@ when m = 0 and exactly 0 otherwise.
 Integers in [0, p) double as prime-subfield elements (their digit vector is
 a constant polynomial), so small constants like 2 % p can be fed straight
 into the arithmetic helpers.
+
+A sum of many field elements, each read as an antilog, is one plain
+integer sum reduced once.  FieldCtx._wide lists the antilogs in a "wide"
+encoding: on a prime field it is the antilog list itself and the reduction
+is one % p; on GF(p^e) each base-p digit of exp[k] sits in its own bit
+slot, wide enough that a sum of at most WIDE_TERMS terms cannot carry from
+one slot into the next, and FieldCtx._narrow reduces every slot mod p to
+turn the sum back into an element.  Callers check their term count against
+the bound (FieldCtx._check_wide) before they sum.
 """
 
 from __future__ import annotations
@@ -44,6 +53,8 @@ from .errors import GuardExceededError, InvariantViolationError
 
 # Largest field the integer-encoded representation will agree to build.
 MAX_FIELD_SIZE = 1 << 20
+# Most terms one wide sum (FieldCtx._wide) may add; it sets the slot width.
+WIDE_TERMS = 1 << 20
 
 Felt = int
 CharValue = complex
@@ -137,6 +148,8 @@ class FieldCtx:
     # -- representation ----------------------------------------------------
 
     def check(self, a: Felt) -> Felt:
+        if type(a) is int and 0 <= a < self.d:
+            return a
         if not isinstance(a, int) or isinstance(a, bool) or not 0 <= a < self.d:
             raise ValueError(f"{a!r} is not an element of {self.describe()}")
         return a
@@ -249,6 +262,48 @@ class FieldCtx:
         """log_tables as lists of ints, for element-at-a-time arithmetic."""
         log, exp = self.log_tables
         return log.tolist(), exp.tolist()
+
+    @cached_property
+    def _slot(self) -> int:
+        """Bits per base-p digit of a wide element: a slot holds any sum of
+        WIDE_TERMS digits, each at most p - 1."""
+        return (WIDE_TERMS * (self.p - 1)).bit_length()
+
+    @cached_property
+    def _wide(self) -> list[int]:
+        """wide[k] is exp[k] with digit j shifted to bit j * _slot, so a plain
+        sum of at most WIDE_TERMS entries keeps each digit's sum in its own
+        slot; on a prime field it is the antilog list itself."""
+        exp = self._log_lists[1]
+        if self.e == 1:
+            return exp
+        by_code = [0]  # wide form of every element, by code, one digit at a time
+        for j in range(self.e):
+            shift = j * self._slot
+            by_code = [w + (c << shift) for c in range(self.p) for w in by_code]
+        return list(map(by_code.__getitem__, exp))
+
+    def _narrow(self, s: int) -> Felt:
+        """The element a sum of _wide entries stands for."""
+        p = self.p
+        if self.e == 1:
+            return s % p
+        slot = self._slot
+        mask = (1 << slot) - 1
+        out, scale = 0, 1
+        while s:
+            out += (s & mask) % p * scale
+            s >>= slot
+            scale *= p
+        return out
+
+    def _check_wide(self, terms: int) -> None:
+        """Raise unless a wide sum of `terms` entries is exact."""
+        if terms > WIDE_TERMS:
+            raise InvariantViolationError(
+                f"a sum of {terms} terms could carry between the digit slots of "
+                f"{self.describe()}; the bound is {WIDE_TERMS}"
+            )
 
     def pow(self, a: Felt, k: int) -> Felt:
         if k < 0:

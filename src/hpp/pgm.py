@@ -35,7 +35,14 @@ lam * sigma(x) are those of x with every w scaled by lam, so its law at
 delta is x's law at lam * delta.  The orbit's law is cached on the good
 set, in the coordinates of the orbit's least point, and each direction's
 law is one gather from it; that law and its cumulative distribution are
-cached on the direction's fiber table, where every draw finds them.
+cached on the direction's fiber table.
+
+A draw reads one record per direction from the good set's draw list,
+indexed by the direction's encode_point code and filled on the direction's
+first draw: a bad-direction marker, or the good-branch mass, a zero-copy
+memoryview of the cached cumulative distribution and its last entry.  A
+repeat draw then does one list index, and bisect_left on the view finds
+the index numpy's searchsorted would.
 
 success_report is the one entry for the success analysis.  Every quantity
 it reports depends on a direction x only through x_good(x) and the
@@ -50,7 +57,7 @@ from __future__ import annotations
 
 import math
 import random
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Mapping
@@ -73,6 +80,7 @@ from .polyring import UniPoly
 
 
 BAD_BRANCH = None  # sentinel sample_outcome returns when the run is discarded
+_BAD_X = object()  # draw record of a bad direction
 
 # corollary_bound: degree of the locus of distinct-coordinate points sharing an image.
 CURVE_DEGREE = 2
@@ -357,6 +365,16 @@ def outcome_distribution(table: EtaTable, good: GoodSets, q: Point) -> OutcomeDi
     return OutcomeDist(x=table.x, good_mass=mass, probabilities=out)
 
 
+def _draw_record(table: EtaTable, good: GoodSets):
+    """What sample_outcome reads for direction table.x: _BAD_X for a bad
+    direction, else the good-branch mass, a memoryview of the law's cached
+    cumulative distribution and its last entry (0.0 for an empty law)."""
+    if not good.x_good(table.x):
+        return _BAD_X
+    _, cdf, mass = _outcome_law(table, good)
+    return mass, memoryview(cdf), float(cdf[-1]) if cdf.size else 0.0
+
+
 def sample_outcome(
     q: Point,
     tables: Mapping[Point, EtaTable],
@@ -365,20 +383,28 @@ def sample_outcome(
 ):
     """One measurement run for true coefficient vector q: sampled q' or BAD_BRANCH.
 
-    The draw takes n randrange(d) for the direction x; for a good x, one
-    random() against the law's good-branch mass and one for the inverse-CDF
-    pick of delta, which returns q' = q - delta.  The law is cached under the
-    good set, found by identity, and delta is read from good.points.
+    The draw takes n randrange(d) for the coordinates of the direction x,
+    which make its encode_point code; for a good x, one random() against
+    the law's good-branch mass and one for the inverse-CDF pick of delta,
+    which returns q' = q - delta.  The direction's draw record is read from
+    good's draw list by that code, and built from tables[x] on the first
+    draw of x; delta is read from good.points.
     """
     ctx = good.ctx
-    x = tuple([rng.randrange(ctx.d) for _ in range(good.n)])
-    table = tables[x]
-    if not good.x_good(x):
+    d = ctx.d
+    code = 0
+    for _ in range(good.n):
+        code = code * d + rng.randrange(d)
+    records = good._draws
+    record = records[code]
+    if record is None:
+        record = records[code] = _draw_record(tables[good.points[code]], good)
+    if record is _BAD_X:
         return BAD_BRANCH
-    _, cdf, mass = _outcome_law(table, good)
+    mass, cdf, last = record
     if rng.random() >= mass:
         return BAD_BRANCH
-    delta = good.points[cdf.searchsorted(rng.random() * cdf[-1])]
+    delta = good.points[bisect_left(cdf, rng.random() * last)]
     return tuple([ctx.sub(qi, di) for qi, di in zip(q, delta)])
 
 

@@ -8,10 +8,13 @@ restriction and the Lagrange basis are all exact field arithmetic; nothing
 here ever touches floating point.
 
 Evaluation and restriction read the field's discrete-log/antilog tables
-(FieldCtx._log_lists) on every GF(p^e): a term c * prod v_i^a_i is one
-antilog, exp[(log c + sum a_i*log v_i) mod (d - 1)], dropped when a zero
-coordinate carries a nonzero exponent.  Each polynomial caches its terms'
-coefficient logs and nonzero (position, exponent) pairs.
+(FieldCtx._log_lists) on every GF(p^e): one antilog per term, one reduction
+per sum.  A term c * prod v_i^a_i is the wide antilog (FieldCtx._wide) at
+(log c + sum a_i*log v_i) mod (d - 1), dropped when a zero coordinate
+carries a nonzero exponent; the terms add as plain integers and
+FieldCtx._narrow turns each sum into an element.  Each polynomial caches its
+terms' coefficient logs and nonzero (position, exponent) pairs, and checks
+its term count against the wide-sum bound when it builds them.
 
 The Lagrange basis L_i = prod_{j != i} (X - t_j) / (t_i - t_j) over a set of
 abscissae is built in one place, _lagrange_basis.  The reduction weights
@@ -75,12 +78,13 @@ def eval_uni(q: UniPoly, r: Felt) -> Felt:
     """q(r), one antilog per nonzero term; r = 0 keeps only the constant."""
     ctx = q.ctx
     ctx.check(r)
-    log, exp = ctx._log_lists
-    add, order, lr, acc = ctx.add, ctx.d - 1, log[r], 0
+    ctx._check_wide(len(q.coeffs))
+    log, wide = ctx._log_lists[0], ctx._wide
+    order, lr, acc = ctx.d - 1, log[r], 0
     for i, c in enumerate(q.coeffs):
         if c and (r or not i):
-            acc = add(acc, exp[(log[c] + i * lr) % order])
-    return acc
+            acc += wide[(log[c] + i * lr) % order]
+    return ctx._narrow(acc)
 
 
 def _lagrange_basis(ctx: FieldCtx, ts: Sequence[Felt]) -> list[list[Felt]]:
@@ -170,7 +174,9 @@ class MultiPoly:
     @cached_property
     def _factors(self) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]:
         """(log c, nonzero (position, exponent) pairs) per term; cached
-        outside the dataclass fields, so == and hash ignore it."""
+        outside the dataclass fields, so == and hash ignore it.  Every sum
+        over the terms is a wide sum, so their count is checked here."""
+        self.ctx._check_wide(len(self.terms))
         log = self.ctx._log_lists[0]
         return tuple(
             (log[c], tuple((i, a) for i, a in enumerate(alpha) if a)) for alpha, c in self.terms
@@ -201,25 +207,25 @@ def eval_multi(q: MultiPoly, point: Sequence[Felt]) -> Felt:
         raise ValueError(f"point has {len(point)} coordinates, polynomial has {q.arity}")
     for v in point:
         ctx.check(v)
-    log, exp = ctx._log_lists
-    add, order, acc = ctx.add, ctx.d - 1, 0
+    log, wide = ctx._log_lists[0], ctx._wide
+    order, acc = ctx.d - 1, 0
     for k, factors in q._factors:
         for i, a in factors:
             if not point[i]:
                 break
             k += a * log[point[i]]
         else:
-            acc = add(acc, exp[k % order])
-    return acc
+            acc += wide[k % order]
+    return ctx._narrow(acc)
 
 
 def _restrict(q: MultiPoly, point: Sequence[Felt], free: int) -> list[Felt]:
     """Coefficients, by power of variable `free`, of q with every other
     variable fixed to its coordinate in point (point[free] is not read)."""
     ctx = q.ctx
-    log, exp = ctx._log_lists
-    add, order = ctx.add, ctx.d - 1
-    coeffs = [0] * (q._tops[free] + 1)
+    log, wide = ctx._log_lists[0], ctx._wide
+    order = ctx.d - 1
+    sums = [0] * (q._tops[free] + 1)
     for k, factors in q._factors:
         power = 0
         for i, a in factors:
@@ -230,8 +236,8 @@ def _restrict(q: MultiPoly, point: Sequence[Felt], free: int) -> list[Felt]:
             else:
                 k += a * log[point[i]]
         else:
-            coeffs[power] = add(coeffs[power], exp[k % order])
-    return coeffs
+            sums[power] += wide[k % order]
+    return list(map(ctx._narrow, sums))
 
 
 def format_multipoly(q: MultiPoly) -> str:

@@ -10,6 +10,8 @@ coefficient polynomial Q_alpha at the t_j.  Interpolation is
 polynomial-valued: each slice's {alpha: coeff} map is weighted by its
 Lagrange basis polynomial L_j over t_1..t_n, built once per recovery, and
 the weighted maps are summed, which reconstructs every Q_alpha in one pass.
+Each weighted term is one wide antilog (gf.FieldCtx._wide) and each
+coefficient's sum is reduced once.
 The degree bound deg Q_alpha <= n - |alpha| becomes "no term above total
 degree n", and the assembled terms make a single MultiPoly.
 
@@ -118,12 +120,14 @@ class UnivariateView:
         return tuple(coeffs[1 : self.n + 1])
 
     def verify_candidate(self, cand: UniPoly, trials: int, rng) -> bool:
-        """All-equal graph test through the view; constant offsets pass."""
+        """All-equal graph test through the view; constant offsets pass.
+        Each trial is one parent query at the lifted point, built inline."""
         if trials < 2:
             raise ValueError(f"verification needs at least 2 trials, got {trials}")
         trials = min(trials, self.ctx.d)
         points = rng.sample(range(self.ctx.d), trials)
-        values = {self.query(r, eval_uni(cand, r)) for r in points}
+        head, tail, query = self._head, self._tail, self.inst.query
+        values = {query(head + (r,) + tail, eval_uni(cand, r)) for r in points}
         return len(values) == 1
 
 
@@ -197,7 +201,12 @@ def solve_multivariate(
             + (f" (last error: {last_error})" if last_error else "")
         )
 
-    slices: list[tuple[Felt, list[Felt]]] = []  # (t, L_t), built at the first split
+    # (t, (i, log of the nonzero coefficient of X^i in L_t) pairs), built at
+    # the first split.  Each term of Q_alpha sums at most n slice products
+    # and the origin coefficient, all as wide antilogs.
+    slices: list[tuple[Felt, list[tuple[int, int]]]] = []
+    ctx._check_wide(n + 1)
+    log, wide, order = ctx._log_lists[0], ctx._wide, ctx.d - 1
 
     def solve_recursive(suffix: dict[int, Felt]) -> dict[tuple[int, ...], Felt]:
         """Non-constant terms of Q restricted by the suffix assignment."""
@@ -211,13 +220,16 @@ def solve_multivariate(
             # each one's terms by its L_t interpolates every Q_alpha at once.
             if not slices:
                 ts = slice_points(ctx, n)
-                slices.extend(zip(ts, _lagrange_basis(ctx, ts)))
+                for t, basis in zip(ts, _lagrange_basis(ctx, ts)):
+                    slices.append((t, [(i, log[b]) for i, b in enumerate(basis) if b]))
+            sums = {key: wide[log[c]] for key, c in terms.items()}
             for t, basis in slices:
                 for alpha, c in solve_recursive({**suffix, last: t}).items():
-                    for i, b in enumerate(basis):
+                    lc = log[c]
+                    for i, lb in basis:
                         key = alpha + (i,)
-                        terms[key] = ctx.add(terms.get(key, 0), ctx.mul(c, b))
-            terms = {alpha: c for alpha, c in terms.items() if c}
+                        sums[key] = sums.get(key, 0) + wide[(lc + lb) % order]
+            terms = {alpha: c for alpha, s in sums.items() if (c := ctx._narrow(s))}
         # deg Q_alpha <= n - |alpha|: a sub-solve that slipped past
         # verification shows up as a term above total degree n.
         high = sorted(alpha for alpha in terms if sum(alpha) > n)

@@ -359,6 +359,33 @@ def test_traced_cli_wraps_every_binding(tmp_path):
     assert queries == 5 * verifications
 
 
+def test_traced_recovery_counts_match_the_trials_csv(tmp_path):
+    # The benchmark's traced completeness checks on a recovery with retries:
+    # every query the CSV counts passed through the wrapped
+    # HiddenInstance.query, every solve through the wrapped solver, and no
+    # binding escaped the tracer (checked in _traced_spans).
+    trials = tmp_path / "trials.csv"
+    spans = _traced_spans(
+        tmp_path / "stats.json",
+        "e2e", "--field", "5", "-n", "2", "-m", "3", "--trials", "4", "--seed", "t3",
+        "--out", str(trials), "--summary-out", str(tmp_path / "summary.json"),
+    )
+    with trials.open(newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 4
+
+    def column(name):
+        return sum(int(row[name]) for row in rows)
+
+    assert column("retries") > 0
+    assert spans["blackbox.query"][0] == column("queries")
+    assert spans["pgm.solver"][0] == column("solves")
+    assert spans["pgm.solver"][0] - spans["reduction.univariate_oracle_view"][0] == column(
+        "retries"
+    )
+    assert spans["pgm.sample_outcome"][0] >= 5 * column("solves")
+
+
 def test_unexpected_exception_maps_to_exit_4(monkeypatch, capsys):
     def boom(*a, **k):
         raise RuntimeError("unforeseen")

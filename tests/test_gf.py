@@ -4,9 +4,11 @@ import os
 import random
 import subprocess
 import sys
+from enum import IntEnum
 from itertools import product
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -224,6 +226,30 @@ def test_table_arithmetic_matches_square_and_multiply(desc):
         ctx.inv(0)
     with pytest.raises(ZeroDivisionError):
         ctx.pow(0, -1)
+
+
+class _Small(IntEnum):
+    ONE = 1
+
+
+@pytest.mark.parametrize("desc", ["7", "3^2"])
+def test_check_keeps_its_accept_and_reject_set(desc):
+    # The exact-int fast path must accept and reject what the full test
+    # (an int, not a bool, in [0, d)) does: only plain ints take it.
+    ctx = parse_field(desc)
+    d = ctx.d
+    cases = [
+        (True, False), (np.int64(1), False), (_Small.ONE, True), (-1, False),
+        (d - 1, True), (d, False), (1.0, False),
+    ]
+    for a, accepted in cases:
+        full_test = isinstance(a, int) and not isinstance(a, bool) and 0 <= a < d
+        assert full_test == accepted, a
+        if accepted:
+            assert ctx.check(a) is a
+        else:
+            with pytest.raises(ValueError, match="is not an element of"):
+                ctx.check(a)
 
 
 def test_first_extension_multiplication_builds_only_the_log_tables(monkeypatch):

@@ -16,6 +16,7 @@ from hpp.errors import InvariantViolationError
 from hpp.fibers import (
     Analysis,
     decode_point,
+    encode_point,
     eta_table,
     eta_tables,
     good_sets,
@@ -25,6 +26,7 @@ from hpp.gf import chi, dot, make_field, parse_field
 from hpp.pgm import (
     BAD_BRANCH,
     SuccessReport,
+    _BAD_X,
     _delta_distribution,
     _exact_row_sums,
     _outcome_law,
@@ -513,6 +515,61 @@ def test_sample_outcome_replays_the_literal_draw(desc, analysis, q):
     assert got == [_literal_draw(q, tables, good, twin) for _ in range(500)]
     assert rng.getstate() == twin.getstate()
     assert BAD_BRANCH in got and q in got
+
+
+def _searchsorted_draw(q, tables, good, rng):
+    """One draw as it was taken before draw records: the table looked up
+    by x, x_good, the law's mass, and numpy's searchsorted on the
+    cumulative sum of the law's probabilities."""
+    ctx = good.ctx
+    x = tuple([rng.randrange(ctx.d) for _ in range(good.n)])
+    table = tables[x]
+    if not good.x_good(x):
+        return BAD_BRANCH
+    probs, _, mass = _outcome_law(table, good)
+    if rng.random() >= mass:
+        return BAD_BRANCH
+    cdf = np.cumsum(probs)
+    delta = good.points[cdf.searchsorted(rng.random() * cdf[-1])]
+    return tuple([ctx.sub(qi, di) for qi, di in zip(q, delta)])
+
+
+@pytest.mark.parametrize(
+    "desc, analysis, q",
+    [("7", Analysis.FIRST, (3, 5)), ("7", Analysis.SECOND, (2, 6)), ("3^2", Analysis.FIRST, (4, 7))],
+)
+def test_draw_records_replay_the_searchsorted_draw(desc, analysis, q):
+    ctx = parse_field(desc)
+    good = good_sets(ctx, 2, analysis)
+    tables = eta_tables(ctx, 2)
+    empty = None
+    if analysis is Analysis.SECOND:
+        # No good direction of a field with d <= 27 has an empty law, so one
+        # is planted at (1, 2): mass 0 still takes one random().
+        # (1, 6) is a bad direction here (x1 + x2 = 0) and takes none.
+        empty = encode_point((1, 2), ctx.d)
+        tables[(1, 2)]._laws[good] = (np.empty(0), np.empty(0), 0.0)
+    rng = random.Random(f"records:{desc}:{analysis.value}")
+    twin = random.Random()
+    twin.setstate(rng.getstate())
+    draws = 10**4
+    want = [_searchsorted_draw(q, tables, good, twin) for _ in range(draws)]
+    got = [sample_outcome(q, tables, good, rng) for _ in range(draws)]
+    assert got == want
+    assert rng.getstate() == twin.getstate()
+    assert BAD_BRANCH in got and q in got
+    # Every direction was drawn, so every record was built and reused.
+    records = good._draws
+    assert len(records) == ctx.d**2 and None not in records
+    for x in ((0, 1), (1, 6)) if empty else ((0, 1),):
+        assert records[encode_point(x, ctx.d)] is _BAD_X
+    if empty is not None:
+        mass, cdf, last = records[empty]
+        assert (mass, len(cdf), last) == (0.0, 0, 0.0)
+    # The records view the cached CDFs; none is a copy.
+    mass, cdf, last = records[encode_point((1, 1), ctx.d)]
+    law_cdf = tables[(1, 1)]._laws[good][1]
+    assert cdf.obj is law_cdf and last == law_cdf[-1]
 
 
 def test_sample_outcome_returns_plain_ints():

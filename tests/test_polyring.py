@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hpp.blackbox import make_instance
-from hpp.gf import make_field, parse_field
+from hpp import gf
+from hpp.blackbox import make_instance, sample_instance
+from hpp.errors import InvariantViolationError
+from hpp.gf import MAX_FIELD_SIZE, WIDE_TERMS, make_field, parse_field
 from hpp.polyring import (
     MultiPoly,
     UniPoly,
@@ -18,7 +20,7 @@ from hpp.polyring import (
     monomials,
     multi_poly,
 )
-from hpp.reduction import univariate_oracle_view
+from hpp.reduction import perfect_solver, solve_multivariate, univariate_oracle_view
 
 F5 = make_field(5)
 F7 = make_field(7)
@@ -236,3 +238,55 @@ def test_log_domain_evaluation_matches_literal_powers(data):
             assert view.effective_coeffs() == expected
             assert view.effective_coeffs() is view.effective_coeffs()
         assert inst.query_count == 0
+
+
+def _repeated_sum(ctx, a, count):
+    """a added to itself count times by ctx.add, by doubling."""
+    acc, power = 0, a
+    while count:
+        if count & 1:
+            acc = ctx.add(acc, power)
+        power = ctx.add(power, power)
+        count >>= 1
+    return acc
+
+
+def test_wide_sum_at_the_term_bound_narrows_exactly():
+    # GF(1021^2) is the extension field with the largest p under the size
+    # cap, so its digit slots fill the most: WIDE_TERMS terms whose digits
+    # are all p - 1 (the element d - 1).  At r = 1 each term is its
+    # coefficient.  One more term is refused instead of carrying.
+    assert 1021**2 <= MAX_FIELD_SIZE < 1031**2
+    ctx = make_field(1021, 2)
+    top = ctx.d - 1
+    want = _repeated_sum(ctx, top, WIDE_TERMS)
+    assert want == ctx.from_digits([-WIDE_TERMS] * 2)
+    assert eval_uni(UniPoly(ctx, (top,) * WIDE_TERMS), 1) == want
+    with pytest.raises(InvariantViolationError, match=f"sum of {WIDE_TERMS + 1} terms"):
+        eval_uni(UniPoly(ctx, (top,) * (WIDE_TERMS + 1)), 1)
+
+
+def test_every_wide_sum_checks_its_term_count(monkeypatch):
+    # A fresh GF(3^2) sizes its slots by the patched bound: 7 terms of
+    # digit 2 sum to 14 < 2^4, and an eighth could carry.
+    monkeypatch.setattr(gf, "WIDE_TERMS", 7)
+    ctx = parse_field("3^2")
+    top = ctx.d - 1
+    full = multi_poly(ctx, 2, {(0, k): top for k in range(1, 8)})
+    want = _repeated_sum(ctx, top, 7)
+    assert want == _literal_eval(full, (1, 1)) != 0
+    assert eval_multi(full, (1, 1)) == want
+    assert _restrict(full, (0, 1), 0) == [want]
+    assert eval_uni(UniPoly(ctx, (top,) * 7), 1) == want
+    over = multi_poly(ctx, 2, {(0, k): top for k in range(1, 9)})
+    for call in (
+        lambda: eval_multi(over, (1, 1)),
+        lambda: _restrict(over, (0, 1), 0),
+        lambda: eval_uni(UniPoly(ctx, (top,) * 8), 1),
+    ):
+        with pytest.raises(InvariantViolationError, match="sum of 8 terms"):
+            call()
+    # The reduction sums n slice products and the origin term per coefficient.
+    inst = sample_instance(ctx, 2, 7, "wide")
+    with pytest.raises(InvariantViolationError, match="sum of 8 terms"):
+        solve_multivariate(inst, perfect_solver)
