@@ -61,10 +61,13 @@ def _output(path: str | None):
             yield fh
 
 
+def _write_json(doc, fh) -> None:
+    fh.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+
+
 def _emit_json(doc, path: str | None) -> None:
-    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
     with _output(path) as fh:
-        fh.write(text)
+        _write_json(doc, fh)
 
 
 def _cmd_eta(args, parser) -> int:
@@ -142,67 +145,74 @@ def _cmd_e2e(args, parser) -> int:
         parser.error("--trials must be at least 1")
     if args.baseline and (args.m != 1 or args.n != 1):
         parser.error("--baseline applies only to m = 1, n = 1 instances")
+    outputs = (args.out, args.summary_out)
+    files = [os.path.realpath(f) for f in outputs if f not in (None, "-")]
+    if len(set(files)) < len(files):
+        raise ValueError("--out and --summary-out must name different files")
     analysis = pick_analysis(ctx, args.n)
     good = good_sets(ctx, args.n, analysis)
     solves = kappa(args.n, args.m)  # guards the schedule before any table or instance
     tables = eta_tables(ctx, args.n)
+    with contextlib.ExitStack() as stack:
+        # Both outputs are opened after the guards and before the first
+        # trial, so an unwritable path fails before any instance is sampled.
+        out_fh = stack.enter_context(_output(args.out))
+        summary_fh = stack.enter_context(_output(args.summary_out))
+        rows = []
+        successes = 0
+        revealed = []
+        for trial in range(args.trials):
+            inst = sample_instance(ctx, args.m, args.n, seed=f"{seed}:{trial}")
+            rng = random.Random(f"hpp-e2e:{seed}:{trial}")
+            solver = make_quantum_solver(tables, good, rng)
+            stats = SolveStats()
+            try:
+                cand = solve_multivariate(inst, solver, rng=rng, stats=stats)
+                ok = cand == inst.Q
+            except RecoveryError:
+                cand = None
+                ok = False
+            successes += ok
+            row = {
+                "trial": trial,
+                "success": int(ok),
+                "queries": inst.query_count,
+                "solves": stats.univariate_solves,
+                "retries": stats.retries,
+            }
+            if args.baseline:
+                b_inst = sample_instance(ctx, 1, 1, seed=f"{seed}:{trial}")
+                b = baseline_mod.solve_linear_classical(
+                    b_inst, rng=random.Random(f"hpp-e2e-baseline:{seed}:{trial}")
+                )
+                row["baseline_queries"] = b.queries
+            rows.append(row)
+            if args.reveal:
+                revealed.append(
+                    {
+                        "trial": trial,
+                        "hidden": format_multipoly(inst.Q),
+                        "recovered": None if cand is None else format_multipoly(cand),
+                    }
+                )
 
-    rows = []
-    successes = 0
-    revealed = []
-    for trial in range(args.trials):
-        inst = sample_instance(ctx, args.m, args.n, seed=f"{seed}:{trial}")
-        rng = random.Random(f"hpp-e2e:{seed}:{trial}")
-        solver = make_quantum_solver(tables, good, rng)
-        stats = SolveStats()
-        try:
-            cand = solve_multivariate(inst, solver, rng=rng, stats=stats)
-            ok = cand == inst.Q
-        except RecoveryError:
-            cand = None
-            ok = False
-        successes += ok
-        row = {
-            "trial": trial,
-            "success": int(ok),
-            "queries": inst.query_count,
-            "solves": stats.univariate_solves,
-            "retries": stats.retries,
-        }
-        if args.baseline:
-            b_inst = sample_instance(ctx, 1, 1, seed=f"{seed}:{trial}")
-            b = baseline_mod.solve_linear_classical(
-                b_inst, rng=random.Random(f"hpp-e2e-baseline:{seed}:{trial}")
-            )
-            row["baseline_queries"] = b.queries
-        rows.append(row)
-        if args.reveal:
-            revealed.append(
-                {
-                    "trial": trial,
-                    "hidden": format_multipoly(inst.Q),
-                    "recovered": None if cand is None else format_multipoly(cand),
-                }
-            )
-
-    with _output(args.out) as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0]), lineterminator="\n")
+        writer = csv.DictWriter(out_fh, fieldnames=list(rows[0]), lineterminator="\n")
         writer.writeheader()
         writer.writerows(rows)
 
-    summary = {
-        "field": field_descriptor(ctx),
-        "m": args.m,
-        "n": args.n,
-        "trials": args.trials,
-        "kappa": solves,
-        "success_rate": successes / args.trials,
-        "median_queries": float(statistics.median(r["queries"] for r in rows)),
-        "analysis": analysis.value,
-    }
-    if args.reveal:
-        summary["instances"] = revealed
-    _emit_json(summary, args.summary_out)
+        summary = {
+            "field": field_descriptor(ctx),
+            "m": args.m,
+            "n": args.n,
+            "trials": args.trials,
+            "kappa": solves,
+            "success_rate": successes / args.trials,
+            "median_queries": float(statistics.median(r["queries"] for r in rows)),
+            "analysis": analysis.value,
+        }
+        if args.reveal:
+            summary["instances"] = revealed
+        _write_json(summary, summary_fh)
     return 0
 
 

@@ -96,16 +96,12 @@ class EtaTable:
 
     counts[c] is eta_w^x for the w with encode_point code c (length d^n, zero
     for empty fibers).  The fibers themselves are the lazy `solutions`
-    property.  The outcome laws pgm derives from the table are cached with
-    it, keyed by the GoodSets object, and live as long as the table; a
-    good set's draw records keep the laws' cumulative distributions alive
-    as long as the good set.
+    property.
     """
 
     ctx: FieldCtx
     x: Point
     counts: np.ndarray
-    _laws: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def d(self) -> int:
@@ -374,11 +370,11 @@ class GoodSets:
     The second-analysis cap is a theorem rather than part of the predicate,
     so violating it raises instead of classifying the pair as bad.
 
-    Compared and hashed by identity: each fiber table caches its outcome
-    laws keyed by the good set.  Both predicates are invariant under
-    direction_orbit's maps, so pgm caches one outcome law per direction
-    orbit here, keyed by the orbit's representative, and one draw record
-    per direction in _draws, indexed by the direction's encode_point code.
+    Compared and hashed by identity, since it holds all of pgm's outcome
+    law state.  Both predicates are invariant under direction_orbit's
+    maps, so pgm caches one outcome law per direction orbit here, keyed by
+    the orbit's representative, and one draw record per direction in
+    _draws, indexed by the direction's encode_point code.
     """
 
     ctx: FieldCtx

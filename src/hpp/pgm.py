@@ -34,15 +34,15 @@ in F* and sigma a permutation of the coordinates: the fiber sizes of
 lam * sigma(x) are those of x with every w scaled by lam, so its law at
 delta is x's law at lam * delta.  The orbit's law is cached on the good
 set, in the coordinates of the orbit's least point, and each direction's
-law is one gather from it; that law and its cumulative distribution are
-cached on the direction's fiber table.
+law is one gather from it; nothing is cached per direction but its draw
+record.
 
 A draw reads one record per direction from the good set's draw list,
 indexed by the direction's encode_point code and filled on the direction's
 first draw: a bad-direction marker, or the good-branch mass, a zero-copy
-memoryview of the cached cumulative distribution and its last entry.  A
-repeat draw then does one list index, and bisect_left on the view finds
-the index numpy's searchsorted would.
+memoryview of the law's cumulative distribution, built with the record,
+and its last entry.  A repeat draw then does one list index, and
+bisect_left on the view finds the index numpy's searchsorted would.
 
 success_report is the one entry for the success analysis.  Every quantity
 it reports depends on a direction x only through x_good(x) and the
@@ -326,27 +326,22 @@ def _scaled(probs: np.ndarray, ctx: FieldCtx, n: int, lam: int) -> np.ndarray:
     return probs[codes]
 
 
-def _outcome_law(table: EtaTable, good: GoodSets):
-    """(probabilities, cumulative distribution, good-branch mass), cached on
-    the table per good set.
+def _outcome_law(table: EtaTable, good: GoodSets) -> tuple[np.ndarray, float]:
+    """(probabilities, good-branch mass) of direction table.x.
 
     The probabilities are read from the law of x's orbit (direction_orbit),
     cached on the good set in the coordinates of its representative r and
     built from whichever member's table comes first: for x = lam *
     sigma(r), law_x[delta] = law_r[lam * delta].
     """
-    law = table._laws.get(good)
-    if law is None:
-        ctx, n = table.ctx, table.n
-        rep, lam = direction_orbit(ctx, table.x)
-        if rep in good._orbit_laws:
-            rep_probs, mass = good._orbit_laws[rep]
-            probs = _scaled(rep_probs, ctx, n, lam)
-        else:
-            probs, mass = _delta_distribution(table, good)
-            good._orbit_laws[rep] = (_scaled(probs, ctx, n, ctx.inv(lam)), mass)
-        law = table._laws[good] = (probs, np.cumsum(probs), mass)
-    return law
+    ctx, n = table.ctx, table.n
+    rep, lam = direction_orbit(ctx, table.x)
+    if rep in good._orbit_laws:
+        rep_probs, mass = good._orbit_laws[rep]
+        return _scaled(rep_probs, ctx, n, lam), mass
+    probs, mass = _delta_distribution(table, good)
+    good._orbit_laws[rep] = (_scaled(probs, ctx, n, ctx.inv(lam)), mass)
+    return probs, mass
 
 
 def outcome_distribution(table: EtaTable, good: GoodSets, q: Point) -> OutcomeDist:
@@ -358,7 +353,7 @@ def outcome_distribution(table: EtaTable, good: GoodSets, q: Point) -> OutcomeDi
         raise ValueError(f"q has {len(q)} components, expected {n}")
     if not good.x_good(table.x):
         return OutcomeDist(x=table.x, good_mass=0.0, probabilities={})
-    probs, _, mass = _outcome_law(table, good)
+    probs, mass = _outcome_law(table, good)
     out = {}
     for delta, pr in zip(good.points, probs.tolist()):
         out[tuple(ctx.sub(qi, di) for qi, di in zip(q, delta))] = pr
@@ -367,11 +362,13 @@ def outcome_distribution(table: EtaTable, good: GoodSets, q: Point) -> OutcomeDi
 
 def _draw_record(table: EtaTable, good: GoodSets):
     """What sample_outcome reads for direction table.x: _BAD_X for a bad
-    direction, else the good-branch mass, a memoryview of the law's cached
-    cumulative distribution and its last entry (0.0 for an empty law)."""
+    direction, else the good-branch mass, a memoryview of the law's
+    cumulative distribution, which the view keeps alive, and its last entry
+    (0.0 for an empty law)."""
     if not good.x_good(table.x):
         return _BAD_X
-    _, cdf, mass = _outcome_law(table, good)
+    probs, mass = _outcome_law(table, good)
+    cdf = np.cumsum(probs)
     return mass, memoryview(cdf), float(cdf[-1]) if cdf.size else 0.0
 
 

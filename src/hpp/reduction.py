@@ -78,13 +78,13 @@ def slice_points(ctx: FieldCtx, n: int) -> tuple[Felt, ...]:
 class UnivariateView:
     """Oracle adapter that fixes all but one variable of an instance.
 
-    Classical queries pass through to the parent (so query counting stays
-    exact).  The view's effective hidden polynomial is the restriction of the
-    parent's Q; effective_coeffs() exposes its non-constant coefficients and
-    is a simulation/debug hook, not something a real solver could call.  The
-    restriction is computed from Q's terms once per view, on first use, and
-    every retry on the view reuses it; reading it is not an oracle call, so
-    query_count is untouched.
+    Verification queries go to the parent at the lifted point (so query
+    counting stays exact).  The view's effective hidden polynomial is the
+    restriction of the parent's Q; effective_coeffs() exposes its
+    non-constant coefficients and is a simulation/debug hook, not something
+    a real solver could call.  The restriction is computed from Q's terms
+    once per view, on first use, and every retry on the view reuses it;
+    reading it is not an oracle call, so query_count is untouched.
     """
 
     def __init__(self, inst: HiddenInstance, fixed: dict[int, Felt], free: int):
@@ -105,18 +105,13 @@ class UnivariateView:
         point = tuple(fixed.get(i, 0) for i in range(inst.m))
         self._head, self._tail = point[:free], point[free + 1 :]
 
-    def _lift(self, r: Felt) -> tuple[Felt, ...]:
-        return self._head + (r,) + self._tail
-
-    def query(self, r: Felt, s: Felt) -> Felt:
-        return self.inst.query(self._lift(r), s)
-
     def effective_coeffs(self) -> tuple[Felt, ...]:
         return self._coeffs
 
     @cached_property
     def _coeffs(self) -> tuple[Felt, ...]:
-        coeffs = _restrict(self.inst.Q, self._lift(0), self.free) + [0] * self.n
+        point = self._head + (0,) + self._tail
+        coeffs = _restrict(self.inst.Q, point, self.free) + [0] * self.n
         return tuple(coeffs[1 : self.n + 1])
 
     def verify_candidate(self, cand: UniPoly, trials: int, rng) -> bool:

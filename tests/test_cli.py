@@ -172,6 +172,22 @@ def test_unwritable_dump_dist_exits_2_before_any_json(tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
+@pytest.mark.parametrize("bad", ["--out", "--summary-out"])
+def test_unwritable_e2e_output_exits_2_before_any_trial(
+    bad, tmp_path, monkeypatch, capsys
+):
+    sampled = []
+    monkeypatch.setattr("hpp.cli.sample_instance", lambda *a, **k: sampled.append(a))
+    paths = {"--out": tmp_path / "t.csv", "--summary-out": tmp_path / "s.json"}
+    paths[bad] = tmp_path / "no" / "out"
+    argv = ["e2e", "--field", "7", "-n", "2", "-m", "2", "--trials", "20", "--seed", "s"]
+    assert main([*argv, *(str(a) for kv in paths.items() for a in kv)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert sampled == []
+
+
 def test_seed_falls_back_to_environment(tmp_path, monkeypatch):
     monkeypatch.setenv("HPP_SEED", "env-seed")
     out = tmp_path / "e.json"
@@ -293,6 +309,8 @@ def test_invariant_violation_maps_to_exit_4(monkeypatch, capsys):
         ["eta", "--field", "5", "-n", "2", "--k", "1", "--out", "OUT"],
         ["eta", "--field", "7", "-n", "2", "--moments", "--solutions"],
         ["success", "--field", "5", "-n", "2", "--seed", "s"],
+        ["e2e", "--field", "5", "-n", "1", "-m", "1", "--seed", "s", "--out", "OUT",
+         "--summary-out", "OUT"],
     ],
 )
 def test_bad_arguments_exit_2_with_one_line(argv, tmp_path, capsys):

@@ -100,11 +100,25 @@ def _run(name, workdir: Path) -> dict[str, bytes]:
     return {f: p.read_bytes() for f, p in paths.items()}
 
 
+def _golden(name: str, fname: str) -> bytes:
+    return gzip.decompress((GOLDEN / f"{name}.{fname}.gz").read_bytes())
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_cli_output_matches_golden(name, tmp_path):
     for fname, data in _run(name, tmp_path).items():
-        expected = gzip.decompress((GOLDEN / f"{name}.{fname}.gz").read_bytes())
+        expected = _golden(name, fname)
         assert data == expected, f"{name}: {fname} differs from the golden copy"
+
+
+def test_monte_carlo_and_dump_dist_in_one_run_match_their_goldens(tmp_path):
+    # The one path where the dump and the Monte Carlo draws read the same
+    # law state: each output equals the golden of the run that writes it alone.
+    s_json, dist = tmp_path / "s.json", tmp_path / "dist.csv"
+    assert main(["success", "--field", "5", "-n", "2", "--mc", "200", "--seed", "g",
+                 "--out", str(s_json), "--dump-dist", str(dist)]) == 0
+    assert s_json.read_bytes() == _golden("success_mc_gf5", "s.json")
+    assert dist.read_bytes() == _golden("success_dist_gf5", "dist.csv")
 
 
 if __name__ == "__main__":

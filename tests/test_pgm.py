@@ -16,6 +16,7 @@ from hpp.errors import InvariantViolationError
 from hpp.fibers import (
     Analysis,
     decode_point,
+    direction_orbit,
     encode_point,
     eta_table,
     eta_tables,
@@ -28,6 +29,7 @@ from hpp.pgm import (
     SuccessReport,
     _BAD_X,
     _delta_distribution,
+    _draw_record,
     _exact_row_sums,
     _outcome_law,
     _sqrt_sum,
@@ -387,19 +389,26 @@ def test_grouped_row_sums_refuse_row_counts_of_2_to_the_26():
         _exact_row_sums(np.array([[2**25, 2**25]]), [[1.0], [0.5]])
 
 
-def test_outcome_law_is_cached_with_its_cdf():
+def test_draw_record_holds_the_cdf_of_the_outcome_law():
     good = good_sets(F7, 2, Analysis.FIRST)
     table = eta_table(F7, (2, 5))
-    law = _outcome_law(table, good)
-    assert _outcome_law(table, good) is law
+    probs, mass = _outcome_law(table, good)
+    (rep,) = good._orbit_laws
+    orbit_law = good._orbit_laws[rep]
+    again, again_mass = _outcome_law(table, good)
+    assert np.array_equal(again, probs) and again_mass == mass
+    # The second call reads the cached orbit law; nothing is rebuilt.
+    assert list(good._orbit_laws) == [rep] and good._orbit_laws[rep] is orbit_law
     # The two analyses share this table at p > 2, n = 2; each has its own law.
-    assert _outcome_law(table, good_sets(F7, 2, Analysis.SECOND)) is not law
-    probs, cdf, _ = law
+    second = good_sets(F7, 2, Analysis.SECOND)
+    _outcome_law(table, second)
+    assert second._orbit_laws[rep][0] is not orbit_law[0]
+    record_mass, cdf, last = _draw_record(table, good)
     cum = list(accumulate(probs.tolist()))
-    assert cdf.tolist() == cum
+    assert record_mass == mass and cdf.tolist() == cum and last == cum[-1]
     rng = random.Random("cdf")
     for u in [rng.random() * cum[-1] for _ in range(500)] + cum + [0.0]:
-        assert int(cdf.searchsorted(u)) == bisect_left(cum, u)
+        assert int(cdf.obj.searchsorted(u)) == bisect_left(cdf, u) == bisect_left(cum, u)
 
 
 def test_an_empty_orbit_law_is_shared_without_a_gather():
@@ -407,8 +416,8 @@ def test_an_empty_orbit_law_is_shared_without_a_gather():
     # no good target, so every member's law is empty.
     good = good_sets(F7, 2, Analysis.SECOND)
     for x in ((2, 5), (1, 6), (5, 2)):
-        probs, cdf, mass = _outcome_law(eta_table(F7, x), good)
-        assert probs.size == cdf.size == 0 and mass == 0.0, x
+        probs, mass = _outcome_law(eta_table(F7, x), good)
+        assert probs.size == 0 and mass == 0.0, x
     assert list(good._orbit_laws) == [(1, 6)]
 
 
@@ -437,10 +446,10 @@ def test_orbit_laws_equal_fresh_builds(desc, n, analysis, built, good_count):
     # In reverse order most orbits are first met at a member other than
     # their least point, so their laws are stored through the inverse gather.
     for table in reversed(tables):
-        probs, cdf, mass = _outcome_law(table, good)
+        probs, mass = _outcome_law(table, good)
         want, want_mass = _delta_distribution(table, good)
         assert np.array_equal(probs, want) and mass == want_mass, table.x
-        assert np.array_equal(cdf, np.cumsum(want)), table.x
+        assert np.array_equal(_draw_record(table, good)[1], np.cumsum(want)), table.x
     assert len(good._orbit_laws) == built
 
 
@@ -484,9 +493,10 @@ def _literal_draw(q, tables, good, rng):
     x = tuple(rng.randrange(ctx.d) for _ in range(good.n))
     if not good.x_good(x):
         return BAD_BRANCH
-    _, cdf, mass = _outcome_law(tables[x], good)
+    probs, mass = _outcome_law(tables[x], good)
     if rng.random() >= mass:
         return BAD_BRANCH
+    cdf = np.cumsum(probs)
     u = rng.random() * cdf[-1]
     delta = decode_point(int(cdf.searchsorted(u)), ctx.d, good.n)
     return tuple(
@@ -526,7 +536,7 @@ def _searchsorted_draw(q, tables, good, rng):
     table = tables[x]
     if not good.x_good(x):
         return BAD_BRANCH
-    probs, _, mass = _outcome_law(table, good)
+    probs, mass = _outcome_law(table, good)
     if rng.random() >= mass:
         return BAD_BRANCH
     cdf = np.cumsum(probs)
@@ -545,10 +555,10 @@ def test_draw_records_replay_the_searchsorted_draw(desc, analysis, q):
     empty = None
     if analysis is Analysis.SECOND:
         # No good direction of a field with d <= 27 has an empty law, so one
-        # is planted at (1, 2): mass 0 still takes one random().
+        # is planted on the orbit of (1, 2): mass 0 still takes one random().
         # (1, 6) is a bad direction here (x1 + x2 = 0) and takes none.
         empty = encode_point((1, 2), ctx.d)
-        tables[(1, 2)]._laws[good] = (np.empty(0), np.empty(0), 0.0)
+        good._orbit_laws[direction_orbit(ctx, (1, 2))[0]] = (np.empty(0), 0.0)
     rng = random.Random(f"records:{desc}:{analysis.value}")
     twin = random.Random()
     twin.setstate(rng.getstate())
@@ -566,10 +576,12 @@ def test_draw_records_replay_the_searchsorted_draw(desc, analysis, q):
     if empty is not None:
         mass, cdf, last = records[empty]
         assert (mass, len(cdf), last) == (0.0, 0, 0.0)
-    # The records view the cached CDFs; none is a copy.
+    # A record views the one CDF built for it: the cumulative sum of its
+    # direction's law.
     mass, cdf, last = records[encode_point((1, 1), ctx.d)]
-    law_cdf = tables[(1, 1)]._laws[good][1]
-    assert cdf.obj is law_cdf and last == law_cdf[-1]
+    probs, law_mass = _outcome_law(tables[(1, 1)], good)
+    assert mass == law_mass and np.array_equal(cdf.obj, np.cumsum(probs))
+    assert last == cdf.obj[-1]
 
 
 def test_sample_outcome_returns_plain_ints():

@@ -88,15 +88,14 @@ def _two_var_instance():
     return make_instance(F5, q, 2, seed="view-test")
 
 
-def test_view_query_passes_through():
+def test_view_infers_free_and_verification_spends_its_trials():
     inst = _two_var_instance()
     view = univariate_oracle_view(inst, {0: 2})
     assert view.free == 1
+    cand = UniPoly(F5, (0, *view.effective_coeffs()))
     before = inst.query_count
-    for r in range(5):
-        for s in range(5):
-            assert view.query(r, s) == inst.query((2, r), s)
-    assert inst.query_count == before + 50
+    assert view.verify_candidate(cand, 4, random.Random("spend"))
+    assert inst.query_count == before + 4
 
 
 def test_view_effective_coeffs_match_substitution():
