@@ -52,22 +52,28 @@ def _resolve_seed(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
 
 
 @contextlib.contextmanager
-def _output(path: str | None):
-    """The file at path, opened for writing, or stdout for None or "-"."""
-    if path is None or path == "-":
-        yield sys.stdout
-    else:
-        with open(path, "w", newline="\n", encoding="utf-8") as fh:
-            yield fh
+def _outputs(paths: dict[str, str | None]):
+    """Every output a command writes, opened for writing before its first
+    table or trial: one handle per option of paths (option -> path), in
+    order, stdout for None or "-".  Two options naming one file are refused,
+    since one write would overwrite the other."""
+    seen: dict[str, str] = {}
+    for option, path in paths.items():
+        if path not in (None, "-"):
+            first = seen.setdefault(os.path.realpath(path), option)
+            if first != option:
+                raise ValueError(f"{first} and {option} must name different files")
+    with contextlib.ExitStack() as stack:
+        yield [
+            sys.stdout
+            if path in (None, "-")
+            else stack.enter_context(open(path, "w", newline="\n", encoding="utf-8"))
+            for path in paths.values()
+        ]
 
 
 def _write_json(doc, fh) -> None:
     fh.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
-
-
-def _emit_json(doc, path: str | None) -> None:
-    with _output(path) as fh:
-        _write_json(doc, fh)
 
 
 def _cmd_eta(args, parser) -> int:
@@ -77,21 +83,20 @@ def _cmd_eta(args, parser) -> int:
         raise ValueError("--solutions applies only to the table export, not --moments")
     ctx = parse_field(args.field)
     if args.moments:
-        first, second = eta_moments(ctx, args.n, k=args.k)
-        _emit_json(
-            {
+        with _outputs({"--out": args.out}) as (fh,):
+            first, second = eta_moments(ctx, args.n, k=args.k)
+            doc = {
                 "field": field_descriptor(ctx),
                 "n": args.n,
                 "k": args.k if args.k is not None else args.n,
                 "first_moment": str(first),
                 "second_moment": str(second),
-            },
-            args.out,
-        )
+            }
+            _write_json(doc, fh)
         return 0
     if args.out is None:
         parser.error("eta table export needs --out FILE, or --out - for stdout")
-    with _output(args.out) as fh:
+    with _outputs({"--out": args.out}) as (fh,):
         write_eta_csv(iter_eta_tables(ctx, args.n), fh, include_solutions=args.solutions)
     return 0
 
@@ -107,34 +112,34 @@ def _cmd_success(args, parser) -> int:
         seed = _resolve_seed(args, parser)
     elif args.seed is not None and args.mc == 0:
         raise ValueError("--seed applies only with --mc")
-    dump = None
-    with contextlib.ExitStack() as stack:
+    paths = {"--out": args.out}
+    if args.dump_dist:
+        paths["--dump-dist"] = args.dump_dist
+    with _outputs(paths) as handles:
+        dump = None
         if args.dump_dist:
-            # Opened before the pass and filled from the report's own pass
-            # over the tables, so an unwritable path fails before any JSON.
-            fh = stack.enter_context(_output(args.dump_dist))
-            writer = csv.writer(fh, lineterminator="\n")
+            # Filled from the report's own pass over the tables, with the
+            # report's good sets, so --mc draws from the laws it built.
+            writer = csv.writer(handles[1], lineterminator="\n")
             writer.writerow(["x", "good_mass", "qprime", "probability"])
-            good = good_sets(ctx, args.n, analysis)
             origin = (0,) * args.n
+            labels: list[str] = []  # q' labels by code, decoded once
 
-            def dump(table) -> None:
-                dist = outcome_distribution(table, good, origin)
-                x_label = ";".join(str(c) for c in table.x)
-                for qprime in sorted(dist.probabilities):
-                    writer.writerow(
-                        [
-                            x_label,
-                            f"{dist.good_mass:.12g}",
-                            ";".join(str(c) for c in qprime),
-                            f"{dist.probabilities[qprime]:.12g}",
-                        ]
-                    )
+            def dump(table, good) -> None:
+                probs, mass = outcome_distribution(table, good, origin)
+                if not labels:
+                    labels.extend(";".join(map(str, p)) for p in good.points)
+                x_label = ";".join(map(str, table.x))
+                mass_label = f"{mass:.12g}"
+                writer.writerows(
+                    [x_label, mass_label, labels[code], f"{pr:.12g}"]
+                    for code, pr in enumerate(probs.tolist())
+                )
 
         report = success_report(
             ctx, args.n, analysis, mc_runs=args.mc, seed=seed, on_table=dump
         )
-    _emit_json(report.as_dict(), args.out)
+        _write_json(report.as_dict(), handles[0])
     return 0
 
 
@@ -145,19 +150,12 @@ def _cmd_e2e(args, parser) -> int:
         parser.error("--trials must be at least 1")
     if args.baseline and (args.m != 1 or args.n != 1):
         parser.error("--baseline applies only to m = 1, n = 1 instances")
-    outputs = (args.out, args.summary_out)
-    files = [os.path.realpath(f) for f in outputs if f not in (None, "-")]
-    if len(set(files)) < len(files):
-        raise ValueError("--out and --summary-out must name different files")
     analysis = pick_analysis(ctx, args.n)
     good = good_sets(ctx, args.n, analysis)
     solves = kappa(args.n, args.m)  # guards the schedule before any table or instance
-    tables = eta_tables(ctx, args.n)
-    with contextlib.ExitStack() as stack:
-        # Both outputs are opened after the guards and before the first
-        # trial, so an unwritable path fails before any instance is sampled.
-        out_fh = stack.enter_context(_output(args.out))
-        summary_fh = stack.enter_context(_output(args.summary_out))
+    outputs = {"--out": args.out, "--summary-out": args.summary_out}
+    with _outputs(outputs) as (out_fh, summary_fh):
+        tables = eta_tables(ctx, args.n)
         rows = []
         successes = 0
         revealed = []
@@ -219,17 +217,16 @@ def _cmd_e2e(args, parser) -> int:
 def _cmd_baseline(args, parser) -> int:
     seed = _resolve_seed(args, parser)
     ds = tuple(int(tok) for tok in args.sizes.split(","))
-    stats, fit = baseline_mod.scaling_experiment(
-        ds=ds, trials=args.trials, seed=seed, max_queries=args.max_queries
-    )
-    with _output(args.out) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
+    with _outputs({"--out": args.out, "--fit-out": args.fit_out}) as (out_fh, fit_fh):
+        stats, fit = baseline_mod.scaling_experiment(
+            ds=ds, trials=args.trials, seed=seed, max_queries=args.max_queries
+        )
+        writer = csv.writer(out_fh, lineterminator="\n")
         writer.writerow(["d", "trial", "queries", "success"])
         for s in stats:
             for trial, (q, ok) in enumerate(zip(s.queries, s.verified)):
                 writer.writerow([s.d, trial, q, int(ok)])
-    _emit_json(
-        {
+        fit_doc = {
             "sizes": list(ds),
             "trials": args.trials,
             "medians": {str(s.d): s.median_queries for s in stats},
@@ -237,15 +234,15 @@ def _cmd_baseline(args, parser) -> int:
             "exponent": fit.exponent,
             "stderr": fit.stderr,
             "ci95": list(fit.ci95),
-        },
-        args.fit_out,
-    )
+        }
+        _write_json(fit_doc, fit_fh)
     return 0
 
 
 def _cmd_plan(args, parser) -> int:
     ctx = parse_field(args.field)
-    _emit_json(build_plan(ctx, args.n, args.m), args.out)
+    with _outputs({"--out": args.out}) as (fh,):
+        _write_json(build_plan(ctx, args.n, args.m), fh)
     return 0
 
 

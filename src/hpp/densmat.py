@@ -264,14 +264,16 @@ def fourier_point_basis(ctx: FieldCtx, n: int) -> np.ndarray:
 
 def pipeline_probability(
     ctx: FieldCtx, q: UniPoly, x: Point, good: GoodSets
-) -> tuple[float, dict[Point, float]]:
-    """(good-branch mass, {q': P[outcome = q' | good branch]}) for one
-    direction x, computed end to end through explicit matrices.
+) -> tuple[float, np.ndarray]:
+    """(good-branch mass, probs) for one direction x, computed end to end
+    through explicit matrices: probs[encode_point(q', d)] is P[outcome = q'
+    | good branch], the form of pgm.outcome_distribution.
 
     Builds the n-copy state's block at the measured directions, projects
     onto the good-set points, applies V_x, and reads every outcome's
     probability off the diagonal of the resulting state in the Fourier point
-    basis.  Returns (0, {}) when the good branch is unreachable at this x.
+    basis.  Returns (0.0, np.empty(0)) when the good branch is unreachable
+    at this x.
     """
     d = ctx.d
     n = len(x)
@@ -292,7 +294,7 @@ def pipeline_probability(
             keep[encode_point(b, d)] = 1.0
     mass = float(np.real(np.sum(keep * np.diag(rho_x).real)))
     if not keep.any():
-        return 0.0, {}
+        return 0.0, np.empty(0)
 
     projected = rho_x * np.outer(keep, keep)
     rho_good = projected / mass
@@ -305,5 +307,4 @@ def pipeline_probability(
     w_rows = vx.matrix[[vx.good_index(w) for w in points]]
     on_w = w_rows @ rho_good @ w_rows.conj().T
     psi = fourier_point_basis(ctx, n)
-    probs = np.einsum("wc,wc->c", psi.conj(), on_w @ psi).real
-    return mass, dict(zip(points, probs.tolist()))
+    return mass, np.einsum("wc,wc->c", psi.conj(), on_w @ psi).real

@@ -29,13 +29,15 @@ each row's window totals exactly.  Rounding each of the d^n rows once
 then gives the correctly rounded exact sum: the same floats as summing
 the characters term by term with math.fsum.
 
-A law is built once per orbit of directions under x -> lam * sigma(x), lam
+A law has one form, a probability array indexed by encode_point code, and
+one way to move: a gather through a map of F per coordinate (_gather).  A
+law is built once per orbit of directions under x -> lam * sigma(x), lam
 in F* and sigma a permutation of the coordinates: the fiber sizes of
 lam * sigma(x) are those of x with every w scaled by lam, so its law at
 delta is x's law at lam * delta.  The orbit's law is cached on the good
 set, in the coordinates of the orbit's least point, and each direction's
 law is one gather from it; nothing is cached per direction but its draw
-record.
+record.  The law over q' for a given q is the delta law read at q - q'.
 
 A draw reads one record per direction from the good set's draw list,
 indexed by the direction's encode_point code and filled on the direction's
@@ -59,7 +61,7 @@ import math
 import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Iterable, Mapping
 
 import numpy as np
@@ -86,6 +88,8 @@ _BAD_X = object()  # draw record of a bad direction
 CURVE_DEGREE = 2
 # Draws one quantum-solver call may spend before it gives up on the good branch.
 MAX_SOLVER_DRAWS = 10_000
+# Good-branch outcomes one quantum-solver call collects for its majority vote.
+SOLVER_VOTES = 5
 
 
 def _sqrt_sum(hist: np.ndarray) -> float:
@@ -153,18 +157,6 @@ def corollary_bound(d: int, n: int, cap: int) -> float:
         falling *= d - i
     per_x = max(0.0, falling / cap - CURVE_DEGREE * d ** (n - 1))
     return (d - 1) ** n * per_x**2 / d ** (3 * n)
-
-
-@dataclass(frozen=True)
-class OutcomeDist:
-    """Good-branch distribution of the measured coefficient vector q' for one
-    direction x; good_mass is the good-subspace projection's acceptance
-    probability.  A bad x, or an empty good target set, gives good_mass 0
-    and no probabilities."""
-
-    x: Point
-    good_mass: float
-    probabilities: dict[Point, float]
 
 
 @lru_cache(maxsize=1)
@@ -316,13 +308,16 @@ def _delta_distribution(table: EtaTable, good: GoodSets) -> tuple[np.ndarray, fl
     return probs, mass
 
 
-def _scaled(probs: np.ndarray, ctx: FieldCtx, n: int, lam: int) -> np.ndarray:
-    """probs read at lam * delta: out[code(delta)] = probs[code(lam * delta)]."""
-    if lam == 1 or not probs.size:
+def _gather(probs: np.ndarray, ctx: FieldCtx, maps: list[Callable]) -> np.ndarray:
+    """probs read through one map of F per coordinate: out[code(a)] =
+    probs[code(maps[0](a_0), ..., maps[n-1](a_(n-1)))].  Each map is
+    tabulated with d field operations, and the gather is one numpy index.
+    An empty law stays empty."""
+    if not probs.size:
         return probs
-    times = codes = np.array([ctx.mul(lam, a) for a in range(ctx.d)])
-    for _ in range(n - 1):
-        codes = (codes[:, None] * ctx.d + times).ravel()
+    codes = np.zeros(1, dtype=np.int64)
+    for f in maps:
+        codes = (codes[:, None] * ctx.d + [f(a) for a in range(ctx.d)]).ravel()
     return probs[codes]
 
 
@@ -338,26 +333,28 @@ def _outcome_law(table: EtaTable, good: GoodSets) -> tuple[np.ndarray, float]:
     rep, lam = direction_orbit(ctx, table.x)
     if rep in good._orbit_laws:
         rep_probs, mass = good._orbit_laws[rep]
-        return _scaled(rep_probs, ctx, n, lam), mass
+        return _gather(rep_probs, ctx, [partial(ctx.mul, lam)] * n), mass
     probs, mass = _delta_distribution(table, good)
-    good._orbit_laws[rep] = (_scaled(probs, ctx, n, ctx.inv(lam)), mass)
+    to_rep = [partial(ctx.mul, ctx.inv(lam))] * n
+    good._orbit_laws[rep] = (_gather(probs, ctx, to_rep), mass)
     return probs, mass
 
 
-def outcome_distribution(table: EtaTable, good: GoodSets, q: Point) -> OutcomeDist:
-    """Good-branch distribution of q' for direction x and true coefficient
-    vector q; it depends on q only through q - q', which the sampler exploits."""
-    ctx, n = table.ctx, table.n
-    q = tuple(q)
-    if len(q) != n:
-        raise ValueError(f"q has {len(q)} components, expected {n}")
+def outcome_distribution(
+    table: EtaTable, good: GoodSets, q: Point
+) -> tuple[np.ndarray, float]:
+    """(probabilities, good-branch mass) of the measured q' for direction
+    table.x and true coefficient vector q: probs[encode_point(q', d)] is
+    P(q').  The law depends on q only through delta = q - q', so it is the
+    delta law read through q'_i -> q_i - q'_i.  A bad direction or an empty
+    law gives (np.empty(0), 0.0)."""
+    ctx = table.ctx
+    if len(q) != table.n:
+        raise ValueError(f"q has {len(q)} components, expected {table.n}")
     if not good.x_good(table.x):
-        return OutcomeDist(x=table.x, good_mass=0.0, probabilities={})
+        return np.empty(0), 0.0
     probs, mass = _outcome_law(table, good)
-    out = {}
-    for delta, pr in zip(good.points, probs.tolist()):
-        out[tuple(ctx.sub(qi, di) for qi, di in zip(q, delta))] = pr
-    return OutcomeDist(x=table.x, good_mass=mass, probabilities=out)
+    return _gather(probs, ctx, [partial(ctx.sub, qi) for qi in q]), mass
 
 
 def _draw_record(table: EtaTable, good: GoodSets):
@@ -458,15 +455,14 @@ def make_quantum_solver(
     tables: Mapping[Point, EtaTable],
     good: GoodSets,
     rng: random.Random,
-    votes: int = 5,
 ) -> Callable:
     """Univariate solver backed by the measurement sampler.
 
     The returned callable takes any view exposing ctx, n, and
-    effective_coeffs(), collects `votes` good-branch outcomes (discarding bad
-    branches, up to MAX_SOLVER_DRAWS total), and returns the majority vote as a
-    candidate polynomial with zero constant term.  Verification and retries
-    are the caller's business.
+    effective_coeffs(), collects SOLVER_VOTES good-branch outcomes
+    (discarding bad branches, up to MAX_SOLVER_DRAWS total), and returns the
+    majority vote as a candidate polynomial with zero constant term.
+    Verification and retries are the caller's business.
     """
 
     def solver(view) -> UniPoly:
@@ -474,7 +470,7 @@ def make_quantum_solver(
         counts: dict[Point, int] = {}
         draws = 0
         collected = 0
-        while collected < votes:
+        while collected < SOLVER_VOTES:
             if draws >= MAX_SOLVER_DRAWS:
                 raise RecoveryError(
                     f"good branch not reached in {MAX_SOLVER_DRAWS} draws; "
@@ -563,13 +559,14 @@ def success_report(
     analysis: Analysis,
     mc_runs: int = 0,
     seed: int | None = None,
-    on_table: Callable[[EtaTable], None] | None = None,
+    on_table: Callable[[EtaTable, GoodSets], None] | None = None,
 ) -> SuccessReport:
     """Compute the full report in one pass over the fiber tables.
 
     mc_runs > 0 adds a Monte Carlo cross-check, which samples from the
     tables of that same pass.  on_table, when given, is called with each
-    table of the pass, in direction-code order.
+    table of the pass, in direction-code order, and the report's good sets,
+    so outcome laws it builds are the ones the Monte Carlo draws reuse.
     """
     if mc_runs < 0:
         raise ValueError(f"Monte Carlo run count must be >= 0, got {mc_runs}")
@@ -579,7 +576,7 @@ def success_report(
     tables: dict[Point, EtaTable] = {}
     stream = iter_eta_tables(ctx, n)
     if on_table is not None:
-        stream = (on_table(t) or t for t in stream)
+        stream = (on_table(t, good) or t for t in stream)
     if mc_runs:
         stream = (tables.setdefault(t.x, t) for t in stream)
     ideal, approx, w_counts = _success_sums(stream, good)

@@ -172,6 +172,31 @@ def test_unwritable_dump_dist_exits_2_before_any_json(tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
+def test_unwritable_success_out_exits_2_before_any_table(tmp_path, monkeypatch, capsys):
+    def no_tables(*a, **k):
+        raise RuntimeError("a table was built")
+
+    monkeypatch.setattr("hpp.pgm.iter_eta_tables", no_tables)
+    assert main(["success", "--field", "37", "-n", "2", "--mc", "100", "--seed", "s",
+                 "--out", str(tmp_path / "no" / "s.json"),
+                 "--dump-dist", str(tmp_path / "dist.csv")]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_unwritable_baseline_fit_out_exits_2_before_any_trial(tmp_path, monkeypatch, capsys):
+    trials = []
+    monkeypatch.setattr("hpp.baseline.solve_linear_classical", lambda *a, **k: trials.append(a))
+    assert main(["baseline", "--sizes", "31,101,307", "--trials", "30", "--seed", "0",
+                 "--out", str(tmp_path / "b.csv"),
+                 "--fit-out", str(tmp_path / "no" / "fit.json")]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert trials == []
+
+
 @pytest.mark.parametrize("bad", ["--out", "--summary-out"])
 def test_unwritable_e2e_output_exits_2_before_any_trial(
     bad, tmp_path, monkeypatch, capsys
@@ -311,6 +336,9 @@ def test_invariant_violation_maps_to_exit_4(monkeypatch, capsys):
         ["success", "--field", "5", "-n", "2", "--seed", "s"],
         ["e2e", "--field", "5", "-n", "1", "-m", "1", "--seed", "s", "--out", "OUT",
          "--summary-out", "OUT"],
+        ["success", "--field", "5", "-n", "2", "--out", "OUT", "--dump-dist", "OUT"],
+        ["baseline", "--sizes", "31,101,307", "--trials", "30", "--seed", "a",
+         "--out", "OUT", "--fit-out", "OUT"],
     ],
 )
 def test_bad_arguments_exit_2_with_one_line(argv, tmp_path, capsys):

@@ -26,6 +26,7 @@ from hpp.fibers import (
 from hpp.gf import chi, dot, make_field, parse_field
 from hpp.pgm import (
     BAD_BRANCH,
+    SOLVER_VOTES,
     SuccessReport,
     _BAD_X,
     _delta_distribution,
@@ -126,28 +127,31 @@ def test_outcome_distribution_normalization_and_support():
     good = good_sets(F5, 2, Analysis.FIRST)
     for x in product(range(5), repeat=2):
         table = eta_table(F5, x)
-        dist = outcome_distribution(table, good, (1, 3))
+        probs, mass = outcome_distribution(table, good, (1, 3))
         if not good.x_good(x):
-            assert dist.good_mass == 0.0 and dist.probabilities == {}
+            assert mass == 0.0 and probs.shape == (0,)
             continue
-        assert abs(math.fsum(dist.probabilities.values()) - 1.0) < 1e-9
+        assert probs.shape == (25,)
+        assert abs(math.fsum(probs.tolist()) - 1.0) < 1e-9
         total_eta = sum(
             eta for w, eta in table.items() if good.w_good(x, eta)
         )
-        assert abs(dist.good_mass - total_eta / 25) < 1e-12
+        assert abs(mass - total_eta / 25) < 1e-12
 
 
 def test_outcome_distribution_shift_covariance():
     # the law depends on q only through q - q'
     good = good_sets(F7, 2, Analysis.FIRST)
     table = eta_table(F7, (2, 5))
-    base = outcome_distribution(table, good, (0, 0))
+    base, _ = outcome_distribution(table, good, (0, 0))
     for q in ((1, 0), (3, 4), (6, 6)):
-        dist = outcome_distribution(table, good, q)
-        for qprime, p in dist.probabilities.items():
+        probs, _ = outcome_distribution(table, good, q)
+        assert probs.shape == base.shape == (49,)
+        for qprime in product(range(7), repeat=2):
             delta = (F7.sub(q[0], qprime[0]), F7.sub(q[1], qprime[1]))
             base_qprime = (F7.neg(delta[0]), F7.neg(delta[1]))
-            assert abs(p - base.probabilities[base_qprime]) < 1e-12
+            p = probs[encode_point(qprime, 7)]
+            assert abs(p - base[encode_point(base_qprime, 7)]) < 1e-12
 
 
 def test_outcome_distribution_validates_q():
@@ -212,11 +216,12 @@ def test_quantum_solver_majority_vote():
 
     view = univariate_oracle_view(inst, {}, 0)
     truth = view.effective_coeffs()
-    solver = make_quantum_solver(tables, good, random.Random("vote"), votes=9)
+    solver = make_quantum_solver(tables, good, random.Random("vote"))
     hits = sum(
         tuple(solver(view).coeff(i) for i in (1, 2)) == truth for _ in range(20)
     )
-    assert hits >= 15  # majority of 9 good-branch draws is rarely wrong
+    # A majority of SOLVER_VOTES good-branch draws is rarely wrong.
+    assert hits >= 15, SOLVER_VOTES
 
 
 def test_success_report_structure_and_determinism():
@@ -453,6 +458,24 @@ def test_orbit_laws_equal_fresh_builds(desc, n, analysis, built, good_count):
     assert len(good._orbit_laws) == built
 
 
+def test_dump_dist_and_mc_share_the_orbit_laws(tmp_path, monkeypatch):
+    # The dump and the Monte Carlo draws read one good set, so each good
+    # orbit's law is built once per run.
+    import hpp.pgm
+    from hpp.cli import main
+
+    desc, n, analysis, built, _ = ORBIT_CASES[0]
+    builds = []
+    real = hpp.pgm._delta_distribution
+    monkeypatch.setattr(
+        hpp.pgm, "_delta_distribution", lambda *a: builds.append(a[0].x) or real(*a)
+    )
+    assert main(["success", "--field", desc, "-n", str(n), "--analysis", analysis.value,
+                 "--mc", "2000", "--seed", "a", "--out", str(tmp_path / "s.json"),
+                 "--dump-dist", str(tmp_path / "dist.csv")]) == 0
+    assert len(builds) == built == 7
+
+
 def _full_term_counts(ctx, n, w_codes, size_index, k):
     """Every row of the (phase, size) count matrix, each from its own row of
     the full phase matrix, in blocks of rows."""
@@ -600,11 +623,12 @@ def test_sample_outcome_returns_plain_ints():
 def _assert_pipeline_matches_law(ctx, analysis, x, qc):
     good = good_sets(ctx, len(x), analysis)
     mass, law = pipeline_probability(ctx, UniPoly(ctx, (0, *qc)), x, good)
-    dist = outcome_distribution(eta_table(ctx, x), good, qc)
-    assert abs(mass - dist.good_mass) < 1e-12
-    assert law.keys() == dist.probabilities.keys()
-    for qprime, p in law.items():
-        assert abs(p - dist.probabilities[qprime]) < 1e-12, qprime
+    probs, law_mass = outcome_distribution(eta_table(ctx, x), good, qc)
+    assert abs(mass - law_mass) < 1e-12
+    assert law.shape == probs.shape
+    for qprime in product(range(ctx.d), repeat=len(x)) if law.size else ():
+        code = encode_point(qprime, ctx.d)
+        assert abs(law[code] - probs[code]) < 1e-12, qprime
 
 
 PIPELINE_CASES = [
