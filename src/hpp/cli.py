@@ -23,6 +23,7 @@ import csv
 import json
 import os
 import random
+import stat
 import statistics
 import sys
 
@@ -56,20 +57,46 @@ def _outputs(paths: dict[str, str | None]):
     """Every output a command writes, opened for writing before its first
     table or trial: one handle per option of paths (option -> path), in
     order, stdout for None or "-".  Two options naming one file are refused,
-    since one write would overwrite the other."""
+    since one write would overwrite the other.  A regular file is written as
+    a new file, beside the path if it exists, that becomes the path when the
+    command returns and is deleted on any exception, so a failed run leaves
+    the outputs as they were; a device or pipe is written in place."""
+    reals = [None if p in (None, "-") else os.path.realpath(p) for p in paths.values()]
     seen: dict[str, str] = {}
-    for option, path in paths.items():
-        if path not in (None, "-"):
-            first = seen.setdefault(os.path.realpath(path), option)
-            if first != option:
-                raise ValueError(f"{first} and {option} must name different files")
-    with contextlib.ExitStack() as stack:
-        yield [
-            sys.stdout
-            if path in (None, "-")
-            else stack.enter_context(open(path, "w", newline="\n", encoding="utf-8"))
-            for path in paths.values()
-        ]
+    for option, real in zip(paths, reals):
+        if real is not None and seen.setdefault(real, option) != option:
+            raise ValueError(f"{seen[real]} and {option} must name different files")
+    made: list[tuple[str, str]] = []  # (file this command created, the path it becomes)
+    create = os.O_CREAT | os.O_EXCL | os.O_WRONLY
+    try:
+        with contextlib.ExitStack() as stack:
+            handles = []
+            for real in reals:
+                if real is None:
+                    handles.append(sys.stdout)
+                    continue
+                target = real  # a device or pipe is written in place
+                try:
+                    target = os.open(real, create, 0o666)
+                    made.append((real, real))
+                except FileExistsError:
+                    mode = os.stat(real).st_mode
+                    if stat.S_ISREG(mode):
+                        new = f"{real}.{os.urandom(4).hex()}.tmp"
+                        target = os.open(new, create, stat.S_IMODE(mode))
+                        made.append((new, real))
+                handles.append(
+                    stack.enter_context(open(target, "w", newline="\n", encoding="utf-8"))
+                )
+            yield handles
+        for new, real in made:
+            if new != real:
+                os.replace(new, real)
+    except BaseException:
+        for new, _ in made:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(new)
+        raise
 
 
 def _write_json(doc, fh) -> None:
@@ -82,31 +109,26 @@ def _cmd_eta(args, parser) -> int:
     if args.solutions and args.moments:
         raise ValueError("--solutions applies only to the table export, not --moments")
     ctx = parse_field(args.field)
-    if args.moments:
-        with _outputs({"--out": args.out}) as (fh,):
-            first, second = eta_moments(ctx, args.n, k=args.k)
-            doc = {
-                "field": field_descriptor(ctx),
-                "n": args.n,
-                "k": args.k if args.k is not None else args.n,
-                "first_moment": str(first),
-                "second_moment": str(second),
-            }
-            _write_json(doc, fh)
-        return 0
-    if args.out is None:
+    if args.out is None and not args.moments:
         parser.error("eta table export needs --out FILE, or --out - for stdout")
     with _outputs({"--out": args.out}) as (fh,):
-        write_eta_csv(iter_eta_tables(ctx, args.n), fh, include_solutions=args.solutions)
+        if not args.moments:
+            write_eta_csv(iter_eta_tables(ctx, args.n), fh, include_solutions=args.solutions)
+            return 0
+        first, second = eta_moments(ctx, args.n, k=args.k)
+        _write_json({
+            "field": field_descriptor(ctx),
+            "n": args.n,
+            "k": args.k if args.k is not None else args.n,
+            "first_moment": str(first),
+            "second_moment": str(second),
+        }, fh)
     return 0
 
 
 def _cmd_success(args, parser) -> int:
     ctx = parse_field(args.field)
-    if args.analysis == "auto":
-        analysis = pick_analysis(ctx, args.n)
-    else:
-        analysis = Analysis(args.analysis)
+    analysis = pick_analysis(ctx, args.n) if args.analysis == "auto" else Analysis(args.analysis)
     seed = None
     if args.mc > 0:
         seed = _resolve_seed(args, parser)
@@ -168,8 +190,7 @@ def _cmd_e2e(args, parser) -> int:
                 cand = solve_multivariate(inst, solver, rng=rng, stats=stats)
                 ok = cand == inst.Q
             except RecoveryError:
-                cand = None
-                ok = False
+                cand, ok = None, False
             successes += ok
             row = {
                 "trial": trial,

@@ -11,7 +11,8 @@ a passed good-subspace projection depends on q' only through delta = q - q',
 with amplitude proportional to sum over good w of sqrt(eta_w^x) * chi(<delta, w>).
 These closed forms let a plain classical loop sample measurement outcomes
 exactly, with no state-vector simulation; the dense linear-algebra pipeline
-exists separately as a cross-check at small d.
+exists separately as a cross-check at small d.  Since the law is the same
+for every instance, the sampler draws delta and is given no instance.
 
 The amplitude of one delta needs only the phase index Tr(<delta, w>) in
 [0, p) of every term.  Those indices form an exact integer matrix, the
@@ -44,7 +45,9 @@ indexed by the direction's encode_point code and filled on the direction's
 first draw: a bad-direction marker, or the good-branch mass, a zero-copy
 memoryview of the law's cumulative distribution, built with the record,
 and its last entry.  A repeat draw then does one list index, and
-bisect_left on the view finds the index numpy's searchsorted would.
+bisect_left on the view finds the index numpy's searchsorted would: the
+encode_point code of delta, which is the draw's outcome.  The quantum
+solver votes on these codes and subtracts the winner from q once.
 
 success_report is the one entry for the success analysis.  Every quantity
 it reports depends on a direction x only through x_good(x) and the
@@ -60,13 +63,13 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
-from .blackbox import HiddenInstance, sample_instance
 from .errors import InvariantViolationError, RecoveryError
 from .fibers import (
     Analysis,
@@ -370,22 +373,20 @@ def _draw_record(table: EtaTable, good: GoodSets):
 
 
 def sample_outcome(
-    q: Point,
-    tables: Mapping[Point, EtaTable],
-    good: GoodSets,
-    rng: random.Random,
-):
-    """One measurement run for true coefficient vector q: sampled q' or BAD_BRANCH.
+    tables: Mapping[Point, EtaTable], good: GoodSets, rng: random.Random
+) -> int | None:
+    """One measurement run: the encode_point code of the drawn delta = q - q',
+    or BAD_BRANCH.
 
     The draw takes n randrange(d) for the coordinates of the direction x,
     which make its encode_point code; for a good x, one random() against
     the law's good-branch mass and one for the inverse-CDF pick of delta,
-    which returns q' = q - delta.  The direction's draw record is read from
-    good's draw list by that code, and built from tables[x] on the first
-    draw of x; delta is read from good.points.
+    whose code is the index bisect_left finds.  The direction's draw record
+    is read from good's draw list by x's code, and built from tables[x] on
+    the first draw of x.  The law does not depend on q, so no instance is
+    needed: the run identifies q exactly when it returns code 0.
     """
-    ctx = good.ctx
-    d = ctx.d
+    d = good.ctx.d
     code = 0
     for _ in range(good.n):
         code = code * d + rng.randrange(d)
@@ -398,14 +399,7 @@ def sample_outcome(
     mass, cdf, last = record
     if rng.random() >= mass:
         return BAD_BRANCH
-    delta = good.points[bisect_left(cdf, rng.random() * last)]
-    return tuple([ctx.sub(qi, di) for qi, di in zip(q, delta)])
-
-
-def _instance_coeff_vector(inst: HiddenInstance) -> Point:
-    if inst.m != 1:
-        raise ValueError("measurement sampling is defined for univariate instances")
-    return tuple(inst.Q.coeff((i,)) for i in range(1, inst.n + 1))
+    return bisect_left(cdf, rng.random() * last)
 
 
 @dataclass
@@ -427,28 +421,12 @@ class RunStats:
 
 
 def run_many(
-    inst: HiddenInstance,
-    tables: Mapping[Point, EtaTable],
-    good: GoodSets,
-    rng: random.Random,
-    runs: int,
+    tables: Mapping[Point, EtaTable], good: GoodSets, rng: random.Random, runs: int
 ) -> RunStats:
-    """Monte Carlo estimate of the unconditional success probability.
-
-    The sampler reads the instance's secret coefficients to evaluate the
-    closed-form outcome law; that is a simulation shortcut, not an oracle
-    query, so query_count is untouched.
-    """
-    q = _instance_coeff_vector(inst)
-    stats = RunStats()
-    for _ in range(runs):
-        outcome = sample_outcome(q, tables, good, rng)
-        stats.runs += 1
-        if outcome is BAD_BRANCH:
-            stats.bad_branches += 1
-        elif outcome == q:
-            stats.successes += 1
-    return stats
+    """Monte Carlo estimate of the unconditional success probability, the
+    same for every instance: a run succeeds when it draws delta = 0."""
+    codes = Counter(sample_outcome(tables, good, rng) for _ in range(runs))
+    return RunStats(runs, codes[BAD_BRANCH], codes[0])
 
 
 def make_quantum_solver(
@@ -458,32 +436,35 @@ def make_quantum_solver(
 ) -> Callable:
     """Univariate solver backed by the measurement sampler.
 
-    The returned callable takes any view exposing ctx, n, and
-    effective_coeffs(), collects SOLVER_VOTES good-branch outcomes
-    (discarding bad branches, up to MAX_SOLVER_DRAWS total), and returns the
-    majority vote as a candidate polynomial with zero constant term.
-    Verification and retries are the caller's business.
+    The returned callable takes any view exposing ctx and
+    effective_coeffs(), collects SOLVER_VOTES good-branch delta codes
+    (discarding bad branches, up to MAX_SOLVER_DRAWS total), and returns
+    q' = q - delta for the most-voted delta as a candidate polynomial with
+    zero constant term; a tie goes to the least q'.  The view's
+    coefficients q are read once, after the vote.  Verification and retries
+    are the caller's business.
     """
 
     def solver(view) -> UniPoly:
-        q = tuple(view.effective_coeffs())
-        counts: dict[Point, int] = {}
-        draws = 0
-        collected = 0
-        while collected < SOLVER_VOTES:
-            if draws >= MAX_SOLVER_DRAWS:
-                raise RecoveryError(
-                    f"good branch not reached in {MAX_SOLVER_DRAWS} draws; "
-                    "good sets are too thin for sampling"
-                )
-            draws += 1
-            outcome = sample_outcome(q, tables, good, rng)
-            if outcome is BAD_BRANCH:
-                continue
-            collected += 1
-            counts[outcome] = counts.get(outcome, 0) + 1
-        best = max(sorted(counts), key=lambda k: counts[k])
-        return UniPoly(view.ctx, (0, *best))
+        votes: list[int] = []
+        for _ in range(MAX_SOLVER_DRAWS):
+            code = sample_outcome(tables, good, rng)
+            if code is not BAD_BRANCH:
+                votes.append(code)
+                if len(votes) == SOLVER_VOTES:
+                    break
+        else:
+            raise RecoveryError(
+                f"good branch not reached in {MAX_SOLVER_DRAWS} draws; "
+                "good sets are too thin for sampling"
+            )
+        ctx, q, top = view.ctx, view.effective_coeffs(), max(map(votes.count, votes))
+        best = min(
+            [ctx.sub(qi, di) for qi, di in zip(q, good.points[code])]
+            for code in votes
+            if votes.count(code) == top
+        )
+        return UniPoly(ctx, (0, *best))
 
     return solver
 
@@ -584,10 +565,8 @@ def success_report(
     w_good_min = min(w_counts, default=0)
     mc_estimate = mc_stderr = None
     if mc_runs:
-        inst = sample_instance(ctx, 1, n, seed)
-        stats = run_many(inst, tables, good, random.Random(f"hpp-mc:{seed}"), mc_runs)
-        mc_estimate = stats.success_rate
-        mc_stderr = stats.stderr
+        stats = run_many(tables, good, random.Random(f"hpp-mc:{seed}"), mc_runs)
+        mc_estimate, mc_stderr = stats.success_rate, stats.stderr
     return SuccessReport(
         field=field_descriptor(ctx),
         d=ctx.d,

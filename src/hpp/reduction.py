@@ -43,6 +43,8 @@ from .polyring import MultiPoly, UniPoly, _lagrange_basis, _restrict, eval_uni, 
 # already about 20 MB of JSON.
 MAX_ARITY = 100
 MAX_SOLVES = 10**4
+# Attempts one univariate solve gets before the recovery fails.
+REPETITIONS = 3
 
 
 def kappa(n: int, m: int) -> int:
@@ -151,7 +153,6 @@ class SolveStats:
 def solve_multivariate(
     inst: HiddenInstance,
     uni_solver,
-    repetitions: int = 3,
     rng: random.Random | None = None,
     stats: SolveStats | None = None,
 ) -> MultiPoly:
@@ -159,13 +160,11 @@ def solve_multivariate(
 
     uni_solver(view) -> UniPoly performs one identification attempt against a
     restricted oracle; this driver verifies each attempt with n + 3 queries
-    and retries up to `repetitions` times, then verifies the assembled
+    and retries up to REPETITIONS times, then verifies the assembled
     polynomial against the full instance.  Raises RecoveryError when the
     budget runs out rather than returning an unverified answer.  Pass a
     SolveStats to collect retry accounting.  kappa's guards run first.
     """
-    if repetitions < 1:
-        raise ValueError(f"repetitions must be >= 1, got {repetitions}")
     if rng is None:
         rng = random.Random(f"hpp-reduction:{inst.seed}")
     if stats is None:
@@ -177,7 +176,7 @@ def solve_multivariate(
     def solve_univariate(fixed: dict[int, Felt], free: int) -> UniPoly:
         view = univariate_oracle_view(inst, fixed, free)
         last_error = None
-        for attempt in range(repetitions):
+        for attempt in range(REPETITIONS):
             if attempt:
                 stats.retries += 1
             stats.univariate_solves += 1
@@ -192,7 +191,7 @@ def solve_multivariate(
                 return cand
             stats.verify_failures += 1
         raise RecoveryError(
-            f"univariate solve failed {repetitions} times at fixed={fixed}, free={free}"
+            f"univariate solve failed {REPETITIONS} times at fixed={fixed}, free={free}"
             + (f" (last error: {last_error})" if last_error else "")
         )
 

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -195,6 +196,48 @@ def test_unwritable_baseline_fit_out_exits_2_before_any_trial(tmp_path, monkeypa
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert trials == []
+    assert list(tmp_path.iterdir()) == []  # --out's new file was deleted
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["success", "--field", "101", "-n", "3"], 3),
+        (["e2e", "--field", "101", "-n", "3", "-m", "2", "--trials", "1", "--seed", "s"], 3),
+        (["eta", "--field", "101", "-n", "3", "--moments"], 3),
+        (["baseline", "--trials", "10", "--seed", "0"], 2),
+    ],
+    ids=["success", "e2e", "eta", "baseline"],
+)
+def test_a_failed_run_leaves_existing_outputs_alone(argv, code, tmp_path, capsys):
+    out = tmp_path / "out"
+    out.write_bytes(b"earlier output\n")
+    assert main([*argv, "--out", str(out)]) == code
+    assert out.read_bytes() == b"earlier output\n"
+    assert list(tmp_path.iterdir()) == [out]
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_a_successful_run_replaces_its_output_and_keeps_its_mode(tmp_path):
+    out = tmp_path / "p.json"
+    out.write_bytes(b"earlier output\n")
+    out.chmod(0o640)
+    assert main(["plan", "--field", "7", "-n", "2", "-m", "2", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["kappa"] == 3
+    assert stat.S_IMODE(out.stat().st_mode) == 0o640
+    assert list(tmp_path.iterdir()) == [out]
+
+
+def test_a_pipe_output_is_written_in_place(tmp_path):
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        assert main(["plan", "--field", "7", "-n", "2", "-m", "2", "--out", str(fifo)]) == 0
+        assert json.loads(os.read(reader, 1 << 16))["kappa"] == 3
+    finally:
+        os.close(reader)
+    assert stat.S_ISFIFO(fifo.stat().st_mode) and list(tmp_path.iterdir()) == [fifo]
 
 
 @pytest.mark.parametrize("bad", ["--out", "--summary-out"])

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hpp.reduction
 from hpp.blackbox import make_instance, sample_instance
 from hpp.errors import GuardExceededError, InvariantViolationError, RecoveryError
 from hpp.gf import make_field
@@ -194,8 +195,6 @@ def test_univariate_recovery_needs_no_slice_points():
 
 
 def test_lagrange_basis_is_built_once_per_recovery(monkeypatch):
-    import hpp.reduction
-
     built = []
     real = hpp.reduction._lagrange_basis
 
@@ -211,16 +210,17 @@ def test_lagrange_basis_is_built_once_per_recovery(monkeypatch):
         assert built == [(1, 2)] * splits, m
 
 
-def test_retry_amplification_with_faulty_solver():
+def test_retry_amplification_with_faulty_solver(monkeypatch):
     # per-solve failure rate p^reps; verification always catches a corrupt
     # candidate because n + 3 distinct sample points exceed the degree bound
+    monkeypatch.setattr(hpp.reduction, "REPETITIONS", 4)
     failures = 0
     for trial in range(60):
         inst = sample_instance(F7, 2, 2, seed=f"amp:{trial}")
         solver = faulty_solver(0.3, random.Random(f"fault:{trial}"))
         stats = SolveStats()
         try:
-            cand = solve_multivariate(inst, solver, repetitions=4, stats=stats)
+            cand = solve_multivariate(inst, solver, stats=stats)
         except RecoveryError:
             failures += 1
             continue
@@ -230,7 +230,8 @@ def test_retry_amplification_with_faulty_solver():
     assert failures <= 6, failures
 
 
-def test_verification_failures_are_counted():
+def test_verification_failures_are_counted(monkeypatch):
+    monkeypatch.setattr(hpp.reduction, "REPETITIONS", 3)
     inst = sample_instance(F5, 1, 2, seed="count")
 
     def stubborn(view):
@@ -239,13 +240,14 @@ def test_verification_failures_are_counted():
 
     stats = SolveStats()
     with pytest.raises(RecoveryError):
-        solve_multivariate(inst, stubborn, repetitions=3, stats=stats)
+        solve_multivariate(inst, stubborn, stats=stats)
     assert stats.univariate_solves == 3
     assert stats.retries == 2
     assert stats.verify_failures == 3
 
 
-def test_solver_exceptions_trigger_retries():
+def test_solver_exceptions_trigger_retries(monkeypatch):
+    monkeypatch.setattr(hpp.reduction, "REPETITIONS", 5)
     inst = sample_instance(F5, 1, 2, seed="raise")
     calls = []
 
@@ -256,7 +258,7 @@ def test_solver_exceptions_trigger_retries():
         return perfect_solver(view)
 
     stats = SolveStats()
-    cand = solve_multivariate(inst, flaky, repetitions=5, stats=stats)
+    cand = solve_multivariate(inst, flaky, stats=stats)
     assert cand == inst.Q
     assert stats.retries == 2
 
@@ -271,20 +273,15 @@ def test_nonzero_constant_term_is_a_contract_violation():
         solve_multivariate(inst, bad)
 
 
-def test_exhausted_budget_raises():
+def test_exhausted_budget_raises(monkeypatch):
+    monkeypatch.setattr(hpp.reduction, "REPETITIONS", 2)
     inst = sample_instance(F5, 2, 2, seed="exhaust")
 
     def hopeless(view):
         raise RecoveryError("no luck")
 
     with pytest.raises(RecoveryError):
-        solve_multivariate(inst, hopeless, repetitions=2)
-
-
-def test_repetitions_validation():
-    inst = sample_instance(F5, 1, 1, seed="reps")
-    with pytest.raises(ValueError):
-        solve_multivariate(inst, perfect_solver, repetitions=0)
+        solve_multivariate(inst, hopeless)
 
 
 def _plan_leaves(tree):

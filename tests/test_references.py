@@ -1,10 +1,13 @@
-"""Every function and method defined in src/hpp is used by the program.
+"""Every function and method defined in src/hpp is used by the program,
+and the modules of src/hpp import one another along a pinned graph.
 
 A definition counts as used when its name appears in src/, scripts/ or
 perfbench/ as an AST Name, an Attribute or a string constant; tests do not
 count.  The exceptions are the test-only names ROADMAP lists with their
 reasons, and the set below must match the unused names exactly, so an entry
-that gains a caller leaves the list as well.
+that gains a caller leaves the list as well.  Likewise IMPORTS must match
+the hpp modules each module imports, so a new edge between layers shows up
+as a change to this file.
 """
 
 import ast
@@ -26,6 +29,21 @@ TEST_ONLY = {
     "blackbox.instance_from_json",
     # The n = 2 closed-form fiber the acceptance gate checks.
     "fibers.solve_n2_triangular",
+}
+
+# hpp module -> the hpp modules it imports.
+IMPORTS = {
+    "__init__": {"blackbox", "errors", "fibers", "gf", "pgm", "polyring", "reduction"},
+    "baseline": {"blackbox", "errors", "gf", "polyring"},
+    "blackbox": {"gf", "polyring"},
+    "cli": {"baseline", "blackbox", "errors", "fibers", "gf", "pgm", "polyring", "reduction"},
+    "densmat": {"errors", "fibers", "gf", "polyring"},
+    "errors": set(),
+    "fibers": {"errors", "gf"},
+    "gf": {"errors"},
+    "pgm": {"errors", "fibers", "gf", "polyring"},
+    "polyring": {"gf"},
+    "reduction": {"blackbox", "errors", "gf", "polyring"},
 }
 
 
@@ -66,3 +84,32 @@ def test_every_definition_outside_the_test_only_list_is_referenced():
         if name not in used and not (name.startswith("__") and name.endswith("__"))
     }
     assert unused == TEST_ONLY
+
+
+def _imported_modules(tree) -> set[str]:
+    """The hpp modules a module's AST imports, relatively or by name."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            parts = [] if node.module is None else node.module.split(".")
+            if node.level == 0 and parts[0] != "hpp":
+                continue
+            parts = parts[node.level == 0 :]
+            if parts:
+                out.add(parts[0])
+            else:  # from . import module
+                out.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                parts = alias.name.split(".")
+                if parts[0] == "hpp" and len(parts) > 1:
+                    out.add(parts[1])
+    return out
+
+
+def test_internal_import_graph_is_pinned():
+    graph = {
+        path.stem: _imported_modules(ast.parse(path.read_text(encoding="utf-8")))
+        for path in sorted((ROOT / "src" / "hpp").glob("*.py"))
+    }
+    assert graph == IMPORTS
