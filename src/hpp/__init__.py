@@ -28,7 +28,7 @@ from .fibers import (
     pick_analysis,
 )
 from .gf import FieldCtx, chi, make_field, parse_field, trace
-from .pgm import outcome_distribution, run_many, success_report
+from .pgm import Sampler, outcome_distribution, run_many, success_report
 from .polyring import MultiPoly, UniPoly, multi_poly
 from .reduction import kappa, solve_multivariate, univariate_oracle_view
 
@@ -43,6 +43,7 @@ __all__ = [
     "InvariantViolationError",
     "MultiPoly",
     "RecoveryError",
+    "Sampler",
     "UniPoly",
     "chi",
     "eta_moments",

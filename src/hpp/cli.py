@@ -40,7 +40,7 @@ from .fibers import (
     write_eta_csv,
 )
 from .gf import field_descriptor, parse_field
-from .pgm import make_quantum_solver, outcome_distribution, success_report
+from .pgm import Sampler, make_quantum_solver, outcome_distribution, success_report
 from .polyring import format_multipoly
 from .reduction import SolveStats, build_plan, kappa, solve_multivariate
 
@@ -141,16 +141,15 @@ def _cmd_success(args, parser) -> int:
         dump = None
         if args.dump_dist:
             # Filled from the report's own pass over the tables, with the
-            # report's good sets, so --mc draws from the laws it built.
+            # report's Sampler, so --mc draws from the laws it built.
             writer = csv.writer(handles[1], lineterminator="\n")
             writer.writerow(["x", "good_mass", "qprime", "probability"])
-            origin = (0,) * args.n
             labels: list[str] = []  # q' labels by code, decoded once
 
-            def dump(table, good) -> None:
-                probs, mass = outcome_distribution(table, good, origin)
+            def dump(table, sampler) -> None:
+                probs, mass = outcome_distribution(sampler, table)
                 if not labels:
-                    labels.extend(";".join(map(str, p)) for p in good.points)
+                    labels.extend(";".join(map(str, p)) for p in sampler.points)
                 x_label = ";".join(map(str, table.x))
                 mass_label = f"{mass:.12g}"
                 writer.writerows(
@@ -177,14 +176,14 @@ def _cmd_e2e(args, parser) -> int:
     solves = kappa(args.n, args.m)  # guards the schedule before any table or instance
     outputs = {"--out": args.out, "--summary-out": args.summary_out}
     with _outputs(outputs) as (out_fh, summary_fh):
-        tables = eta_tables(ctx, args.n)
+        sampler = Sampler(good, eta_tables(ctx, args.n).__getitem__)
         rows = []
         successes = 0
         revealed = []
         for trial in range(args.trials):
             inst = sample_instance(ctx, args.m, args.n, seed=f"{seed}:{trial}")
             rng = random.Random(f"hpp-e2e:{seed}:{trial}")
-            solver = make_quantum_solver(tables, good, rng)
+            solver = make_quantum_solver(sampler, rng)
             stats = SolveStats()
             try:
                 cand = solve_multivariate(inst, solver, rng=rng, stats=stats)

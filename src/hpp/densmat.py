@@ -267,7 +267,7 @@ def pipeline_probability(
 ) -> tuple[float, np.ndarray]:
     """(good-branch mass, probs) for one direction x, computed end to end
     through explicit matrices: probs[encode_point(q', d)] is P[outcome = q'
-    | good branch], the form of pgm.outcome_distribution.
+    | good branch], pgm.outcome_distribution's q = 0 law read at q' - q.
 
     Builds the n-copy state's block at the measured directions, projects
     onto the good-set points, applies V_x, and reads every outcome's

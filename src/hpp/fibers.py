@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
@@ -361,7 +361,7 @@ class Analysis(str, Enum):
     SECOND = "second"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class GoodSets:
     """Membership predicates for good directions x and good targets w.
 
@@ -370,18 +370,15 @@ class GoodSets:
     The second-analysis cap is a theorem rather than part of the predicate,
     so violating it raises instead of classifying the pair as bad.
 
-    Compared and hashed by identity, since it holds all of pgm's outcome
-    law state.  Both predicates are invariant under direction_orbit's
-    maps, so pgm caches one outcome law per direction orbit here, keyed by
-    the orbit's representative, and one draw record per direction in
-    _draws, indexed by the direction's encode_point code.
+    A plain value, compared and hashed by its four fields.  Both predicates
+    are invariant under direction_orbit's maps, which is what lets
+    pgm.Sampler keep one outcome law per direction orbit.
     """
 
     ctx: FieldCtx
     n: int
     analysis: Analysis
     cap: int
-    _orbit_laws: dict = field(default_factory=dict, init=False, repr=False)
 
     def x_good(self, x: Sequence[Felt]) -> bool:
         if len(x) != self.n:
@@ -389,19 +386,6 @@ class GoodSets:
         if self.analysis is Analysis.FIRST:
             return 0 not in x
         return n2_constraint(self.ctx, x) != 0
-
-    @cached_property
-    def _draws(self) -> list:
-        """pgm's draw record of each direction, by code; None until the
-        direction's first draw."""
-        return [None] * self.ctx.d**self.n
-
-    @cached_property
-    def points(self) -> list[Point]:
-        """Every point of F^n, indexed by its encode_point code; decoded once,
-        it turns a sampled code into an outcome."""
-        d, n = self.ctx.d, self.n
-        return [decode_point(code, d, n) for code in range(d**n)]
 
     def w_good(self, x: Sequence[Felt], eta):
         """Good-target test at direction x, elementwise: eta is one fiber

@@ -35,19 +35,20 @@ one way to move: a gather through a map of F per coordinate (_gather).  A
 law is built once per orbit of directions under x -> lam * sigma(x), lam
 in F* and sigma a permutation of the coordinates: the fiber sizes of
 lam * sigma(x) are those of x with every w scaled by lam, so its law at
-delta is x's law at lam * delta.  The orbit's law is cached on the good
-set, in the coordinates of the orbit's least point, and each direction's
-law is one gather from it; nothing is cached per direction but its draw
-record.  The law over q' for a given q is the delta law read at q - q'.
+delta is x's law at lam * delta.  The orbit's law is cached on the Sampler,
+in the coordinates of the orbit's least point, and each direction's law is
+one gather from it; nothing is cached per direction but its draw record.
+The law over q' for a given q is the delta law read at q - q'.
 
-A draw reads one record per direction from the good set's draw list,
+A draw reads one record per direction from the sampler's draw list,
 indexed by the direction's encode_point code and filled on the direction's
-first draw: a bad-direction marker, or the good-branch mass, a zero-copy
-memoryview of the law's cumulative distribution, built with the record,
-and its last entry.  A repeat draw then does one list index, and
-bisect_left on the view finds the index numpy's searchsorted would: the
-encode_point code of delta, which is the draw's outcome.  The quantum
-solver votes on these codes and subtracts the winner from q once.
+first draw from the table sampler.table_of gives for it: a bad-direction
+marker, or the good-branch mass, a zero-copy memoryview of the law's
+cumulative distribution, built with the record, and its last entry.  A
+repeat draw then does one list index, and bisect_left on the view finds
+the index numpy's searchsorted would: the encode_point code of delta,
+which is the draw's outcome.  The quantum solver votes on these codes and
+subtracts the winner from q once.
 
 success_report is the one entry for the success analysis.  Every quantity
 it reports depends on a direction x only through x_good(x) and the
@@ -64,9 +65,9 @@ import math
 import random
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from dataclasses import dataclass
-from functools import lru_cache, partial
-from typing import Callable, Iterable, Mapping
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache, partial
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -76,6 +77,7 @@ from .fibers import (
     EtaTable,
     GoodSets,
     Point,
+    decode_point,
     direction_orbit,
     good_sets,
     iter_eta_tables,
@@ -324,57 +326,72 @@ def _gather(probs: np.ndarray, ctx: FieldCtx, maps: list[Callable]) -> np.ndarra
     return probs[codes]
 
 
-def _outcome_law(table: EtaTable, good: GoodSets) -> tuple[np.ndarray, float]:
+@dataclass(eq=False)
+class Sampler:
+    """The measurement sampler of one good set and the law state it builds:
+    table_of(x) gives direction x's fiber table, called on x's first draw;
+    orbit_laws one law per direction orbit, keyed by its representative;
+    draws each direction's draw record by code (None until its first draw);
+    points every point of F^n by code.  The first draw builds the last two.
+    """
+
+    good: GoodSets
+    table_of: Callable[[Point], EtaTable]
+    orbit_laws: dict = field(default_factory=dict, init=False, repr=False)
+
+    @cached_property
+    def draws(self) -> list:
+        return [None] * self.good.ctx.d**self.good.n
+
+    @cached_property
+    def points(self) -> list[Point]:
+        d, n = self.good.ctx.d, self.good.n
+        return [decode_point(code, d, n) for code in range(d**n)]
+
+
+def _outcome_law(sampler: Sampler, table: EtaTable) -> tuple[np.ndarray, float]:
     """(probabilities, good-branch mass) of direction table.x.
 
     The probabilities are read from the law of x's orbit (direction_orbit),
-    cached on the good set in the coordinates of its representative r and
+    cached on the sampler in the coordinates of its representative r and
     built from whichever member's table comes first: for x = lam *
     sigma(r), law_x[delta] = law_r[lam * delta].
     """
-    ctx, n = table.ctx, table.n
+    ctx, n, laws = table.ctx, table.n, sampler.orbit_laws
     rep, lam = direction_orbit(ctx, table.x)
-    if rep in good._orbit_laws:
-        rep_probs, mass = good._orbit_laws[rep]
+    if rep in laws:
+        rep_probs, mass = laws[rep]
         return _gather(rep_probs, ctx, [partial(ctx.mul, lam)] * n), mass
-    probs, mass = _delta_distribution(table, good)
-    to_rep = [partial(ctx.mul, ctx.inv(lam))] * n
-    good._orbit_laws[rep] = (_gather(probs, ctx, to_rep), mass)
+    probs, mass = _delta_distribution(table, sampler.good)
+    laws[rep] = (_gather(probs, ctx, [partial(ctx.mul, ctx.inv(lam))] * n), mass)
     return probs, mass
 
 
-def outcome_distribution(
-    table: EtaTable, good: GoodSets, q: Point
-) -> tuple[np.ndarray, float]:
+def outcome_distribution(sampler: Sampler, table: EtaTable) -> tuple[np.ndarray, float]:
     """(probabilities, good-branch mass) of the measured q' for direction
-    table.x and true coefficient vector q: probs[encode_point(q', d)] is
-    P(q').  The law depends on q only through delta = q - q', so it is the
-    delta law read through q'_i -> q_i - q'_i.  A bad direction or an empty
-    law gives (np.empty(0), 0.0)."""
-    ctx = table.ctx
-    if len(q) != table.n:
-        raise ValueError(f"q has {len(q)} components, expected {table.n}")
-    if not good.x_good(table.x):
+    table.x when q = 0: probs[encode_point(q', d)] is P(q').  The law
+    depends on q only through delta = q - q', so this is the delta law read
+    at -q', and the law for any q is this one read at q' - q.  A bad
+    direction or an empty law gives (np.empty(0), 0.0)."""
+    if not sampler.good.x_good(table.x):
         return np.empty(0), 0.0
-    probs, mass = _outcome_law(table, good)
-    return _gather(probs, ctx, [partial(ctx.sub, qi) for qi in q]), mass
+    probs, mass = _outcome_law(sampler, table)
+    return _gather(probs, table.ctx, [table.ctx.neg] * table.n), mass
 
 
-def _draw_record(table: EtaTable, good: GoodSets):
+def _draw_record(sampler: Sampler, table: EtaTable):
     """What sample_outcome reads for direction table.x: _BAD_X for a bad
     direction, else the good-branch mass, a memoryview of the law's
     cumulative distribution, which the view keeps alive, and its last entry
     (0.0 for an empty law)."""
-    if not good.x_good(table.x):
+    if not sampler.good.x_good(table.x):
         return _BAD_X
-    probs, mass = _outcome_law(table, good)
+    probs, mass = _outcome_law(sampler, table)
     cdf = np.cumsum(probs)
     return mass, memoryview(cdf), float(cdf[-1]) if cdf.size else 0.0
 
 
-def sample_outcome(
-    tables: Mapping[Point, EtaTable], good: GoodSets, rng: random.Random
-) -> int | None:
+def sample_outcome(sampler: Sampler, rng: random.Random) -> int | None:
     """One measurement run: the encode_point code of the drawn delta = q - q',
     or BAD_BRANCH.
 
@@ -382,18 +399,20 @@ def sample_outcome(
     which make its encode_point code; for a good x, one random() against
     the law's good-branch mass and one for the inverse-CDF pick of delta,
     whose code is the index bisect_left finds.  The direction's draw record
-    is read from good's draw list by x's code, and built from tables[x] on
-    the first draw of x.  The law does not depend on q, so no instance is
-    needed: the run identifies q exactly when it returns code 0.
+    is read from the sampler's draw list by x's code, and built from
+    sampler.table_of(x) on the first draw of x.  The law does not depend on
+    q, so no instance is needed: the run identifies q exactly when it
+    returns code 0.
     """
+    good = sampler.good
     d = good.ctx.d
     code = 0
     for _ in range(good.n):
         code = code * d + rng.randrange(d)
-    records = good._draws
+    records = sampler.draws
     record = records[code]
     if record is None:
-        record = records[code] = _draw_record(tables[good.points[code]], good)
+        record = records[code] = _draw_record(sampler, sampler.table_of(sampler.points[code]))
     if record is _BAD_X:
         return BAD_BRANCH
     mass, cdf, last = record
@@ -420,20 +439,14 @@ class RunStats:
         return math.sqrt(max(p * (1.0 - p), 0.0) / self.runs)
 
 
-def run_many(
-    tables: Mapping[Point, EtaTable], good: GoodSets, rng: random.Random, runs: int
-) -> RunStats:
+def run_many(sampler: Sampler, rng: random.Random, runs: int) -> RunStats:
     """Monte Carlo estimate of the unconditional success probability, the
     same for every instance: a run succeeds when it draws delta = 0."""
-    codes = Counter(sample_outcome(tables, good, rng) for _ in range(runs))
+    codes = Counter(sample_outcome(sampler, rng) for _ in range(runs))
     return RunStats(runs, codes[BAD_BRANCH], codes[0])
 
 
-def make_quantum_solver(
-    tables: Mapping[Point, EtaTable],
-    good: GoodSets,
-    rng: random.Random,
-) -> Callable:
+def make_quantum_solver(sampler: Sampler, rng: random.Random) -> Callable:
     """Univariate solver backed by the measurement sampler.
 
     The returned callable takes any view exposing ctx and
@@ -448,7 +461,7 @@ def make_quantum_solver(
     def solver(view) -> UniPoly:
         votes: list[int] = []
         for _ in range(MAX_SOLVER_DRAWS):
-            code = sample_outcome(tables, good, rng)
+            code = sample_outcome(sampler, rng)
             if code is not BAD_BRANCH:
                 votes.append(code)
                 if len(votes) == SOLVER_VOTES:
@@ -460,7 +473,7 @@ def make_quantum_solver(
             )
         ctx, q, top = view.ctx, view.effective_coeffs(), max(map(votes.count, votes))
         best = min(
-            [ctx.sub(qi, di) for qi, di in zip(q, good.points[code])]
+            [ctx.sub(qi, di) for qi, di in zip(q, sampler.points[code])]
             for code in votes
             if votes.count(code) == top
         )
@@ -540,13 +553,13 @@ def success_report(
     analysis: Analysis,
     mc_runs: int = 0,
     seed: int | None = None,
-    on_table: Callable[[EtaTable, GoodSets], None] | None = None,
+    on_table: Callable[[EtaTable, Sampler], None] | None = None,
 ) -> SuccessReport:
     """Compute the full report in one pass over the fiber tables.
 
     mc_runs > 0 adds a Monte Carlo cross-check, which samples from the
     tables of that same pass.  on_table, when given, is called with each
-    table of the pass, in direction-code order, and the report's good sets,
+    table of the pass, in direction-code order, and the report's Sampler,
     so outcome laws it builds are the ones the Monte Carlo draws reuse.
     """
     if mc_runs < 0:
@@ -555,9 +568,10 @@ def success_report(
         raise ValueError("a seed is required for the Monte Carlo estimate")
     good = good_sets(ctx, n, analysis)
     tables: dict[Point, EtaTable] = {}
+    sampler = Sampler(good, tables.__getitem__)
     stream = iter_eta_tables(ctx, n)
     if on_table is not None:
-        stream = (on_table(t, good) or t for t in stream)
+        stream = (on_table(t, sampler) or t for t in stream)
     if mc_runs:
         stream = (tables.setdefault(t.x, t) for t in stream)
     ideal, approx, w_counts = _success_sums(stream, good)
@@ -565,7 +579,7 @@ def success_report(
     w_good_min = min(w_counts, default=0)
     mc_estimate = mc_stderr = None
     if mc_runs:
-        stats = run_many(tables, good, random.Random(f"hpp-mc:{seed}"), mc_runs)
+        stats = run_many(sampler, random.Random(f"hpp-mc:{seed}"), mc_runs)
         mc_estimate, mc_stderr = stats.success_rate, stats.stderr
     return SuccessReport(
         field=field_descriptor(ctx),

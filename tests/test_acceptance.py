@@ -10,6 +10,7 @@ import math
 import random
 import time
 from fractions import Fraction
+from functools import partial
 from itertools import product
 
 from hpp.blackbox import sample_instance
@@ -25,7 +26,7 @@ from hpp.fibers import (
     solve_n2_triangular,
 )
 from hpp.gf import make_field, parse_field
-from hpp.pgm import run_many, success_report
+from hpp.pgm import Sampler, run_many, success_report
 from hpp.polyring import UniPoly
 from hpp.reduction import SolveStats, kappa, perfect_solver, solve_multivariate
 
@@ -156,7 +157,7 @@ def test_criterion_7_density_matrix_cross_validation():
     import numpy as np
 
     from hpp.densmat import build_vx, conjugate_fourier, build_rho_q, pipeline_probability
-    from hpp.fibers import eta_table
+    from hpp.fibers import encode_point, eta_table
     from hpp.pgm import outcome_distribution
     from hpp.polyring import UniPoly as UP
 
@@ -195,19 +196,24 @@ def test_criterion_7_density_matrix_cross_validation():
             worst_vx = max(worst_vx, float(np.linalg.norm(vx.matrix @ state - vx.w_state(w))))
     ok = ok and worst_vx < 1e-10
 
-    # pipeline probabilities against the analytic outcome law
+    # pipeline probabilities at q = qc against the analytic outcome law of
+    # q = 0, read at q' - qc
     configs = [("3", Analysis.FIRST), ("2^2", Analysis.SECOND), ("5", Analysis.FIRST),
                ("5", Analysis.SECOND), ("7", Analysis.FIRST), ("7", Analysis.SECOND)]
     worst_pipe = 0.0
     for desc, analysis in configs:
         ctx = parse_field(desc)
         good = good_sets(ctx, 2, analysis)
+        sampler = Sampler(good, partial(eta_table, ctx))
         qc = (2 % ctx.d, 1)
         q = UP(ctx, (0, *qc))
+        shifted = [encode_point(map(ctx.sub, qp, qc), ctx.d)
+                   for qp in product(range(ctx.d), repeat=2)]
         for x in product(range(ctx.d), repeat=2):
             mass, law = pipeline_probability(ctx, q, x, good)
-            probs, law_mass = outcome_distribution(eta_table(ctx, x), good, qc)
+            probs, law_mass = outcome_distribution(sampler, eta_table(ctx, x))
             ok = ok and law.shape == probs.shape
+            probs = probs[shifted] if probs.size else probs
             worst_pipe = max(worst_pipe, abs(mass - law_mass), *np.abs(law - probs).tolist())
     ok = ok and worst_pipe < 1e-9
     _check(7, ok,
@@ -219,8 +225,7 @@ def test_criterion_8_monte_carlo_consistency():
     t0 = time.perf_counter()
     ctx = make_field(7)
     analysis = pick_analysis(ctx, 2)
-    good = good_sets(ctx, 2, analysis)
-    tables = eta_tables(ctx, 2)
+    sampler = Sampler(good_sets(ctx, 2, analysis), eta_tables(ctx, 2).__getitem__)
     target = success_report(ctx, 2, analysis).approx
     runs = 10_000
     sigma = math.sqrt(target * (1 - target) / runs)
@@ -230,7 +235,7 @@ def test_criterion_8_monte_carlo_consistency():
     ok = True
     rates = []
     for label in ("identity", "random"):
-        stats = run_many(tables, good, random.Random(f"hpp-mc:{label}"), runs)
+        stats = run_many(sampler, random.Random(f"hpp-mc:{label}"), runs)
         rates.append(stats.success_rate)
         ok = ok and abs(stats.success_rate - target) <= 4 * sigma
     _check(8, ok,

@@ -1,4 +1,5 @@
 import math
+from functools import partial
 from itertools import product
 
 import numpy as np
@@ -293,7 +294,9 @@ def test_fourier_point_states_orthonormal():
 
 
 def test_pipeline_matches_analytic_law():
-    from hpp.pgm import outcome_distribution
+    # The pipeline measures at q = qc; the analytic law is the q = 0 one,
+    # read at q' - qc.
+    from hpp.pgm import Sampler, outcome_distribution
 
     cases = [
         ("3", Analysis.FIRST, (1, 2)),
@@ -304,15 +307,17 @@ def test_pipeline_matches_analytic_law():
     for desc, analysis, qc in cases:
         ctx = parse_field(desc)
         good = good_sets(ctx, 2, analysis)
+        sampler = Sampler(good, partial(eta_table, ctx))
         q = UniPoly(ctx, (0, *qc))
         for x in product(range(ctx.d), repeat=2):
             mass, law = pipeline_probability(ctx, q, x, good)
-            probs, law_mass = outcome_distribution(eta_table(ctx, x), good, qc)
+            probs, law_mass = outcome_distribution(sampler, eta_table(ctx, x))
             assert abs(mass - law_mass) < 1e-9, (desc, x)
             assert law.shape == probs.shape, (desc, x)
             for qprime in product(range(ctx.d), repeat=2) if law.size else ():
                 code = encode_point(qprime, ctx.d)
-                assert abs(law[code] - probs[code]) < 1e-9, (desc, x, qprime)
+                shifted = encode_point(map(ctx.sub, qprime, qc), ctx.d)
+                assert abs(law[code] - probs[shifted]) < 1e-9, (desc, x, qprime)
 
 
 def test_pipeline_bad_direction_returns_zero():

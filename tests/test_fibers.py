@@ -317,6 +317,13 @@ def test_first_cap_is_factorial():
         assert good_sets(make_field(5), n, Analysis.FIRST).cap == math.factorial(n)
 
 
+def test_good_sets_are_plain_values():
+    first, again = good_sets(F7, 2, Analysis.FIRST), good_sets(F7, 2, Analysis.FIRST)
+    assert first == again and hash(first) == hash(again)
+    assert first != good_sets(F7, 2, Analysis.SECOND)
+    assert len(vars(first)) == 4  # ctx, n, analysis and cap; nothing cached
+
+
 def test_first_analysis_fiber_structure():
     # x with all coordinates nonzero: fibers obey eta <= 2 except the
     # degenerate pairs x1 + x2 = 0, which put everything with w = 0 in one

@@ -3,6 +3,7 @@ import math
 import operator
 import random
 from bisect import bisect_left
+from functools import partial
 from itertools import accumulate, product
 from types import SimpleNamespace
 
@@ -28,6 +29,7 @@ from hpp.gf import chi, dot, make_field, parse_field
 from hpp.pgm import (
     BAD_BRANCH,
     SOLVER_VOTES,
+    Sampler,
     SuccessReport,
     _BAD_X,
     _delta_distribution,
@@ -124,11 +126,17 @@ def test_ideal_requires_full_scan():
         _success_sums([eta_table(F5, (1, 2))], good_sets(F5, 2, Analysis.FIRST))
 
 
+def _sampler(ctx, n, analysis):
+    """A Sampler whose table_of builds each table it is asked for."""
+    return Sampler(good_sets(ctx, n, analysis), partial(eta_table, ctx))
+
+
 def test_outcome_distribution_normalization_and_support():
-    good = good_sets(F5, 2, Analysis.FIRST)
+    sampler = _sampler(F5, 2, Analysis.FIRST)
+    good = sampler.good
     for x in product(range(5), repeat=2):
         table = eta_table(F5, x)
-        probs, mass = outcome_distribution(table, good, (1, 3))
+        probs, mass = outcome_distribution(sampler, table)
         if not good.x_good(x):
             assert mass == 0.0 and probs.shape == (0,)
             continue
@@ -140,35 +148,13 @@ def test_outcome_distribution_normalization_and_support():
         assert abs(mass - total_eta / 25) < 1e-12
 
 
-def test_outcome_distribution_shift_covariance():
-    # the law depends on q only through q - q'
-    good = good_sets(F7, 2, Analysis.FIRST)
-    table = eta_table(F7, (2, 5))
-    base, _ = outcome_distribution(table, good, (0, 0))
-    for q in ((1, 0), (3, 4), (6, 6)):
-        probs, _ = outcome_distribution(table, good, q)
-        assert probs.shape == base.shape == (49,)
-        for qprime in product(range(7), repeat=2):
-            delta = (F7.sub(q[0], qprime[0]), F7.sub(q[1], qprime[1]))
-            base_qprime = (F7.neg(delta[0]), F7.neg(delta[1]))
-            p = probs[encode_point(qprime, 7)]
-            assert abs(p - base[encode_point(base_qprime, 7)]) < 1e-12
-
-
-def test_outcome_distribution_validates_q():
-    table = eta_table(F5, (1, 2))
-    with pytest.raises(ValueError):
-        outcome_distribution(table, good_sets(F5, 2, Analysis.FIRST), (1, 2, 3))
-
-
 def test_sample_outcome_returns_outcome_or_bad():
     ctx = F5
-    good = good_sets(ctx, 2, Analysis.FIRST)
-    tables = eta_tables(ctx, 2)
+    sampler = Sampler(good_sets(ctx, 2, Analysis.FIRST), eta_tables(ctx, 2).__getitem__)
     rng = random.Random("runonce")
     seen_bad = seen_good = False
     for _ in range(200):
-        out = sample_outcome(tables, good, rng)
+        out = sample_outcome(sampler, rng)
         if out is BAD_BRANCH:
             seen_bad = True
         else:
@@ -179,10 +165,9 @@ def test_sample_outcome_returns_outcome_or_bad():
 
 def test_run_many_matches_approx_success():
     ctx = F5
-    good = good_sets(ctx, 2, Analysis.FIRST)
-    tables = eta_tables(ctx, 2)
+    sampler = Sampler(good_sets(ctx, 2, Analysis.FIRST), eta_tables(ctx, 2).__getitem__)
     approx = success_report(ctx, 2, Analysis.FIRST).approx
-    stats = run_many(tables, good, random.Random("mc"), runs=4000)
+    stats = run_many(sampler, random.Random("mc"), runs=4000)
     sigma = math.sqrt(approx * (1 - approx) / stats.runs)
     assert abs(stats.success_rate - approx) < 5 * sigma
     assert stats.runs == 4000
@@ -191,14 +176,13 @@ def test_run_many_matches_approx_success():
 
 def test_quantum_solver_majority_vote():
     ctx = F7
-    good = good_sets(ctx, 2, Analysis.FIRST)
-    tables = eta_tables(ctx, 2)
+    sampler = Sampler(good_sets(ctx, 2, Analysis.FIRST), eta_tables(ctx, 2).__getitem__)
     inst = sample_instance(ctx, 1, 2, seed="vote")
     from hpp.reduction import univariate_oracle_view
 
     view = univariate_oracle_view(inst, {}, 0)
     truth = view.effective_coeffs()
-    solver = make_quantum_solver(tables, good, random.Random("vote"))
+    solver = make_quantum_solver(sampler, random.Random("vote"))
     hits = sum(
         tuple(solver(view).coeff(i) for i in (1, 2)) == truth for _ in range(20)
     )
@@ -377,20 +361,20 @@ def test_grouped_row_sums_refuse_row_counts_of_2_to_the_26():
 
 
 def test_draw_record_holds_the_cdf_of_the_outcome_law():
-    good = good_sets(F7, 2, Analysis.FIRST)
+    sampler = _sampler(F7, 2, Analysis.FIRST)
     table = eta_table(F7, (2, 5))
-    probs, mass = _outcome_law(table, good)
-    (rep,) = good._orbit_laws
-    orbit_law = good._orbit_laws[rep]
-    again, again_mass = _outcome_law(table, good)
+    probs, mass = _outcome_law(sampler, table)
+    (rep,) = sampler.orbit_laws
+    orbit_law = sampler.orbit_laws[rep]
+    again, again_mass = _outcome_law(sampler, table)
     assert np.array_equal(again, probs) and again_mass == mass
     # The second call reads the cached orbit law; nothing is rebuilt.
-    assert list(good._orbit_laws) == [rep] and good._orbit_laws[rep] is orbit_law
+    assert list(sampler.orbit_laws) == [rep] and sampler.orbit_laws[rep] is orbit_law
     # The two analyses share this table at p > 2, n = 2; each has its own law.
-    second = good_sets(F7, 2, Analysis.SECOND)
-    _outcome_law(table, second)
-    assert second._orbit_laws[rep][0] is not orbit_law[0]
-    record_mass, cdf, last = _draw_record(table, good)
+    second = _sampler(F7, 2, Analysis.SECOND)
+    _outcome_law(second, table)
+    assert second.orbit_laws[rep][0] is not orbit_law[0]
+    record_mass, cdf, last = _draw_record(sampler, table)
     cum = list(accumulate(probs.tolist()))
     assert record_mass == mass and cdf.tolist() == cum and last == cum[-1]
     rng = random.Random("cdf")
@@ -401,11 +385,39 @@ def test_draw_record_holds_the_cdf_of_the_outcome_law():
 def test_an_empty_orbit_law_is_shared_without_a_gather():
     # One orbit of GF(7) whose directions are bad under the second analysis:
     # no good target, so every member's law is empty.
-    good = good_sets(F7, 2, Analysis.SECOND)
+    sampler = _sampler(F7, 2, Analysis.SECOND)
     for x in ((2, 5), (1, 6), (5, 2)):
-        probs, mass = _outcome_law(eta_table(F7, x), good)
+        probs, mass = _outcome_law(sampler, eta_table(F7, x))
         assert probs.size == 0 and mass == 0.0, x
-    assert list(good._orbit_laws) == [(1, 6)]
+    assert list(sampler.orbit_laws) == [(1, 6)]
+
+
+def test_samplers_over_equal_good_sets_keep_their_own_laws():
+    first, second = _sampler(F7, 2, Analysis.FIRST), _sampler(F7, 2, Analysis.FIRST)
+    assert first.good == second.good
+    _outcome_law(first, eta_table(F7, (2, 5)))
+    assert list(first.orbit_laws) == [(1, 6)] and second.orbit_laws == {}
+    _outcome_law(second, eta_table(F7, (2, 5)))
+    assert second.orbit_laws[(1, 6)][0] is not first.orbit_laws[(1, 6)][0]
+
+
+def test_table_of_is_called_once_per_direction_drawn():
+    # A replay on a twin stream lists the directions the draws take; the
+    # sampler asks table_of for each of them once and for no other.
+    tables = eta_tables(F7, 2)
+    asked = []
+    sampler = Sampler(good_sets(F7, 2, Analysis.FIRST), lambda x: asked.append(x) or tables[x])
+    rng = random.Random("table-of")
+    twin = random.Random()
+    twin.setstate(rng.getstate())
+    run_many(sampler, rng, 60)
+    drawn = []
+    replay = Sampler(sampler.good, tables.__getitem__)
+    for _ in range(60):
+        _literal_draw(replay, twin, drawn)
+    assert rng.getstate() == twin.getstate()
+    assert len(set(drawn)) < len(drawn) and len(set(drawn)) < len(tables)
+    assert sorted(asked) == sorted(set(drawn))
 
 
 # (field, n, analysis, orbit laws built, good directions)
@@ -427,21 +439,22 @@ ORBIT_CASES = [
 )
 def test_orbit_laws_equal_fresh_builds(desc, n, analysis, built, good_count):
     ctx = parse_field(desc)
-    good = good_sets(ctx, n, analysis)
+    sampler = _sampler(ctx, n, analysis)
+    good = sampler.good
     tables = [t for t in iter_eta_tables(ctx, n) if good.x_good(t.x)]
     assert len(tables) == good_count
     # In reverse order most orbits are first met at a member other than
     # their least point, so their laws are stored through the inverse gather.
     for table in reversed(tables):
-        probs, mass = _outcome_law(table, good)
+        probs, mass = _outcome_law(sampler, table)
         want, want_mass = _delta_distribution(table, good)
         assert np.array_equal(probs, want) and mass == want_mass, table.x
-        assert np.array_equal(_draw_record(table, good)[1], np.cumsum(want)), table.x
-    assert len(good._orbit_laws) == built
+        assert np.array_equal(_draw_record(sampler, table)[1], np.cumsum(want)), table.x
+    assert len(sampler.orbit_laws) == built
 
 
 def test_dump_dist_and_mc_share_the_orbit_laws(tmp_path, monkeypatch):
-    # The dump and the Monte Carlo draws read one good set, so each good
+    # The dump and the Monte Carlo draws read one Sampler, so each good
     # orbit's law is built once per run.
     import hpp.pgm
     from hpp.cli import main
@@ -490,25 +503,28 @@ def test_line_reduced_term_counts_equal_the_full_count(desc, x):
     assert (_term_counts(*args) == _full_term_counts(*args)).all()
 
 
-def _literal_draw(tables, good, rng):
+def _literal_draw(sampler, rng, drawn=None):
     """One draw spelled out: randrange per coordinate of x, x_good, the law,
-    random() >= mass and the CDF search, whose index is the code of delta."""
-    ctx = good.ctx
-    x = tuple(rng.randrange(ctx.d) for _ in range(good.n))
+    random() >= mass and the CDF search, whose index is the code of delta.
+    The direction drawn is appended to `drawn` when given."""
+    good = sampler.good
+    x = tuple(rng.randrange(good.ctx.d) for _ in range(good.n))
+    if drawn is not None:
+        drawn.append(x)
     if not good.x_good(x):
         return BAD_BRANCH
-    probs, mass = _outcome_law(tables[x], good)
+    probs, mass = _outcome_law(sampler, sampler.table_of(x))
     if rng.random() >= mass:
         return BAD_BRANCH
     cdf = np.cumsum(probs)
     return int(cdf.searchsorted(rng.random() * cdf[-1]))
 
 
-def _assert_solver_takes_the_vote(tables, good, seed, q, got):
+def _assert_solver_takes_the_vote(sampler, seed, q, got):
     """A solver on the RNG stream that drew `got` returns q' = q - delta,
     by base-p digits, for the most-voted delta of its first SOLVER_VOTES
     good draws, and the least such q' on a tie."""
-    ctx = good.ctx
+    ctx, good = sampler.good.ctx, sampler.good
     votes = [
         tuple(
             ctx.from_digits(map(operator.sub, ctx.digits(qi), ctx.digits(di)))
@@ -519,7 +535,7 @@ def _assert_solver_takes_the_vote(tables, good, seed, q, got):
     ][:SOLVER_VOTES]
     top = max(map(votes.count, votes))
     view = SimpleNamespace(ctx=ctx, effective_coeffs=lambda: q)
-    cand = make_quantum_solver(tables, good, random.Random(seed))(view)
+    cand = make_quantum_solver(sampler, random.Random(seed))(view)
     assert tuple(cand.coeff(i) for i in range(1, good.n + 1)) == min(
         v for v in votes if votes.count(v) == top
     )
@@ -536,28 +552,27 @@ def _assert_solver_takes_the_vote(tables, good, seed, q, got):
 )
 def test_sample_outcome_replays_the_literal_draw(desc, analysis, q):
     ctx = parse_field(desc)
-    good = good_sets(ctx, 2, analysis)
-    tables = eta_tables(ctx, 2)
+    sampler = Sampler(good_sets(ctx, 2, analysis), eta_tables(ctx, 2).__getitem__)
     rng = random.Random(f"replay:{desc}")
     twin = random.Random()
     twin.setstate(rng.getstate())
-    got = [sample_outcome(tables, good, rng) for _ in range(500)]
-    assert got == [_literal_draw(tables, good, twin) for _ in range(500)]
+    got = [sample_outcome(sampler, rng) for _ in range(500)]
+    assert got == [_literal_draw(sampler, twin) for _ in range(500)]
     assert rng.getstate() == twin.getstate()
     assert BAD_BRANCH in got and 0 in got
-    _assert_solver_takes_the_vote(tables, good, f"replay:{desc}", q, got)
+    _assert_solver_takes_the_vote(sampler, f"replay:{desc}", q, got)
 
 
-def _searchsorted_draw(tables, good, rng):
+def _searchsorted_draw(sampler, rng):
     """One draw as it was taken before draw records: the table looked up
     by x, x_good, the law's mass, and numpy's searchsorted on the
     cumulative sum of the law's probabilities."""
-    ctx = good.ctx
-    x = tuple([rng.randrange(ctx.d) for _ in range(good.n)])
-    table = tables[x]
+    good = sampler.good
+    x = tuple([rng.randrange(good.ctx.d) for _ in range(good.n)])
+    table = sampler.table_of(x)
     if not good.x_good(x):
         return BAD_BRANCH
-    probs, mass = _outcome_law(table, good)
+    probs, mass = _outcome_law(sampler, table)
     if rng.random() >= mass:
         return BAD_BRANCH
     cdf = np.cumsum(probs)
@@ -570,28 +585,28 @@ def _searchsorted_draw(tables, good, rng):
 )
 def test_draw_records_replay_the_searchsorted_draw(desc, analysis, q):
     ctx = parse_field(desc)
-    good = good_sets(ctx, 2, analysis)
     tables = eta_tables(ctx, 2)
+    sampler = Sampler(good_sets(ctx, 2, analysis), tables.__getitem__)
     empty = None
     if analysis is Analysis.SECOND:
         # No good direction of a field with d <= 27 has an empty law, so one
         # is planted on the orbit of (1, 2): mass 0 still takes one random().
         # (1, 6) is a bad direction here (x1 + x2 = 0) and takes none.
         empty = encode_point((1, 2), ctx.d)
-        good._orbit_laws[direction_orbit(ctx, (1, 2))[0]] = (np.empty(0), 0.0)
+        sampler.orbit_laws[direction_orbit(ctx, (1, 2))[0]] = (np.empty(0), 0.0)
     seed = f"records:{desc}:{analysis.value}"
     rng = random.Random(seed)
     twin = random.Random()
     twin.setstate(rng.getstate())
     draws = 10**4
-    want = [_searchsorted_draw(tables, good, twin) for _ in range(draws)]
-    got = [sample_outcome(tables, good, rng) for _ in range(draws)]
+    want = [_searchsorted_draw(sampler, twin) for _ in range(draws)]
+    got = [sample_outcome(sampler, rng) for _ in range(draws)]
     assert got == want
     assert rng.getstate() == twin.getstate()
     assert BAD_BRANCH in got and 0 in got
-    _assert_solver_takes_the_vote(tables, good, seed, q, got)
+    _assert_solver_takes_the_vote(sampler, seed, q, got)
     # Every direction was drawn, so every record was built and reused.
-    records = good._draws
+    records = sampler.draws
     assert len(records) == ctx.d**2 and None not in records
     for x in ((0, 1), (1, 6)) if empty else ((0, 1),):
         assert records[encode_point(x, ctx.d)] is _BAD_X
@@ -601,16 +616,16 @@ def test_draw_records_replay_the_searchsorted_draw(desc, analysis, q):
     # A record views the one CDF built for it: the cumulative sum of its
     # direction's law.
     mass, cdf, last = records[encode_point((1, 1), ctx.d)]
-    probs, law_mass = _outcome_law(tables[(1, 1)], good)
+    probs, law_mass = _outcome_law(sampler, tables[(1, 1)])
     assert mass == law_mass and np.array_equal(cdf.obj, np.cumsum(probs))
     assert last == cdf.obj[-1]
 
 
 def test_sample_outcome_returns_plain_ints():
-    good = good_sets(F5, 2, Analysis.FIRST)
     tables = eta_tables(F5, 2)
+    sampler = Sampler(good_sets(F5, 2, Analysis.FIRST), tables.__getitem__)
     rng = random.Random("ints")
-    outcomes = [sample_outcome(tables, good, rng) for _ in range(100)]
+    outcomes = [sample_outcome(sampler, rng) for _ in range(100)]
     drawn = [o for o in outcomes if o is not BAD_BRANCH]
     assert drawn
     for code in drawn:
@@ -619,14 +634,16 @@ def test_sample_outcome_returns_plain_ints():
 
 
 def _assert_pipeline_matches_law(ctx, analysis, x, qc):
-    good = good_sets(ctx, len(x), analysis)
-    mass, law = pipeline_probability(ctx, UniPoly(ctx, (0, *qc)), x, good)
-    probs, law_mass = outcome_distribution(eta_table(ctx, x), good, qc)
+    # The pipeline measures at q = qc; the law of q = 0 read at q' - qc is
+    # the same law, since it depends on q only through q - q'.
+    sampler = _sampler(ctx, len(x), analysis)
+    mass, law = pipeline_probability(ctx, UniPoly(ctx, (0, *qc)), x, sampler.good)
+    probs, law_mass = outcome_distribution(sampler, eta_table(ctx, x))
     assert abs(mass - law_mass) < 1e-12
     assert law.shape == probs.shape
     for qprime in product(range(ctx.d), repeat=len(x)) if law.size else ():
-        code = encode_point(qprime, ctx.d)
-        assert abs(law[code] - probs[code]) < 1e-12, qprime
+        shifted = encode_point(map(ctx.sub, qprime, qc), ctx.d)
+        assert abs(law[encode_point(qprime, ctx.d)] - probs[shifted]) < 1e-12, qprime
 
 
 PIPELINE_CASES = [
