@@ -61,7 +61,11 @@ def _outputs(paths: dict[str, str | None]):
     a new file, beside the path if it exists, that becomes the path when the
     command returns and is deleted on any exception, so a failed run leaves
     the outputs as they were; a device or pipe is written in place."""
-    reals = [None if p in (None, "-") else os.path.realpath(p) for p in paths.values()]
+    named = [None if p in (None, "-") else os.path.split(p) for p in paths.values()]
+    dirs = {n[0]: os.path.realpath(n[0]) for n in named if n}  # each directory once
+    reals = [n and os.path.join(dirs[n[0]], n[1]) for n in named]
+    # One lstat per file: a symlinked file resolves as realpath(path) would.
+    reals = [os.path.realpath(r) if r and os.path.islink(r) else r for r in reals]
     seen: dict[str, str] = {}
     for option, real in zip(paths, reals):
         if real is not None and seen.setdefault(real, option) != option:
@@ -266,7 +270,8 @@ def _cmd_plan(args, parser) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+def parse_args(argv=None) -> tuple[argparse.ArgumentParser, argparse.Namespace]:
+    """The CLI's argument stage: its parser, and the arguments it parsed."""
     parser = argparse.ArgumentParser(
         prog="hpp", description="hidden-polynomial oracle simulator and analysis"
     )
@@ -341,12 +346,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_plan.add_argument("--out", default=None, help="JSON output path")
     p_plan.set_defaults(func=_cmd_plan)
 
-    return parser
+    return parser, parser.parse_args(argv)
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    parser, args = parse_args(argv)
     try:
         if getattr(args, "jobs", 1) < 1:
             raise ValueError(f"--jobs must be at least 1, got {args.jobs}")

@@ -11,9 +11,9 @@ measurement analysis needs, success probabilities, conditional outcome
 distributions, block structures, reduces to these counts, so this module
 computes them exactly (integer arithmetic throughout) by enumeration.  The
 enumerator reads every term x_j * b^i from the field's log and antilog
-tables (FieldCtx.log_tables), so one table costs a few numpy calls and no
-field multiplication; the tables are built once per field, in about
-log2(d) numpy steps.
+tables (FieldCtx.log_tables, built once per field) through digit and
+residue tables built once per (field, copies, rows): a table costs a gather
+per coordinate, a broadcast sum and one gather that reduces every digit.
 
 Points of F^n are numbered by their big-endian base-d code (encode_point /
 decode_point), which is also lexicographic order; fiber tables are dense
@@ -37,7 +37,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import product
 from typing import Iterable, Iterator, Sequence, TextIO
 
@@ -159,49 +159,57 @@ def _check_enum_budget(d: int, exponent: int) -> None:
         )
 
 
+@lru_cache(maxsize=1)
+def _enum_constants(ctx: FieldCtx, k: int, rows: int) -> tuple:
+    """Constants of _w_codes for one (field, k, rows), as read-only arrays
+    kept for the most recent call.  Plane P = e(rows - 1 - i) + t holds
+    digit t of w_i, digit P of the code.  A plane's digit table covers two
+    antilog cycles and then zeros from Z = 2(d - 1), the log of zero, so a
+    sum of two logs needs no mod.  Returns the logs as a list; index[P, b]
+    = P * (2Z + 1) + the log of b^(i+1); the digit tables with (first) and
+    without P * S added, S = k(p - 1) + 1 bounding a digit sum; and
+    residues[P * S + s] = (s mod p) * p^P.
+    """
+    d, p, e = ctx.d, ctx.p, ctx.e
+    log, exp = ctx.log_tables
+    zero = 2 * (d - 1)
+    levels = np.where(log == d - 1, zero, np.arange(rows, 0, -1)[:, None] * log % (d - 1))
+    cycles = np.concatenate([exp[:-1], exp[:-1], np.zeros(zero + 1, np.int64)])
+    planes = np.arange(rows * e)[:, None]
+    size = k * (p - 1) + 1
+    digits = np.tile(cycles // p ** np.arange(e)[:, None] % p, (rows, 1))
+    index = np.repeat(levels, e, axis=0) + planes * len(cycles)
+    residues = p**planes * (np.arange(size) % p)
+    out = (index, (digits + planes * size).ravel(), digits.ravel(), residues.ravel())
+    for a in out:
+        a.flags.writeable = False
+    return ([zero, *log[1:].tolist()], *out)
+
+
 def _w_codes(ctx: FieldCtx, x: Point, rows: int) -> np.ndarray:
     """encode_point code of w = Phi(b) @ x, with `rows` power levels, for
     every b in F^len(x) in lexicographic order.
 
-    Each term x_j * b^(i+1) is one lookup in the field's antilog table, at
-    (log x_j + (i+1) * log b) mod (d - 1), or at the zero index when x_j or b
-    is zero.  Field addition is digit-wise addition mod p, so the terms are
-    split into base-p digits, each coordinate's digits are summed over one
-    broadcast grid of all b and reduced mod p in place, and one product with
-    the place weights p^t * d^(rows-1-i) of digit t of w_i gives the codes.
-    A prime field is the one-digit case.  Exact int64 arithmetic throughout.
+    Each term x_j * b^(i+1) is the antilog at log x_j + (i + 1) log b, and
+    field addition adds base-p digits mod p: one gather per coordinate
+    reads its terms' digit planes, a broadcast sum adds them over all b,
+    and one gather reduces each digit sum mod p and places it in the code
+    (_enum_constants).  Exact int64 arithmetic throughout.
     """
-    d, p, e, k = ctx.d, ctx.p, ctx.e, len(x)
-    log, exp = ctx.log_tables
-    xs = np.asarray(x, dtype=np.int64)
-    levels = np.arange(1, rows + 1, dtype=np.int64)[:, None]
-    # idx[j, i, b] indexes x_j * b^(i+1) in exp; d - 1 is the zero element.
-    idx = (log[xs][:, None, None] + levels * log) % (d - 1)
-    idx[:, :, 0] = d - 1  # b = 0
-    for j, xj in enumerate(x):
-        if xj == 0:
-            idx[j] = d - 1
-    place = p ** np.arange(e, dtype=np.int64)
-    digits = (exp[idx][:, :, None, :] // place[:, None] % p).reshape(k, rows * e, d)
-    acc = 0
-    for j in range(k):
-        acc = acc + digits[j].reshape((-1,) + (1,) * j + (d,) + (1,) * (k - 1 - j))
-    acc %= p
-    weights = d ** (rows - levels) * place
-    return weights.ravel() @ acc.reshape(rows * e, -1)
+    logs, index, first, digits, residues = _enum_constants(ctx, len(x), rows)
+    acc = first[logs[x[0]] :][index]
+    for xj in x[1:]:
+        acc = (acc[:, :, None] + digits[logs[xj] :][index][:, None, :]).reshape(len(index), -1)
+    return residues[acc].sum(axis=0)
 
 
 def eta_table(ctx: FieldCtx, x: Sequence[Felt]) -> EtaTable:
     """Exact fiber sizes for one x by full enumeration of F^n."""
-    x = tuple(x)
+    x = tuple(map(ctx.check, x))
     n = len(x)
-    d = ctx.d
     _check_n(n)
-    for xi in x:
-        ctx.check(xi)
-    _check_enum_budget(d, n)
-    codes = _w_codes(ctx, x, n)
-    return EtaTable(ctx=ctx, x=x, counts=np.bincount(codes, minlength=d**n))
+    _check_enum_budget(ctx.d, n)
+    return EtaTable(ctx=ctx, x=x, counts=np.bincount(_w_codes(ctx, x, n), minlength=ctx.d**n))
 
 
 def brute_fiber(ctx: FieldCtx, x: Sequence[Felt], w: Sequence[Felt]) -> list[Point]:

@@ -52,11 +52,11 @@ subtracts the winner from q once.
 
 success_report is the one entry for the success analysis.  Every quantity
 it reports depends on a direction x only through x_good(x) and the
-histogram of x's fiber sizes, so the pass builds that histogram once per
-direction; the good-target rule, a condition on the fiber size, masks its
-size axis.  Each inner sum sum_w sqrt(eta_w) is an exact integer over the
-(masked) histogram, rounded once (_sqrt_sum), and the outer sums over x run
-through math.fsum, so the sums are correctly rounded as well.
+histogram of x's fiber sizes, so the pass reads that histogram once per
+direction, as a short list; the good-target rule keeps the sizes 1..cap,
+a cut of its size axis.  Each inner sum sum_w sqrt(eta_w) is an exact
+integer over the (cut) histogram, rounded once (_sqrt_sum), and the outer
+sums over x run through math.fsum, so the sums are correctly rounded too.
 """
 
 from __future__ import annotations
@@ -67,6 +67,7 @@ from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, partial
+from operator import mul
 from typing import Callable, Iterable
 
 import numpy as np
@@ -97,19 +98,22 @@ MAX_SOLVER_DRAWS = 10_000
 SOLVER_VOTES = 5
 
 
-def _sqrt_sum(hist: np.ndarray) -> float:
+@lru_cache(maxsize=None)
+def _roots(bits: int) -> list[int]:
+    """int(sqrt(k) * 2^52) for every k < 2^bits."""
+    return [int(math.sqrt(k) * 2.0**52) for k in range(1 << bits)]
+
+
+def _sqrt_sum(hist: list[int]) -> float:
     """Sum of sqrt(k) over the sizes a histogram counts (hist[k] entries of
     size k), correctly rounded.
 
     Each size k >= 1 has sqrt(k) >= 1 (math.sqrt rounds correctly, as
     np.sqrt does), a float that is an integer multiple of 2^-52, so the sum
-    of count_k * sqrt(k) * 2^52 is an exact integer; int/int true division
+    of hist[k] * sqrt(k) * 2^52 is an exact integer; int/int true division
     rounds it once, to the float math.fsum returns over the expanded sizes.
     """
-    sizes = np.flatnonzero(hist)
-    return sum(
-        c * int(math.sqrt(k) * 2.0**52) for k, c in zip(sizes.tolist(), hist[sizes].tolist())
-    ) / 2**52
+    return sum(map(mul, hist, _roots(len(hist).bit_length()))) / 2**52
 
 
 def _success_sums(
@@ -127,15 +131,19 @@ def _success_sums(
     d = n = None
     for table in tables:
         d, n = table.d, table.n
-        table.check_partition()
-        hist = np.bincount(table.counts)
+        hist = np.bincount(table.counts).tolist()
+        if sum(map(mul, hist, range(len(hist)))) != d**n:
+            table.check_partition()  # raises: the sizes must sum to d^n
         inner = _sqrt_sum(hist)
         ideal_terms.append(inner * inner)
         if good.x_good(table.x):
-            hist *= good.w_good(table.x, np.arange(len(hist)))
+            # w_good keeps the sizes 1..cap, and raises past a cap that is a theorem.
+            if len(hist) > good.cap + 1:
+                good.w_good(table.x, len(hist) - 1)
+            del hist[good.cap + 1 :]
             inner = _sqrt_sum(hist)
             approx_terms.append(inner * inner)
-            w_counts.append(int(hist.sum()))
+            w_counts.append(sum(hist) - hist[0])
     if d is None or len(ideal_terms) != d**n:
         raise InvariantViolationError(
             f"success sums need a table for every x in F^n; saw {len(ideal_terms)}"

@@ -382,11 +382,17 @@ def test_invariant_violation_maps_to_exit_4(monkeypatch, capsys):
         ["success", "--field", "5", "-n", "2", "--out", "OUT", "--dump-dist", "OUT"],
         ["baseline", "--sizes", "31,101,307", "--trials", "30", "--seed", "a",
          "--out", "OUT", "--fit-out", "OUT"],
+        # LINK is a symlink to OUT: the two options still name one file.
+        ["e2e", "--field", "5", "-n", "1", "-m", "1", "--seed", "s", "--out", "OUT",
+         "--summary-out", "LINK"],
     ],
 )
 def test_bad_arguments_exit_2_with_one_line(argv, tmp_path, capsys):
+    (tmp_path / "link").symlink_to(tmp_path / "out")
     argv = [
-        a.replace("OUT", str(tmp_path / "out")).replace("MISSING", str(tmp_path / "no"))
+        a.replace("OUT", str(tmp_path / "out"))
+        .replace("MISSING", str(tmp_path / "no"))
+        .replace("LINK", str(tmp_path / "link"))
         for a in argv
     ]
     assert main(argv) == 2
@@ -421,6 +427,8 @@ def test_traced_success_builds_one_table_per_direction(tmp_path):
         "--out", str(tmp_path / "success.json"),
     )
     assert spans["fibers.iter_eta_tables"][0] == 1
+    # Argument parsing is a stage of its own, not cli.main's self time.
+    assert spans["cli.parse_args"][0] == 1
 
 
 def test_traced_cli_wraps_every_binding(tmp_path):

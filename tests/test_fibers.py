@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from hpp.errors import GuardExceededError, InvariantViolationError
 from hpp.fibers import (
     Analysis,
+    _enum_constants,
     _w_codes,
     apply_map,
     brute_fiber,
@@ -77,22 +78,16 @@ def test_eta_table_solutions_consistent():
 
 
 def test_enumerator_matches_literal_apply_map():
-    # The literal oracle: evaluate Phi(b) @ x point by point.  GF(2) is the
-    # d - 1 = 1 edge of the log table; GF(5^2) checks every 37th direction.
-    cases = (
-        ("2", 2, 1),
-        ("3", 2, 1),
-        ("5", 2, 1),
-        ("7", 2, 1),
-        ("2^2", 2, 1),
-        ("2^3", 2, 1),
-        ("3^2", 2, 1),
-        ("5^2", 2, 37),
-        ("5", 3, 1),
-    )
-    for desc, n, stride in cases:
+    # The literal oracle: evaluate Phi(b) @ x point by point, for every x,
+    # zero coordinates included.  GF(2) is the d - 1 = 1 edge of the log
+    # table; at GF(2) and GF(3) with n = 3 a digit sum reaches k(p - 1), the
+    # residue table's last entry.
+    for desc, n in (
+        ("2", 2), ("3", 2), ("5", 2), ("7", 2), ("2^2", 2), ("2^3", 2), ("2^4", 2),
+        ("3^2", 2), ("5^2", 2), ("2", 3), ("3", 3), ("5", 3),
+    ):
         ctx = parse_field(desc)
-        for x in list(product(range(ctx.d), repeat=n))[::stride]:
+        for x in product(range(ctx.d), repeat=n):
             fibers = {}
             for b in product(range(ctx.d), repeat=n):
                 fibers.setdefault(apply_map(ctx, x, b), []).append(b)
@@ -102,8 +97,12 @@ def test_enumerator_matches_literal_apply_map():
 
 
 def test_enumerator_with_fewer_copies_than_power_rows():
-    # eta_moments(k < n) enumerates k copies against n power rows.
-    for desc, k, rows in (("7", 1, 3), ("13", 1, 2), ("3^2", 2, 3), ("2^3", 2, 4), ("2", 1, 3)):
+    # eta_moments(k < n) enumerates k copies against n power rows; rows >
+    # len(x) is that case.  The constants cached for it are read-only.
+    for desc, k, rows in (
+        ("7", 1, 3), ("13", 1, 2), ("3^2", 2, 3), ("2^3", 2, 4), ("2", 1, 3),
+        ("2", 3, 5), ("3", 3, 4), ("7", 2, 3), ("2^4", 2, 3), ("5^2", 1, 3),
+    ):
         ctx = parse_field(desc)
         for x in product(range(ctx.d), repeat=k):
             expected = [
@@ -111,6 +110,10 @@ def test_enumerator_with_fewer_copies_than_power_rows():
                 for b in product(range(ctx.d), repeat=k)
             ]
             assert _w_codes(ctx, x, rows).tolist() == expected, (desc, x, rows)
+        for table in _enum_constants(ctx, k, rows)[1:]:
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0] = 0
 
 
 def test_log_tables_reproduce_field_multiplication():

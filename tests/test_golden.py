@@ -54,6 +54,11 @@ CASES = {
          "--dump-dist", "{dist.csv}"],
         ["s.json", "dist.csv"],
     ),
+    # The success pass alone, pinned byte for byte on four field shapes.
+    "success_gf37": (["success", "--field", "37", "-n", "2", "--out", "{s.json}"], ["s.json"]),
+    "success_gf13_n3": (["success", "--field", "13", "-n", "3", "--out", "{s.json}"], ["s.json"]),
+    "success_gf27": (["success", "--field", "3^3", "-n", "2", "--out", "{s.json}"], ["s.json"]),
+    "success_gf32": (["success", "--field", "2^5", "-n", "2", "--out", "{s.json}"], ["s.json"]),
     "success_mc_gf5": (
         ["success", "--field", "5", "-n", "2", "--mc", "200", "--seed", "g",
          "--out", "{s.json}"],

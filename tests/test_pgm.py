@@ -115,6 +115,18 @@ def test_first_analysis_n2_closed_form(desc):
     assert report.w_good_mean == pytest.approx(mean, rel=1e-12, abs=0)
 
 
+@pytest.mark.parametrize("e", [2, 3, 4, 5, 6])
+def test_second_analysis_characteristic_2_pin(e):
+    # A measured pin, not a closed form derived here: at GF(2^e), n = 2, the
+    # good-subspace success is (d-1)(d-2)/d^2 exactly, over (d-1)(d-2) good
+    # directions (0.375, 0.65625, 0.8203125, 0.908203125, 0.95361328125).
+    ctx = parse_field(f"2^{e}")
+    d = ctx.d
+    report = success_report(ctx, 2, Analysis.SECOND)
+    assert report.approx == (d - 1) * (d - 2) / d**2
+    assert report.x_good_count == (d - 1) * (d - 2)
+
+
 def test_corollary_bound_fixture():
     # (d-1)^2 * (d(d-1)/D - 2d)^2 / d^6 at d=11, D=2
     assert abs(corollary_bound(11, 2, 2) - 108900 / 11**6) < 1e-15
@@ -332,26 +344,29 @@ def test_sqrt_sum_equals_fsum_of_expanded_roots():
     def fsum_roots(a):
         return math.fsum(np.sqrt(a).tolist())
 
+    def hist(a):
+        return np.bincount(a).tolist()
+
     rng = np.random.default_rng(20260)
     for _ in range(2000):
         top = int(rng.choice([1, 4, 30, 10**4]))
         a = rng.integers(0, top + 1, size=int(rng.integers(0, 3000)))
-        assert _sqrt_sum(np.bincount(a)) == fsum_roots(a), a
+        assert _sqrt_sum(hist(a)) == fsum_roots(a), a
     # All-zero and empty arrays, and the single fiber of size d^n at x = 0.
     for a in (np.zeros(0, np.int64), np.zeros(49, np.int64), eta_table(F7, (0, 0)).counts):
-        assert _sqrt_sum(np.bincount(a)) == fsum_roots(a)
+        assert _sqrt_sum(hist(a)) == fsum_roots(a)
     # The full tables and the good-target slices success_report sums, the
-    # latter read from the histogram masked on its size axis.
+    # latter read from the histogram cut at the cap on its size axis.
     for ctx, analysis in ((F7, Analysis.FIRST), (parse_field("3^2"), Analysis.SECOND)):
         good = good_sets(ctx, 2, analysis)
         for table in iter_eta_tables(ctx, 2):
-            hist = np.bincount(table.counts)
-            assert _sqrt_sum(hist) == fsum_roots(table.counts), table.x
+            by_size = hist(table.counts)
+            assert _sqrt_sum(by_size) == fsum_roots(table.counts), table.x
             if good.x_good(table.x):
                 masked = table.counts[good.w_good(table.x, table.counts)]
-                by_size = hist * good.w_good(table.x, np.arange(len(hist)))
-                assert _sqrt_sum(by_size) == fsum_roots(masked), table.x
-                assert by_size.sum() == masked.size, table.x
+                cut = by_size[: good.cap + 1]
+                assert _sqrt_sum(cut) == fsum_roots(masked), table.x
+                assert sum(cut[1:]) == masked.size, table.x
 
 
 def test_grouped_row_sums_refuse_row_counts_of_2_to_the_26():
