@@ -73,7 +73,7 @@ def solve_linear_classical(
             slope = ctx.div(ctx.sub(s, s0), ctx.sub(r, r0))
             queries = inst.query_count - start
             cand = UniPoly(ctx, (0, slope))
-            line = multi_poly(ctx, 1, {(1,): slope}, degree_bound=1)
+            line = multi_poly(ctx, 1, {(1,): slope})
             ok = verify_candidate(inst, line, trials=4)
             return BaselineResult(candidate=cand, queries=queries, verified=ok)
         first_by_value[v] = pair

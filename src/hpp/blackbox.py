@@ -80,7 +80,7 @@ def sample_instance(ctx: FieldCtx, m: int, n: int, seed: int) -> HiddenInstance:
         c = rng.randrange(ctx.d)
         if c:
             terms[alpha] = c
-    q = multi_poly(ctx, m, terms, degree_bound=n)
+    q = multi_poly(ctx, m, terms)
     perm = list(range(ctx.d))
     rng.shuffle(perm)
     return HiddenInstance(ctx=ctx, m=m, n=n, Q=q, pi=tuple(perm), seed=seed)
@@ -170,9 +170,7 @@ def instance_from_json(text: str) -> HiddenInstance:
         missing = "pi" if "Q" in doc else "Q"
         raise ValueError(f"instance document reveals one secret but has no {missing!r}")
     if "Q" in doc:
-        q = multi_poly(
-            ctx, doc["m"], {tuple(a): c for a, c in doc["Q"]}, degree_bound=doc["n"]
-        )
+        q = multi_poly(ctx, doc["m"], {tuple(a): c for a, c in doc["Q"]})
         inst = HiddenInstance(
             ctx=ctx, m=doc["m"], n=doc["n"], Q=q, pi=tuple(doc["pi"]), seed=doc.get("seed")
         )

@@ -33,14 +33,13 @@ from .errors import GuardExceededError, InvariantViolationError, RecoveryError
 from .fibers import (
     Analysis,
     eta_moments,
-    eta_tables,
     good_sets,
     iter_eta_tables,
     pick_analysis,
     write_eta_csv,
 )
 from .gf import field_descriptor, parse_field
-from .pgm import Sampler, make_quantum_solver, outcome_distribution, success_report
+from .pgm import make_quantum_solver, outcome_distribution, success_report, table_sampler
 from .polyring import format_multipoly
 from .reduction import SolveStats, build_plan, kappa, solve_multivariate
 
@@ -151,7 +150,7 @@ def _cmd_success(args, parser) -> int:
             labels: list[str] = []  # q' labels by code, decoded once
 
             def dump(table, sampler) -> None:
-                probs, mass = outcome_distribution(sampler, table)
+                probs, mass = outcome_distribution(sampler, table.x)
                 if not labels:
                     labels.extend(";".join(map(str, p)) for p in sampler.points)
                 x_label = ";".join(map(str, table.x))
@@ -180,7 +179,7 @@ def _cmd_e2e(args, parser) -> int:
     solves = kappa(args.n, args.m)  # guards the schedule before any table or instance
     outputs = {"--out": args.out, "--summary-out": args.summary_out}
     with _outputs(outputs) as (out_fh, summary_fh):
-        sampler = Sampler(good, eta_tables(ctx, args.n).__getitem__)
+        sampler = table_sampler(good, iter_eta_tables(ctx, args.n))
         rows = []
         successes = 0
         revealed = []

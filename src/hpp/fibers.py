@@ -249,11 +249,6 @@ def iter_eta_tables(ctx: FieldCtx, n: int) -> Iterator[EtaTable]:
     return (eta_table(ctx, x) for x in product(range(ctx.d), repeat=n))
 
 
-def eta_tables(ctx: FieldCtx, n: int) -> dict[Point, EtaTable]:
-    """iter_eta_tables collected into a dict keyed by direction."""
-    return {t.x: t for t in iter_eta_tables(ctx, n)}
-
-
 def eta_moments(ctx: FieldCtx, n: int, k: int | None = None) -> tuple[Fraction, Fraction]:
     """Exact first and second moments of eta over uniform (x, w).
 

@@ -31,24 +31,24 @@ then gives the correctly rounded exact sum: the same floats as summing
 the characters term by term with math.fsum.
 
 A law has one form, a probability array indexed by encode_point code, and
-one way to move: a gather through a map of F per coordinate (_gather).  A
-law is built once per orbit of directions under x -> lam * sigma(x), lam
-in F* and sigma a permutation of the coordinates: the fiber sizes of
+one way to move: read at lam * delta for a scalar lam (_scaled).  A law is
+built once per orbit of directions under x -> lam * sigma(x), lam in F*
+and sigma a permutation of the coordinates: the fiber sizes of
 lam * sigma(x) are those of x with every w scaled by lam, so its law at
-delta is x's law at lam * delta.  The orbit's law is cached on the Sampler,
-in the coordinates of the orbit's least point, and each direction's law is
-one gather from it; nothing is cached per direction but its draw record.
-The law over q' for a given q is the delta law read at q - q'.
+delta is x's law at lam * delta.  The orbit's law is built from the table
+of the orbit's least point r, the only table the law layer reads, and
+cached on the Sampler; each direction's law is one gather from it, and
+nothing is cached per direction but its draw record.  The law over q' for
+a given q is the delta law read at q - q'.
 
 A draw reads one record per direction from the sampler's draw list,
 indexed by the direction's encode_point code and filled on the direction's
-first draw from the table sampler.table_of gives for it: a bad-direction
-marker, or the good-branch mass, a zero-copy memoryview of the law's
-cumulative distribution, built with the record, and its last entry.  A
-repeat draw then does one list index, and bisect_left on the view finds
-the index numpy's searchsorted would: the encode_point code of delta,
-which is the draw's outcome.  The quantum solver votes on these codes and
-subtracts the winner from q once.
+first draw: a bad-direction marker, or the good-branch mass, a zero-copy
+memoryview of the law's cumulative distribution, built with the record,
+and its last entry.  A repeat draw then does one list index, and
+bisect_left on the view finds the index numpy's searchsorted would: the
+encode_point code of delta, which is the draw's outcome.  The quantum
+solver votes on these codes and subtracts the winner from q once.
 
 success_report is the one entry for the success analysis.  Every quantity
 it reports depends on a direction x only through x_good(x) and the
@@ -66,7 +66,7 @@ import random
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache
 from operator import mul
 from typing import Callable, Iterable
 
@@ -83,7 +83,7 @@ from .fibers import (
     good_sets,
     iter_eta_tables,
 )
-from .gf import FieldCtx, field_descriptor
+from .gf import Felt, FieldCtx, field_descriptor
 from .polyring import UniPoly
 
 
@@ -321,24 +321,25 @@ def _delta_distribution(table: EtaTable, good: GoodSets) -> tuple[np.ndarray, fl
     return probs, mass
 
 
-def _gather(probs: np.ndarray, ctx: FieldCtx, maps: list[Callable]) -> np.ndarray:
-    """probs read through one map of F per coordinate: out[code(a)] =
-    probs[code(maps[0](a_0), ..., maps[n-1](a_(n-1)))].  Each map is
-    tabulated with d field operations, and the gather is one numpy index.
-    An empty law stays empty."""
+def _scaled(probs: np.ndarray, ctx: FieldCtx, n: int, lam: Felt) -> np.ndarray:
+    """The law probs over F^n read at lam * delta: out[code(a)] =
+    probs[code(lam * a)].  The scaling is tabulated with d field products,
+    and the gather is one numpy index.  An empty law stays empty."""
     if not probs.size:
         return probs
+    row = [ctx.mul(lam, a) for a in range(ctx.d)]
     codes = np.zeros(1, dtype=np.int64)
-    for f in maps:
-        codes = (codes[:, None] * ctx.d + [f(a) for a in range(ctx.d)]).ravel()
+    for _ in range(n):
+        codes = (codes[:, None] * ctx.d + row).ravel()
     return probs[codes]
 
 
 @dataclass(eq=False)
 class Sampler:
     """The measurement sampler of one good set and the law state it builds:
-    table_of(x) gives direction x's fiber table, called on x's first draw;
-    orbit_laws one law per direction orbit, keyed by its representative;
+    table_of(r) gives direction r's fiber table, called once per good
+    direction orbit whose law is needed, with the orbit's representative r
+    (see reads); orbit_laws one law per direction orbit, keyed by r;
     draws each direction's draw record by code (None until its first draw);
     points every point of F^n by code.  The first draw builds the last two.
     """
@@ -356,46 +357,59 @@ class Sampler:
         d, n = self.good.ctx.d, self.good.n
         return [decode_point(code, d, n) for code in range(d**n)]
 
+    def reads(self, x: Point) -> bool:
+        """Whether table_of may be asked for direction x: x is good and the
+        representative of its orbit.  The representative is the orbit's
+        least point, so a pass in code order meets it before the rest."""
+        return self.good.x_good(x) and direction_orbit(self.good.ctx, x)[0] == x
 
-def _outcome_law(sampler: Sampler, table: EtaTable) -> tuple[np.ndarray, float]:
-    """(probabilities, good-branch mass) of direction table.x.
 
-    The probabilities are read from the law of x's orbit (direction_orbit),
-    cached on the sampler in the coordinates of its representative r and
-    built from whichever member's table comes first: for x = lam *
-    sigma(r), law_x[delta] = law_r[lam * delta].
+def table_sampler(good: GoodSets, tables: Iterable[EtaTable]) -> Sampler:
+    """A Sampler whose table source is one pass of tables, of which it
+    keeps only those it reads."""
+    kept: dict[Point, EtaTable] = {}
+    sampler = Sampler(good, kept.__getitem__)
+    kept.update((t.x, t) for t in tables if sampler.reads(t.x))
+    return sampler
+
+
+def _outcome_law(sampler: Sampler, x: Point) -> tuple[np.ndarray, float, Felt]:
+    """(probabilities, good-branch mass, lam) for the good direction x =
+    lam * sigma(r), r being its orbit's representative (direction_orbit):
+    the probabilities are r's law, built from table_of(r) on the orbit's
+    first use and cached on the sampler, and x's law is law_x[delta] =
+    law_r[lam * delta].
     """
-    ctx, n, laws = table.ctx, table.n, sampler.orbit_laws
-    rep, lam = direction_orbit(ctx, table.x)
-    if rep in laws:
-        rep_probs, mass = laws[rep]
-        return _gather(rep_probs, ctx, [partial(ctx.mul, lam)] * n), mass
-    probs, mass = _delta_distribution(table, sampler.good)
-    laws[rep] = (_gather(probs, ctx, [partial(ctx.mul, ctx.inv(lam))] * n), mass)
-    return probs, mass
+    rep, lam = direction_orbit(sampler.good.ctx, x)
+    laws = sampler.orbit_laws
+    if rep not in laws:
+        laws[rep] = _delta_distribution(sampler.table_of(rep), sampler.good)
+    return (*laws[rep], lam)
 
 
-def outcome_distribution(sampler: Sampler, table: EtaTable) -> tuple[np.ndarray, float]:
+def outcome_distribution(sampler: Sampler, x: Point) -> tuple[np.ndarray, float]:
     """(probabilities, good-branch mass) of the measured q' for direction
-    table.x when q = 0: probs[encode_point(q', d)] is P(q').  The law
-    depends on q only through delta = q - q', so this is the delta law read
-    at -q', and the law for any q is this one read at q' - q.  A bad
-    direction or an empty law gives (np.empty(0), 0.0)."""
-    if not sampler.good.x_good(table.x):
+    x when q = 0: probs[encode_point(q', d)] is P(q').  The law depends on
+    q only through delta = q - q', so this is the delta law read at -q',
+    and the law for any q is this one read at q' - q.  A bad direction or
+    an empty law gives (np.empty(0), 0.0)."""
+    if not sampler.good.x_good(x):
         return np.empty(0), 0.0
-    probs, mass = _outcome_law(sampler, table)
-    return _gather(probs, table.ctx, [table.ctx.neg] * table.n), mass
+    probs, mass, lam = _outcome_law(sampler, x)
+    ctx = sampler.good.ctx
+    return _scaled(probs, ctx, len(x), ctx.neg(lam)), mass
 
 
-def _draw_record(sampler: Sampler, table: EtaTable):
-    """What sample_outcome reads for direction table.x: _BAD_X for a bad
+def _draw_record(sampler: Sampler, x: Point):
+    """What sample_outcome reads for direction x: _BAD_X for a bad
     direction, else the good-branch mass, a memoryview of the law's
     cumulative distribution, which the view keeps alive, and its last entry
     (0.0 for an empty law)."""
-    if not sampler.good.x_good(table.x):
+    if not sampler.good.x_good(x):
         return _BAD_X
-    probs, mass = _outcome_law(sampler, table)
-    cdf = np.cumsum(probs)
+    probs, mass, lam = _outcome_law(sampler, x)
+    ctx = sampler.good.ctx
+    cdf = np.cumsum(_scaled(probs, ctx, len(x), lam))
     return mass, memoryview(cdf), float(cdf[-1]) if cdf.size else 0.0
 
 
@@ -407,8 +421,8 @@ def sample_outcome(sampler: Sampler, rng: random.Random) -> int | None:
     which make its encode_point code; for a good x, one random() against
     the law's good-branch mass and one for the inverse-CDF pick of delta,
     whose code is the index bisect_left finds.  The direction's draw record
-    is read from the sampler's draw list by x's code, and built from
-    sampler.table_of(x) on the first draw of x.  The law does not depend on
+    is read from the sampler's draw list by x's code, and built on the
+    first draw of x.  The law does not depend on
     q, so no instance is needed: the run identifies q exactly when it
     returns code 0.
     """
@@ -420,7 +434,7 @@ def sample_outcome(sampler: Sampler, rng: random.Random) -> int | None:
     records = sampler.draws
     record = records[code]
     if record is None:
-        record = records[code] = _draw_record(sampler, sampler.table_of(sampler.points[code]))
+        record = records[code] = _draw_record(sampler, sampler.points[code])
     if record is _BAD_X:
         return BAD_BRANCH
     mass, cdf, last = record
@@ -566,9 +580,10 @@ def success_report(
     """Compute the full report in one pass over the fiber tables.
 
     mc_runs > 0 adds a Monte Carlo cross-check, which samples from the
-    tables of that same pass.  on_table, when given, is called with each
-    table of the pass, in direction-code order, and the report's Sampler,
-    so outcome laws it builds are the ones the Monte Carlo draws reuse.
+    tables of that same pass; the Sampler keeps only those it reads.
+    on_table, when given, is called with each table of the pass, in
+    direction-code order, and the report's Sampler, so outcome laws it
+    builds are the ones the Monte Carlo draws reuse.
     """
     if mc_runs < 0:
         raise ValueError(f"Monte Carlo run count must be >= 0, got {mc_runs}")
@@ -578,10 +593,10 @@ def success_report(
     tables: dict[Point, EtaTable] = {}
     sampler = Sampler(good, tables.__getitem__)
     stream = iter_eta_tables(ctx, n)
+    if mc_runs or on_table is not None:
+        stream = (tables.setdefault(t.x, t) if sampler.reads(t.x) else t for t in stream)
     if on_table is not None:
         stream = (on_table(t, sampler) or t for t in stream)
-    if mc_runs:
-        stream = (tables.setdefault(t.x, t) for t in stream)
     ideal, approx, w_counts = _success_sums(stream, good)
     x_good_count = len(w_counts)
     w_good_min = min(w_counts, default=0)

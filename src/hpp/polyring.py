@@ -24,7 +24,7 @@ polynomial from one basis per recovery.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations_with_replacement
 from typing import Iterable, Mapping, Sequence
@@ -116,15 +116,12 @@ class MultiPoly:
 
     terms maps exponent vectors (length == arity) to nonzero coefficients and
     is stored as a graded-lex-sorted tuple of pairs so instances hash and
-    compare by mathematical content.  degree_bound records the promised
-    maximum total degree; it documents intent and is validated, but two
-    polynomials with identical terms compare equal regardless of their bounds.
+    compare by mathematical content.
     """
 
     ctx: FieldCtx
     arity: int
     terms: tuple[tuple[tuple[int, ...], Felt], ...]
-    degree_bound: int = field(compare=False, default=-1)
 
     def __post_init__(self):
         if self.arity < 1:
@@ -141,18 +138,11 @@ class MultiPoly:
                 if alpha in cleaned:
                     raise ValueError(f"duplicate exponent vector {alpha}")
                 cleaned[alpha] = c
-        bound = self.degree_bound
-        actual = max((sum(a) for a in cleaned), default=0)
-        if bound < 0:
-            bound = actual
-        elif actual > bound:
-            raise ValueError(f"term of total degree {actual} exceeds the bound {bound}")
         object.__setattr__(
             self,
             "terms",
             tuple(sorted(cleaned.items(), key=lambda kv: (sum(kv[0]), kv[0]))),
         )
-        object.__setattr__(self, "degree_bound", bound)
 
     @property
     def total_degree(self) -> int:
@@ -192,12 +182,9 @@ def multi_poly(
     ctx: FieldCtx,
     arity: int,
     terms: Mapping[Sequence[int], Felt] | Iterable[tuple[Sequence[int], Felt]],
-    degree_bound: int = -1,
 ) -> MultiPoly:
     items = terms.items() if isinstance(terms, Mapping) else terms
-    return MultiPoly(
-        ctx, arity, tuple((tuple(a), c) for a, c in items), degree_bound=degree_bound
-    )
+    return MultiPoly(ctx, arity, tuple((tuple(a), c) for a, c in items))
 
 
 def eval_multi(q: MultiPoly, point: Sequence[Felt]) -> Felt:

@@ -232,7 +232,7 @@ def solve_multivariate(
         return terms
 
     before = stats.univariate_solves - stats.retries
-    result = multi_poly(ctx, inst.m, solve_recursive({}), degree_bound=n)
+    result = multi_poly(ctx, inst.m, solve_recursive({}))
     # Every univariate subproblem is solved once plus its retries; stats may
     # carry counts from earlier calls.
     first_tries = stats.univariate_solves - stats.retries - before

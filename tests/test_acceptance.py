@@ -18,7 +18,7 @@ from hpp.fibers import (
     Analysis,
     brute_fiber,
     eta_moments,
-    eta_tables,
+    eta_table,
     good_sets,
     iter_eta_tables,
     n2_constraint,
@@ -157,7 +157,7 @@ def test_criterion_7_density_matrix_cross_validation():
     import numpy as np
 
     from hpp.densmat import build_vx, conjugate_fourier, build_rho_q, pipeline_probability
-    from hpp.fibers import encode_point, eta_table
+    from hpp.fibers import encode_point
     from hpp.pgm import outcome_distribution
     from hpp.polyring import UniPoly as UP
 
@@ -211,7 +211,7 @@ def test_criterion_7_density_matrix_cross_validation():
                    for qp in product(range(ctx.d), repeat=2)]
         for x in product(range(ctx.d), repeat=2):
             mass, law = pipeline_probability(ctx, q, x, good)
-            probs, law_mass = outcome_distribution(sampler, eta_table(ctx, x))
+            probs, law_mass = outcome_distribution(sampler, x)
             ok = ok and law.shape == probs.shape
             probs = probs[shifted] if probs.size else probs
             worst_pipe = max(worst_pipe, abs(mass - law_mass), *np.abs(law - probs).tolist())
@@ -225,7 +225,7 @@ def test_criterion_8_monte_carlo_consistency():
     t0 = time.perf_counter()
     ctx = make_field(7)
     analysis = pick_analysis(ctx, 2)
-    sampler = Sampler(good_sets(ctx, 2, analysis), eta_tables(ctx, 2).__getitem__)
+    sampler = Sampler(good_sets(ctx, 2, analysis), partial(eta_table, ctx))
     target = success_report(ctx, 2, analysis).approx
     runs = 10_000
     sigma = math.sqrt(target * (1 - target) / runs)

@@ -20,7 +20,7 @@ F7 = make_field(7)
 
 
 def _quadratic(ctx):
-    return multi_poly(ctx, 1, {(2,): 1}, degree_bound=2)  # X^2
+    return multi_poly(ctx, 1, {(2,): 1})  # X^2
 
 
 def test_query_fixture_identity_pi():
@@ -105,7 +105,7 @@ def test_verify_accepts_truth_and_constant_offsets():
     # shifting by a constant is invisible to the all-equal test
     shifted_terms = dict(inst.Q.terms)
     shifted_terms[(0, 0)] = 3
-    shifted = multi_poly(F7, 2, shifted_terms, degree_bound=2)
+    shifted = multi_poly(F7, 2, shifted_terms)
     assert verify_candidate(inst, shifted, trials=6)
 
 
@@ -113,7 +113,7 @@ def test_verify_rejects_wrong_candidates():
     inst = sample_instance(F7, m=2, n=2, seed="v2")
     wrong_terms = dict(inst.Q.terms)
     wrong_terms[(1, 0)] = (wrong_terms.get((1, 0), 0) + 1) % 7
-    wrong = multi_poly(F7, 2, wrong_terms, degree_bound=2)
+    wrong = multi_poly(F7, 2, wrong_terms)
     rejected = 0
     for t in range(50):
         if not verify_candidate(inst, wrong, trials=5, rng=random.Random(t)):
@@ -157,6 +157,13 @@ def test_json_requires_seed_or_secrets():
     for secret, missing in (('"Q": [[[1], 1]]}', "'pi'"), ('"pi": [0, 1, 2, 3, 4]}', "'Q'")):
         with pytest.raises(ValueError, match=missing):
             instance_from_json(head + secret)
+
+
+def test_json_rejects_a_revealed_q_above_degree_n():
+    # X^3 in a document that promises n = 2: the instance refuses it.
+    doc = '{"field": "5", "m": 1, "n": 2, "Q": [[[3], 1]], "pi": [0, 1, 2, 3, 4]}'
+    with pytest.raises(ValueError, match="exceeds n = 2"):
+        instance_from_json(doc)
 
 
 def test_json_query_count_must_be_a_non_negative_int():

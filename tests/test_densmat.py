@@ -311,7 +311,7 @@ def test_pipeline_matches_analytic_law():
         q = UniPoly(ctx, (0, *qc))
         for x in product(range(ctx.d), repeat=2):
             mass, law = pipeline_probability(ctx, q, x, good)
-            probs, law_mass = outcome_distribution(sampler, eta_table(ctx, x))
+            probs, law_mass = outcome_distribution(sampler, x)
             assert abs(mass - law_mass) < 1e-9, (desc, x)
             assert law.shape == probs.shape, (desc, x)
             for qprime in product(range(ctx.d), repeat=2) if law.size else ():

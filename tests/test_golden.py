@@ -90,6 +90,17 @@ CASES = {
          "--out", "{trials.csv}", "--summary-out", "{summary.json}"],
         ["trials.csv", "summary.json"],
     ),
+    # n = 3: sigma permutes three coordinates.
+    "e2e_gf7_n3": (
+        ["e2e", "--field", "7", "-n", "3", "-m", "2", "--trials", "3", "--seed", "g",
+         "--out", "{trials.csv}", "--summary-out", "{summary.json}"],
+        ["trials.csv", "summary.json"],
+    ),
+    "success_mc_gf9": (
+        ["success", "--field", "3^2", "-n", "2", "--mc", "500", "--seed", "g",
+         "--out", "{s.json}"],
+        ["s.json"],
+    ),
     "plan": (
         ["plan", "--field", "7", "-n", "2", "-m", "3", "--out", "{plan.json}"],
         ["plan.json"],

@@ -21,7 +21,6 @@ from hpp.fibers import (
     direction_orbit,
     encode_point,
     eta_table,
-    eta_tables,
     good_sets,
     iter_eta_tables,
 )
@@ -36,6 +35,7 @@ from hpp.pgm import (
     _draw_record,
     _exact_row_sums,
     _outcome_law,
+    _scaled,
     _sqrt_sum,
     _success_sums,
     _term_counts,
@@ -143,12 +143,20 @@ def _sampler(ctx, n, analysis):
     return Sampler(good_sets(ctx, n, analysis), partial(eta_table, ctx))
 
 
+def _direction_law(sampler, x):
+    """Direction x's delta law and good-branch mass: its orbit's law read
+    at lam * delta."""
+    probs, mass, lam = _outcome_law(sampler, x)
+    ctx = sampler.good.ctx
+    return _scaled(probs, ctx, len(x), lam), mass
+
+
 def test_outcome_distribution_normalization_and_support():
     sampler = _sampler(F5, 2, Analysis.FIRST)
     good = sampler.good
     for x in product(range(5), repeat=2):
         table = eta_table(F5, x)
-        probs, mass = outcome_distribution(sampler, table)
+        probs, mass = outcome_distribution(sampler, x)
         if not good.x_good(x):
             assert mass == 0.0 and probs.shape == (0,)
             continue
@@ -162,7 +170,7 @@ def test_outcome_distribution_normalization_and_support():
 
 def test_sample_outcome_returns_outcome_or_bad():
     ctx = F5
-    sampler = Sampler(good_sets(ctx, 2, Analysis.FIRST), eta_tables(ctx, 2).__getitem__)
+    sampler = _sampler(ctx, 2, Analysis.FIRST)
     rng = random.Random("runonce")
     seen_bad = seen_good = False
     for _ in range(200):
@@ -177,7 +185,7 @@ def test_sample_outcome_returns_outcome_or_bad():
 
 def test_run_many_matches_approx_success():
     ctx = F5
-    sampler = Sampler(good_sets(ctx, 2, Analysis.FIRST), eta_tables(ctx, 2).__getitem__)
+    sampler = _sampler(ctx, 2, Analysis.FIRST)
     approx = success_report(ctx, 2, Analysis.FIRST).approx
     stats = run_many(sampler, random.Random("mc"), runs=4000)
     sigma = math.sqrt(approx * (1 - approx) / stats.runs)
@@ -188,7 +196,7 @@ def test_run_many_matches_approx_success():
 
 def test_quantum_solver_majority_vote():
     ctx = F7
-    sampler = Sampler(good_sets(ctx, 2, Analysis.FIRST), eta_tables(ctx, 2).__getitem__)
+    sampler = _sampler(ctx, 2, Analysis.FIRST)
     inst = sample_instance(ctx, 1, 2, seed="vote")
     from hpp.reduction import univariate_oracle_view
 
@@ -377,19 +385,19 @@ def test_grouped_row_sums_refuse_row_counts_of_2_to_the_26():
 
 def test_draw_record_holds_the_cdf_of_the_outcome_law():
     sampler = _sampler(F7, 2, Analysis.FIRST)
-    table = eta_table(F7, (2, 5))
-    probs, mass = _outcome_law(sampler, table)
+    x = (2, 5)
+    probs, mass = _direction_law(sampler, x)
     (rep,) = sampler.orbit_laws
     orbit_law = sampler.orbit_laws[rep]
-    again, again_mass = _outcome_law(sampler, table)
+    again, again_mass = _direction_law(sampler, x)
     assert np.array_equal(again, probs) and again_mass == mass
     # The second call reads the cached orbit law; nothing is rebuilt.
     assert list(sampler.orbit_laws) == [rep] and sampler.orbit_laws[rep] is orbit_law
     # The two analyses share this table at p > 2, n = 2; each has its own law.
     second = _sampler(F7, 2, Analysis.SECOND)
-    _outcome_law(second, table)
+    _outcome_law(second, x)
     assert second.orbit_laws[rep][0] is not orbit_law[0]
-    record_mass, cdf, last = _draw_record(sampler, table)
+    record_mass, cdf, last = _draw_record(sampler, x)
     cum = list(accumulate(probs.tolist()))
     assert record_mass == mass and cdf.tolist() == cum and last == cum[-1]
     rng = random.Random("cdf")
@@ -402,7 +410,7 @@ def test_an_empty_orbit_law_is_shared_without_a_gather():
     # no good target, so every member's law is empty.
     sampler = _sampler(F7, 2, Analysis.SECOND)
     for x in ((2, 5), (1, 6), (5, 2)):
-        probs, mass = _outcome_law(sampler, eta_table(F7, x))
+        probs, mass = _direction_law(sampler, x)
         assert probs.size == 0 and mass == 0.0, x
     assert list(sampler.orbit_laws) == [(1, 6)]
 
@@ -410,29 +418,34 @@ def test_an_empty_orbit_law_is_shared_without_a_gather():
 def test_samplers_over_equal_good_sets_keep_their_own_laws():
     first, second = _sampler(F7, 2, Analysis.FIRST), _sampler(F7, 2, Analysis.FIRST)
     assert first.good == second.good
-    _outcome_law(first, eta_table(F7, (2, 5)))
+    _outcome_law(first, (2, 5))
     assert list(first.orbit_laws) == [(1, 6)] and second.orbit_laws == {}
-    _outcome_law(second, eta_table(F7, (2, 5)))
+    _outcome_law(second, (2, 5))
     assert second.orbit_laws[(1, 6)][0] is not first.orbit_laws[(1, 6)][0]
 
 
-def test_table_of_is_called_once_per_direction_drawn():
+def test_table_of_is_called_once_per_drawn_good_orbit_with_its_representative():
     # A replay on a twin stream lists the directions the draws take; the
-    # sampler asks table_of for each of them once and for no other.
-    tables = eta_tables(F7, 2)
+    # sampler asks table_of once for each good orbit among them, with the
+    # orbit's representative, and for nothing else.
     asked = []
-    sampler = Sampler(good_sets(F7, 2, Analysis.FIRST), lambda x: asked.append(x) or tables[x])
+    sampler = Sampler(
+        good_sets(F7, 2, Analysis.FIRST), lambda x: asked.append(x) or eta_table(F7, x)
+    )
     rng = random.Random("table-of")
     twin = random.Random()
     twin.setstate(rng.getstate())
     run_many(sampler, rng, 60)
     drawn = []
-    replay = Sampler(sampler.good, tables.__getitem__)
+    replay = _sampler(F7, 2, Analysis.FIRST)
     for _ in range(60):
         _literal_draw(replay, twin, drawn)
     assert rng.getstate() == twin.getstate()
-    assert len(set(drawn)) < len(drawn) and len(set(drawn)) < len(tables)
-    assert sorted(asked) == sorted(set(drawn))
+    good = {x for x in drawn if sampler.good.x_good(x)}
+    orbits = {direction_orbit(F7, x)[0] for x in good}
+    # Bad directions and orbit members other than the representative were drawn.
+    assert good < set(drawn) and not good <= orbits
+    assert sorted(asked) == sorted(orbits)
 
 
 # (field, n, analysis, orbit laws built, good directions)
@@ -458,13 +471,19 @@ def test_orbit_laws_equal_fresh_builds(desc, n, analysis, built, good_count):
     good = sampler.good
     tables = [t for t in iter_eta_tables(ctx, n) if good.x_good(t.x)]
     assert len(tables) == good_count
-    # In reverse order most orbits are first met at a member other than
-    # their least point, so their laws are stored through the inverse gather.
+    # Each direction's law, read from its orbit representative's law, is
+    # compared with a fresh build from the direction's own table.  In
+    # reverse order most orbits are first met at another member.
+    d = ctx.d
+    negated = [
+        encode_point([ctx.neg(a) for a in decode_point(code, d, n)], d) for code in range(d**n)
+    ]
     for table in reversed(tables):
-        probs, mass = _outcome_law(sampler, table)
+        x = table.x
         want, want_mass = _delta_distribution(table, good)
-        assert np.array_equal(probs, want) and mass == want_mass, table.x
-        assert np.array_equal(_draw_record(sampler, table)[1], np.cumsum(want)), table.x
+        probs, mass = outcome_distribution(sampler, x)
+        assert np.array_equal(probs, want[negated]) and mass == want_mass, x
+        assert np.array_equal(_draw_record(sampler, x)[1], np.cumsum(want)), x
     assert len(sampler.orbit_laws) == built
 
 
@@ -484,6 +503,42 @@ def test_dump_dist_and_mc_share_the_orbit_laws(tmp_path, monkeypatch):
                  "--mc", "2000", "--seed", "a", "--out", str(tmp_path / "s.json"),
                  "--dump-dist", str(tmp_path / "dist.csv")]) == 0
     assert len(builds) == built == 7
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["e2e", "-m", "2", "--trials", "2", "--summary-out", "{out2}"],
+        ["success", "--mc", "500", "--dump-dist", "{out2}"],
+    ],
+    ids=["e2e", "success"],
+)
+def test_commands_keep_only_good_orbit_representatives_tables(argv, tmp_path, monkeypatch):
+    # The one table pass of each command keeps, for its Sampler, the tables
+    # of the good orbit representatives and no other.
+    import hpp.pgm
+    from hpp.cli import main
+
+    made = []
+
+    def recording(*args):
+        made.append(Sampler(*args))
+        return made[-1]
+
+    monkeypatch.setattr(hpp.pgm, "Sampler", recording)
+    outs = {"{out1}": str(tmp_path / "out1"), "{out2}": str(tmp_path / "out2")}
+    argv = [argv[0], "--field", "13", "-n", "2", "--seed", "r", "--out", "{out1}", *argv[1:]]
+    assert main([outs.get(a, a) for a in argv]) == 0
+    (sampler,) = made
+    ctx = sampler.good.ctx
+    reps = {
+        direction_orbit(ctx, x)[0]
+        for x in product(range(ctx.d), repeat=2)
+        if sampler.good.x_good(x)
+    }
+    tables = sampler.table_of.__self__
+    assert len(reps) == 7 and set(tables) == reps
+    assert all(tables[r].x == r for r in reps)
 
 
 def _full_term_counts(ctx, n, w_codes, size_index, k):
@@ -528,7 +583,7 @@ def _literal_draw(sampler, rng, drawn=None):
         drawn.append(x)
     if not good.x_good(x):
         return BAD_BRANCH
-    probs, mass = _outcome_law(sampler, sampler.table_of(x))
+    probs, mass = _direction_law(sampler, x)
     if rng.random() >= mass:
         return BAD_BRANCH
     cdf = np.cumsum(probs)
@@ -567,7 +622,7 @@ def _assert_solver_takes_the_vote(sampler, seed, q, got):
 )
 def test_sample_outcome_replays_the_literal_draw(desc, analysis, q):
     ctx = parse_field(desc)
-    sampler = Sampler(good_sets(ctx, 2, analysis), eta_tables(ctx, 2).__getitem__)
+    sampler = _sampler(ctx, 2, analysis)
     rng = random.Random(f"replay:{desc}")
     twin = random.Random()
     twin.setstate(rng.getstate())
@@ -578,30 +633,13 @@ def test_sample_outcome_replays_the_literal_draw(desc, analysis, q):
     _assert_solver_takes_the_vote(sampler, f"replay:{desc}", q, got)
 
 
-def _searchsorted_draw(sampler, rng):
-    """One draw as it was taken before draw records: the table looked up
-    by x, x_good, the law's mass, and numpy's searchsorted on the
-    cumulative sum of the law's probabilities."""
-    good = sampler.good
-    x = tuple([rng.randrange(good.ctx.d) for _ in range(good.n)])
-    table = sampler.table_of(x)
-    if not good.x_good(x):
-        return BAD_BRANCH
-    probs, mass = _outcome_law(sampler, table)
-    if rng.random() >= mass:
-        return BAD_BRANCH
-    cdf = np.cumsum(probs)
-    return int(cdf.searchsorted(rng.random() * cdf[-1]))
-
-
 @pytest.mark.parametrize(
     "desc, analysis, q",
     [("7", Analysis.FIRST, (3, 5)), ("7", Analysis.SECOND, (2, 6)), ("3^2", Analysis.FIRST, (4, 7))],
 )
 def test_draw_records_replay_the_searchsorted_draw(desc, analysis, q):
     ctx = parse_field(desc)
-    tables = eta_tables(ctx, 2)
-    sampler = Sampler(good_sets(ctx, 2, analysis), tables.__getitem__)
+    sampler = _sampler(ctx, 2, analysis)
     empty = None
     if analysis is Analysis.SECOND:
         # No good direction of a field with d <= 27 has an empty law, so one
@@ -614,7 +652,7 @@ def test_draw_records_replay_the_searchsorted_draw(desc, analysis, q):
     twin = random.Random()
     twin.setstate(rng.getstate())
     draws = 10**4
-    want = [_searchsorted_draw(sampler, twin) for _ in range(draws)]
+    want = [_literal_draw(sampler, twin) for _ in range(draws)]
     got = [sample_outcome(sampler, rng) for _ in range(draws)]
     assert got == want
     assert rng.getstate() == twin.getstate()
@@ -631,14 +669,16 @@ def test_draw_records_replay_the_searchsorted_draw(desc, analysis, q):
     # A record views the one CDF built for it: the cumulative sum of its
     # direction's law.
     mass, cdf, last = records[encode_point((1, 1), ctx.d)]
-    probs, law_mass = _outcome_law(sampler, tables[(1, 1)])
+    probs, law_mass = _direction_law(sampler, (1, 1))
     assert mass == law_mass and np.array_equal(cdf.obj, np.cumsum(probs))
     assert last == cdf.obj[-1]
 
 
 def test_sample_outcome_returns_plain_ints():
-    tables = eta_tables(F5, 2)
-    sampler = Sampler(good_sets(F5, 2, Analysis.FIRST), tables.__getitem__)
+    tables = {}
+    sampler = Sampler(
+        good_sets(F5, 2, Analysis.FIRST), lambda x: tables.setdefault(x, eta_table(F5, x))
+    )
     rng = random.Random("ints")
     outcomes = [sample_outcome(sampler, rng) for _ in range(100)]
     drawn = [o for o in outcomes if o is not BAD_BRANCH]
@@ -653,7 +693,7 @@ def _assert_pipeline_matches_law(ctx, analysis, x, qc):
     # the same law, since it depends on q only through q - q'.
     sampler = _sampler(ctx, len(x), analysis)
     mass, law = pipeline_probability(ctx, UniPoly(ctx, (0, *qc)), x, sampler.good)
-    probs, law_mass = outcome_distribution(sampler, eta_table(ctx, x))
+    probs, law_mass = outcome_distribution(sampler, x)
     assert abs(mass - law_mass) < 1e-12
     assert law.shape == probs.shape
     for qprime in product(range(ctx.d), repeat=len(x)) if law.size else ():

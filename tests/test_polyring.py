@@ -188,7 +188,7 @@ def test_log_domain_terms_match_literal_products_at_every_point(desc):
     bound = 4
     rng = random.Random(desc)
     alphas = [a for a in product(range(bound + 1), repeat=2) if sum(a) <= bound]
-    q = multi_poly(ctx, 2, {a: rng.randrange(1, ctx.d) for a in alphas}, degree_bound=bound)
+    q = multi_poly(ctx, 2, {a: rng.randrange(1, ctx.d) for a in alphas})
     assert len(q.terms) == len(alphas)
     uni = UniPoly(ctx, tuple(rng.randrange(ctx.d) for _ in range(bound)) + (1,))
     for point in product(range(ctx.d), repeat=2):
@@ -214,8 +214,8 @@ def test_log_domain_evaluation_matches_literal_powers(data):
     coeffs = data.draw(st.lists(elt, min_size=len(alphas), max_size=len(alphas)))
     point = tuple(data.draw(st.lists(elt, min_size=arity, max_size=arity)))
     for q in (
-        multi_poly(ctx, arity, zip(alphas, coeffs), degree_bound=bound),
-        multi_poly(ctx, arity, {}, degree_bound=bound),
+        multi_poly(ctx, arity, zip(alphas, coeffs)),
+        multi_poly(ctx, arity, {}),
     ):
         twin = multi_poly(ctx, arity, q.terms)
         key = hash(q)

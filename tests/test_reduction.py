@@ -84,8 +84,7 @@ def test_slice_points():
 
 
 def _two_var_instance():
-    q = multi_poly(F5, 2, {(1, 0): 2, (0, 1): 3, (1, 1): 1, (0, 2): 4},
-                   degree_bound=2)
+    q = multi_poly(F5, 2, {(1, 0): 2, (0, 1): 3, (1, 1): 1, (0, 2): 4})
     return make_instance(F5, q, 2, seed="view-test")
 
 
@@ -187,7 +186,7 @@ def test_inconsistent_slice_data_is_a_recovery_error(monkeypatch):
 def test_univariate_recovery_needs_no_slice_points():
     # with one variable there is no split, so d <= n is no obstacle
     ctx = make_field(3)
-    q = multi_poly(ctx, 1, {(1,): 2, (2,): 1}, degree_bound=3)
+    q = multi_poly(ctx, 1, {(1,): 2, (2,): 1})
     inst = make_instance(ctx, q, 3, seed="uni")
     with pytest.raises(ValueError):
         slice_points(ctx, 3)
