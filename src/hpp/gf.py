@@ -2,11 +2,11 @@
 
 A field element is a single integer in [0, p^e).  Its base-p digits, least
 significant first, are the coefficients of the element in the polynomial
-basis {1, t, ..., t^(e-1)}.  Prime fields (e = 1) are plain modular
-arithmetic.  Extension fields multiply, invert and raise to powers through
-discrete-log and antilog tables of the first primitive element
-(FieldCtx.log_tables); the one polynomial product, which reduces modulo a
-fixed monic irreducible polynomial, builds those tables.  The modulus is
+basis {1, t, ..., t^(e-1)}.  Every field multiplies, inverts and raises
+to powers through discrete-log and antilog tables of the first primitive
+element (FieldCtx.log_tables); the one polynomial product, which reduces
+modulo a fixed monic irreducible polynomial, builds those tables.  Only
+sums special-case the prime field, where they are one % p.  The modulus is
 chosen deterministically (smallest integer encoding among monic irreducibles
 of degree e), so two contexts built from the same (p, e) are interchangeable
 and results are reproducible across runs and machines.  Square roots read
@@ -35,7 +35,8 @@ is one % p; on GF(p^e) each base-p digit of exp[k] sits in its own bit
 slot, wide enough that a sum of at most WIDE_TERMS terms cannot carry from
 one slot into the next, and FieldCtx._narrow reduces every slot mod p to
 turn the sum back into an element.  Callers check their term count against
-the bound (FieldCtx._check_wide) before they sum.
+the bound (FieldCtx._check_wide) before they sum.  FieldCtx.add and sub on
+GF(p^e) are such sums of two terms.
 """
 
 from __future__ import annotations
@@ -166,31 +167,19 @@ class FieldCtx:
     # -- arithmetic --------------------------------------------------------
 
     def add(self, a: Felt, b: Felt) -> Felt:
-        if self.e == 1:
+        if self.e == 1:  # one % p: about 145 ns at GF(7), 290 ns or more through the slots
             return (a + b) % self.p
-        p = self.p
-        out, scale = 0, 1
-        for _ in range(self.e):
-            out += ((a + b) % p) * scale
-            a //= p
-            b //= p
-            scale *= p
-        return out
+        log, wide = self._log_lists[0], self._wide
+        return self._narrow(wide[log[a]] + wide[log[b]])
 
     def neg(self, a: Felt) -> Felt:
         return self.sub(0, a)
 
     def sub(self, a: Felt, b: Felt) -> Felt:
-        if self.e == 1:
+        if self.e == 1:  # as in add; e2e at GF(7), m = 4, 300 trials makes 40k calls
             return (a - b) % self.p
-        p = self.p
-        out, scale = 0, 1
-        for _ in range(self.e):
-            out += ((a - b) % p) * scale
-            a //= p
-            b //= p
-            scale *= p
-        return out
+        log, wide = self._log_lists[0], self._wide
+        return self._narrow(wide[log[a]] + self._pad - wide[log[b]])
 
     def _mul_poly(self, a: Felt, b: Felt) -> Felt:
         p = self.p
@@ -203,8 +192,6 @@ class FieldCtx:
         return self.from_digits(_poly_rem(prod, self.modulus, p))
 
     def mul(self, a: Felt, b: Felt) -> Felt:
-        if self.e == 1:
-            return (a * b) % self.p
         if a == 0 or b == 0:
             return 0
         log, exp = self._log_lists
@@ -275,7 +262,7 @@ class FieldCtx:
         sum of at most WIDE_TERMS entries keeps each digit's sum in its own
         slot; on a prime field it is the antilog list itself."""
         exp = self._log_lists[1]
-        if self.e == 1:
+        if self.e == 1:  # a copy would add tens of MB at d near 2^20
             return exp
         by_code = [0]  # wide form of every element, by code, one digit at a time
         for j in range(self.e):
@@ -283,12 +270,17 @@ class FieldCtx:
             by_code = [w + (c << shift) for c in range(self.p) for w in by_code]
         return list(map(by_code.__getitem__, exp))
 
+    @cached_property
+    def _pad(self) -> int:
+        """p in every slot: added before a wide entry is subtracted, it keeps
+        every slot of the difference nonnegative."""
+        return sum(self.p << j * self._slot for j in range(self.e))
+
     def _narrow(self, s: int) -> Felt:
         """The element a sum of _wide entries stands for."""
-        p = self.p
-        if self.e == 1:
+        p, slot = self.p, self._slot
+        if not s >> slot:  # one slot: every prime-field sum, and any sum of constants
             return s % p
-        slot = self._slot
         mask = (1 << slot) - 1
         out, scale = 0, 1
         while s:
@@ -306,19 +298,15 @@ class FieldCtx:
             )
 
     def pow(self, a: Felt, k: int) -> Felt:
-        if k < 0:
-            return self.pow(self.inv(a), -k)
-        if self.e == 1:
-            return pow(a, k, self.p)
         if a == 0:
+            if k < 0:
+                raise ZeroDivisionError(f"0 has no inverse in {self.describe()}")
             return 0 if k else 1
         log, exp = self._log_lists
         return exp[log[a] * k % (self.d - 1)]
 
     def inv(self, a: Felt) -> Felt:
-        if a == 0:
-            raise ZeroDivisionError(f"0 has no inverse in {self.describe()}")
-        return self.pow(a, self.d - 2)
+        return self.pow(a, -1)
 
     def div(self, a: Felt, b: Felt) -> Felt:
         return self.mul(a, self.inv(b))

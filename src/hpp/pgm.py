@@ -80,6 +80,7 @@ from .fibers import (
     Point,
     decode_point,
     direction_orbit,
+    encode_point,
     good_sets,
     iter_eta_tables,
 )
@@ -196,7 +197,7 @@ def _delta_lines(ctx: FieldCtx, n: int) -> tuple[np.ndarray, ...]:
     lines = np.flatnonzero(lam == 1)
     line_of = np.zeros_like(codes)
     line_of[lines] = np.arange(len(lines))
-    lam_inv = np.array([0] + [pow(c, p - 2, p) for c in range(1, p)])[lam][:, None]
+    lam_inv = np.array([0] + [ctx.inv(c) for c in range(1, p)])[lam][:, None]
     line = line_of[codes[:, None] // place % p * lam_inv % p @ place]
     form = np.kron(np.eye(n, dtype=np.int64), np.array(ctx.trace_form, dtype=np.int64))
     left = lines[:, None] // place % p @ form % p
@@ -327,11 +328,8 @@ def _scaled(probs: np.ndarray, ctx: FieldCtx, n: int, lam: Felt) -> np.ndarray:
     and the gather is one numpy index.  An empty law stays empty."""
     if not probs.size:
         return probs
-    row = [ctx.mul(lam, a) for a in range(ctx.d)]
-    codes = np.zeros(1, dtype=np.int64)
-    for _ in range(n):
-        codes = (codes[:, None] * ctx.d + row).ravel()
-    return probs[codes]
+    row = np.array([ctx.mul(lam, a) for a in range(ctx.d)], dtype=np.int64)
+    return probs[encode_point(np.ix_(*[row] * n), ctx.d).ravel()]
 
 
 @dataclass(eq=False)
@@ -496,7 +494,7 @@ def make_quantum_solver(sampler: Sampler, rng: random.Random) -> Callable:
         ctx, q, top = view.ctx, view.effective_coeffs(), max(map(votes.count, votes))
         best = min(
             [ctx.sub(qi, di) for qi, di in zip(q, sampler.points[code])]
-            for code in votes
+            for code in set(votes)
             if votes.count(code) == top
         )
         return UniPoly(ctx, (0, *best))

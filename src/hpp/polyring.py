@@ -62,11 +62,6 @@ class UniPoly:
             trimmed.pop()
         object.__setattr__(self, "coeffs", tuple(trimmed))
 
-    @property
-    def degree(self) -> int:
-        """Degree of the zero polynomial is -1 by convention."""
-        return len(self.coeffs) - 1
-
     def coeff(self, i: int) -> Felt:
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
 

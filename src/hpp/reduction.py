@@ -80,40 +80,38 @@ def slice_points(ctx: FieldCtx, n: int) -> tuple[Felt, ...]:
 class UnivariateView:
     """Oracle adapter that fixes all but one variable of an instance.
 
-    Verification queries go to the parent at the lifted point (so query
-    counting stays exact).  The view's effective hidden polynomial is the
-    restriction of the parent's Q; effective_coeffs() exposes its
-    non-constant coefficients and is a simulation/debug hook, not something
-    a real solver could call.  The restriction is computed from Q's terms
-    once per view, on first use, and every retry on the view reuses it;
-    reading it is not an oracle call, so query_count is untouched.
+    The subproblem is a point of F^m and the position of its free
+    variable; any element may stand at that position, and the view never
+    reads it.  Verification
+    queries go to the parent at the lifted point (so query counting stays
+    exact).  The view's effective hidden polynomial is the restriction of
+    the parent's Q; effective_coeffs() exposes its non-constant
+    coefficients and is a simulation/debug hook, not something a real
+    solver could call.  The restriction is computed from Q's terms once per
+    view, on first use, and every retry on the view reuses it; reading it
+    is not an oracle call, so query_count is untouched.
     """
 
-    def __init__(self, inst: HiddenInstance, fixed: dict[int, Felt], free: int):
-        if free in fixed:
-            raise ValueError(f"variable {free} is both free and fixed")
-        expected = set(range(inst.m)) - {free}
-        if set(fixed) != expected:
-            raise ValueError(
-                f"fixed positions {sorted(fixed)} must cover exactly {sorted(expected)}"
-            )
-        for v in fixed.values():
+    def __init__(self, inst: HiddenInstance, point: tuple[Felt, ...], free: int):
+        if len(point) != inst.m:
+            raise ValueError(f"point {point} has {len(point)} coordinates, want m = {inst.m}")
+        if not 0 <= free < inst.m:
+            raise ValueError(f"free variable {free} is not in [0, {inst.m})")
+        for v in point:
             inst.ctx.check(v)
         self.inst = inst
-        self.fixed = dict(fixed)
+        self.point = tuple(point)
         self.free = free
         self.ctx = inst.ctx
         self.n = inst.n
-        point = tuple(fixed.get(i, 0) for i in range(inst.m))
-        self._head, self._tail = point[:free], point[free + 1 :]
+        self._head, self._tail = self.point[:free], self.point[free + 1 :]
 
     def effective_coeffs(self) -> tuple[Felt, ...]:
         return self._coeffs
 
     @cached_property
     def _coeffs(self) -> tuple[Felt, ...]:
-        point = self._head + (0,) + self._tail
-        coeffs = _restrict(self.inst.Q, point, self.free) + [0] * self.n
+        coeffs = _restrict(self.inst.Q, self.point, self.free) + [0] * self.n
         return tuple(coeffs[1 : self.n + 1])
 
     def verify_candidate(self, cand: UniPoly, trials: int, rng) -> bool:
@@ -129,16 +127,9 @@ class UnivariateView:
 
 
 def univariate_oracle_view(
-    inst: HiddenInstance, fixed: dict[int, Felt], free: int | None = None
+    inst: HiddenInstance, point: tuple[Felt, ...], free: int
 ) -> UnivariateView:
-    if free is None:
-        missing = [i for i in range(inst.m) if i not in fixed]
-        if len(missing) != 1:
-            raise ValueError(
-                f"fixed assignment must leave exactly one variable free, leaves {missing}"
-            )
-        free = missing[0]
-    return UnivariateView(inst, fixed, free)
+    return UnivariateView(inst, point, free)
 
 
 @dataclass
@@ -173,8 +164,8 @@ def solve_multivariate(
     solves = kappa(n, inst.m)
     trials = n + 3
 
-    def solve_univariate(fixed: dict[int, Felt], free: int) -> UniPoly:
-        view = univariate_oracle_view(inst, fixed, free)
+    def solve_univariate(point: tuple[Felt, ...], free: int) -> UniPoly:
+        view = univariate_oracle_view(inst, point, free)
         last_error = None
         for attempt in range(REPETITIONS):
             if attempt:
@@ -191,7 +182,7 @@ def solve_multivariate(
                 return cand
             stats.verify_failures += 1
         raise RecoveryError(
-            f"univariate solve failed {REPETITIONS} times at fixed={fixed}, free={free}"
+            f"univariate solve failed {REPETITIONS} times at point={point}, free={free}"
             + (f" (last error: {last_error})" if last_error else "")
         )
 
@@ -202,12 +193,13 @@ def solve_multivariate(
     ctx._check_wide(n + 1)
     log, wide, order = ctx._log_lists[0], ctx._wide, ctx.d - 1
 
-    def solve_recursive(suffix: dict[int, Felt]) -> dict[tuple[int, ...], Felt]:
-        """Non-constant terms of Q restricted by the suffix assignment."""
+    def solve_recursive(suffix: tuple[Felt, ...]) -> dict[tuple[int, ...], Felt]:
+        """Non-constant terms of Q restricted by fixing its trailing
+        variables to suffix."""
         last = inst.m - len(suffix) - 1  # position of the variable this level works on
         # Origin slice: all earlier variables pinned to zero leaves a univariate
         # problem in the last variable, giving the alpha = 0 coefficient polynomial.
-        origin = solve_univariate({**suffix, **{i: 0 for i in range(last)}}, last)
+        origin = solve_univariate((0,) * (last + 1) + suffix, last)
         terms = {(0,) * last + (i,): c for i, c in enumerate(origin.coeffs) if i and c}
         if last:
             # Slices at n nonzero points drop to arity-1 subproblems; weighting
@@ -218,7 +210,7 @@ def solve_multivariate(
                     slices.append((t, [(i, log[b]) for i, b in enumerate(basis) if b]))
             sums = {key: wide[log[c]] for key, c in terms.items()}
             for t, basis in slices:
-                for alpha, c in solve_recursive({**suffix, last: t}).items():
+                for alpha, c in solve_recursive((t, *suffix)).items():
                     lc = log[c]
                     for i, lb in basis:
                         key = alpha + (i,)
@@ -232,7 +224,7 @@ def solve_multivariate(
         return terms
 
     before = stats.univariate_solves - stats.retries
-    result = multi_poly(ctx, inst.m, solve_recursive({}))
+    result = multi_poly(ctx, inst.m, solve_recursive(()))
     # Every univariate subproblem is solved once plus its retries; stats may
     # carry counts from earlier calls.
     first_tries = stats.univariate_solves - stats.retries - before
@@ -269,13 +261,13 @@ def faulty_solver(error_rate: float, rng: random.Random):
 # -- static schedule ------------------------------------------------------------
 
 
-def _plan_node(ctx: FieldCtx, n: int, arity: int, suffix: dict[int, Felt]) -> dict:
+def _plan_node(ctx: FieldCtx, n: int, arity: int, suffix: tuple[Felt, ...]) -> dict:
     last = arity - 1
-    fixed = {**suffix, **{i: 0 for i in range(last)}}
+    point = (0,) * arity + suffix
     origin = {
         "kind": "univariate",
         "free_variable": arity,
-        "fixed": {str(k + 1): v for k, v in sorted(fixed.items())},
+        "fixed": {str(k + 1): v for k, v in enumerate(point) if k != last},
         "solves": f"coefficient polynomial of X{arity} along the origin slice"
         if last
         else "non-constant coefficients of the restricted polynomial",
@@ -285,7 +277,7 @@ def _plan_node(ctx: FieldCtx, n: int, arity: int, suffix: dict[int, Felt]) -> di
     branches = [
         {
             "slice_point": t,
-            "subplan": _plan_node(ctx, n, last, {**suffix, last: t}),
+            "subplan": _plan_node(ctx, n, last, (t, *suffix)),
         }
         for t in slice_points(ctx, n)
     ]
@@ -309,4 +301,4 @@ def build_plan(ctx: FieldCtx, n: int, m: int) -> dict:
     if ctx.d <= n:
         raise ValueError(f"need more than n = {n} field elements, got d = {ctx.d}")
     solves = kappa(n, m)  # checks both guards before the recursion
-    return {"n": n, "m": m, "kappa": solves, "tree": _plan_node(ctx, n, m, {})}
+    return {"n": n, "m": m, "kappa": solves, "tree": _plan_node(ctx, n, m, ())}

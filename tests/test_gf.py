@@ -199,12 +199,28 @@ def _pow_poly(ctx, a, k):
     return out
 
 
-@pytest.mark.parametrize("desc", ["2^4", "3^3", "5^2", "2^9"])
+def _digitwise(ctx, a, b, sign):
+    """a + sign * b, one base-p digit at a time."""
+    p = ctx.p
+    out, scale = 0, 1
+    for _ in range(ctx.e):
+        out += (a % p + sign * (b % p)) % p * scale
+        a, b, scale = a // p, b // p, scale * p
+    return out
+
+
+@pytest.mark.parametrize("desc", ["2^4", "3^3", "5^2", "2^9", "7", "13", "257"])
 def test_table_arithmetic_matches_square_and_multiply(desc):
     ctx = parse_field(desc)
     d = ctx.d
     rng = random.Random(f"table-arithmetic:{desc}")
     elements = range(d) if d <= 32 else [0, 1, d - 1, *rng.sample(range(2, d - 1), 40)]
+    if d <= 32:
+        for a in elements:
+            assert ctx.neg(a) == _digitwise(ctx, 0, a, -1), (desc, a)
+            for b in elements:
+                assert ctx.add(a, b) == _digitwise(ctx, a, b, 1), (desc, a, b)
+                assert ctx.sub(a, b) == _digitwise(ctx, a, b, -1), (desc, a, b)
     exponents = [0, 1, 2, 3, d - 2, d - 1, d, d + 1, 2 * d + 5, rng.randrange(d**2)]
     for a in elements:
         for k in exponents:
@@ -219,6 +235,7 @@ def test_table_arithmetic_matches_square_and_multiply(desc):
         for k in (1, 2, d, rng.randrange(1, d**2)):
             assert ctx.pow(a, -k) == _pow_poly(ctx, a_inv, k), (desc, a, -k)
         b = rng.randrange(d)
+        assert ctx.mul(b, a) == ctx._mul_poly(b, a), (desc, b, a)
         assert ctx.div(b, a) == ctx._mul_poly(b, a_inv), (desc, b, a)
     assert ctx.pow(0, 0) == 1
     assert ctx.pow(0, d) == 0

@@ -200,7 +200,7 @@ def test_quantum_solver_majority_vote():
     inst = sample_instance(ctx, 1, 2, seed="vote")
     from hpp.reduction import univariate_oracle_view
 
-    view = univariate_oracle_view(inst, {}, 0)
+    view = univariate_oracle_view(inst, (0,), 0)
     truth = view.effective_coeffs()
     solver = make_quantum_solver(sampler, random.Random("vote"))
     hits = sum(

@@ -43,9 +43,9 @@ def test_monomials_graded_lex():
 
 
 def test_unipoly_degree_and_trim():
-    assert UniPoly(F5, (0, 0, 0)).degree == -1
-    assert UniPoly(F5, (3, 0, 0)).degree == 0
-    assert UniPoly(F5, (0, 1, 2, 0)).degree == 2
+    assert UniPoly(F5, (0, 0, 0)).coeffs == ()
+    assert UniPoly(F5, (3, 0, 0)).coeffs == (3,)
+    assert UniPoly(F5, (0, 1, 2, 0)).coeffs == (0, 1, 2)
     assert UniPoly(F5, (0, 1)).coeff(7) == 0
 
 
@@ -233,7 +233,7 @@ def test_log_domain_evaluation_matches_literal_powers(data):
             literal = _literal_substitute(q, fixed)
             coeffs = _restrict(q, point, free)
             assert {(k,): c for k, c in enumerate(coeffs) if c} == literal
-            view = univariate_oracle_view(inst, fixed, free)
+            view = univariate_oracle_view(inst, point, free)
             expected = tuple(literal.get((k,), 0) for k in range(1, inst.n + 1))
             assert view.effective_coeffs() == expected
             assert view.effective_coeffs() is view.effective_coeffs()

@@ -88,10 +88,10 @@ def _two_var_instance():
     return make_instance(F5, q, 2, seed="view-test")
 
 
-def test_view_infers_free_and_verification_spends_its_trials():
+def test_view_verification_spends_its_trials():
     inst = _two_var_instance()
-    view = univariate_oracle_view(inst, {0: 2})
-    assert view.free == 1
+    view = univariate_oracle_view(inst, (2, 0), 1)
+    assert view.point == (2, 0) and view.free == 1
     cand = UniPoly(F5, (0, *view.effective_coeffs()))
     before = inst.query_count
     assert view.verify_candidate(cand, 4, random.Random("spend"))
@@ -101,26 +101,30 @@ def test_view_infers_free_and_verification_spends_its_trials():
 def test_view_effective_coeffs_match_substitution():
     inst = _two_var_instance()
     for val in range(5):
-        view = UnivariateView(inst, {0: val}, 1)
-        # Q = 2*X1 + 3*X2 + X1*X2 + 4*X2^2 at X1 = val: (3 + val)*X2 + 4*X2^2
-        assert view.effective_coeffs() == ((3 + val) % 5, 4)
+        # Q = 2*X1 + 3*X2 + X1*X2 + 4*X2^2 at X1 = val: (3 + val)*X2 + 4*X2^2,
+        # whatever the point holds at the free position.
+        for ignored in (0, 4):
+            view = UnivariateView(inst, (val, ignored), 1)
+            assert view.effective_coeffs() == ((3 + val) % 5, 4)
 
 
 def test_view_validation():
     inst = _two_var_instance()
-    with pytest.raises(ValueError):
-        UnivariateView(inst, {0: 1}, 0)  # free variable also fixed
-    with pytest.raises(ValueError):
-        UnivariateView(inst, {}, 1)  # coverage gap
-    with pytest.raises(ValueError):
-        UnivariateView(inst, {0: 1, 1: 2}, 1)
-    with pytest.raises(ValueError):
-        univariate_oracle_view(inst, {})  # two variables left free
+    with pytest.raises(ValueError, match="coordinates"):
+        UnivariateView(inst, (1,), 1)  # too short
+    with pytest.raises(ValueError, match="coordinates"):
+        univariate_oracle_view(inst, (1, 2, 3), 1)  # too long
+    for free in (-1, 2):
+        with pytest.raises(ValueError, match="free variable"):
+            UnivariateView(inst, (1, 2), free)
+    for bad in (5, -1, True):
+        with pytest.raises(ValueError, match="not an element"):
+            UnivariateView(inst, (bad, 0), 1)
 
 
 def test_view_verification_accepts_shifts_rejects_wrong():
     inst = _two_var_instance()
-    view = univariate_oracle_view(inst, {0: 3})
+    view = univariate_oracle_view(inst, (3, 0), 1)
     truth = UniPoly(F5, (0, *view.effective_coeffs()))
     rng = random.Random(11)
     assert view.verify_candidate(truth, 4, rng)
@@ -173,7 +177,7 @@ def test_inconsistent_slice_data_is_a_recovery_error(monkeypatch):
 
     def skewed(view):
         good = perfect_solver(view)
-        if view.fixed != {1: 1}:
+        if view.point != (0, 1):
             return good
         coeffs = list(good.coeffs) + [0] * (3 - len(good.coeffs))
         coeffs[2] = F7.add(coeffs[2], 1)

@@ -2,8 +2,10 @@
 and the modules of src/hpp import one another along a pinned graph.
 
 A definition counts as used when its name appears in src/, scripts/ or
-perfbench/ as an AST Name, an Attribute or a string constant; tests do not
-count.  The exceptions are the test-only names ROADMAP lists with their
+perfbench/ as an AST Name, an Attribute or a string constant; a method or
+property only counts as an Attribute or a string constant, so a local
+variable of the same name does not hide it.  Tests do not count.  The
+exceptions are the test-only names ROADMAP lists with their
 reasons, and the set below must match the unused names exactly, so an entry
 that gains a caller leaves the list as well.  Likewise IMPORTS must match
 the hpp modules each module imports, so a new edge between layers shows up
@@ -22,6 +24,7 @@ TEST_ONLY = {
     "densmat.pipeline_probability",
     "densmat.x_marginals",
     "densmat.VxIsometry.w_state",
+    "densmat.VxIsometry.good_dim",
     # The seeded faulty solver behind the retry tests.
     "reduction.faulty_solver",
     # The JSON instance round-trip README documents as a library feature.
@@ -48,12 +51,13 @@ IMPORTS = {
 
 
 def _definitions():
-    """(qualified name, name) of every def in src/hpp, nested ones included."""
+    """(qualified name, name, is a method) of every def in src/hpp, nested
+    ones included."""
 
     def visit(node, prefix):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                yield prefix + child.name, child.name
+                yield prefix + child.name, child.name, isinstance(node, ast.ClassDef)
                 yield from visit(child, f"{prefix}{child.name}.")
             elif isinstance(child, ast.ClassDef):
                 yield from visit(child, f"{prefix}{child.name}.")
@@ -62,26 +66,29 @@ def _definitions():
         yield from visit(ast.parse(path.read_text(encoding="utf-8")), f"{path.stem}.")
 
 
-def _referenced_names() -> set[str]:
-    names = set()
+def _referenced_names() -> tuple[set[str], set[str]]:
+    """(bare names, attribute names and string constants) in the program."""
+    names, attrs = set(), set()
     for top in ("src", "scripts", "perfbench"):
         for path in (ROOT / top).rglob("*.py"):
             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
                 if isinstance(node, ast.Name):
                     names.add(node.id)
                 elif isinstance(node, ast.Attribute):
-                    names.add(node.attr)
+                    attrs.add(node.attr)
                 elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                    names.add(node.value)
-    return names
+                    attrs.add(node.value)
+    return names, attrs
 
 
 def test_every_definition_outside_the_test_only_list_is_referenced():
-    used = _referenced_names()
+    names, attrs = _referenced_names()
     unused = {
         qual
-        for qual, name in _definitions()
-        if name not in used and not (name.startswith("__") and name.endswith("__"))
+        for qual, name, method in _definitions()
+        if name not in attrs
+        and (method or name not in names)
+        and not (name.startswith("__") and name.endswith("__"))
     }
     assert unused == TEST_ONLY
 
