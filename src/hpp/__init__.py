@@ -14,54 +14,43 @@ package provides:
   reduction  multivariate-to-univariate recovery schedule
   baseline   classical collision-search reference point
   cli        command-line front end (installed as `hpp`)
-"""
 
-from .blackbox import HiddenInstance, make_instance, sample_instance, verify_candidate
-from .errors import GuardExceededError, InvariantViolationError, RecoveryError
-from .fibers import (
-    Analysis,
-    EtaTable,
-    eta_moments,
-    eta_table,
-    good_sets,
-    iter_eta_tables,
-    pick_analysis,
-)
-from .gf import FieldCtx, chi, make_field, parse_field, trace
-from .pgm import Sampler, outcome_distribution, run_many, success_report
-from .polyring import MultiPoly, UniPoly, multi_poly
-from .reduction import kappa, solve_multivariate, univariate_oracle_view
+The names in __all__ are resolved on first use, so `import hpp.cli` or
+`import hpp.fibers` loads only the layers that module needs.
+"""
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Analysis",
-    "EtaTable",
-    "FieldCtx",
-    "GuardExceededError",
-    "HiddenInstance",
-    "InvariantViolationError",
-    "MultiPoly",
-    "RecoveryError",
-    "Sampler",
-    "UniPoly",
-    "chi",
-    "eta_moments",
-    "eta_table",
-    "good_sets",
-    "iter_eta_tables",
-    "kappa",
-    "make_field",
-    "make_instance",
-    "multi_poly",
-    "outcome_distribution",
-    "parse_field",
-    "pick_analysis",
-    "run_many",
-    "sample_instance",
-    "solve_multivariate",
-    "success_report",
-    "trace",
-    "univariate_oracle_view",
-    "verify_candidate",
-]
+# Each public name, by the module that defines it.
+_HOMES = {
+    "blackbox": ("HiddenInstance", "make_instance", "sample_instance", "verify_candidate"),
+    "errors": ("GuardExceededError", "InvariantViolationError", "RecoveryError"),
+    "fibers": (
+        "Analysis",
+        "EtaTable",
+        "eta_moments",
+        "eta_table",
+        "good_sets",
+        "iter_eta_tables",
+        "pick_analysis",
+    ),
+    "gf": ("FieldCtx", "chi", "make_field", "parse_field", "trace"),
+    "pgm": ("Sampler", "outcome_distribution", "run_many", "success_report"),
+    "polyring": ("MultiPoly", "UniPoly", "multi_poly"),
+    "reduction": ("kappa", "solve_multivariate", "univariate_oracle_view"),
+}
+
+__all__ = sorted(name for names in _HOMES.values() for name in names)
+
+
+def __getattr__(name: str):
+    """A public name, resolved on first use (PEP 562), so importing one
+    module of the package loads only the layers that module imports."""
+    home = next((mod for mod, names in _HOMES.items() if name in names), None)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # Importing a layer also binds it in this namespace, where it is read.
+    from . import blackbox, errors, fibers, gf, pgm, polyring, reduction
+
+    value = globals()[name] = getattr(globals()[home], name)
+    return value

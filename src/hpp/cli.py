@@ -27,8 +27,6 @@ import stat
 import statistics
 import sys
 
-from . import baseline as baseline_mod
-from .blackbox import sample_instance
 from .errors import GuardExceededError, InvariantViolationError, RecoveryError
 from .fibers import (
     Analysis,
@@ -40,8 +38,10 @@ from .fibers import (
 )
 from .gf import field_descriptor, parse_field
 from .pgm import make_quantum_solver, outcome_distribution, success_report, table_sampler
-from .polyring import format_multipoly
-from .reduction import SolveStats, build_plan, kappa, solve_multivariate
+
+# The recovery layers (blackbox, reduction) and the classical baseline are
+# imported by the commands that run them, so `hpp success` and `hpp eta`
+# load only the analysis layers.
 
 
 def _resolve_seed(args: argparse.Namespace, parser: argparse.ArgumentParser) -> str:
@@ -168,12 +168,18 @@ def _cmd_success(args, parser) -> int:
 
 
 def _cmd_e2e(args, parser) -> int:
+    from .blackbox import sample_instance
+    from .polyring import format_multipoly
+    from .reduction import SolveStats, kappa, solve_multivariate
+
     ctx = parse_field(args.field)
     seed = _resolve_seed(args, parser)
     if args.trials < 1:
         parser.error("--trials must be at least 1")
-    if args.baseline and (args.m != 1 or args.n != 1):
-        parser.error("--baseline applies only to m = 1, n = 1 instances")
+    if args.baseline:
+        if args.m != 1 or args.n != 1:
+            parser.error("--baseline applies only to m = 1, n = 1 instances")
+        from .baseline import solve_linear_classical
     analysis = pick_analysis(ctx, args.n)
     good = good_sets(ctx, args.n, analysis)
     solves = kappa(args.n, args.m)  # guards the schedule before any table or instance
@@ -203,7 +209,7 @@ def _cmd_e2e(args, parser) -> int:
             }
             if args.baseline:
                 b_inst = sample_instance(ctx, 1, 1, seed=f"{seed}:{trial}")
-                b = baseline_mod.solve_linear_classical(
+                b = solve_linear_classical(
                     b_inst, rng=random.Random(f"hpp-e2e-baseline:{seed}:{trial}")
                 )
                 row["baseline_queries"] = b.queries
@@ -238,10 +244,12 @@ def _cmd_e2e(args, parser) -> int:
 
 
 def _cmd_baseline(args, parser) -> int:
+    from .baseline import DEFAULT_SIZES, scaling_experiment
+
     seed = _resolve_seed(args, parser)
-    ds = tuple(int(tok) for tok in args.sizes.split(","))
+    ds = DEFAULT_SIZES if args.sizes is None else tuple(int(t) for t in args.sizes.split(","))
     with _outputs({"--out": args.out, "--fit-out": args.fit_out}) as (out_fh, fit_fh):
-        stats, fit = baseline_mod.scaling_experiment(
+        stats, fit = scaling_experiment(
             ds=ds, trials=args.trials, seed=seed, max_queries=args.max_queries
         )
         writer = csv.writer(out_fh, lineterminator="\n")
@@ -263,6 +271,8 @@ def _cmd_baseline(args, parser) -> int:
 
 
 def _cmd_plan(args, parser) -> int:
+    from .reduction import build_plan
+
     ctx = parse_field(args.field)
     with _outputs({"--out": args.out}) as (fh,):
         _write_json(build_plan(ctx, args.n, args.m), fh)
@@ -328,9 +338,7 @@ def parse_args(argv=None) -> tuple[argparse.ArgumentParser, argparse.Namespace]:
     p_e2e.set_defaults(func=_cmd_e2e)
 
     p_base = sub.add_parser("baseline", help="classical collision-search scaling")
-    p_base.add_argument(
-        "--sizes", default=",".join(str(d) for d in baseline_mod.DEFAULT_SIZES)
-    )
+    p_base.add_argument("--sizes", default=None)
     p_base.add_argument("--trials", type=int, default=50)
     p_base.add_argument("--seed", default=None, help="RNG seed (or set HPP_SEED)")
     p_base.add_argument("--max-queries", type=int, default=None)

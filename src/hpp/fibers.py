@@ -15,6 +15,12 @@ tables (FieldCtx.log_tables, built once per field) through digit and
 residue tables built once per (field, copies, rows): a table costs a gather
 per coordinate, a broadcast sum and one gather that reduces every digit.
 
+A direction x = lam * sigma(r), r the least point of its orbit under
+scaling and permuting coordinates (direction_orbit), has r's fiber sizes
+with every w scaled by lam.  So a pass over every direction enumerates
+once per orbit: it meets r first, in code order, keeps r's table, and
+reads every other table of the orbit from it with one gather (eta_table).
+
 Points of F^n are numbered by their big-endian base-d code (encode_point /
 decode_point), which is also lexicographic order; fiber tables are dense
 count arrays indexed by that code.
@@ -203,13 +209,61 @@ def _w_codes(ctx: FieldCtx, x: Point, rows: int) -> np.ndarray:
     return residues[acc].sum(axis=0)
 
 
+@lru_cache(maxsize=1)
+def _orbit_cache(ctx: FieldCtx, n: int) -> tuple[dict, dict] | None:
+    """What eta_table keeps for the most recent (field, n): the read-only
+    counts of each orbit representative met so far, by representative, and
+    the read-only _scale_index of each lam asked for, by lam.  None, so
+    that nothing is kept, when a pass over F^n, d^(2n) points, exceeds
+    ENUMERATION_BUDGET."""
+    if ctx.d ** (2 * n) > ENUMERATION_BUDGET:
+        return None
+    return {}, {}
+
+
+def _scale_index(ctx: FieldCtx, n: int, lam: Felt) -> np.ndarray:
+    """index[encode_point(a)] = encode_point(lam * a) for every a in F^n, lam
+    nonzero: one row of products read from the log tables, spread over the
+    n coordinates.  Read-only, and kept in _orbit_cache."""
+    cache = _orbit_cache(ctx, n)
+    if cache is not None and lam in cache[1]:
+        return cache[1][lam]
+    log, exp = ctx.log_tables
+    row = exp[(log + log[lam]) % (ctx.d - 1)]
+    row[0] = 0
+    index = row
+    for _ in range(n - 1):
+        index = (index[:, None] * ctx.d + row).ravel()
+    index.flags.writeable = False
+    if cache is not None:
+        cache[1][lam] = index
+    return index
+
+
 def eta_table(ctx: FieldCtx, x: Sequence[Felt]) -> EtaTable:
-    """Exact fiber sizes for one x by full enumeration of F^n."""
+    """Exact fiber sizes for one x.
+
+    With x = lam * sigma(r) (direction_orbit), x's counts at w are r's at
+    lam^-1 * w: when r's table is kept, x's table is that one gather.
+    Otherwise x is enumerated over F^n, and kept, read-only, if it is its
+    own representative and a pass over F^n fits the budget (_orbit_cache).
+    A pass in code order meets r first, so it enumerates once per orbit.
+    """
     x = tuple(map(ctx.check, x))
     n = len(x)
     _check_n(n)
     _check_enum_budget(ctx.d, n)
-    return EtaTable(ctx=ctx, x=x, counts=np.bincount(_w_codes(ctx, x, n), minlength=ctx.d**n))
+    rep, lam = direction_orbit(ctx, x)
+    cache = _orbit_cache(ctx, n)
+    kept = None if cache is None else cache[0].get(rep)
+    if kept is not None:
+        counts = kept if x == rep else kept[_scale_index(ctx, n, ctx.inv(lam))]
+    else:
+        counts = np.bincount(_w_codes(ctx, x, n), minlength=ctx.d**n)
+        if cache is not None and x == rep:
+            counts.flags.writeable = False
+            cache[0][rep] = counts
+    return EtaTable(ctx=ctx, x=x, counts=counts)
 
 
 def brute_fiber(ctx: FieldCtx, x: Sequence[Felt], w: Sequence[Felt]) -> list[Point]:
@@ -236,8 +290,13 @@ def direction_orbit(ctx: FieldCtx, x: Sequence[Felt]) -> tuple[Point, Felt]:
     Permuting coordinates leaves the fiber sizes alone and scaling by lam
     scales every w, so the table of x is that of r with w scaled by lam.
     """
+    log, exp = ctx._log_lists
+    order = ctx.d - 1
+    logs = [log[c] for c in x if c]
+    zeros = (0,) * (len(x) - len(logs))
+    # x_i / c is exp[(log x_i - log c) mod (d - 1)], and c is exp[log c].
     return min(
-        ((tuple(sorted(ctx.div(xi, c) for xi in x)), c) for c in x if c),
+        (((*zeros, *sorted(exp[(a - b) % order] for a in logs)), exp[b]) for b in logs),
         default=(tuple(x), 1),
     )
 

@@ -31,7 +31,8 @@ then gives the correctly rounded exact sum: the same floats as summing
 the characters term by term with math.fsum.
 
 A law has one form, a probability array indexed by encode_point code, and
-one way to move: read at lam * delta for a scalar lam (_scaled).  A law is
+one way to move: read at lam * delta for a scalar lam (_scaled, the
+gather that also reads a fiber table from its orbit's).  A law is
 built once per orbit of directions under x -> lam * sigma(x), lam in F*
 and sigma a permutation of the coordinates: the fiber sizes of
 lam * sigma(x) are those of x with every w scaled by lam, so its law at
@@ -55,8 +56,9 @@ it reports depends on a direction x only through x_good(x) and the
 histogram of x's fiber sizes, so the pass reads that histogram once per
 direction, as a short list; the good-target rule keeps the sizes 1..cap,
 a cut of its size axis.  Each inner sum sum_w sqrt(eta_w) is an exact
-integer over the (cut) histogram, rounded once (_sqrt_sum), and the outer
-sums over x run through math.fsum, so the sums are correctly rounded too.
+integer over the (cut) histogram, rounded once (_sqrt_sum) and taken once
+per distinct histogram, and the outer sums over x run through math.fsum,
+so the sums are correctly rounded too.
 """
 
 from __future__ import annotations
@@ -78,9 +80,9 @@ from .fibers import (
     EtaTable,
     GoodSets,
     Point,
+    _scale_index,
     decode_point,
     direction_orbit,
-    encode_point,
     good_sets,
     iter_eta_tables,
 )
@@ -99,12 +101,6 @@ MAX_SOLVER_DRAWS = 10_000
 SOLVER_VOTES = 5
 
 
-@lru_cache(maxsize=None)
-def _roots(bits: int) -> list[int]:
-    """int(sqrt(k) * 2^52) for every k < 2^bits."""
-    return [int(math.sqrt(k) * 2.0**52) for k in range(1 << bits)]
-
-
 def _sqrt_sum(hist: list[int]) -> float:
     """Sum of sqrt(k) over the sizes a histogram counts (hist[k] entries of
     size k), correctly rounded.
@@ -114,7 +110,7 @@ def _sqrt_sum(hist: list[int]) -> float:
     of hist[k] * sqrt(k) * 2^52 is an exact integer; int/int true division
     rounds it once, to the float math.fsum returns over the expanded sizes.
     """
-    return sum(map(mul, hist, _roots(len(hist).bit_length()))) / 2**52
+    return sum(c * int(math.sqrt(k) * 2.0**52) for k, c in enumerate(hist) if c) / 2**52
 
 
 def _success_sums(
@@ -124,27 +120,33 @@ def _success_sums(
 
     Returns the ideal and the good-subspace success probabilities and
     |W_good^x| for each classified-good x, all read from one fiber-size
-    histogram per direction.
+    histogram per direction.  The two squared inner sums and |W_good^x|
+    depend on the histogram alone, so each is taken once per distinct
+    histogram: once per direction orbit, or less.
     """
     ideal_terms = []
     approx_terms = []
     w_counts = []
+    by_hist: dict[tuple[int, ...], tuple[float, float, int]] = {}
     d = n = None
     for table in tables:
         d, n = table.d, table.n
         hist = np.bincount(table.counts).tolist()
         if sum(map(mul, hist, range(len(hist)))) != d**n:
             table.check_partition()  # raises: the sizes must sum to d^n
-        inner = _sqrt_sum(hist)
-        ideal_terms.append(inner * inner)
+        key = tuple(hist)
+        if key not in by_hist:
+            # w_good keeps the sizes 1..cap: a cut of the histogram's size axis.
+            cut = hist[: good.cap + 1]
+            inner, good_inner = _sqrt_sum(hist), _sqrt_sum(cut)
+            by_hist[key] = inner * inner, good_inner * good_inner, sum(cut) - cut[0]
+        ideal, approx, w_count = by_hist[key]
+        ideal_terms.append(ideal)
         if good.x_good(table.x):
-            # w_good keeps the sizes 1..cap, and raises past a cap that is a theorem.
             if len(hist) > good.cap + 1:
-                good.w_good(table.x, len(hist) - 1)
-            del hist[good.cap + 1 :]
-            inner = _sqrt_sum(hist)
-            approx_terms.append(inner * inner)
-            w_counts.append(sum(hist) - hist[0])
+                good.w_good(table.x, len(hist) - 1)  # raises past a cap that is a theorem
+            approx_terms.append(approx)
+            w_counts.append(w_count)
     if d is None or len(ideal_terms) != d**n:
         raise InvariantViolationError(
             f"success sums need a table for every x in F^n; saw {len(ideal_terms)}"
@@ -324,12 +326,11 @@ def _delta_distribution(table: EtaTable, good: GoodSets) -> tuple[np.ndarray, fl
 
 def _scaled(probs: np.ndarray, ctx: FieldCtx, n: int, lam: Felt) -> np.ndarray:
     """The law probs over F^n read at lam * delta: out[code(a)] =
-    probs[code(lam * a)].  The scaling is tabulated with d field products,
-    and the gather is one numpy index.  An empty law stays empty."""
+    probs[code(lam * a)], one gather through the scaling index the fiber
+    tables use (fibers._scale_index).  An empty law stays empty."""
     if not probs.size:
         return probs
-    row = np.array([ctx.mul(lam, a) for a in range(ctx.d)], dtype=np.int64)
-    return probs[encode_point(np.ix_(*[row] * n), ctx.d).ravel()]
+    return probs[_scale_index(ctx, n, lam)]
 
 
 @dataclass(eq=False)

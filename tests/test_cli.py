@@ -32,6 +32,38 @@ def _child(*argv, timeout=None):
     )
 
 
+def test_success_loads_only_the_analysis_layers(tmp_path):
+    # `python -m hpp.cli success` imports no recovery layer and no baseline.
+    out = tmp_path / "s.json"
+    code = (
+        "import runpy, sys\n"
+        f"sys.argv = ['hpp', 'success', '--field', '5', '-n', '2', '--out', {str(out)!r}]\n"
+        "try:\n"
+        "    runpy.run_module('hpp.cli', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code == 0, exc.code\n"
+        "print(' '.join(sorted(m for m in sys.modules if m.startswith('hpp'))))\n"
+    )
+    proc = _child("-c", code, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    # runpy runs hpp.cli as __main__, as `python -m` does.
+    assert proc.stdout.split() == ["hpp", "hpp.errors", "hpp.fibers", "hpp.gf", "hpp.pgm",
+                                   "hpp.polyring"]
+    assert json.loads(out.read_text())["d"] == 5
+
+
+def test_package_names_resolve_to_their_layers():
+    import importlib
+
+    import hpp
+
+    for layer, names in hpp._HOMES.items():
+        for name in names:
+            assert getattr(hpp, name) is getattr(importlib.import_module(f"hpp.{layer}"), name)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        hpp.no_such_name
+
+
 def test_eta_moments_json(tmp_path):
     out = tmp_path / "m.json"
     assert main(["eta", "--field", "5", "-n", "2", "--moments",
@@ -245,7 +277,7 @@ def test_unwritable_e2e_output_exits_2_before_any_trial(
     bad, tmp_path, monkeypatch, capsys
 ):
     sampled = []
-    monkeypatch.setattr("hpp.cli.sample_instance", lambda *a, **k: sampled.append(a))
+    monkeypatch.setattr("hpp.blackbox.sample_instance", lambda *a, **k: sampled.append(a))
     paths = {"--out": tmp_path / "t.csv", "--summary-out": tmp_path / "s.json"}
     paths[bad] = tmp_path / "no" / "out"
     argv = ["e2e", "--field", "7", "-n", "2", "-m", "2", "--trials", "20", "--seed", "s"]

@@ -10,9 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hpp.errors import GuardExceededError, InvariantViolationError
+import hpp.fibers
 from hpp.fibers import (
     Analysis,
+    EtaTable,
     _enum_constants,
+    _orbit_cache,
+    _scale_index,
     _w_codes,
     apply_map,
     brute_fiber,
@@ -183,6 +187,91 @@ def test_direction_orbit_is_the_least_point_with_the_scaled_table(desc, n):
         assert counts[scaled].tolist() == eta_table(ctx, rep).counts.tolist(), x
 
 
+def _enumerated(ctx, x):
+    return np.bincount(_w_codes(ctx, x, len(x)), minlength=ctx.d ** len(x))
+
+
+@pytest.fixture
+def fresh_orbit_cache():
+    """No table or scale index kept from earlier calls, before or after."""
+    _orbit_cache.cache_clear()
+    yield
+    _orbit_cache.cache_clear()
+
+
+PASS_CASES = [("7", 2), ("13", 2), ("2^3", 2), ("3^2", 2), ("5", 3), ("2^2", 3)]
+
+
+@pytest.mark.parametrize("desc,n", PASS_CASES)
+def test_pass_tables_equal_their_enumeration_and_enumerate_once_per_orbit(
+    desc, n, fresh_orbit_cache, monkeypatch
+):
+    ctx = parse_field(desc)
+    enumerated = []
+    real = hpp.fibers._w_codes
+
+    def counting(ctx, x, rows):
+        enumerated.append(x)
+        return real(ctx, x, rows)
+
+    monkeypatch.setattr(hpp.fibers, "_w_codes", counting)
+    points = list(product(range(ctx.d), repeat=n))
+    tables = list(iter_eta_tables(ctx, n))
+    assert [t.x for t in tables] == points
+    reps = {direction_orbit(ctx, x)[0] for x in points}
+    assert enumerated == sorted(reps)
+    monkeypatch.undo()
+    for table in tables:
+        assert np.array_equal(table.counts, _enumerated(ctx, table.x)), (desc, table.x)
+
+
+@pytest.mark.parametrize("desc,n", [("7", 2), ("3^2", 2), ("2^2", 3)])
+def test_one_off_tables_in_reverse_code_order_equal_their_enumeration(
+    desc, n, fresh_orbit_cache
+):
+    # Every non-representative comes before its representative is kept, so
+    # these are enumerated; the representatives are then kept.
+    ctx = parse_field(desc)
+    for x in reversed(list(product(range(ctx.d), repeat=n))):
+        assert np.array_equal(eta_table(ctx, x).counts, _enumerated(ctx, x)), (desc, x)
+    tables, _ = _orbit_cache(ctx, n)
+    assert set(tables) == {direction_orbit(ctx, x)[0] for x in product(range(ctx.d), repeat=n)}
+
+
+def test_kept_tables_and_scale_indexes_are_read_only(fresh_orbit_cache):
+    ctx, n = parse_field("3^2"), 2
+    list(iter_eta_tables(ctx, n))
+    tables, scales = _orbit_cache(ctx, n)
+    assert tables and scales
+    for rep, counts in tables.items():
+        assert eta_table(ctx, rep).counts is counts
+        with pytest.raises(ValueError):
+            counts[0] = 0
+    points = list(product(range(ctx.d), repeat=n))
+    for lam in range(1, ctx.d):
+        index = _scale_index(ctx, n, lam)
+        assert index.tolist() == [encode_point([ctx.mul(lam, c) for c in a], ctx.d) for a in points]
+        with pytest.raises(ValueError):
+            index[0] = 0
+    # A gathered table is the caller's own.
+    gathered = eta_table(ctx, (2, 4)).counts
+    assert direction_orbit(ctx, (2, 4))[0] != (2, 4) and gathered.flags.writeable
+
+
+def test_nothing_is_kept_when_a_pass_exceeds_the_budget(fresh_orbit_cache, monkeypatch):
+    ctx, n = F7, 2
+    monkeypatch.setattr(hpp.fibers, "ENUMERATION_BUDGET", ctx.d ** (2 * n) - 1)
+    for x in product(range(ctx.d), repeat=n):
+        table = eta_table(ctx, x)
+        assert table.counts.flags.writeable
+        assert np.array_equal(table.counts, _enumerated(ctx, x)), x
+    assert _orbit_cache(ctx, n) is None
+    assert _scale_index(ctx, n, 3).tolist() == [
+        encode_point([ctx.mul(3, c) for c in a], ctx.d) for a in product(range(ctx.d), repeat=n)
+    ]
+    assert _orbit_cache(ctx, n) is None
+
+
 @given(data=st.data())
 @settings(max_examples=200, deadline=None)
 def test_point_codec_round_trip(data):
@@ -204,7 +293,8 @@ def test_partition_identity_exhaustive():
 
 
 def test_partition_check_raises_on_corruption():
-    table = eta_table(F3, (1, 1))
+    # A writable copy: the table of an orbit representative is kept read-only.
+    table = EtaTable(F3, (1, 1), eta_table(F3, (1, 1)).counts.copy())
     table.counts[encode_point((0, 0), 3)] += 1
     with pytest.raises(InvariantViolationError):
         table.check_partition()

@@ -138,6 +138,30 @@ def test_ideal_requires_full_scan():
         _success_sums([eta_table(F5, (1, 2))], good_sets(F5, 2, Analysis.FIRST))
 
 
+@pytest.mark.parametrize(
+    "desc,n,analysis",
+    [("7", 2, Analysis.FIRST), ("13", 2, Analysis.FIRST), ("3^2", 2, Analysis.SECOND),
+     ("2^3", 2, Analysis.SECOND), ("7", 3, Analysis.FIRST)],
+)
+def test_success_sums_equal_a_table_by_table_computation(desc, n, analysis):
+    # Taken once per distinct histogram, the sums are bit-equal to summing
+    # every direction's own roots.
+    ctx = parse_field(desc)
+    good = good_sets(ctx, n, analysis)
+    ideal_terms, approx_terms, w_counts = [], [], []
+    for table in iter_eta_tables(ctx, n):
+        inner = math.fsum(np.sqrt(table.counts).tolist())
+        ideal_terms.append(inner * inner)
+        if good.x_good(table.x):
+            kept = table.counts[good.w_good(table.x, table.counts)]
+            inner = math.fsum(np.sqrt(kept).tolist())
+            approx_terms.append(inner * inner)
+            w_counts.append(kept.size)
+    scale = ctx.d ** (3 * n)
+    want = (math.fsum(ideal_terms) / scale, math.fsum(approx_terms) / scale, w_counts)
+    assert _success_sums(iter_eta_tables(ctx, n), good) == want
+
+
 def _sampler(ctx, n, analysis):
     """A Sampler whose table_of builds each table it is asked for."""
     return Sampler(good_sets(ctx, n, analysis), partial(eta_table, ctx))
