@@ -15,13 +15,14 @@ package provides:
   baseline   classical collision-search reference point
   cli        command-line front end (installed as `hpp`)
 
-The names in __all__ are resolved on first use, so `import hpp.cli` or
-`import hpp.fibers` loads only the layers that module needs.
+The names in __all__ are resolved on first use, each by importing its own
+module, so `import hpp.cli`, `import hpp.fibers` or `from hpp import
+eta_table` loads only the layers that module needs.
 """
 
 __version__ = "0.1.0"
 
-# Each public name, by the module that defines it.
+# The public names each module defines.
 _HOMES = {
     "blackbox": ("HiddenInstance", "make_instance", "sample_instance", "verify_candidate"),
     "errors": ("GuardExceededError", "InvariantViolationError", "RecoveryError"),
@@ -40,17 +41,32 @@ _HOMES = {
     "reduction": ("kappa", "solve_multivariate", "univariate_oracle_view"),
 }
 
-__all__ = sorted(name for names in _HOMES.values() for name in names)
+# Each public name's home module.
+_HOME = {name: home for home, names in _HOMES.items() for name in names}
+
+__all__ = sorted(_HOME)
 
 
 def __getattr__(name: str):
-    """A public name, resolved on first use (PEP 562), so importing one
-    module of the package loads only the layers that module imports."""
-    home = next((mod for mod, names in _HOMES.items() if name in names), None)
-    if home is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    # Importing a layer also binds it in this namespace, where it is read.
-    from . import blackbox, errors, fibers, gf, pgm, polyring, reduction
-
-    value = globals()[name] = getattr(globals()[home], name)
+    """A public name, resolved on first use (PEP 562) by importing its home
+    module only (and what that imports), so `from hpp import eta_table`
+    loads gf, errors and fibers but no recovery layer."""
+    match _HOME.get(name):
+        case "blackbox":
+            from . import blackbox as home
+        case "errors":
+            from . import errors as home
+        case "fibers":
+            from . import fibers as home
+        case "gf":
+            from . import gf as home
+        case "pgm":
+            from . import pgm as home
+        case "polyring":
+            from . import polyring as home
+        case "reduction":
+            from . import reduction as home
+        case _:
+            raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(home, name)
     return value

@@ -101,8 +101,8 @@ class EtaTable:
     """All fiber sizes of one direction x.
 
     counts[c] is eta_w^x for the w with encode_point code c (length d^n, zero
-    for empty fibers).  The fibers themselves are the lazy `solutions`
-    property.
+    for empty fibers); eta_table's counts are read-only.  The fibers
+    themselves are the lazy `solutions` property.
     """
 
     ctx: FieldCtx
@@ -210,24 +210,30 @@ def _w_codes(ctx: FieldCtx, x: Point, rows: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=1)
-def _orbit_cache(ctx: FieldCtx, n: int) -> tuple[dict, dict] | None:
+def _orbit_cache(ctx: FieldCtx, n: int) -> tuple[dict, dict | None] | None:
     """What eta_table keeps for the most recent (field, n): the read-only
     counts of each orbit representative met so far, by representative, and
-    the read-only _scale_index of each lam asked for, by lam.  None, so
-    that nothing is kept, when a pass over F^n, d^(2n) points, exceeds
-    ENUMERATION_BUDGET."""
+    for n >= 2 the read-only _scale_index of each lam asked for, by lam.
+    None, so that nothing is kept, when a pass over F^n, d^(2n) points,
+    exceeds ENUMERATION_BUDGET.
+
+    That gate bounds the d - 1 indexes at (d - 1) * d^n < d^(n+1) <=
+    ENUMERATION_BUDGET^(3/4) = 10^6 entries for n >= 2.  At n = 1 they
+    would hold d^2 entries, a whole table per lam, so none is kept there:
+    the index is one row, rebuilt on each call."""
     if ctx.d ** (2 * n) > ENUMERATION_BUDGET:
         return None
-    return {}, {}
+    return {}, {} if n > 1 else None
 
 
 def _scale_index(ctx: FieldCtx, n: int, lam: Felt) -> np.ndarray:
     """index[encode_point(a)] = encode_point(lam * a) for every a in F^n, lam
     nonzero: one row of products read from the log tables, spread over the
-    n coordinates.  Read-only, and kept in _orbit_cache."""
+    n coordinates.  Read-only, and kept in _orbit_cache for n >= 2."""
     cache = _orbit_cache(ctx, n)
-    if cache is not None and lam in cache[1]:
-        return cache[1][lam]
+    scales = None if cache is None else cache[1]
+    if scales is not None and lam in scales:
+        return scales[lam]
     log, exp = ctx.log_tables
     row = exp[(log + log[lam]) % (ctx.d - 1)]
     row[0] = 0
@@ -235,19 +241,21 @@ def _scale_index(ctx: FieldCtx, n: int, lam: Felt) -> np.ndarray:
     for _ in range(n - 1):
         index = (index[:, None] * ctx.d + row).ravel()
     index.flags.writeable = False
-    if cache is not None:
-        cache[1][lam] = index
+    if scales is not None:
+        scales[lam] = index
     return index
 
 
 def eta_table(ctx: FieldCtx, x: Sequence[Felt]) -> EtaTable:
-    """Exact fiber sizes for one x.
+    """Exact fiber sizes for one x, as a read-only table.
 
     With x = lam * sigma(r) (direction_orbit), x's counts at w are r's at
     lam^-1 * w: when r's table is kept, x's table is that one gather.
-    Otherwise x is enumerated over F^n, and kept, read-only, if it is its
-    own representative and a pass over F^n fits the budget (_orbit_cache).
-    A pass in code order meets r first, so it enumerates once per orbit.
+    Otherwise x is enumerated over F^n, and kept if it is its own
+    representative and a pass over F^n fits the budget (_orbit_cache).  A
+    pass in code order meets r first, so it enumerates once per orbit and
+    gathers every other table.  The counts are never writable, whichever
+    way they were made, since a representative's are shared between calls.
     """
     x = tuple(map(ctx.check, x))
     n = len(x)
@@ -261,8 +269,8 @@ def eta_table(ctx: FieldCtx, x: Sequence[Felt]) -> EtaTable:
     else:
         counts = np.bincount(_w_codes(ctx, x, n), minlength=ctx.d**n)
         if cache is not None and x == rep:
-            counts.flags.writeable = False
             cache[0][rep] = counts
+    counts.flags.writeable = False
     return EtaTable(ctx=ctx, x=x, counts=counts)
 
 

@@ -64,6 +64,17 @@ def test_package_names_resolve_to_their_layers():
         hpp.no_such_name
 
 
+def test_a_package_name_loads_only_its_own_layer():
+    code = (
+        "import sys\n"
+        "from hpp import eta_table\n"
+        "print(' '.join(sorted(m for m in sys.modules if m.startswith('hpp'))))\n"
+    )
+    proc = _child("-c", code, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["hpp", "hpp.errors", "hpp.fibers", "hpp.gf"]
+
+
 def test_eta_moments_json(tmp_path):
     out = tmp_path / "m.json"
     assert main(["eta", "--field", "5", "-n", "2", "--moments",

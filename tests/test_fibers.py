@@ -234,28 +234,46 @@ def test_one_off_tables_in_reverse_code_order_equal_their_enumeration(
     ctx = parse_field(desc)
     for x in reversed(list(product(range(ctx.d), repeat=n))):
         assert np.array_equal(eta_table(ctx, x).counts, _enumerated(ctx, x)), (desc, x)
-    tables, _ = _orbit_cache(ctx, n)
-    assert set(tables) == {direction_orbit(ctx, x)[0] for x in product(range(ctx.d), repeat=n)}
+    assert set(_orbit_cache(ctx, n)[0]) == {direction_orbit(ctx, x)[0] for x in product(range(ctx.d), repeat=n)}
 
 
-def test_kept_tables_and_scale_indexes_are_read_only(fresh_orbit_cache):
+def test_every_table_is_read_only_and_kept_tables_are_shared(fresh_orbit_cache):
     ctx, n = parse_field("3^2"), 2
-    list(iter_eta_tables(ctx, n))
-    tables, scales = _orbit_cache(ctx, n)
-    assert tables and scales
-    for rep, counts in tables.items():
+    tables = list(iter_eta_tables(ctx, n))
+    kept, _ = _orbit_cache(ctx, n)
+    assert kept
+    for rep, counts in kept.items():
         assert eta_table(ctx, rep).counts is counts
+    # Gathered tables are read-only too, like the kept ones they are read from.
+    assert any(direction_orbit(ctx, t.x)[0] != t.x for t in tables)
+    for table in tables:
         with pytest.raises(ValueError):
-            counts[0] = 0
+            table.counts[0] = 0
+
+
+def test_scale_indexes_read_lam_times_each_point_and_are_read_only(fresh_orbit_cache):
+    ctx, n = parse_field("3^2"), 2
     points = list(product(range(ctx.d), repeat=n))
     for lam in range(1, ctx.d):
         index = _scale_index(ctx, n, lam)
         assert index.tolist() == [encode_point([ctx.mul(lam, c) for c in a], ctx.d) for a in points]
+        assert _scale_index(ctx, n, lam) is index
         with pytest.raises(ValueError):
             index[0] = 0
-    # A gathered table is the caller's own.
-    gathered = eta_table(ctx, (2, 4)).counts
-    assert direction_orbit(ctx, (2, 4))[0] != (2, 4) and gathered.flags.writeable
+
+
+@pytest.mark.parametrize("desc,n", [("1009", 1), ("13", 2), ("5", 3)])
+def test_a_pass_keeps_fewer_than_d_to_the_n_plus_1_index_entries(desc, n, fresh_orbit_cache):
+    # At n = 1 every nonzero direction is a scaling of (1,): the pass keeps
+    # two tables of d entries and no index, not one d-entry index per lam.
+    ctx = parse_field(desc)
+    list(iter_eta_tables(ctx, n))
+    tables, scales = _orbit_cache(ctx, n)
+    if n == 1:
+        assert set(tables) == {(0,), (1,)} and scales is None
+        assert sum(counts.size for counts in tables.values()) == 2 * ctx.d
+    else:
+        assert sum(index.size for index in scales.values()) < ctx.d ** (n + 1)
 
 
 def test_nothing_is_kept_when_a_pass_exceeds_the_budget(fresh_orbit_cache, monkeypatch):
@@ -263,12 +281,8 @@ def test_nothing_is_kept_when_a_pass_exceeds_the_budget(fresh_orbit_cache, monke
     monkeypatch.setattr(hpp.fibers, "ENUMERATION_BUDGET", ctx.d ** (2 * n) - 1)
     for x in product(range(ctx.d), repeat=n):
         table = eta_table(ctx, x)
-        assert table.counts.flags.writeable
+        assert not table.counts.flags.writeable
         assert np.array_equal(table.counts, _enumerated(ctx, x)), x
-    assert _orbit_cache(ctx, n) is None
-    assert _scale_index(ctx, n, 3).tolist() == [
-        encode_point([ctx.mul(3, c) for c in a], ctx.d) for a in product(range(ctx.d), repeat=n)
-    ]
     assert _orbit_cache(ctx, n) is None
 
 
@@ -293,7 +307,7 @@ def test_partition_identity_exhaustive():
 
 
 def test_partition_check_raises_on_corruption():
-    # A writable copy: the table of an orbit representative is kept read-only.
+    # A writable copy: eta_table's counts are read-only.
     table = EtaTable(F3, (1, 1), eta_table(F3, (1, 1)).counts.copy())
     table.counts[encode_point((0, 0), 3)] += 1
     with pytest.raises(InvariantViolationError):
