@@ -16,10 +16,11 @@ residue tables built once per (field, copies, rows): a table costs a gather
 per coordinate, a broadcast sum and one gather that reduces every digit.
 
 A direction x = lam * sigma(r), r the least point of its orbit under
-scaling and permuting coordinates (direction_orbit), has r's fiber sizes
-with every w scaled by lam.  So a pass over every direction enumerates
-once per orbit: it meets r first, in code order, keeps r's table, and
-reads every other table of the orbit from it with one gather (eta_table).
+scaling and permuting coordinates, has r's fiber sizes with every w scaled
+by lam; two label arrays per (field, n) give every point's r and lam
+(_orbits).  So a pass over every direction enumerates once per orbit: it
+meets r first, in code order, keeps r's table, and reads every other table
+of the orbit from it at lam^-1 * w with one scale move (_scaled_read).
 
 Points of F^n are numbered by their big-endian base-d code (encode_point /
 decode_point), which is also lexicographic order; fiber tables are dense
@@ -210,66 +211,70 @@ def _w_codes(ctx: FieldCtx, x: Point, rows: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=1)
-def _orbit_cache(ctx: FieldCtx, n: int) -> tuple[dict, dict | None] | None:
-    """What eta_table keeps for the most recent (field, n): the read-only
-    counts of each orbit representative met so far, by representative, and
-    for n >= 2 the read-only _scale_index of each lam asked for, by lam.
-    None, so that nothing is kept, when a pass over F^n, d^(2n) points,
-    exceeds ENUMERATION_BUDGET.
+def _orbits(ctx: FieldCtx, n: int) -> tuple[np.ndarray, np.ndarray, dict]:
+    """Orbit labels of F^n for the most recent (field, n), and the tables
+    eta_table keeps: read-only int64 arrays rep and lam by code, with x =
+    lam[c] * sigma(r) for the r coded rep[c] (direction_orbit), and the
+    read-only counts of each kept representative, by code.  Each nonzero
+    x_c divides x in the log domain; the least sorted code wins, then lam."""
+    d, (log, exp) = ctx.d, ctx.log_tables
+    place = d ** np.arange(n - 1, -1, -1)
+    points = np.arange(d**n)[:, None] // place % d
+    logs = log[points]
+    best = np.full(d**n, d ** (n + 1))
+    best[0] = 1  # x = 0 is its own orbit, with lam = 1
+    for c in range(n):
+        divided = np.where(points == 0, 0, exp[(logs - logs[:, c : c + 1]) % (d - 1)])
+        divided.sort(axis=1)
+        key = np.where(points[:, c] == 0, best, divided @ place * d + points[:, c])
+        np.minimum(best, key, out=best)
+    rep, lam = np.divmod(best, d)
+    rep.flags.writeable = lam.flags.writeable = False
+    return rep, lam, {}
 
-    That gate bounds the d - 1 indexes at (d - 1) * d^n < d^(n+1) <=
-    ENUMERATION_BUDGET^(3/4) = 10^6 entries for n >= 2.  At n = 1 they
-    would hold d^2 entries, a whole table per lam, so none is kept there:
-    the index is one row, rebuilt on each call."""
-    if ctx.d ** (2 * n) > ENUMERATION_BUDGET:
-        return None
-    return {}, {} if n > 1 else None
 
-
-def _scale_index(ctx: FieldCtx, n: int, lam: Felt) -> np.ndarray:
-    """index[encode_point(a)] = encode_point(lam * a) for every a in F^n, lam
-    nonzero: one row of products read from the log tables, spread over the
-    n coordinates.  Read-only, and kept in _orbit_cache for n >= 2."""
-    cache = _orbit_cache(ctx, n)
-    scales = None if cache is None else cache[1]
-    if scales is not None and lam in scales:
-        return scales[lam]
+def _scaled_read(values: np.ndarray, ctx: FieldCtx, n: int, lam: Felt) -> np.ndarray:
+    """values over F^n, by code, read at lam * a, lam nonzero: out[code(a)] =
+    values[code(lam * a)], one row of d products from the log tables taken
+    along each axis of values as a (d,) * n array.  An empty law stays empty."""
+    if not values.size:
+        return values
     log, exp = ctx.log_tables
     row = exp[(log + log[lam]) % (ctx.d - 1)]
     row[0] = 0
-    index = row
-    for _ in range(n - 1):
-        index = (index[:, None] * ctx.d + row).ravel()
-    index.flags.writeable = False
-    if scales is not None:
-        scales[lam] = index
-    return index
+    out = values.reshape((ctx.d,) * n)
+    for axis in range(n):
+        out = out.take(row, axis=axis, mode="clip")  # row is in range: no bounds check
+    return out.ravel()
 
 
 def eta_table(ctx: FieldCtx, x: Sequence[Felt]) -> EtaTable:
     """Exact fiber sizes for one x, as a read-only table.
 
-    With x = lam * sigma(r) (direction_orbit), x's counts at w are r's at
-    lam^-1 * w: when r's table is kept, x's table is that one gather.
-    Otherwise x is enumerated over F^n, and kept if it is its own
-    representative and a pass over F^n fits the budget (_orbit_cache).  A
-    pass in code order meets r first, so it enumerates once per orbit and
-    gathers every other table.  The counts are never writable, whichever
-    way they were made, since a representative's are shared between calls.
+    With x = lam * sigma(r) (_orbits), x's counts at w are r's at lam^-1 *
+    w: when r's table is kept, x's table is that one read.  Otherwise x is
+    enumerated, and kept if it is r.  Nothing is labelled or kept when a
+    pass over F^n, d^(2n) points, exceeds ENUMERATION_BUDGET.  The counts
+    are never writable, since a representative's are shared between calls.
     """
     x = tuple(map(ctx.check, x))
     n = len(x)
     _check_n(n)
     _check_enum_budget(ctx.d, n)
-    rep, lam = direction_orbit(ctx, x)
-    cache = _orbit_cache(ctx, n)
-    kept = None if cache is None else cache[0].get(rep)
-    if kept is not None:
-        counts = kept if x == rep else kept[_scale_index(ctx, n, ctx.inv(lam))]
-    else:
+    if ctx.d ** (2 * n) > ENUMERATION_BUDGET:
         counts = np.bincount(_w_codes(ctx, x, n), minlength=ctx.d**n)
-        if cache is not None and x == rep:
-            cache[0][rep] = counts
+    else:
+        reps, lams, kept = _orbits(ctx, n)
+        code = encode_point(x, ctx.d)
+        rep = int(reps[code])
+        if rep not in kept:
+            counts = np.bincount(_w_codes(ctx, x, n), minlength=ctx.d**n)
+            if rep == code:
+                kept[rep] = counts
+        elif rep == code:
+            counts = kept[rep]
+        else:
+            counts = _scaled_read(kept[rep], ctx, n, ctx.inv(int(lams[code])))
     counts.flags.writeable = False
     return EtaTable(ctx=ctx, x=x, counts=counts)
 
@@ -293,18 +298,14 @@ def direction_orbit(ctx: FieldCtx, x: Sequence[Felt]) -> tuple[Point, Felt]:
     """(r, lam) with x = lam * sigma(r) for a permutation sigma of the
     coordinates, r being the least point of x's orbit under scaling by F*
     and permuting coordinates: the least sorted(x_i^-1 * x) over the
-    nonzero x_i, zeros first.  x = 0 is its own orbit, with lam = 1.
+    nonzero x_i, zeros first, a tie going to the least lam = x_i.  x = 0 is
+    its own orbit, with lam = 1.  The literal per-point form of _orbits.
 
     Permuting coordinates leaves the fiber sizes alone and scaling by lam
     scales every w, so the table of x is that of r with w scaled by lam.
     """
-    log, exp = ctx._log_lists
-    order = ctx.d - 1
-    logs = [log[c] for c in x if c]
-    zeros = (0,) * (len(x) - len(logs))
-    # x_i / c is exp[(log x_i - log c) mod (d - 1)], and c is exp[log c].
     return min(
-        (((*zeros, *sorted(exp[(a - b) % order] for a in logs)), exp[b]) for b in logs),
+        ((tuple(sorted(ctx.mul(ctx.inv(c), a) for a in x)), c) for c in x if c),
         default=(tuple(x), 1),
     )
 
@@ -441,7 +442,7 @@ class GoodSets:
     so violating it raises instead of classifying the pair as bad.
 
     A plain value, compared and hashed by its four fields.  Both predicates
-    are invariant under direction_orbit's maps, which is what lets
+    are invariant under the orbit maps of _orbits, which is what lets
     pgm.Sampler keep one outcome law per direction orbit.
     """
 

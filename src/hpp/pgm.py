@@ -31,16 +31,16 @@ then gives the correctly rounded exact sum: the same floats as summing
 the characters term by term with math.fsum.
 
 A law has one form, a probability array indexed by encode_point code, and
-one way to move: read at lam * delta for a scalar lam (_scaled, the
-gather that also reads a fiber table from its orbit's).  A law is
-built once per orbit of directions under x -> lam * sigma(x), lam in F*
-and sigma a permutation of the coordinates: the fiber sizes of
-lam * sigma(x) are those of x with every w scaled by lam, so its law at
-delta is x's law at lam * delta.  The orbit's law is built from the table
-of the orbit's least point r, the only table the law layer reads, and
-cached on the Sampler; each direction's law is one gather from it, and
-nothing is cached per direction but its draw record.  The law over q' for
-a given q is the delta law read at q - q'.
+one way to move: read at lam * delta (fibers._scaled_read, which also
+reads a fiber table from its orbit's).  A law is built once per orbit of
+directions under x -> lam * sigma(x) (fibers._orbits), lam in F* and sigma
+a permutation of the coordinates: the fiber sizes of lam * sigma(x) are
+those of x with every w scaled by lam, so its law at delta is x's law at
+lam * delta.  The orbit's law is built from the table of the orbit's least
+point r, the only table the law layer reads, and cached on the Sampler;
+each direction's law is one move of it, and nothing is cached per
+direction but its draw record.  The law over q' for a given q is the delta
+law read at q - q'.
 
 A draw reads one record per direction from the sampler's draw list,
 indexed by the direction's encode_point code and filled on the direction's
@@ -80,9 +80,10 @@ from .fibers import (
     EtaTable,
     GoodSets,
     Point,
-    _scale_index,
+    _orbits,
+    _scaled_read,
     decode_point,
-    direction_orbit,
+    encode_point,
     good_sets,
     iter_eta_tables,
 )
@@ -324,24 +325,15 @@ def _delta_distribution(table: EtaTable, good: GoodSets) -> tuple[np.ndarray, fl
     return probs, mass
 
 
-def _scaled(probs: np.ndarray, ctx: FieldCtx, n: int, lam: Felt) -> np.ndarray:
-    """The law probs over F^n read at lam * delta: out[code(a)] =
-    probs[code(lam * a)], one gather through the scaling index the fiber
-    tables use (fibers._scale_index).  An empty law stays empty."""
-    if not probs.size:
-        return probs
-    return probs[_scale_index(ctx, n, lam)]
-
-
 @dataclass(eq=False)
 class Sampler:
     """The measurement sampler of one good set and the law state it builds:
     table_of(r) gives direction r's fiber table, called once per good
     direction orbit whose law is needed, with the orbit's representative r
-    (see reads); orbit_laws one law per direction orbit, keyed by r;
-    draws each direction's draw record by code (None until its first draw);
-    points every point of F^n by code.  The first draw builds the last two.
-    """
+    (see reads); orbit_laws one law per direction orbit, keyed by r; draws
+    each direction's draw record by code (None until its first draw);
+    points every point of F^n by code; labels the orbit labels of F^n
+    (fibers._orbits).  All but the first two are built on first use."""
 
     good: GoodSets
     table_of: Callable[[Point], EtaTable]
@@ -352,6 +344,10 @@ class Sampler:
         return [None] * self.good.ctx.d**self.good.n
 
     @cached_property
+    def labels(self) -> tuple[np.ndarray, np.ndarray]:
+        return _orbits(self.good.ctx, self.good.n)[:2]
+
+    @cached_property
     def points(self) -> list[Point]:
         d, n = self.good.ctx.d, self.good.n
         return [decode_point(code, d, n) for code in range(d**n)]
@@ -360,7 +356,8 @@ class Sampler:
         """Whether table_of may be asked for direction x: x is good and the
         representative of its orbit.  The representative is the orbit's
         least point, so a pass in code order meets it before the rest."""
-        return self.good.x_good(x) and direction_orbit(self.good.ctx, x)[0] == x
+        code = encode_point(x, self.good.ctx.d)
+        return self.good.x_good(x) and int(self.labels[0][code]) == code
 
 
 def table_sampler(good: GoodSets, tables: Iterable[EtaTable]) -> Sampler:
@@ -374,16 +371,18 @@ def table_sampler(good: GoodSets, tables: Iterable[EtaTable]) -> Sampler:
 
 def _outcome_law(sampler: Sampler, x: Point) -> tuple[np.ndarray, float, Felt]:
     """(probabilities, good-branch mass, lam) for the good direction x =
-    lam * sigma(r), r being its orbit's representative (direction_orbit):
+    lam * sigma(r), r being its orbit's representative (Sampler.labels):
     the probabilities are r's law, built from table_of(r) on the orbit's
     first use and cached on the sampler, and x's law is law_x[delta] =
     law_r[lam * delta].
     """
-    rep, lam = direction_orbit(sampler.good.ctx, x)
+    reps, lams = sampler.labels
+    code = encode_point(x, sampler.good.ctx.d)
+    rep = decode_point(int(reps[code]), sampler.good.ctx.d, len(x))
     laws = sampler.orbit_laws
     if rep not in laws:
         laws[rep] = _delta_distribution(sampler.table_of(rep), sampler.good)
-    return (*laws[rep], lam)
+    return (*laws[rep], int(lams[code]))
 
 
 def outcome_distribution(sampler: Sampler, x: Point) -> tuple[np.ndarray, float]:
@@ -396,7 +395,7 @@ def outcome_distribution(sampler: Sampler, x: Point) -> tuple[np.ndarray, float]
         return np.empty(0), 0.0
     probs, mass, lam = _outcome_law(sampler, x)
     ctx = sampler.good.ctx
-    return _scaled(probs, ctx, len(x), ctx.neg(lam)), mass
+    return _scaled_read(probs, ctx, len(x), ctx.neg(lam)), mass
 
 
 def _draw_record(sampler: Sampler, x: Point):
@@ -407,8 +406,7 @@ def _draw_record(sampler: Sampler, x: Point):
     if not sampler.good.x_good(x):
         return _BAD_X
     probs, mass, lam = _outcome_law(sampler, x)
-    ctx = sampler.good.ctx
-    cdf = np.cumsum(_scaled(probs, ctx, len(x), lam))
+    cdf = np.cumsum(_scaled_read(probs, sampler.good.ctx, len(x), lam))
     return mass, memoryview(cdf), float(cdf[-1]) if cdf.size else 0.0
 
 

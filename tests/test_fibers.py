@@ -15,8 +15,8 @@ from hpp.fibers import (
     Analysis,
     EtaTable,
     _enum_constants,
-    _orbit_cache,
-    _scale_index,
+    _orbits,
+    _scaled_read,
     _w_codes,
     apply_map,
     brute_fiber,
@@ -193,10 +193,41 @@ def _enumerated(ctx, x):
 
 @pytest.fixture
 def fresh_orbit_cache():
-    """No table or scale index kept from earlier calls, before or after."""
-    _orbit_cache.cache_clear()
+    """No orbit label or table kept from earlier calls, before or after."""
+    _orbits.cache_clear()
     yield
-    _orbit_cache.cache_clear()
+    _orbits.cache_clear()
+
+
+LABEL_CASES = [
+    ("37", 2), ("97", 2), ("13", 3), ("5^2", 3), ("2^5", 2), ("2^3", 3), ("7", 4),
+    ("101", 1), ("2^4", 1),
+]
+
+
+@pytest.mark.parametrize("desc,n", LABEL_CASES)
+def test_orbit_labels_equal_the_literal_direction_orbit(desc, n, fresh_orbit_cache):
+    ctx = parse_field(desc)
+    d = ctx.d
+    reps, lams, kept = _orbits(ctx, n)
+    assert reps.shape == lams.shape == (d**n,) and not kept
+    assert not reps.flags.writeable and not lams.flags.writeable
+    got = list(zip(reps.tolist(), lams.tolist()))
+    for code, x in enumerate(product(range(d), repeat=n)):
+        rep, lam = direction_orbit(ctx, x)
+        assert got[code] == (encode_point(rep, d), lam), (desc, x)
+    # x = 0 is its own orbit with lam = 1; a tie such as (1, ..., 1), where
+    # every coordinate divides to the same point, goes to the least lam.
+    assert got[0] == (0, 1)
+    ones = encode_point((1,) * n, d)
+    assert got[ones] == (ones, 1)
+    twos = encode_point((2,) * n, d)
+    assert got[twos] == (ones, 2)
+    if n >= 2 and ctx.p >= 5:
+        # (0, ..., 2, -2) divides by 2 and by -2 to the same point; lam = 2 wins.
+        zeros = (0,) * (n - 2)
+        pair = encode_point(zeros + (2, ctx.neg(2)), d)
+        assert got[pair] == (encode_point(zeros + (1, ctx.neg(1)), d), 2)
 
 
 PASS_CASES = [("7", 2), ("13", 2), ("2^3", 2), ("3^2", 2), ("5", 3), ("2^2", 3)]
@@ -234,16 +265,17 @@ def test_one_off_tables_in_reverse_code_order_equal_their_enumeration(
     ctx = parse_field(desc)
     for x in reversed(list(product(range(ctx.d), repeat=n))):
         assert np.array_equal(eta_table(ctx, x).counts, _enumerated(ctx, x)), (desc, x)
-    assert set(_orbit_cache(ctx, n)[0]) == {direction_orbit(ctx, x)[0] for x in product(range(ctx.d), repeat=n)}
+    reps = {direction_orbit(ctx, x)[0] for x in product(range(ctx.d), repeat=n)}
+    assert set(_orbits(ctx, n)[2]) == {encode_point(r, ctx.d) for r in reps}
 
 
 def test_every_table_is_read_only_and_kept_tables_are_shared(fresh_orbit_cache):
     ctx, n = parse_field("3^2"), 2
     tables = list(iter_eta_tables(ctx, n))
-    kept, _ = _orbit_cache(ctx, n)
+    kept = _orbits(ctx, n)[2]
     assert kept
     for rep, counts in kept.items():
-        assert eta_table(ctx, rep).counts is counts
+        assert eta_table(ctx, decode_point(rep, ctx.d, n)).counts is counts
     # Gathered tables are read-only too, like the kept ones they are read from.
     assert any(direction_orbit(ctx, t.x)[0] != t.x for t in tables)
     for table in tables:
@@ -251,29 +283,60 @@ def test_every_table_is_read_only_and_kept_tables_are_shared(fresh_orbit_cache):
             table.counts[0] = 0
 
 
-def test_scale_indexes_read_lam_times_each_point_and_are_read_only(fresh_orbit_cache):
-    ctx, n = parse_field("3^2"), 2
-    points = list(product(range(ctx.d), repeat=n))
-    for lam in range(1, ctx.d):
-        index = _scale_index(ctx, n, lam)
-        assert index.tolist() == [encode_point([ctx.mul(lam, c) for c in a], ctx.d) for a in points]
-        assert _scale_index(ctx, n, lam) is index
-        with pytest.raises(ValueError):
-            index[0] = 0
+SCALE_CASES = [("7", 1), ("7", 2), ("5", 3), ("3^2", 1), ("3^2", 2), ("3^2", 3), ("2^3", 1), ("2^3", 2), ("2^2", 3)]
+
+
+@pytest.mark.parametrize("desc,n", SCALE_CASES)
+def test_scaled_read_reads_lam_times_each_point(desc, n):
+    ctx = parse_field(desc)
+    d = ctx.d
+    points = list(product(range(d), repeat=n))
+    values = np.arange(d**n) * 0.5
+    for lam in range(1, d):
+        literal = [values[encode_point([ctx.mul(lam, c) for c in a], d)] for a in points]
+        assert _scaled_read(values, ctx, n, lam).tolist() == literal, (desc, lam)
+
+
+def test_scaled_read_keeps_an_empty_law_empty():
+    empty = np.empty(0)
+    assert _scaled_read(empty, F7, 2, 3).size == 0
 
 
 @pytest.mark.parametrize("desc,n", [("1009", 1), ("13", 2), ("5", 3)])
-def test_a_pass_keeps_fewer_than_d_to_the_n_plus_1_index_entries(desc, n, fresh_orbit_cache):
+def test_a_pass_keeps_the_labels_and_one_table_per_representative(desc, n, fresh_orbit_cache):
     # At n = 1 every nonzero direction is a scaling of (1,): the pass keeps
-    # two tables of d entries and no index, not one d-entry index per lam.
+    # two tables of d entries.  Nothing is kept per lam.
     ctx = parse_field(desc)
     list(iter_eta_tables(ctx, n))
-    tables, scales = _orbit_cache(ctx, n)
+    assert _orbits.cache_info().currsize == 1
+    reps, lams, kept = _orbits(ctx, n)
+    assert set(kept) == set(reps.tolist())
+    for counts in kept.values():
+        assert counts.size == ctx.d**n and not counts.flags.writeable
     if n == 1:
-        assert set(tables) == {(0,), (1,)} and scales is None
-        assert sum(counts.size for counts in tables.values()) == 2 * ctx.d
-    else:
-        assert sum(index.size for index in scales.values()) < ctx.d ** (n + 1)
+        assert set(kept) == {0, 1}
+
+
+def test_a_pass_hashes_the_field_once_per_table_and_enumeration(fresh_orbit_cache, monkeypatch):
+    ctx, n = parse_field("13"), 2
+    hashes = []
+    enumerated = []
+    real_hash, real_codes = FieldCtx.__hash__, hpp.fibers._w_codes
+
+    def counting_hash(self):
+        hashes.append(self)
+        return real_hash(self)
+
+    def counting_codes(ctx, x, rows):
+        enumerated.append(x)
+        return real_codes(ctx, x, rows)
+
+    monkeypatch.setattr(FieldCtx, "__hash__", counting_hash)
+    monkeypatch.setattr(hpp.fibers, "_w_codes", counting_codes)
+    success_report(ctx, n, Analysis.FIRST)
+    monkeypatch.undo()
+    assert enumerated
+    assert len(hashes) <= ctx.d**n + len(enumerated)
 
 
 def test_nothing_is_kept_when_a_pass_exceeds_the_budget(fresh_orbit_cache, monkeypatch):
@@ -283,7 +346,8 @@ def test_nothing_is_kept_when_a_pass_exceeds_the_budget(fresh_orbit_cache, monke
         table = eta_table(ctx, x)
         assert not table.counts.flags.writeable
         assert np.array_equal(table.counts, _enumerated(ctx, x)), x
-    assert _orbit_cache(ctx, n) is None
+    # Past the gate eta_table builds no labels and keeps nothing.
+    assert _orbits.cache_info().misses == 0 and _orbits.cache_info().currsize == 0
 
 
 @given(data=st.data())

@@ -17,6 +17,7 @@ from hpp.densmat import pipeline_probability
 from hpp.errors import InvariantViolationError
 from hpp.fibers import (
     Analysis,
+    _scaled_read,
     decode_point,
     direction_orbit,
     encode_point,
@@ -35,7 +36,6 @@ from hpp.pgm import (
     _draw_record,
     _exact_row_sums,
     _outcome_law,
-    _scaled,
     _sqrt_sum,
     _success_sums,
     _term_counts,
@@ -172,7 +172,7 @@ def _direction_law(sampler, x):
     at lam * delta."""
     probs, mass, lam = _outcome_law(sampler, x)
     ctx = sampler.good.ctx
-    return _scaled(probs, ctx, len(x), lam), mass
+    return _scaled_read(probs, ctx, len(x), lam), mass
 
 
 def test_outcome_distribution_normalization_and_support():

@@ -32,6 +32,8 @@ TEST_ONLY = {
     "blackbox.instance_from_json",
     # The n = 2 closed-form fiber the acceptance gate checks.
     "fibers.solve_n2_triangular",
+    # Reference form the labels are checked against.
+    "fibers.direction_orbit",
 }
 
 # hpp module -> the hpp modules it imports.
