@@ -20,11 +20,11 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import gc
 import json
 import os
 import random
 import stat
-import statistics
 import sys
 
 from .errors import GuardExceededError, InvariantViolationError, RecoveryError
@@ -167,6 +167,14 @@ def _cmd_success(args, parser) -> int:
     return 0
 
 
+def _median(values: list[int]) -> float:
+    """float(statistics.median(values)) for a nonempty list of ints, without
+    loading statistics (and through it fractions and decimal)."""
+    values = sorted(values)
+    mid = len(values) // 2
+    return float(values[mid]) if len(values) % 2 else (values[mid - 1] + values[mid]) / 2
+
+
 def _cmd_e2e(args, parser) -> int:
     from .blackbox import sample_instance
     from .polyring import format_multipoly
@@ -234,7 +242,7 @@ def _cmd_e2e(args, parser) -> int:
             "trials": args.trials,
             "kappa": solves,
             "success_rate": successes / args.trials,
-            "median_queries": float(statistics.median(r["queries"] for r in rows)),
+            "median_queries": _median([r["queries"] for r in rows]),
             "analysis": analysis.value,
         }
         if args.reveal:
@@ -357,6 +365,8 @@ def parse_args(argv=None) -> tuple[argparse.ArgumentParser, argparse.Namespace]:
 
 
 def main(argv=None) -> int:
+    """Run one command and return its exit code; no process-wide side
+    effects, so it can be called many times in one interpreter."""
     parser, args = parse_args(argv)
     try:
         if getattr(args, "jobs", 1) < 1:
@@ -379,5 +389,16 @@ def main(argv=None) -> int:
         return 4
 
 
+def run() -> None:
+    """The process entry of `hpp` and `python -m hpp.cli`: main(), then exit.
+
+    gc.freeze() moves every live object to the permanent generation, which
+    the interpreter's shutdown collections skip; objects are still freed by
+    refcount, and main has closed its outputs before it returns."""
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -43,15 +43,17 @@ import csv
 import math
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import product
-from typing import Iterable, Iterator, Sequence, TextIO
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
 from .errors import GuardExceededError, InvariantViolationError
 from .gf import Felt, FieldCtx, quadratic_roots
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 # Most points (d^n for one table, d^(2n) for a pass over every direction) an
 # enumeration call will attempt.
@@ -210,6 +212,18 @@ def _w_codes(ctx: FieldCtx, x: Point, rows: int) -> np.ndarray:
     return residues[acc].sum(axis=0)
 
 
+def _sort_rows(a: np.ndarray) -> None:
+    """Sort each row of a 2-d array in place: odd-even transposition, one
+    round of np.minimum/np.maximum over adjacent column pairs per column.
+    Unlike ndarray.sort, it maps none of numpy's sort kernels."""
+    cols = a.shape[1]
+    for r in range(cols):
+        lo, hi = a[:, r % 2 : cols - 1 : 2], a[:, r % 2 + 1 : cols : 2]
+        least = np.minimum(lo, hi)
+        np.maximum(lo, hi, out=hi)
+        lo[...] = least
+
+
 @lru_cache(maxsize=1)
 def _orbits(ctx: FieldCtx, n: int) -> tuple[np.ndarray, np.ndarray, dict]:
     """Orbit labels of F^n for the most recent (field, n), and the tables
@@ -225,7 +239,7 @@ def _orbits(ctx: FieldCtx, n: int) -> tuple[np.ndarray, np.ndarray, dict]:
     best[0] = 1  # x = 0 is its own orbit, with lam = 1
     for c in range(n):
         divided = np.where(points == 0, 0, exp[(logs - logs[:, c : c + 1]) % (d - 1)])
-        divided.sort(axis=1)
+        _sort_rows(divided)
         key = np.where(points[:, c] == 0, best, divided @ place * d + points[:, c])
         np.minimum(best, key, out=best)
     rep, lam = np.divmod(best, d)
@@ -324,6 +338,8 @@ def eta_moments(ctx: FieldCtx, n: int, k: int | None = None) -> tuple[Fraction, 
     the regime everything else runs in, smaller k is a diagnostic.  The
     first moment is d^(k-n) exactly, which doubles as a self-check here.
     """
+    from fractions import Fraction  # only this reads it; it loads decimal
+
     _check_n(n)
     if k is None:
         k = n

@@ -1,14 +1,16 @@
 import csv
+import gc
 import json
 import os
 import stat
+import statistics
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from hpp.cli import main
+from hpp.cli import _median, main
 from hpp.errors import InvariantViolationError
 
 
@@ -32,24 +34,69 @@ def _child(*argv, timeout=None):
     )
 
 
-def test_success_loads_only_the_analysis_layers(tmp_path):
-    # `python -m hpp.cli success` imports no recovery layer and no baseline.
-    out = tmp_path / "s.json"
+def _run_as_main(*argv):
+    """Run `python -m hpp.cli argv` in a child, through runpy, which runs
+    hpp.cli as __main__ as `python -m` does; return the hpp modules the
+    child loaded, which of statistics, fractions and decimal it loaded, and
+    its gc freeze count."""
     code = (
-        "import runpy, sys\n"
-        f"sys.argv = ['hpp', 'success', '--field', '5', '-n', '2', '--out', {str(out)!r}]\n"
+        "import gc, runpy, sys\n"
+        f"sys.argv = ['hpp', *{list(argv)!r}]\n"
         "try:\n"
         "    runpy.run_module('hpp.cli', run_name='__main__', alter_sys=True)\n"
         "except SystemExit as exc:\n"
         "    assert exc.code == 0, exc.code\n"
         "print(' '.join(sorted(m for m in sys.modules if m.startswith('hpp'))))\n"
+        "print(' '.join(m for m in ('statistics', 'fractions', 'decimal') if m in sys.modules))\n"
+        "print(gc.get_freeze_count())\n"
     )
     proc = _child("-c", code, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    # runpy runs hpp.cli as __main__, as `python -m` does.
-    assert proc.stdout.split() == ["hpp", "hpp.errors", "hpp.fibers", "hpp.gf", "hpp.pgm",
-                                   "hpp.polyring"]
+    layers, unused, frozen = proc.stdout.split("\n")[:3]
+    return layers.split(), unused.split(), int(frozen)
+
+
+def test_success_loads_only_the_analysis_layers(tmp_path):
+    # `python -m hpp.cli success` imports no recovery layer, no baseline and
+    # none of statistics, fractions or decimal, and its exit froze the heap.
+    out = tmp_path / "s.json"
+    layers, unused, frozen = _run_as_main("success", "--field", "5", "-n", "2", "--out", str(out))
+    assert layers == ["hpp", "hpp.errors", "hpp.fibers", "hpp.gf", "hpp.pgm", "hpp.polyring"]
+    assert unused == []
+    assert frozen > 0
     assert json.loads(out.read_text())["d"] == 5
+
+
+def test_e2e_loads_no_baseline_and_no_unused_stdlib(tmp_path):
+    out, summary = tmp_path / "t.csv", tmp_path / "s.json"
+    layers, unused, frozen = _run_as_main(
+        "e2e", "--field", "5", "-n", "2", "-m", "2", "--trials", "3", "--seed", "s",
+        "--out", str(out), "--summary-out", str(summary),
+    )
+    assert layers == ["hpp", "hpp.blackbox", "hpp.errors", "hpp.fibers", "hpp.gf", "hpp.pgm",
+                      "hpp.polyring", "hpp.reduction"]
+    assert unused == []
+    assert frozen > 0
+    assert json.loads(summary.read_text())["trials"] == 3
+
+
+def test_in_process_main_does_not_freeze_the_heap(tmp_path):
+    before = gc.get_freeze_count()
+    assert main(["success", "--field", "5", "-n", "2", "--out", str(tmp_path / "s.json")]) == 0
+    assert main(["eta", "--field", "3", "-n", "1", "--moments", "--out", "-"]) == 0
+    assert gc.get_freeze_count() == before
+
+
+@pytest.mark.parametrize(
+    "values",
+    [[7], [3, 1, 2], [4, 1, 3, 2], [5, 5, 5, 5], [2, 2, 9], [1, 2], [10**20 + 1, 10**20 + 2],
+     [0, 1, 1, 0, 3, 8]],
+    ids=["single", "odd", "even", "repeated", "repeated-odd", "even-half", "big", "unsorted"],
+)
+def test_e2e_median_equals_statistics_median(values):
+    got = _median(list(values))
+    assert type(got) is float
+    assert got == float(statistics.median(values))
 
 
 def test_package_names_resolve_to_their_layers():
