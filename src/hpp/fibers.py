@@ -266,10 +266,10 @@ def eta_table(ctx: FieldCtx, x: Sequence[Felt]) -> EtaTable:
     """Exact fiber sizes for one x, as a read-only table.
 
     With x = lam * sigma(r) (_orbits), x's counts at w are r's at lam^-1 *
-    w: when r's table is kept, x's table is that one read.  Otherwise x is
-    enumerated, and kept if it is r.  Nothing is labelled or kept when a
-    pass over F^n, d^(2n) points, exceeds ENUMERATION_BUDGET.  The counts
-    are never writable, since a representative's are shared between calls.
+    w: r's table is enumerated and kept on first use, and x's table is that
+    one read.  Nothing is labelled or kept when a pass over F^n, d^(2n)
+    points, exceeds ENUMERATION_BUDGET.  The counts are never writable,
+    since a representative's are shared between calls.
     """
     x = tuple(map(ctx.check, x))
     n = len(x)
@@ -282,13 +282,12 @@ def eta_table(ctx: FieldCtx, x: Sequence[Felt]) -> EtaTable:
         code = encode_point(x, ctx.d)
         rep = int(reps[code])
         if rep not in kept:
-            counts = np.bincount(_w_codes(ctx, x, n), minlength=ctx.d**n)
-            if rep == code:
-                kept[rep] = counts
-        elif rep == code:
-            counts = kept[rep]
-        else:
-            counts = _scaled_read(kept[rep], ctx, n, ctx.inv(int(lams[code])))
+            r = decode_point(rep, ctx.d, n)
+            kept[rep] = np.bincount(_w_codes(ctx, r, n), minlength=ctx.d**n)
+            kept[rep].flags.writeable = False
+        counts = kept[rep]
+        if rep != code:
+            counts = _scaled_read(counts, ctx, n, ctx.inv(int(lams[code])))
     counts.flags.writeable = False
     return EtaTable(ctx=ctx, x=x, counts=counts)
 

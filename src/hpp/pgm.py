@@ -23,12 +23,9 @@ count of each of the p*K distinct products sqrt(size) * cos_t (and sin_t),
 K being the number of distinct fiber sizes.  The trace is F_p-linear, so
 the row of lam * delta, lam in F_p*, is the row of delta with its phase
 axis permuted: only one delta per F_p-line is counted, and one gather
-gives the other rows.  Each product splits exactly into two halves of at
-most 26 significant bits; halves grouped into exponent windows narrow
-enough to keep every partial sum below 2^53 make one int64 matmul give
-each row's window totals exactly.  Rounding each of the d^n rows once
-then gives the correctly rounded exact sum: the same floats as summing
-the characters term by term with math.fsum.
+gives the other rows.  The rows are summed by the exact-sum rule below
+(_exact_row_sums): the same floats as summing the characters term by
+term with math.fsum.
 
 A law has one form, a probability array indexed by encode_point code, and
 one way to move: read at lam * delta (fibers._scaled_read, which also
@@ -55,17 +52,24 @@ success_report is the one entry for the success analysis.  Every quantity
 it reports depends on a direction x only through x_good(x) and the
 histogram of x's fiber sizes, so the pass reads that histogram once per
 direction, as a short list; the good-target rule keeps the sizes 1..cap,
-a cut of its size axis.  Each inner sum sum_w sqrt(eta_w) is an exact
-integer over the (cut) histogram, rounded once (_sqrt_sum) and taken once
-per distinct histogram, and the outer sums over x run through math.fsum,
-so the sums are correctly rounded too.
+a cut of its size axis.  Each inner sum sum_w sqrt(eta_w) is taken once
+per distinct histogram (_sqrt_sum), and so is its square; the outer sums
+add the squares over x.
+
+Every sum here that must be exact follows one rule: each float it adds is
+an integer times one power of two (sqrt(k) >= 1 and its square are
+multiples of 2^-52; a law's products sqrt(size) * cos_t are multiples of
+2^low, low being their least frexp exponent less 53), so the integers
+are added exactly and the total is rounded once.  The result is the
+correctly rounded sum, the float math.fsum returns over the expanded
+terms.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
@@ -123,15 +127,16 @@ def _success_sums(
     |W_good^x| for each classified-good x, all read from one fiber-size
     histogram per direction.  The two squared inner sums and |W_good^x|
     depend on the histogram alone, so each is taken once per distinct
-    histogram: once per direction orbit, or less.
+    histogram: once per direction orbit, or less.  A square is kept as the
+    integer it is times 2^52, and each sum over x is rounded once.
     """
-    ideal_terms = []
-    approx_terms = []
+    ideal = approx = seen = 0
     w_counts = []
-    by_hist: dict[tuple[int, ...], tuple[float, float, int]] = {}
+    by_hist: dict[tuple[int, ...], tuple[int, int, int]] = {}
     d = n = None
     for table in tables:
         d, n = table.d, table.n
+        seen += 1
         hist = np.bincount(table.counts).tolist()
         if sum(map(mul, hist, range(len(hist)))) != d**n:
             table.check_partition()  # raises: the sizes must sum to d^n
@@ -140,20 +145,24 @@ def _success_sums(
             # w_good keeps the sizes 1..cap: a cut of the histogram's size axis.
             cut = hist[: good.cap + 1]
             inner, good_inner = _sqrt_sum(hist), _sqrt_sum(cut)
-            by_hist[key] = inner * inner, good_inner * good_inner, sum(cut) - cut[0]
-        ideal, approx, w_count = by_hist[key]
-        ideal_terms.append(ideal)
+            by_hist[key] = (
+                int(inner * inner * 2.0**52),
+                int(good_inner * good_inner * 2.0**52),
+                sum(cut) - cut[0],
+            )
+        ideal_term, approx_term, w_count = by_hist[key]
+        ideal += ideal_term
         if good.x_good(table.x):
             if len(hist) > good.cap + 1:
                 good.w_good(table.x, len(hist) - 1)  # raises past a cap that is a theorem
-            approx_terms.append(approx)
+            approx += approx_term
             w_counts.append(w_count)
-    if d is None or len(ideal_terms) != d**n:
+    if d is None or seen != d**n:
         raise InvariantViolationError(
-            f"success sums need a table for every x in F^n; saw {len(ideal_terms)}"
+            f"success sums need a table for every x in F^n; saw {seen}"
         )
     scale = d ** (3 * n)
-    return math.fsum(ideal_terms) / scale, math.fsum(approx_terms) / scale, w_counts
+    return ideal / 2**52 / scale, approx / 2**52 / scale, w_counts
 
 
 def lemma2_bound(d: int, n: int, x_good_count: int, w_good_min: int) -> float:
@@ -246,47 +255,36 @@ def _exact_row_sums(counts: np.ndarray, values: list[list[float]]) -> np.ndarray
     """S[r, c] = sum over j of counts[r, j] * values[j][c], correctly rounded.
 
     counts is a nonnegative int64 matrix (rows x J) and values holds J rows
-    of C floats.  Each value's Veltkamp halves are integer mantissas below
-    2^26 times powers of two.  The halves are grouped into windows of
-    exponents at most `width` apart, so within a window a half is an
-    integer below 2^(26 + width) times the window's base power, and one
-    value puts at most two halves in a window.  With every row's counts
-    summing below 2^L and width = 26 - L, each window total of a row, and
-    every partial sum on the way, stays below 2^53: one int64 matmul gives
-    them all exactly, and they convert to floats exactly.  Rounding each
-    row once, by math.fsum over its window totals, then yields the
+    of C floats.  With low the least frexp exponent of a nonzero value less
+    53, every value is an exact integer times 2^low.  With every row's
+    counts summing below 2^L, each integer's magnitude is split into limbs
+    of bits = 53 - L bits, each carrying the integer's sign, so one int64
+    matmul gives every limb total of a row below 2^53, exactly, and they
+    convert to floats exactly.  Scaling limb k by 2^(low + bits * k) and
+    rounding each cell once, by math.fsum over its limbs, then yields the
     correctly rounded exact sum, the same float math.fsum returns over the
-    expanded terms.  Nonzero values must be far enough above the subnormal
-    range that every 2^exp involved is normal.
+    expanded terms.  The nonzero values must sit far enough above the
+    subnormal range that 2^low is normal, and span few enough binades that
+    every value times 2^-low is finite.
     """
-    rows = len(counts)
-    width = 26 - int(counts.sum(axis=1).max()).bit_length()
-    if width < 0:
+    rows, ncols = len(counts), len(values[0])
+    bits = 53 - int(counts.sum(axis=1).max()).bit_length()
+    if bits < 1:
         raise InvariantViolationError(
-            "row counts reach 2^26; exponent windows cannot keep sums below 2^53"
+            "row counts reach 2^52; limb totals cannot stay below 2^53"
         )
-    halves = []
-    for j, row in enumerate(values):
-        for c, v in enumerate(row):
-            hi = v * 134217729.0  # Veltkamp's 2^27 + 1
-            hi -= hi - v
-            for half in (hi, v - hi):
-                if half:  # 26 significant bits: half = m * 2^exp, |m| < 2^26
-                    f, e = math.frexp(half)
-                    halves.append((j, c, int(math.ldexp(f, 26)), e - 26))
-    starts: list[int] = []
-    for exp in sorted({h[3] for h in halves}):
-        if not starts or exp > starts[-1] + width:
-            starts.append(exp)
-    nwin = len(starts)
-    ncols = len(values[0])
-    mantissas = [[0] * (ncols * nwin) for _ in values]
-    for j, c, m, exp in halves:
-        i = bisect_right(starts, exp) - 1
-        mantissas[j][c * nwin + i] += m << (exp - starts[i])
-    totals = counts @ np.array(mantissas, dtype=np.int64)
-    scaled = totals.astype(np.float64) * np.array([2.0**s for s in starts] * ncols)
-    cells = scaled.reshape(rows * ncols, nwin)
+    low = min((math.frexp(v)[1] for row in values for v in row if v), default=53) - 53
+    ints = [[int(math.ldexp(v, -low)) for v in row] for row in values]
+    top = max(abs(m).bit_length() for row in ints for m in row)
+    shifts = range(0, top or 1, bits)
+    mask = (1 << bits) - 1
+    limbs = [
+        [(-1 if m < 0 else 1) * (abs(m) >> k & mask) for m in row for k in shifts]
+        for row in ints
+    ]
+    totals = counts @ np.array(limbs, dtype=np.int64)
+    scaled = totals.astype(np.float64) * np.array([2.0 ** (low + k) for k in shifts] * ncols)
+    cells = scaled.reshape(rows * ncols, len(shifts))
     return np.array(list(map(math.fsum, cells.tolist()))).reshape(rows, ncols)
 
 

@@ -199,6 +199,20 @@ def fresh_orbit_cache():
     _orbits.cache_clear()
 
 
+@pytest.fixture
+def enumerated(monkeypatch):
+    """The points whose fibers fibers._w_codes enumerates, in call order."""
+    calls = []
+    real = hpp.fibers._w_codes
+
+    def counting(ctx, x, rows):
+        calls.append(x)
+        return real(ctx, x, rows)
+
+    monkeypatch.setattr(hpp.fibers, "_w_codes", counting)
+    return calls
+
+
 LABEL_CASES = [
     ("37", 2), ("97", 2), ("13", 3), ("5^2", 3), ("2^5", 2), ("2^3", 3), ("7", 4),
     ("101", 1), ("2^4", 1),
@@ -235,37 +249,33 @@ PASS_CASES = [("7", 2), ("13", 2), ("2^3", 2), ("3^2", 2), ("5", 3), ("2^2", 3)]
 
 @pytest.mark.parametrize("desc,n", PASS_CASES)
 def test_pass_tables_equal_their_enumeration_and_enumerate_once_per_orbit(
-    desc, n, fresh_orbit_cache, monkeypatch
+    desc, n, fresh_orbit_cache, enumerated
 ):
     ctx = parse_field(desc)
-    enumerated = []
-    real = hpp.fibers._w_codes
-
-    def counting(ctx, x, rows):
-        enumerated.append(x)
-        return real(ctx, x, rows)
-
-    monkeypatch.setattr(hpp.fibers, "_w_codes", counting)
     points = list(product(range(ctx.d), repeat=n))
     tables = list(iter_eta_tables(ctx, n))
     assert [t.x for t in tables] == points
     reps = {direction_orbit(ctx, x)[0] for x in points}
     assert enumerated == sorted(reps)
-    monkeypatch.undo()
     for table in tables:
         assert np.array_equal(table.counts, _enumerated(ctx, table.x)), (desc, table.x)
 
 
 @pytest.mark.parametrize("desc,n", [("7", 2), ("3^2", 2), ("2^2", 3)])
 def test_one_off_tables_in_reverse_code_order_equal_their_enumeration(
-    desc, n, fresh_orbit_cache
+    desc, n, fresh_orbit_cache, enumerated
 ):
-    # Every non-representative comes before its representative is kept, so
-    # these are enumerated; the representatives are then kept.
+    # Every non-representative comes before its representative: the first
+    # call of each orbit enumerates the representative, once, and keeps it,
+    # and every call reads x from the kept table.
     ctx = parse_field(desc)
+    reps = set()
     for x in reversed(list(product(range(ctx.d), repeat=n))):
+        rep = direction_orbit(ctx, x)[0]
+        calls = len(enumerated)
         assert np.array_equal(eta_table(ctx, x).counts, _enumerated(ctx, x)), (desc, x)
-    reps = {direction_orbit(ctx, x)[0] for x in product(range(ctx.d), repeat=n)}
+        assert enumerated[calls:] == ([] if rep in reps else [rep]), (desc, x)
+        reps.add(rep)
     assert set(_orbits(ctx, n)[2]) == {encode_point(r, ctx.d) for r in reps}
 
 
@@ -317,22 +327,18 @@ def test_a_pass_keeps_the_labels_and_one_table_per_representative(desc, n, fresh
         assert set(kept) == {0, 1}
 
 
-def test_a_pass_hashes_the_field_once_per_table_and_enumeration(fresh_orbit_cache, monkeypatch):
+def test_a_pass_hashes_the_field_once_per_table_and_enumeration(
+    fresh_orbit_cache, enumerated, monkeypatch
+):
     ctx, n = parse_field("13"), 2
     hashes = []
-    enumerated = []
-    real_hash, real_codes = FieldCtx.__hash__, hpp.fibers._w_codes
+    real_hash = FieldCtx.__hash__
 
     def counting_hash(self):
         hashes.append(self)
         return real_hash(self)
 
-    def counting_codes(ctx, x, rows):
-        enumerated.append(x)
-        return real_codes(ctx, x, rows)
-
     monkeypatch.setattr(FieldCtx, "__hash__", counting_hash)
-    monkeypatch.setattr(hpp.fibers, "_w_codes", counting_codes)
     success_report(ctx, n, Analysis.FIRST)
     monkeypatch.undo()
     assert enumerated

@@ -140,12 +140,14 @@ def test_ideal_requires_full_scan():
 
 @pytest.mark.parametrize(
     "desc,n,analysis",
-    [("7", 2, Analysis.FIRST), ("13", 2, Analysis.FIRST), ("3^2", 2, Analysis.SECOND),
-     ("2^3", 2, Analysis.SECOND), ("7", 3, Analysis.FIRST)],
+    [("7", 2, Analysis.FIRST), ("13", 2, Analysis.FIRST), ("13", 2, Analysis.SECOND),
+     ("3^2", 2, Analysis.SECOND), ("2^3", 2, Analysis.SECOND), ("7", 3, Analysis.FIRST),
+     ("5", 3, Analysis.FIRST)],
 )
 def test_success_sums_equal_a_table_by_table_computation(desc, n, analysis):
     # Taken once per distinct histogram, the sums are bit-equal to summing
-    # every direction's own roots.
+    # every direction's own roots, and so are the report's: equal floats,
+    # not a tolerance, so a drift of one ulp fails here.
     ctx = parse_field(desc)
     good = good_sets(ctx, n, analysis)
     ideal_terms, approx_terms, w_counts = [], [], []
@@ -160,6 +162,8 @@ def test_success_sums_equal_a_table_by_table_computation(desc, n, analysis):
     scale = ctx.d ** (3 * n)
     want = (math.fsum(ideal_terms) / scale, math.fsum(approx_terms) / scale, w_counts)
     assert _success_sums(iter_eta_tables(ctx, n), good) == want
+    report = success_report(ctx, n, analysis)
+    assert (report.ideal, report.approx) == want[:2]
 
 
 def _sampler(ctx, n, analysis):
@@ -401,10 +405,11 @@ def test_sqrt_sum_equals_fsum_of_expanded_roots():
                 assert sum(cut[1:]) == masked.size, table.x
 
 
-def test_grouped_row_sums_refuse_row_counts_of_2_to_the_26():
-    assert _exact_row_sums(np.array([[2**26 - 1]]), [[1.5]])[0, 0] == 1.5 * (2**26 - 1)
+def test_grouped_row_sums_refuse_row_counts_of_2_to_the_52():
+    # Below 2^52 the limbs are 1 bit wide; at 2^52 no limb width is left.
+    assert _exact_row_sums(np.array([[2**52 - 1]]), [[1.5]])[0, 0] == 1.5 * (2**52 - 1)
     with pytest.raises(InvariantViolationError):
-        _exact_row_sums(np.array([[2**25, 2**25]]), [[1.0], [0.5]])
+        _exact_row_sums(np.array([[2**51, 2**51]]), [[1.0], [0.5]])
 
 
 def test_draw_record_holds_the_cdf_of_the_outcome_law():
