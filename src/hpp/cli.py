@@ -26,18 +26,27 @@ import os
 import random
 import stat
 import sys
+from functools import partial
 
 from .errors import GuardExceededError, InvariantViolationError, RecoveryError
 from .fibers import (
     Analysis,
     eta_moments,
+    eta_table,
     good_sets,
     iter_eta_tables,
     pick_analysis,
     write_eta_csv,
 )
 from .gf import field_descriptor, parse_field
-from .pgm import make_quantum_solver, outcome_distribution, success_report, table_sampler
+from .pgm import (
+    Sampler,
+    make_quantum_solver,
+    outcome_distribution,
+    run_many,
+    success_report,
+    table_sampler,
+)
 
 # The recovery layers (blackbox, reduction) and the classical baseline are
 # imported by the commands that run them, so `hpp success` and `hpp eta`
@@ -132,38 +141,40 @@ def _cmd_eta(args, parser) -> int:
 def _cmd_success(args, parser) -> int:
     ctx = parse_field(args.field)
     analysis = pick_analysis(ctx, args.n) if args.analysis == "auto" else Analysis(args.analysis)
+    if args.mc < 0:
+        raise ValueError(f"Monte Carlo run count must be >= 0, got {args.mc}")
     seed = None
-    if args.mc > 0:
+    if args.mc:
         seed = _resolve_seed(args, parser)
-    elif args.seed is not None and args.mc == 0:
+    elif args.seed is not None:
         raise ValueError("--seed applies only with --mc")
     paths = {"--out": args.out}
     if args.dump_dist:
         paths["--dump-dist"] = args.dump_dist
     with _outputs(paths) as handles:
-        dump = None
+        doc = success_report(ctx, args.n, analysis).as_dict()
+        doc["mc"] = None
+        if args.mc or args.dump_dist:
+            # One Sampler for the dump and the draws: each good orbit's law
+            # is built once, from the table the report's pass kept.
+            sampler = Sampler(good_sets(ctx, args.n, analysis), partial(eta_table, ctx))
         if args.dump_dist:
-            # Filled from the report's own pass over the tables, with the
-            # report's Sampler, so --mc draws from the laws it built.
             writer = csv.writer(handles[1], lineterminator="\n")
             writer.writerow(["x", "good_mass", "qprime", "probability"])
-            labels: list[str] = []  # q' labels by code, decoded once
-
-            def dump(table, sampler) -> None:
-                probs, mass = outcome_distribution(sampler, table.x)
-                if not labels:
-                    labels.extend(";".join(map(str, p)) for p in sampler.points)
-                x_label = ";".join(map(str, table.x))
+            labels = [";".join(map(str, p)) for p in sampler.points]  # by code
+            for x, x_label in zip(sampler.points, labels):
+                probs, mass = outcome_distribution(sampler, x)
                 mass_label = f"{mass:.12g}"
                 writer.writerows(
                     [x_label, mass_label, labels[code], f"{pr:.12g}"]
                     for code, pr in enumerate(probs.tolist())
                 )
-
-        report = success_report(
-            ctx, args.n, analysis, mc_runs=args.mc, seed=seed, on_table=dump
-        )
-        _write_json(report.as_dict(), handles[0])
+        if args.mc:
+            stats = run_many(sampler, random.Random(f"hpp-mc:{seed}"), args.mc)
+            doc["mc"] = {
+                "runs": args.mc, "estimate": stats.success_rate, "stderr": stats.stderr
+            }
+        _write_json(doc, handles[0])
     return 0
 
 

@@ -48,13 +48,17 @@ bisect_left on the view finds the index numpy's searchsorted would: the
 encode_point code of delta, which is the draw's outcome.  The quantum
 solver votes on these codes and subtracts the winner from q once.
 
-success_report is the one entry for the success analysis.  Every quantity
-it reports depends on a direction x only through x_good(x) and the
-histogram of x's fiber sizes, so the pass reads that histogram once per
-direction, as a short list; the good-target rule keeps the sizes 1..cap,
-a cut of its size axis.  Each inner sum sum_w sqrt(eta_w) is taken once
-per distinct histogram (_sqrt_sum), and so is its square; the outer sums
-add the squares over x.
+success_report is the one entry for the success analysis, and it computes
+the exact report and nothing else.  Every quantity it reports depends on a
+direction x only through x_good(x) and the histogram of x's fiber sizes,
+so the pass reads that histogram once per direction, as a short list; the
+good-target rule keeps the sizes 1..cap, a cut of its size axis.  Each
+inner sum sum_w sqrt(eta_w) is taken once per distinct histogram
+(_sqrt_sum), and so is its square; the outer sums add the squares over x.
+The cross-checks drawn from the measurement, the Monte Carlo rate
+(run_many) and the per-direction law (outcome_distribution), read a
+Sampler built after the pass; with fibers.eta_table as its table source it
+reads the representatives' tables the pass kept.
 
 Every sum here that must be exact follows one rule: each float it adds is
 an integer times one power of two (sqrt(k) >= 1 and its square are
@@ -501,7 +505,9 @@ def make_quantum_solver(sampler: Sampler, rng: random.Random) -> Callable:
 
 @dataclass(frozen=True)
 class SuccessReport:
-    """Everything the success analysis produces for one (field, n, analysis).
+    """The exact success analysis of one (field, n, analysis): the ideal
+    and good-subspace success probabilities, their bounds and the good-set
+    counts.  It holds no Monte Carlo estimate.
 
     The sandwich approx <= ideal and lemma2 <= approx is validated at
     construction; a violation means a computation bug, not a bad parameter,
@@ -520,9 +526,6 @@ class SuccessReport:
     x_good_count: int
     w_good_min: int
     w_good_mean: float
-    mc_runs: int = 0
-    mc_estimate: float | None = None
-    mc_stderr: float | None = None
 
     def __post_init__(self):
         tol = 1e-9
@@ -536,7 +539,7 @@ class SuccessReport:
             )
 
     def as_dict(self) -> dict:
-        doc = {
+        return {
             "field": self.field,
             "d": self.d,
             "n": self.n,
@@ -553,52 +556,19 @@ class SuccessReport:
                 "w_good_mean": self.w_good_mean,
             },
         }
-        if self.mc_runs:
-            doc["mc"] = {
-                "runs": self.mc_runs,
-                "estimate": self.mc_estimate,
-                "stderr": self.mc_stderr,
-            }
-        else:
-            doc["mc"] = None
-        return doc
 
 
-def success_report(
-    ctx: FieldCtx,
-    n: int,
-    analysis: Analysis,
-    mc_runs: int = 0,
-    seed: int | None = None,
-    on_table: Callable[[EtaTable, Sampler], None] | None = None,
-) -> SuccessReport:
-    """Compute the full report in one pass over the fiber tables.
+def success_report(ctx: FieldCtx, n: int, analysis: Analysis) -> SuccessReport:
+    """The exact report, from one pass over the fiber tables (_success_sums).
 
-    mc_runs > 0 adds a Monte Carlo cross-check, which samples from the
-    tables of that same pass; the Sampler keeps only those it reads.
-    on_table, when given, is called with each table of the pass, in
-    direction-code order, and the report's Sampler, so outcome laws it
-    builds are the ones the Monte Carlo draws reuse.
+    The pass keeps each orbit representative's table (fibers.eta_table), so
+    a Sampler built afterwards with partial(eta_table, ctx) enumerates
+    nothing for the Monte Carlo or the outcome law.
     """
-    if mc_runs < 0:
-        raise ValueError(f"Monte Carlo run count must be >= 0, got {mc_runs}")
-    if mc_runs and seed is None:
-        raise ValueError("a seed is required for the Monte Carlo estimate")
     good = good_sets(ctx, n, analysis)
-    tables: dict[Point, EtaTable] = {}
-    sampler = Sampler(good, tables.__getitem__)
-    stream = iter_eta_tables(ctx, n)
-    if mc_runs or on_table is not None:
-        stream = (tables.setdefault(t.x, t) if sampler.reads(t.x) else t for t in stream)
-    if on_table is not None:
-        stream = (on_table(t, sampler) or t for t in stream)
-    ideal, approx, w_counts = _success_sums(stream, good)
+    ideal, approx, w_counts = _success_sums(iter_eta_tables(ctx, n), good)
     x_good_count = len(w_counts)
     w_good_min = min(w_counts, default=0)
-    mc_estimate = mc_stderr = None
-    if mc_runs:
-        stats = run_many(sampler, random.Random(f"hpp-mc:{seed}"), mc_runs)
-        mc_estimate, mc_stderr = stats.success_rate, stats.stderr
     return SuccessReport(
         field=field_descriptor(ctx),
         d=ctx.d,
@@ -612,7 +582,4 @@ def success_report(
         x_good_count=x_good_count,
         w_good_min=w_good_min,
         w_good_mean=sum(w_counts) / x_good_count if w_counts else 0.0,
-        mc_runs=mc_runs,
-        mc_estimate=mc_estimate,
-        mc_stderr=mc_stderr,
     )

@@ -150,11 +150,13 @@ def solve_multivariate(
     """Recover the hidden polynomial through kappa(n, m) univariate solves.
 
     uni_solver(view) -> UniPoly performs one identification attempt against a
-    restricted oracle; this driver verifies each attempt with n + 3 queries
-    and retries up to REPETITIONS times, then verifies the assembled
-    polynomial against the full instance.  Raises RecoveryError when the
-    budget runs out rather than returning an unverified answer.  Pass a
-    SolveStats to collect retry accounting.  kappa's guards run first.
+    restricted oracle; this driver verifies each attempt with min(n + 3, d)
+    queries (UnivariateView.verify_candidate caps its trials at d) and
+    retries up to REPETITIONS times, then verifies the assembled polynomial
+    against the full instance with min(n + 3, d^m) queries.  Raises
+    RecoveryError when the budget runs out rather than returning an
+    unverified answer.  Pass a SolveStats to collect retry accounting.
+    kappa's guards run first.
     """
     if rng is None:
         rng = random.Random(f"hpp-reduction:{inst.seed}")

@@ -238,18 +238,33 @@ def test_quantum_solver_majority_vote():
     assert hits >= 15, SOLVER_VOTES
 
 
-def test_success_report_structure_and_determinism():
-    report = success_report(F5, 2, Analysis.FIRST, mc_runs=500, seed="rep")
+def test_success_report_structure_and_determinism(tmp_path):
+    from hpp.cli import main
+
+    report = success_report(F5, 2, Analysis.FIRST)
     doc = report.as_dict()
     assert doc["field"] == "5"
     assert doc["analysis"] == "first"
-    assert doc["mc"]["runs"] == 500
-    assert doc == success_report(F5, 2, Analysis.FIRST, mc_runs=500, seed="rep").as_dict()
+    assert "mc" not in doc
+    assert doc == success_report(F5, 2, Analysis.FIRST).as_dict()
     assert json.loads(json.dumps(doc)) == doc
+    # The Monte Carlo block is the command's: the same report plus "mc".
+    outs = [tmp_path / "a.json", tmp_path / "b.json"]
+    for out in outs:
+        assert main(["success", "--field", "5", "-n", "2", "--analysis", "first",
+                     "--mc", "500", "--seed", "rep", "--out", str(out)]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    cli_doc = json.loads(outs[0].read_text())
+    mc = cli_doc.pop("mc")
+    assert cli_doc == doc
+    assert set(mc) == {"runs", "estimate", "stderr"} and mc["runs"] == 500
+    assert 0.0 <= mc["estimate"] <= 1.0
 
 
-def test_success_report_enumerates_once(monkeypatch):
+def test_success_report_enumerates_once(tmp_path, monkeypatch):
+    import hpp.cli
     import hpp.pgm
+    from hpp.cli import main
 
     passes = []
     built = []
@@ -259,19 +274,42 @@ def test_success_report_enumerates_once(monkeypatch):
         passes.append(args)
         return (built.append(t) or t for t in real(*args, **kwargs))
 
+    def no_sampler(*args):
+        raise AssertionError("a Sampler was built")
+
     monkeypatch.setattr(hpp.pgm, "iter_eta_tables", counting)
-    for mc_runs in (0, 50):
+    success_report(F5, 2, Analysis.FIRST)
+    assert len(passes) == 1
+    # The fibers themselves are never enumerated on the report's path.
+    assert len(built) == 25 and not any("solutions" in vars(t) for t in built)
+    out = str(tmp_path / "s.json")
+    flags = ["--mc", "50", "--seed", "one-pass", "--dump-dist", str(tmp_path / "d.csv")]
+    for extra in (flags, []):
         passes.clear()
         built.clear()
-        success_report(F5, 2, Analysis.FIRST, mc_runs=mc_runs, seed="one-pass")
-        assert len(passes) == 1
-        # The fibers themselves are never enumerated on the report's path.
-        assert len(built) == 25 and not any("solutions" in vars(t) for t in built)
+        with monkeypatch.context() as m:
+            if not extra:  # the exact report alone needs no Sampler
+                m.setattr(hpp.cli, "Sampler", no_sampler)
+            argv = ["success", "--field", "5", "-n", "2", "--out", out, *extra]
+            assert main(argv) == 0
+        assert len(passes) == 1 and len(built) == 25, extra
 
 
-def test_success_report_requires_seed_for_mc():
-    with pytest.raises(ValueError):
-        success_report(F5, 2, Analysis.FIRST, mc_runs=10)
+def test_success_report_requires_seed_for_mc(tmp_path, monkeypatch, capsys):
+    from hpp.cli import main
+
+    def no_tables(*a, **k):
+        raise AssertionError("a table was built")
+
+    monkeypatch.delenv("HPP_SEED", raising=False)
+    monkeypatch.setattr("hpp.cli.eta_table", no_tables)
+    monkeypatch.setattr("hpp.pgm.iter_eta_tables", no_tables)
+    with pytest.raises(SystemExit) as exc:
+        main(["success", "--field", "5", "-n", "2", "--mc", "10",
+              "--out", str(tmp_path / "s.json")])
+    assert exc.value.code == 2
+    assert "a seed is required" in capsys.readouterr().err
+    assert not (tmp_path / "s.json").exists()
 
 
 def test_success_report_rejects_broken_sandwich():
@@ -535,39 +573,74 @@ def test_dump_dist_and_mc_share_the_orbit_laws(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "desc,n", [("13", 2), ("3^2", 2), ("2^3", 2), ("7", 3)]
+)
+def test_success_mc_and_dump_dist_enumerate_once_per_direction_orbit(
+    desc, n, tmp_path, monkeypatch
+):
+    # The dump and the draws read the tables the report's pass kept: a
+    # Sampler that rebuilt one would enumerate its orbit a second time.
+    import hpp.fibers
+    from hpp.cli import main
+    from hpp.fibers import _orbits
+
+    ctx = parse_field(desc)
+    orbits = {direction_orbit(ctx, x)[0] for x in product(range(ctx.d), repeat=n)}
+    calls = []
+    real = hpp.fibers._w_codes
+    monkeypatch.setattr(hpp.fibers, "_w_codes", lambda *a: calls.append(a[1]) or real(*a))
+    _orbits.cache_clear()  # no table kept from an earlier call
+    try:
+        assert main(["success", "--field", desc, "-n", str(n), "--mc", "300", "--seed", "o",
+                     "--out", str(tmp_path / "s.json"),
+                     "--dump-dist", str(tmp_path / "d.csv")]) == 0
+    finally:
+        _orbits.cache_clear()
+    assert len(calls) == len(orbits) and set(calls) == orbits
+
+
+@pytest.mark.parametrize(
+    "argv,module",
     [
-        ["e2e", "-m", "2", "--trials", "2", "--summary-out", "{out2}"],
-        ["success", "--mc", "500", "--dump-dist", "{out2}"],
+        (["e2e", "-m", "2", "--trials", "2", "--summary-out", "{out2}"], "hpp.pgm"),
+        (["success", "--mc", "500", "--dump-dist", "{out2}"], "hpp.cli"),
     ],
     ids=["e2e", "success"],
 )
-def test_commands_keep_only_good_orbit_representatives_tables(argv, tmp_path, monkeypatch):
-    # The one table pass of each command keeps, for its Sampler, the tables
-    # of the good orbit representatives and no other.
-    import hpp.pgm
+def test_commands_keep_only_good_orbit_representatives_tables(
+    argv, module, tmp_path, monkeypatch
+):
+    # Each command's one Sampler reads the tables of the good orbit
+    # representatives and no other: e2e keeps those of its one pass, and
+    # success asks the tables its report's pass kept, once per good orbit.
     from hpp.cli import main
 
-    made = []
+    made, asked = [], []
 
-    def recording(*args):
-        made.append(Sampler(*args))
-        return made[-1]
+    def recording(good, table_of):
+        def asking(x):
+            asked.append(table_of(x))
+            return asked[-1]
 
-    monkeypatch.setattr(hpp.pgm, "Sampler", recording)
+        made.append((good, table_of))
+        return Sampler(good, asking)
+
+    monkeypatch.setattr(f"{module}.Sampler", recording)
     outs = {"{out1}": str(tmp_path / "out1"), "{out2}": str(tmp_path / "out2")}
     argv = [argv[0], "--field", "13", "-n", "2", "--seed", "r", "--out", "{out1}", *argv[1:]]
     assert main([outs.get(a, a) for a in argv]) == 0
-    (sampler,) = made
-    ctx = sampler.good.ctx
+    ((good, table_of),) = made
+    ctx = good.ctx
     reps = {
-        direction_orbit(ctx, x)[0]
-        for x in product(range(ctx.d), repeat=2)
-        if sampler.good.x_good(x)
+        direction_orbit(ctx, x)[0] for x in product(range(ctx.d), repeat=2) if good.x_good(x)
     }
-    tables = sampler.table_of.__self__
-    assert len(reps) == 7 and set(tables) == reps
-    assert all(tables[r].x == r for r in reps)
+    assert len(reps) == 7
+    if argv[0] == "e2e":
+        tables = table_of.__self__
+        assert set(tables) == reps
+        assert all(tables[r].x == r for r in reps)
+    else:
+        assert len(asked) == 7 and {t.x for t in asked} == reps
 
 
 def _full_term_counts(ctx, n, w_codes, size_index, k):
