@@ -9,7 +9,7 @@ profile, so the flat-in-d behaviour is visible at a glance.
 import argparse
 import sys
 
-from hpp.fibers import pick_analysis
+from hpp.fibers import Orbits, pick_analysis
 from hpp.gf import parse_field
 from hpp.pgm import success_report
 
@@ -25,7 +25,7 @@ def main(argv=None) -> int:
           f"{'x_good':>7} {'w_good_min':>11}")
     for desc in args.fields.split(","):
         ctx = parse_field(desc.strip())
-        report = success_report(ctx, args.n, pick_analysis(ctx, args.n))
+        report = success_report(Orbits(ctx, args.n), pick_analysis(ctx, args.n))
         print(f"{report.field:>7} {report.analysis.value:>9} "
               f"{report.lemma2:>10.6f} {report.approx:>10.6f} "
               f"{report.ideal:>10.6f} {report.x_good_count:>7} "

@@ -8,7 +8,7 @@ package provides:
   gf         finite-field contexts, characters, square and quadratic roots
   polyring   uni/multivariate polynomials, restriction, Lagrange basis
   blackbox   hidden instances and the permuted oracle
-  fibers     fiber-size tables of the direction map, good sets, moments
+  fibers     fiber-size tables of the direction map, orbit store, good sets, moments
   pgm        success report (probabilities, bounds), outcome sampling
   densmat    explicit density-matrix cross-validation of the closed forms
   reduction  multivariate-to-univariate recovery schedule
@@ -29,6 +29,7 @@ _HOMES = {
     "fibers": (
         "Analysis",
         "EtaTable",
+        "Orbits",
         "eta_moments",
         "eta_table",
         "good_sets",

@@ -26,13 +26,12 @@ import os
 import random
 import stat
 import sys
-from functools import partial
 
 from .errors import GuardExceededError, InvariantViolationError, RecoveryError
 from .fibers import (
     Analysis,
+    Orbits,
     eta_moments,
-    eta_table,
     good_sets,
     iter_eta_tables,
     pick_analysis,
@@ -45,7 +44,6 @@ from .pgm import (
     outcome_distribution,
     run_many,
     success_report,
-    table_sampler,
 )
 
 # The recovery layers (blackbox, reduction) and the classical baseline are
@@ -62,11 +60,11 @@ def _resolve_seed(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
 
 @contextlib.contextmanager
 def _outputs(paths: dict[str, str | None]):
-    """Every output a command writes, opened for writing before its first
-    table or trial: one handle per option of paths (option -> path), in
-    order, stdout for None or "-".  Two options naming one file are refused,
-    since one write would overwrite the other.  A regular file is written as
-    a new file, beside the path if it exists, that becomes the path when the
+    """Every output a command writes, opened before its first table or
+    trial: one handle per option of paths (option -> path), in order, stdout
+    for None or "-".  Two options naming one file, or both "-", are refused:
+    one write would overwrite the other.  A regular file is written as a new
+    file, beside the path if it exists, that becomes the path when the
     command returns and is deleted on any exception, so a failed run leaves
     the outputs as they were; a device or pipe is written in place."""
     named = [None if p in (None, "-") else os.path.split(p) for p in paths.values()]
@@ -75,9 +73,9 @@ def _outputs(paths: dict[str, str | None]):
     # One lstat per file: a symlinked file resolves as realpath(path) would.
     reals = [os.path.realpath(r) if r and os.path.islink(r) else r for r in reals]
     seen: dict[str, str] = {}
-    for option, real in zip(paths, reals):
-        if real is not None and seen.setdefault(real, option) != option:
-            raise ValueError(f"{seen[real]} and {option} must name different files")
+    for option, key in zip(paths, [r or p for r, p in zip(reals, paths.values())]):
+        if key is not None and seen.setdefault(key, option) != option:
+            raise ValueError(f"{seen[key]} and {option} must name different files")
     made: list[tuple[str, str]] = []  # (file this command created, the path it becomes)
     create = os.O_CREAT | os.O_EXCL | os.O_WRONLY
     try:
@@ -125,7 +123,7 @@ def _cmd_eta(args, parser) -> int:
         parser.error("eta table export needs --out FILE, or --out - for stdout")
     with _outputs({"--out": args.out}) as (fh,):
         if not args.moments:
-            write_eta_csv(iter_eta_tables(ctx, args.n), fh, include_solutions=args.solutions)
+            write_eta_csv(iter_eta_tables(Orbits(ctx, args.n)), fh, args.solutions)
             return 0
         first, second = eta_moments(ctx, args.n, k=args.k)
         _write_json({
@@ -152,12 +150,13 @@ def _cmd_success(args, parser) -> int:
     if args.dump_dist:
         paths["--dump-dist"] = args.dump_dist
     with _outputs(paths) as handles:
-        doc = success_report(ctx, args.n, analysis).as_dict()
+        orbits = Orbits(ctx, args.n)
+        doc = success_report(orbits, analysis).as_dict()
         doc["mc"] = None
         if args.mc or args.dump_dist:
             # One Sampler for the dump and the draws: each good orbit's law
             # is built once, from the table the report's pass kept.
-            sampler = Sampler(good_sets(ctx, args.n, analysis), partial(eta_table, ctx))
+            sampler = Sampler(good_sets(ctx, args.n, analysis), orbits)
         if args.dump_dist:
             writer = csv.writer(handles[1], lineterminator="\n")
             writer.writerow(["x", "good_mass", "qprime", "probability"])
@@ -186,6 +185,14 @@ def _median(values: list[int]) -> float:
     return float(values[mid]) if len(values) % 2 else (values[mid - 1] + values[mid]) / 2
 
 
+def table_pass(orbits: Orbits) -> Orbits:
+    """The store after e2e's up-front pass over every table, a traced stage of
+    its own.  perfbench's traced check counts the pass; ROADMAP C removes it after A."""
+    for _ in iter_eta_tables(orbits):
+        pass
+    return orbits
+
+
 def _cmd_e2e(args, parser) -> int:
     from .blackbox import sample_instance
     from .polyring import format_multipoly
@@ -204,7 +211,7 @@ def _cmd_e2e(args, parser) -> int:
     solves = kappa(args.n, args.m)  # guards the schedule before any table or instance
     outputs = {"--out": args.out, "--summary-out": args.summary_out}
     with _outputs(outputs) as (out_fh, summary_fh):
-        sampler = table_sampler(good, iter_eta_tables(ctx, args.n))
+        sampler = Sampler(good, table_pass(Orbits(ctx, args.n)))
         rows = []
         successes = 0
         revealed = []

@@ -34,7 +34,7 @@ from itertools import product
 import numpy as np
 
 from .errors import GuardExceededError, InvariantViolationError
-from .fibers import EtaTable, GoodSets, Point, decode_point, encode_point, eta_table
+from .fibers import EtaTable, GoodSets, Orbits, Point, decode_point, encode_point, eta_table
 from .gf import FieldCtx, chi
 from .polyring import UniPoly, eval_uni
 
@@ -287,7 +287,7 @@ def pipeline_probability(
         )
     rho_x = block / tr
 
-    table = eta_table(ctx, x)
+    table = eta_table(Orbits(ctx, n), x)
     keep = np.zeros(d**n)
     for wcode in np.flatnonzero(good.w_good(x, table.counts)).tolist():
         for b in table.solutions[decode_point(wcode, d, n)]:

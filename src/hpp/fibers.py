@@ -17,10 +17,10 @@ per coordinate, a broadcast sum and one gather that reduces every digit.
 
 A direction x = lam * sigma(r), r the least point of its orbit under
 scaling and permuting coordinates, has r's fiber sizes with every w scaled
-by lam; two label arrays per (field, n) give every point's r and lam
-(_orbits).  So a pass over every direction enumerates once per orbit: it
-meets r first, in code order, keeps r's table, and reads every other table
-of the orbit from it at lam^-1 * w with one scale move (_scaled_read).
+by lam; a run's orbit store (Orbits) labels every point with its r and
+lam, and keeps r's table.  So a pass over every direction enumerates once
+per orbit: it meets r first, in code order, keeps r's table, and reads
+every other table of the orbit from it at lam^-1 * w (_scaled_read).
 
 Points of F^n are numbered by their big-endian base-d code (encode_point /
 decode_point), which is also lexicographic order; fiber tables are dense
@@ -224,27 +224,33 @@ def _sort_rows(a: np.ndarray) -> None:
         lo[...] = least
 
 
-@lru_cache(maxsize=1)
-def _orbits(ctx: FieldCtx, n: int) -> tuple[np.ndarray, np.ndarray, dict]:
-    """Orbit labels of F^n for the most recent (field, n), and the tables
-    eta_table keeps: read-only int64 arrays rep and lam by code, with x =
-    lam[c] * sigma(r) for the r coded rep[c] (direction_orbit), and the
-    read-only counts of each kept representative, by code.  Each nonzero
-    x_c divides x in the log domain; the least sorted code wins, then lam."""
-    d, (log, exp) = ctx.d, ctx.log_tables
-    place = d ** np.arange(n - 1, -1, -1)
-    points = np.arange(d**n)[:, None] // place % d
-    logs = log[points]
-    best = np.full(d**n, d ** (n + 1))
-    best[0] = 1  # x = 0 is its own orbit, with lam = 1
-    for c in range(n):
-        divided = np.where(points == 0, 0, exp[(logs - logs[:, c : c + 1]) % (d - 1)])
-        _sort_rows(divided)
-        key = np.where(points[:, c] == 0, best, divided @ place * d + points[:, c])
-        np.minimum(best, key, out=best)
-    rep, lam = np.divmod(best, d)
-    rep.flags.writeable = lam.flags.writeable = False
-    return rep, lam, {}
+class Orbits:
+    """The orbit store of one run over F^n.  labels, built on first use:
+    read-only int64 arrays rep and lam by code, with x = lam[c] * sigma(r)
+    for the r coded rep[c] (direction_orbit); each nonzero x_c divides x in
+    the log domain, and the least sorted code wins, then lam.  kept: the
+    read-only counts of each representative eta_table has met, by code."""
+
+    def __init__(self, ctx: FieldCtx, n: int):
+        _check_n(n)
+        self.ctx, self.n, self.kept = ctx, n, {}
+
+    @cached_property
+    def labels(self) -> tuple[np.ndarray, np.ndarray]:
+        d, n, (log, exp) = self.ctx.d, self.n, self.ctx.log_tables
+        place = d ** np.arange(n - 1, -1, -1)
+        points = np.arange(d**n)[:, None] // place % d
+        logs = log[points]
+        best = np.full(d**n, d ** (n + 1))
+        best[0] = 1  # x = 0 is its own orbit, with lam = 1
+        for c in range(n):
+            divided = np.where(points == 0, 0, exp[(logs - logs[:, c : c + 1]) % (d - 1)])
+            _sort_rows(divided)
+            key = np.where(points[:, c] == 0, best, divided @ place * d + points[:, c])
+            np.minimum(best, key, out=best)
+        rep, lam = np.divmod(best, d)
+        rep.flags.writeable = lam.flags.writeable = False
+        return rep, lam
 
 
 def _scaled_read(values: np.ndarray, ctx: FieldCtx, n: int, lam: Felt) -> np.ndarray:
@@ -262,23 +268,24 @@ def _scaled_read(values: np.ndarray, ctx: FieldCtx, n: int, lam: Felt) -> np.nda
     return out.ravel()
 
 
-def eta_table(ctx: FieldCtx, x: Sequence[Felt]) -> EtaTable:
-    """Exact fiber sizes for one x, as a read-only table.
+def eta_table(orbits: Orbits, x: Sequence[Felt]) -> EtaTable:
+    """Exact fiber sizes for one x of the store's F^n, as a read-only table.
 
-    With x = lam * sigma(r) (_orbits), x's counts at w are r's at lam^-1 *
-    w: r's table is enumerated and kept on first use, and x's table is that
-    one read.  Nothing is labelled or kept when a pass over F^n, d^(2n)
-    points, exceeds ENUMERATION_BUDGET.  The counts are never writable,
-    since a representative's are shared between calls.
+    With x = lam * sigma(r) (Orbits.labels), x's counts at w are r's at
+    lam^-1 * w: r's table is enumerated and kept in the store on first use,
+    and x's table is that one read.  Nothing is labelled or kept when a
+    pass over F^n, d^(2n) points, exceeds ENUMERATION_BUDGET.  The counts
+    are never writable, since a representative's are shared between calls.
     """
+    ctx, n = orbits.ctx, orbits.n
     x = tuple(map(ctx.check, x))
-    n = len(x)
-    _check_n(n)
+    if len(x) != n:
+        raise ValueError(f"x has {len(x)} coordinates, expected {n}")
     _check_enum_budget(ctx.d, n)
     if ctx.d ** (2 * n) > ENUMERATION_BUDGET:
         counts = np.bincount(_w_codes(ctx, x, n), minlength=ctx.d**n)
     else:
-        reps, lams, kept = _orbits(ctx, n)
+        (reps, lams), kept = orbits.labels, orbits.kept
         code = encode_point(x, ctx.d)
         rep = int(reps[code])
         if rep not in kept:
@@ -312,7 +319,7 @@ def direction_orbit(ctx: FieldCtx, x: Sequence[Felt]) -> tuple[Point, Felt]:
     coordinates, r being the least point of x's orbit under scaling by F*
     and permuting coordinates: the least sorted(x_i^-1 * x) over the
     nonzero x_i, zeros first, a tie going to the least lam = x_i.  x = 0 is
-    its own orbit, with lam = 1.  The literal per-point form of _orbits.
+    its own orbit, with lam = 1; Orbits.labels is its array form.
 
     Permuting coordinates leaves the fiber sizes alone and scaling by lam
     scales every w, so the table of x is that of r with w scaled by lam.
@@ -323,11 +330,10 @@ def direction_orbit(ctx: FieldCtx, x: Sequence[Felt]) -> tuple[Point, Felt]:
     )
 
 
-def iter_eta_tables(ctx: FieldCtx, n: int) -> Iterator[EtaTable]:
-    """One table per x in F^n, lazily, in lexicographic order of x."""
-    _check_n(n)
-    _check_enum_budget(ctx.d, 2 * n)
-    return (eta_table(ctx, x) for x in product(range(ctx.d), repeat=n))
+def iter_eta_tables(orbits: Orbits) -> Iterator[EtaTable]:
+    """One table per x in the store's F^n, lazily, in code order of x."""
+    _check_enum_budget(orbits.ctx.d, 2 * orbits.n)
+    return (eta_table(orbits, x) for x in product(range(orbits.ctx.d), repeat=orbits.n))
 
 
 def eta_moments(ctx: FieldCtx, n: int, k: int | None = None) -> tuple[Fraction, Fraction]:
@@ -457,7 +463,7 @@ class GoodSets:
     so violating it raises instead of classifying the pair as bad.
 
     A plain value, compared and hashed by its four fields.  Both predicates
-    are invariant under the orbit maps of _orbits, which is what lets
+    are invariant under the orbit maps of Orbits.labels, which is what lets
     pgm.Sampler keep one outcome law per direction orbit.
     """
 

@@ -30,14 +30,14 @@ term with math.fsum.
 A law has one form, a probability array indexed by encode_point code, and
 one way to move: read at lam * delta (fibers._scaled_read, which also
 reads a fiber table from its orbit's).  A law is built once per orbit of
-directions under x -> lam * sigma(x) (fibers._orbits), lam in F* and sigma
+directions under x -> lam * sigma(x) (fibers.Orbits), lam in F* and sigma
 a permutation of the coordinates: the fiber sizes of lam * sigma(x) are
 those of x with every w scaled by lam, so its law at delta is x's law at
-lam * delta.  The orbit's law is built from the table of the orbit's least
-point r, the only table the law layer reads, and cached on the Sampler;
-each direction's law is one move of it, and nothing is cached per
-direction but its draw record.  The law over q' for a given q is the delta
-law read at q - q'.
+lam * delta.  The orbit's law is built from the run's orbit store's table
+of the orbit's least point r, the only table the law layer reads, and
+cached on the Sampler; each direction's law is one move of it, and nothing
+is cached per direction but its draw record.  The law over q' for a given
+q is the delta law read at q - q'.
 
 A draw reads one record per direction from the sampler's draw list,
 indexed by the direction's encode_point code and filled on the direction's
@@ -57,8 +57,8 @@ inner sum sum_w sqrt(eta_w) is taken once per distinct histogram
 (_sqrt_sum), and so is its square; the outer sums add the squares over x.
 The cross-checks drawn from the measurement, the Monte Carlo rate
 (run_many) and the per-direction law (outcome_distribution), read a
-Sampler built after the pass; with fibers.eta_table as its table source it
-reads the representatives' tables the pass kept.
+Sampler built after the pass over the same orbit store, so they read the
+representatives' tables the pass kept.
 
 Every sum here that must be exact follows one rule: each float it adds is
 an integer times one power of two (sqrt(k) >= 1 and its square are
@@ -87,11 +87,12 @@ from .fibers import (
     Analysis,
     EtaTable,
     GoodSets,
+    Orbits,
     Point,
-    _orbits,
     _scaled_read,
     decode_point,
     encode_point,
+    eta_table,
     good_sets,
     iter_eta_tables,
 )
@@ -330,61 +331,44 @@ def _delta_distribution(table: EtaTable, good: GoodSets) -> tuple[np.ndarray, fl
 @dataclass(eq=False)
 class Sampler:
     """The measurement sampler of one good set and the law state it builds:
-    table_of(r) gives direction r's fiber table, called once per good
-    direction orbit whose law is needed, with the orbit's representative r
-    (see reads); orbit_laws one law per direction orbit, keyed by r; draws
-    each direction's draw record by code (None until its first draw);
-    points every point of F^n by code; labels the orbit labels of F^n
-    (fibers._orbits).  All but the first two are built on first use."""
+    orbits the run's orbit store over the same F^n, whose labels give each
+    direction's orbit and whose kept tables the laws are built from;
+    orbit_laws one law per direction orbit, keyed by its representative r;
+    draws each direction's draw record by code (None until its first
+    draw); points every point of F^n by code, built on first use."""
 
     good: GoodSets
-    table_of: Callable[[Point], EtaTable]
+    orbits: Orbits
     orbit_laws: dict = field(default_factory=dict, init=False, repr=False)
 
-    @cached_property
-    def draws(self) -> list:
-        return [None] * self.good.ctx.d**self.good.n
-
-    @cached_property
-    def labels(self) -> tuple[np.ndarray, np.ndarray]:
-        return _orbits(self.good.ctx, self.good.n)[:2]
+    def __post_init__(self):
+        if (self.orbits.ctx, self.orbits.n) != (self.good.ctx, self.good.n):
+            raise ValueError("the orbit store and the good sets are over different F^n")
+        self.draws = [None] * self.good.ctx.d**self.good.n
 
     @cached_property
     def points(self) -> list[Point]:
         d, n = self.good.ctx.d, self.good.n
         return [decode_point(code, d, n) for code in range(d**n)]
 
-    def reads(self, x: Point) -> bool:
-        """Whether table_of may be asked for direction x: x is good and the
-        representative of its orbit.  The representative is the orbit's
-        least point, so a pass in code order meets it before the rest."""
-        code = encode_point(x, self.good.ctx.d)
-        return self.good.x_good(x) and int(self.labels[0][code]) == code
-
-
-def table_sampler(good: GoodSets, tables: Iterable[EtaTable]) -> Sampler:
-    """A Sampler whose table source is one pass of tables, of which it
-    keeps only those it reads."""
-    kept: dict[Point, EtaTable] = {}
-    sampler = Sampler(good, kept.__getitem__)
-    kept.update((t.x, t) for t in tables if sampler.reads(t.x))
-    return sampler
-
 
 def _outcome_law(sampler: Sampler, x: Point) -> tuple[np.ndarray, float, Felt]:
     """(probabilities, good-branch mass, lam) for the good direction x =
-    lam * sigma(r), r being its orbit's representative (Sampler.labels):
-    the probabilities are r's law, built from table_of(r) on the orbit's
-    first use and cached on the sampler, and x's law is law_x[delta] =
-    law_r[lam * delta].
+    lam * sigma(r), r being its orbit's representative (Orbits.labels):
+    the probabilities are r's law, built on the orbit's first use from the
+    table the store kept for r, or else from eta_table, which keeps it, and
+    cached on the sampler; x's law is law_x[delta] = law_r[lam * delta].
     """
-    reps, lams = sampler.labels
-    code = encode_point(x, sampler.good.ctx.d)
-    rep = decode_point(int(reps[code]), sampler.good.ctx.d, len(x))
-    laws = sampler.orbit_laws
-    if rep not in laws:
-        laws[rep] = _delta_distribution(sampler.table_of(rep), sampler.good)
-    return (*laws[rep], int(lams[code]))
+    orbits, laws = sampler.orbits, sampler.orbit_laws
+    reps, lams = orbits.labels
+    code = encode_point(x, orbits.ctx.d)
+    rep = int(reps[code])
+    r = decode_point(rep, orbits.ctx.d, orbits.n)
+    if r not in laws:
+        counts = orbits.kept.get(rep)
+        table = eta_table(orbits, r) if counts is None else EtaTable(orbits.ctx, r, counts)
+        laws[r] = _delta_distribution(table, sampler.good)
+    return (*laws[r], int(lams[code]))
 
 
 def outcome_distribution(sampler: Sampler, x: Point) -> tuple[np.ndarray, float]:
@@ -558,15 +542,16 @@ class SuccessReport:
         }
 
 
-def success_report(ctx: FieldCtx, n: int, analysis: Analysis) -> SuccessReport:
-    """The exact report, from one pass over the fiber tables (_success_sums).
+def success_report(orbits: Orbits, analysis: Analysis) -> SuccessReport:
+    """The exact report, from one pass over the store's tables (_success_sums).
 
-    The pass keeps each orbit representative's table (fibers.eta_table), so
-    a Sampler built afterwards with partial(eta_table, ctx) enumerates
-    nothing for the Monte Carlo or the outcome law.
+    The pass keeps each orbit representative's table in the store, so a
+    Sampler built afterwards over the same store enumerates nothing for the
+    Monte Carlo or the outcome law.
     """
+    ctx, n = orbits.ctx, orbits.n
     good = good_sets(ctx, n, analysis)
-    ideal, approx, w_counts = _success_sums(iter_eta_tables(ctx, n), good)
+    ideal, approx, w_counts = _success_sums(iter_eta_tables(orbits), good)
     x_good_count = len(w_counts)
     w_good_min = min(w_counts, default=0)
     return SuccessReport(

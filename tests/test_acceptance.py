@@ -10,12 +10,12 @@ import math
 import random
 import time
 from fractions import Fraction
-from functools import partial
 from itertools import product
 
 from hpp.blackbox import sample_instance
 from hpp.fibers import (
     Analysis,
+    Orbits,
     brute_fiber,
     eta_moments,
     eta_table,
@@ -53,7 +53,7 @@ def test_criterion_2_partition_identity():
     ok = True
     for desc in ("2", "3", "2^2", "5", "7"):
         ctx = parse_field(desc)
-        for table in iter_eta_tables(ctx, 2):
+        for table in iter_eta_tables(Orbits(ctx, 2)):
             ok = ok and int(table.counts.sum()) == ctx.d**2
             checked += 1
     _check(2, ok, f"sum of fiber sizes is d^2 for all {checked} directions, d <= 7",
@@ -97,7 +97,7 @@ def test_criterion_4_ideal_closed_form():
     worst = 0.0
     for d in (3, 5, 7, 11):
         ctx = make_field(d)
-        got = success_report(ctx, 1, Analysis.FIRST).ideal
+        got = success_report(Orbits(ctx, 1), Analysis.FIRST).ideal
         want = 1 - 1 / d + 1 / d**2
         worst = max(worst, abs(got - want))
     _check(4, worst < 1e-12, f"n=1 ideal success equals 1 - 1/d + 1/d^2, worst delta {worst:.2e}",
@@ -110,7 +110,7 @@ def test_criterion_5_sandwich_bounds():
     ok = True
     for d in (7, 11, 19, 31):
         ctx = make_field(d)
-        report = success_report(ctx, 2, pick_analysis(ctx, 2))
+        report = success_report(Orbits(ctx, 2), pick_analysis(ctx, 2))
         lo, mid, hi = report.lemma2, report.approx, report.ideal
         ok = ok and lo <= mid + tol and mid <= hi + tol and hi <= 1 + tol
     _check(5, ok, "lemma bound <= approximate <= ideal <= 1 at n=2, d in {7,11,19,31}",
@@ -140,7 +140,7 @@ def test_criterion_6_constant_success_regression():
     approx = {}
     for d in sorted(APPROX_N2):
         ctx = make_field(d)
-        report = success_report(ctx, 2, pick_analysis(ctx, 2))
+        report = success_report(Orbits(ctx, 2), pick_analysis(ctx, 2))
         approx[d] = report.approx
         ok = ok and abs(approx[d] - APPROX_N2[d]) < 1e-12
         ok = ok and abs(report.ideal - IDEAL_N2[d]) < 1e-12
@@ -181,11 +181,12 @@ def test_criterion_7_density_matrix_cross_validation():
     # fiber-collapsing isometry contract at d=3, n=2
     ctx = make_field(3)
     good = good_sets(ctx, 2, Analysis.FIRST)
+    orbits = Orbits(ctx, 2)
     worst_vx = 0.0
     for x in product(range(3), repeat=2):
         if not good.x_good(x):
             continue
-        table = eta_table(ctx, x)
+        table = eta_table(orbits, x)
         vx = build_vx(ctx, table, good)
         for w, eta in table.items():
             if not good.w_good(x, eta):
@@ -204,7 +205,7 @@ def test_criterion_7_density_matrix_cross_validation():
     for desc, analysis in configs:
         ctx = parse_field(desc)
         good = good_sets(ctx, 2, analysis)
-        sampler = Sampler(good, partial(eta_table, ctx))
+        sampler = Sampler(good, Orbits(ctx, 2))
         qc = (2 % ctx.d, 1)
         q = UP(ctx, (0, *qc))
         shifted = [encode_point(map(ctx.sub, qp, qc), ctx.d)
@@ -225,8 +226,9 @@ def test_criterion_8_monte_carlo_consistency():
     t0 = time.perf_counter()
     ctx = make_field(7)
     analysis = pick_analysis(ctx, 2)
-    sampler = Sampler(good_sets(ctx, 2, analysis), partial(eta_table, ctx))
-    target = success_report(ctx, 2, analysis).approx
+    orbits = Orbits(ctx, 2)
+    sampler = Sampler(good_sets(ctx, 2, analysis), orbits)
+    target = success_report(orbits, analysis).approx
     runs = 10_000
     sigma = math.sqrt(target * (1 - target) / runs)
 

@@ -156,6 +156,36 @@ def test_eta_table_out_dash_is_stdout(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "-").exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["success", "--field", "5", "-n", "2", "--out", "-", "--dump-dist", "-"],
+        ["e2e", "--field", "7", "-n", "2", "-m", "1", "--trials", "2", "--seed", "a",
+         "--out", "-", "--summary-out", "-"],
+    ],
+    ids=["success", "e2e"],
+)
+def test_two_outputs_may_not_both_be_stdout(argv, monkeypatch, capsys):
+    # Two formats in one stream could not be read back: refused before any table.
+    def no_tables(*a):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr("hpp.fibers._w_codes", no_tables)
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    first, second = [a for a in argv if a.startswith("--") and argv[argv.index(a) + 1] == "-"]
+    assert out == "" and err == f"error: {first} and {second} must name different files\n"
+
+
+def test_an_omitted_output_still_writes_to_stdout(capsys):
+    argv = ["e2e", "--field", "7", "-n", "2", "-m", "1", "--trials", "2", "--seed", "a"]
+    assert main([*argv, "--out", "-"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("trial,success,") and '"success_rate"' in out
+    assert main(argv) == 0
+    assert capsys.readouterr().out == out
+
+
 def test_eta_table_to_stdout_is_a_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["eta", "--field", "5", "-n", "2"])

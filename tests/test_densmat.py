@@ -1,5 +1,4 @@
 import math
-from functools import partial
 from itertools import product
 
 import numpy as np
@@ -18,7 +17,7 @@ from hpp.densmat import (
     x_marginals,
 )
 from hpp.errors import GuardExceededError
-from hpp.fibers import Analysis, decode_point, encode_point, eta_table, good_sets
+from hpp.fibers import Analysis, Orbits, decode_point, encode_point, eta_table, good_sets
 from hpp.gf import chi, dot, make_field, parse_field
 from hpp.polyring import UniPoly, eval_uni
 
@@ -194,9 +193,10 @@ def test_two_copy_block_matches_fiber_reconstruction():
     qc = (2, 1)
     q = UniPoly(ctx, (0, *qc))
     d, n = 3, 2
+    orbits = Orbits(ctx, n)
     for x in product(range(d), repeat=n):
         block = direction_block(ctx, q, x)
-        table = eta_table(ctx, x)
+        table = eta_table(orbits, x)
         want = np.zeros((d**n, d**n), dtype=np.complex128)
         for w, bs in table.solutions.items():
             for v, cs in table.solutions.items():
@@ -227,8 +227,9 @@ def test_factored_block_and_vx_equal_full_constructions(desc, analyses):
         assert np.abs(direction_block(ctx, q, x) - want).max() <= 1e-12, x
     for analysis in analyses.split():
         good = good_sets(ctx, n, Analysis(analysis))
+        orbits = Orbits(ctx, n)
         for x in product(range(d), repeat=n):
-            table = eta_table(ctx, x)
+            table = eta_table(orbits, x)
             got = build_vx(ctx, table, good).matrix
             assert np.abs(got - _dense_vx(ctx, table, good)).max() <= 1e-12, (analysis, x)
 
@@ -238,10 +239,11 @@ def test_vx_isometry_and_fiber_contract():
                           (F4, Analysis.SECOND), (F5, Analysis.SECOND)):
         good = good_sets(ctx, 2, analysis)
         d = ctx.d
+        orbits = Orbits(ctx, 2)
         for x in product(range(d), repeat=2):
             if not good.x_good(x):
                 continue
-            table = eta_table(ctx, x)
+            table = eta_table(orbits, x)
             vx = build_vx(ctx, table, good)
             v = vx.matrix
             assert np.allclose(v.conj().T @ v, np.eye(d**2), atol=1e-10)
@@ -259,7 +261,7 @@ def test_vx_flags_bad_points_orthogonally():
     ctx = F5
     good = good_sets(ctx, 2, Analysis.FIRST)
     x = (1, 4)  # degenerate direction: x1 + x2 = 0, fiber of size d at w = 0
-    table = eta_table(ctx, x)
+    table = eta_table(Orbits(ctx, 2), x)
     assert good.x_good(x)
     vx = build_vx(ctx, table, good)
     for b in table.solutions[(0, 0)]:
@@ -276,7 +278,7 @@ def test_pipeline_guards_point_register_dimension():
         assert big.d**n > MAX_PIPELINE_DIM
         x = (1,) * n
         with pytest.raises(GuardExceededError):
-            build_vx(big, eta_table(big, x), good_sets(big, n, Analysis.FIRST))
+            build_vx(big, eta_table(Orbits(big, n), x), good_sets(big, n, Analysis.FIRST))
         with pytest.raises(GuardExceededError):
             direction_block(big, UniPoly(big, (0, 1)), x)
 
@@ -307,7 +309,7 @@ def test_pipeline_matches_analytic_law():
     for desc, analysis, qc in cases:
         ctx = parse_field(desc)
         good = good_sets(ctx, 2, analysis)
-        sampler = Sampler(good, partial(eta_table, ctx))
+        sampler = Sampler(good, Orbits(ctx, 2))
         q = UniPoly(ctx, (0, *qc))
         for x in product(range(ctx.d), repeat=2):
             mass, law = pipeline_probability(ctx, q, x, good)
@@ -330,8 +332,9 @@ def test_good_mass_is_good_point_fraction():
     ctx = F5
     good = good_sets(ctx, 2, Analysis.FIRST)
     q = UniPoly(ctx, (0, 2, 1))
+    orbits = Orbits(ctx, 2)
     for x in ((1, 2), (3, 3), (2, 4)):
-        table = eta_table(ctx, x)
+        table = eta_table(orbits, x)
         n_good = sum(
             eta for w, eta in table.items() if good.w_good(x, eta)
         )

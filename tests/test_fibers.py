@@ -14,8 +14,8 @@ import hpp.fibers
 from hpp.fibers import (
     Analysis,
     EtaTable,
+    Orbits,
     _enum_constants,
-    _orbits,
     _scaled_read,
     _w_codes,
     apply_map,
@@ -59,7 +59,7 @@ def test_apply_map_rows_extension():
 
 
 def test_eta_table_fixture_gf3():
-    table = eta_table(F3, (1, 1))
+    table = eta_table(Orbits(F3, 2), (1, 1))
     assert dict(table.items()) == {
         (0, 0): 1,
         (0, 2): 2,
@@ -74,7 +74,7 @@ def test_eta_table_fixture_gf3():
 
 def test_eta_table_solutions_consistent():
     for ctx in (F3, F5, F4):
-        table = eta_table(ctx, (1, 2))
+        table = eta_table(Orbits(ctx, 2), (1, 2))
         for w, bs in table.solutions.items():
             assert len(bs) == table.eta(w)
             for b in bs:
@@ -91,11 +91,12 @@ def test_enumerator_matches_literal_apply_map():
         ("3^2", 2), ("5^2", 2), ("2", 3), ("3", 3), ("5", 3),
     ):
         ctx = parse_field(desc)
+        orbits = Orbits(ctx, n)
         for x in product(range(ctx.d), repeat=n):
             fibers = {}
             for b in product(range(ctx.d), repeat=n):
                 fibers.setdefault(apply_map(ctx, x, b), []).append(b)
-            table = eta_table(ctx, x)
+            table = eta_table(orbits, x)
             assert dict(table.items()) == {w: len(bs) for w, bs in fibers.items()}, (desc, x)
             assert table.solutions == fibers, (desc, x)
 
@@ -159,11 +160,11 @@ def test_enumeration_pass_multiplies_only_to_build_the_log_tables(monkeypatch):
     for desc in ("13", "3^2", "2^3"):
         ctx = parse_field(desc)  # a fresh context, so the tables are built here
         calls.clear()
-        tables = list(iter_eta_tables(ctx, 2))
+        tables = list(iter_eta_tables(Orbits(ctx, 2)))
         assert len(tables) == ctx.d**2
         assert len(calls) <= 3 * ctx.d, (desc, len(calls))
         calls.clear()
-        list(iter_eta_tables(ctx, 2))
+        list(iter_eta_tables(Orbits(ctx, 2)))
         assert not calls, desc
 
 
@@ -171,6 +172,7 @@ def test_enumeration_pass_multiplies_only_to_build_the_log_tables(monkeypatch):
 def test_direction_orbit_is_the_least_point_with_the_scaled_table(desc, n):
     ctx = parse_field(desc)
     d = ctx.d
+    orbits = Orbits(ctx, n)
     points = list(product(range(d), repeat=n))
     for x in points:
         orbit = {
@@ -182,21 +184,13 @@ def test_direction_orbit_is_the_least_point_with_the_scaled_table(desc, n):
         assert rep == min(orbit), x
         assert sorted(x) == sorted(ctx.mul(lam, c) for c in rep), x
         # x = lam * sigma(rep): the fiber of x over lam * w is rep's over w.
-        counts = eta_table(ctx, x).counts
+        counts = eta_table(orbits, x).counts
         scaled = [encode_point([ctx.mul(lam, c) for c in w], d) for w in points]
-        assert counts[scaled].tolist() == eta_table(ctx, rep).counts.tolist(), x
+        assert counts[scaled].tolist() == eta_table(orbits, rep).counts.tolist(), x
 
 
 def _enumerated(ctx, x):
     return np.bincount(_w_codes(ctx, x, len(x)), minlength=ctx.d ** len(x))
-
-
-@pytest.fixture
-def fresh_orbit_cache():
-    """No orbit label or table kept from earlier calls, before or after."""
-    _orbits.cache_clear()
-    yield
-    _orbits.cache_clear()
 
 
 @pytest.fixture
@@ -220,11 +214,12 @@ LABEL_CASES = [
 
 
 @pytest.mark.parametrize("desc,n", LABEL_CASES)
-def test_orbit_labels_equal_the_literal_direction_orbit(desc, n, fresh_orbit_cache):
+def test_orbit_labels_equal_the_literal_direction_orbit(desc, n):
     ctx = parse_field(desc)
     d = ctx.d
-    reps, lams, kept = _orbits(ctx, n)
-    assert reps.shape == lams.shape == (d**n,) and not kept
+    orbits = Orbits(ctx, n)
+    reps, lams = orbits.labels
+    assert reps.shape == lams.shape == (d**n,) and not orbits.kept
     assert not reps.flags.writeable and not lams.flags.writeable
     got = list(zip(reps.tolist(), lams.tolist()))
     for code, x in enumerate(product(range(d), repeat=n)):
@@ -249,11 +244,11 @@ PASS_CASES = [("7", 2), ("13", 2), ("2^3", 2), ("3^2", 2), ("5", 3), ("2^2", 3)]
 
 @pytest.mark.parametrize("desc,n", PASS_CASES)
 def test_pass_tables_equal_their_enumeration_and_enumerate_once_per_orbit(
-    desc, n, fresh_orbit_cache, enumerated
+    desc, n, enumerated
 ):
     ctx = parse_field(desc)
     points = list(product(range(ctx.d), repeat=n))
-    tables = list(iter_eta_tables(ctx, n))
+    tables = list(iter_eta_tables(Orbits(ctx, n)))
     assert [t.x for t in tables] == points
     reps = {direction_orbit(ctx, x)[0] for x in points}
     assert enumerated == sorted(reps)
@@ -263,29 +258,31 @@ def test_pass_tables_equal_their_enumeration_and_enumerate_once_per_orbit(
 
 @pytest.mark.parametrize("desc,n", [("7", 2), ("3^2", 2), ("2^2", 3)])
 def test_one_off_tables_in_reverse_code_order_equal_their_enumeration(
-    desc, n, fresh_orbit_cache, enumerated
+    desc, n, enumerated
 ):
     # Every non-representative comes before its representative: the first
     # call of each orbit enumerates the representative, once, and keeps it,
     # and every call reads x from the kept table.
     ctx = parse_field(desc)
+    orbits = Orbits(ctx, n)
     reps = set()
     for x in reversed(list(product(range(ctx.d), repeat=n))):
         rep = direction_orbit(ctx, x)[0]
         calls = len(enumerated)
-        assert np.array_equal(eta_table(ctx, x).counts, _enumerated(ctx, x)), (desc, x)
+        assert np.array_equal(eta_table(orbits, x).counts, _enumerated(ctx, x)), (desc, x)
         assert enumerated[calls:] == ([] if rep in reps else [rep]), (desc, x)
         reps.add(rep)
-    assert set(_orbits(ctx, n)[2]) == {encode_point(r, ctx.d) for r in reps}
+    assert set(orbits.kept) == {encode_point(r, ctx.d) for r in reps}
 
 
-def test_every_table_is_read_only_and_kept_tables_are_shared(fresh_orbit_cache):
+def test_every_table_is_read_only_and_kept_tables_are_shared():
     ctx, n = parse_field("3^2"), 2
-    tables = list(iter_eta_tables(ctx, n))
-    kept = _orbits(ctx, n)[2]
+    orbits = Orbits(ctx, n)
+    tables = list(iter_eta_tables(orbits))
+    kept = orbits.kept
     assert kept
     for rep, counts in kept.items():
-        assert eta_table(ctx, decode_point(rep, ctx.d, n)).counts is counts
+        assert eta_table(orbits, decode_point(rep, ctx.d, n)).counts is counts
     # Gathered tables are read-only too, like the kept ones they are read from.
     assert any(direction_orbit(ctx, t.x)[0] != t.x for t in tables)
     for table in tables:
@@ -313,13 +310,15 @@ def test_scaled_read_keeps_an_empty_law_empty():
 
 
 @pytest.mark.parametrize("desc,n", [("1009", 1), ("13", 2), ("5", 3)])
-def test_a_pass_keeps_the_labels_and_one_table_per_representative(desc, n, fresh_orbit_cache):
+def test_a_pass_keeps_the_labels_and_one_table_per_representative(desc, n):
     # At n = 1 every nonzero direction is a scaling of (1,): the pass keeps
     # two tables of d entries.  Nothing is kept per lam.
     ctx = parse_field(desc)
-    list(iter_eta_tables(ctx, n))
-    assert _orbits.cache_info().currsize == 1
-    reps, lams, kept = _orbits(ctx, n)
+    orbits = Orbits(ctx, n)
+    list(iter_eta_tables(orbits))
+    assert "labels" in vars(orbits)  # the pass built them
+    reps, lams = orbits.labels
+    kept = orbits.kept
     assert set(kept) == set(reps.tolist())
     for counts in kept.values():
         assert counts.size == ctx.d**n and not counts.flags.writeable
@@ -327,9 +326,7 @@ def test_a_pass_keeps_the_labels_and_one_table_per_representative(desc, n, fresh
         assert set(kept) == {0, 1}
 
 
-def test_a_pass_hashes_the_field_once_per_table_and_enumeration(
-    fresh_orbit_cache, enumerated, monkeypatch
-):
+def test_a_pass_hashes_the_field_once_per_enumeration(enumerated, monkeypatch):
     ctx, n = parse_field("13"), 2
     hashes = []
     real_hash = FieldCtx.__hash__
@@ -339,21 +336,33 @@ def test_a_pass_hashes_the_field_once_per_table_and_enumeration(
         return real_hash(self)
 
     monkeypatch.setattr(FieldCtx, "__hash__", counting_hash)
-    success_report(ctx, n, Analysis.FIRST)
+    success_report(Orbits(ctx, n), Analysis.FIRST)
     monkeypatch.undo()
     assert enumerated
-    assert len(hashes) <= ctx.d**n + len(enumerated)
+    # Only _enum_constants' cache hashes the field: the store is the run's.
+    assert len(hashes) <= len(enumerated)
 
 
-def test_nothing_is_kept_when_a_pass_exceeds_the_budget(fresh_orbit_cache, monkeypatch):
+def test_a_store_reads_only_points_of_its_own_n():
+    orbits = Orbits(F5, 2)
+    for x in ((1,), (1, 2, 3)):
+        with pytest.raises(ValueError, match="expected 2"):
+            eta_table(orbits, x)
+    assert not orbits.kept and "labels" not in vars(orbits)
+    with pytest.raises(ValueError, match="at least 1"):
+        Orbits(F5, 0)
+
+
+def test_nothing_is_kept_when_a_pass_exceeds_the_budget(monkeypatch):
     ctx, n = F7, 2
     monkeypatch.setattr(hpp.fibers, "ENUMERATION_BUDGET", ctx.d ** (2 * n) - 1)
+    orbits = Orbits(ctx, n)
     for x in product(range(ctx.d), repeat=n):
-        table = eta_table(ctx, x)
+        table = eta_table(orbits, x)
         assert not table.counts.flags.writeable
         assert np.array_equal(table.counts, _enumerated(ctx, x)), x
     # Past the gate eta_table builds no labels and keeps nothing.
-    assert _orbits.cache_info().misses == 0 and _orbits.cache_info().currsize == 0
+    assert not orbits.kept and "labels" not in vars(orbits)
 
 
 @given(data=st.data())
@@ -371,14 +380,14 @@ def test_point_codec_round_trip(data):
 
 def test_partition_identity_exhaustive():
     for ctx in (F3, F4, F5, F7):
-        for table in iter_eta_tables(ctx, 2):
+        for table in iter_eta_tables(Orbits(ctx, 2)):
             table.check_partition()
             assert int(table.counts.sum()) == ctx.d**2
 
 
 def test_partition_check_raises_on_corruption():
     # A writable copy: eta_table's counts are read-only.
-    table = EtaTable(F3, (1, 1), eta_table(F3, (1, 1)).counts.copy())
+    table = EtaTable(F3, (1, 1), eta_table(Orbits(F3, 2), (1, 1)).counts.copy())
     table.counts[encode_point((0, 0), 3)] += 1
     with pytest.raises(InvariantViolationError):
         table.check_partition()
@@ -389,13 +398,13 @@ def test_enumeration_budget_guard():
     # k + n for the moments.
     big = make_field(1021)
     with pytest.raises(GuardExceededError, match=rf"1021\^8 = {1021**8} points"):
-        next(iter_eta_tables(big, 4))
+        next(iter_eta_tables(Orbits(big, 4)))
     with pytest.raises(GuardExceededError, match=rf"1021\^5 = {1021**5} points"):
         eta_moments(big, 3, k=2)
 
 
 def test_brute_fiber_matches_table():
-    table = eta_table(F5, (2, 3))
+    table = eta_table(Orbits(F5, 2), (2, 3))
     for w, bs in table.solutions.items():
         assert brute_fiber(F5, (2, 3), w) == sorted(bs)
 
@@ -432,10 +441,11 @@ def test_n2_constraint():
 def test_elimination_quadratic_annihilates_fiber():
     # the eliminated variable's quadratic vanishes on actual solutions
     for ctx in (F5, F7, F4):
+        orbits = Orbits(ctx, 2)
         for x in product(range(ctx.d), repeat=2):
             if n2_constraint(ctx, x) == 0:
                 continue
-            table = eta_table(ctx, x)
+            table = eta_table(orbits, x)
             for w, bs in table.solutions.items():
                 for var in (0, 1):
                     a2, a1, a0 = elimination_quadratic(ctx, x, w, var)
@@ -507,8 +517,9 @@ def test_first_analysis_fiber_structure():
     # fiber of size d
     for d in (5, 7):
         ctx = make_field(d)
+        orbits = Orbits(ctx, 2)
         for x in product(range(1, d), repeat=2):
-            table = eta_table(ctx, x)
+            table = eta_table(orbits, x)
             degenerate = ctx.add(x[0], x[1]) == 0
             for w, eta in table.items():
                 if degenerate and w == (0, 0):
@@ -552,7 +563,7 @@ def test_second_analysis_cap_is_theorem():
     # no fiber over a good x may exceed 4
     for ctx in (F4, F5, F7):
         good = good_sets(ctx, 2, Analysis.SECOND)
-        for table in iter_eta_tables(ctx, 2):
+        for table in iter_eta_tables(Orbits(ctx, 2)):
             if not good.x_good(table.x):
                 continue
             assert table.counts.max() <= good.cap
@@ -569,7 +580,7 @@ def test_analysis_selection():
 
 
 def test_summary_scan():
-    report = success_report(F4, 2, Analysis.SECOND)
+    report = success_report(Orbits(F4, 2), Analysis.SECOND)
     assert report.x_good_count == 6
     assert report.w_good_min == 16
     assert report.as_dict()["good_sets"]["D"] == 4
@@ -577,12 +588,12 @@ def test_summary_scan():
 
 def test_csv_export():
     out = io.StringIO()
-    write_eta_csv([eta_table(F3, (1, 1))], out)
+    write_eta_csv([eta_table(Orbits(F3, 2), (1, 1))], out)
     lines = out.getvalue().splitlines()
     assert lines[0] == "x,w,eta"
     assert "1;1,0;0,1" in lines
     out = io.StringIO()
-    write_eta_csv([eta_table(F3, (1, 1))], out, include_solutions=True)
+    write_eta_csv([eta_table(Orbits(F3, 2), (1, 1))], out, include_solutions=True)
     text = out.getvalue()
     assert "solutions" in text.splitlines()[0]
     assert "0,2|2,0" in text

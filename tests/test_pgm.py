@@ -3,7 +3,6 @@ import math
 import operator
 import random
 from bisect import bisect_left
-from functools import partial
 from itertools import accumulate, product
 from types import SimpleNamespace
 
@@ -12,11 +11,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hpp.cli
+import hpp.fibers
+import hpp.pgm
 from hpp.blackbox import sample_instance
 from hpp.densmat import pipeline_probability
 from hpp.errors import InvariantViolationError
 from hpp.fibers import (
     Analysis,
+    EtaTable,
+    Orbits,
     _scaled_read,
     decode_point,
     direction_orbit,
@@ -57,13 +61,13 @@ F7 = make_field(7)
 def test_ideal_n1_closed_form():
     for d in (3, 5, 7, 11):
         ctx = make_field(d)
-        val = success_report(ctx, 1, Analysis.FIRST).ideal
+        val = success_report(Orbits(ctx, 1), Analysis.FIRST).ideal
         assert abs(val - (1 - 1 / d + 1 / d**2)) < 1e-12
 
 
 def test_gf4_frozen_values():
     # hand-derived: 4096 * ideal = 2128; approx = lemma2 = 3/8 exactly
-    report = success_report(F4, 2, Analysis.SECOND)
+    report = success_report(Orbits(F4, 2), Analysis.SECOND)
     assert abs(report.ideal - 2128 / 4096) < 1e-12
     assert abs(report.approx - 0.375) < 1e-12
     assert abs(report.lemma2 - 0.375) < 1e-12
@@ -78,7 +82,7 @@ def test_sandwich_small_fields():
         ("5", Analysis.SECOND),
         ("3^2", Analysis.SECOND),
     ):
-        report = success_report(parse_field(desc), 2, analysis)
+        report = success_report(Orbits(parse_field(desc), 2), analysis)
         ideal, approx, lemma2 = report.ideal, report.approx, report.lemma2
         assert lemma2 <= approx + 1e-9
         assert approx <= ideal + 1e-9
@@ -103,7 +107,7 @@ def test_first_analysis_n2_closed_form(desc):
     #   x = 0: one fiber of size d^2.
     ctx = parse_field(desc)
     d = ctx.d
-    report = success_report(ctx, 2, Analysis.FIRST)
+    report = success_report(Orbits(ctx, 2), Analysis.FIRST)
     r = (d - 1) * (d - 2) * (d + (d * d - d) / math.sqrt(2)) ** 2
     ideal = (r + (d - 1) * (math.sqrt(d) + d * d - d) ** 2 + 2 * (d - 1) * d**3 + d * d) / d**6
     approx = (r + (d - 1) * (d * d - d) ** 2) / d**6
@@ -122,7 +126,7 @@ def test_second_analysis_characteristic_2_pin(e):
     # directions (0.375, 0.65625, 0.8203125, 0.908203125, 0.95361328125).
     ctx = parse_field(f"2^{e}")
     d = ctx.d
-    report = success_report(ctx, 2, Analysis.SECOND)
+    report = success_report(Orbits(ctx, 2), Analysis.SECOND)
     assert report.approx == (d - 1) * (d - 2) / d**2
     assert report.x_good_count == (d - 1) * (d - 2)
 
@@ -135,7 +139,7 @@ def test_corollary_bound_fixture():
 
 def test_ideal_requires_full_scan():
     with pytest.raises(InvariantViolationError, match="a table for every x"):
-        _success_sums([eta_table(F5, (1, 2))], good_sets(F5, 2, Analysis.FIRST))
+        _success_sums([eta_table(Orbits(F5, 2), (1, 2))], good_sets(F5, 2, Analysis.FIRST))
 
 
 @pytest.mark.parametrize(
@@ -151,7 +155,7 @@ def test_success_sums_equal_a_table_by_table_computation(desc, n, analysis):
     ctx = parse_field(desc)
     good = good_sets(ctx, n, analysis)
     ideal_terms, approx_terms, w_counts = [], [], []
-    for table in iter_eta_tables(ctx, n):
+    for table in iter_eta_tables(Orbits(ctx, n)):
         inner = math.fsum(np.sqrt(table.counts).tolist())
         ideal_terms.append(inner * inner)
         if good.x_good(table.x):
@@ -161,14 +165,15 @@ def test_success_sums_equal_a_table_by_table_computation(desc, n, analysis):
             w_counts.append(kept.size)
     scale = ctx.d ** (3 * n)
     want = (math.fsum(ideal_terms) / scale, math.fsum(approx_terms) / scale, w_counts)
-    assert _success_sums(iter_eta_tables(ctx, n), good) == want
-    report = success_report(ctx, n, analysis)
+    assert _success_sums(iter_eta_tables(Orbits(ctx, n)), good) == want
+    report = success_report(Orbits(ctx, n), analysis)
     assert (report.ideal, report.approx) == want[:2]
 
 
 def _sampler(ctx, n, analysis):
-    """A Sampler whose table_of builds each table it is asked for."""
-    return Sampler(good_sets(ctx, n, analysis), partial(eta_table, ctx))
+    """A Sampler over a store of its own, which no pass has filled: it
+    enumerates each table it reads."""
+    return Sampler(good_sets(ctx, n, analysis), Orbits(ctx, n))
 
 
 def _direction_law(sampler, x):
@@ -183,7 +188,7 @@ def test_outcome_distribution_normalization_and_support():
     sampler = _sampler(F5, 2, Analysis.FIRST)
     good = sampler.good
     for x in product(range(5), repeat=2):
-        table = eta_table(F5, x)
+        table = eta_table(sampler.orbits, x)
         probs, mass = outcome_distribution(sampler, x)
         if not good.x_good(x):
             assert mass == 0.0 and probs.shape == (0,)
@@ -214,7 +219,7 @@ def test_sample_outcome_returns_outcome_or_bad():
 def test_run_many_matches_approx_success():
     ctx = F5
     sampler = _sampler(ctx, 2, Analysis.FIRST)
-    approx = success_report(ctx, 2, Analysis.FIRST).approx
+    approx = success_report(Orbits(ctx, 2), Analysis.FIRST).approx
     stats = run_many(sampler, random.Random("mc"), runs=4000)
     sigma = math.sqrt(approx * (1 - approx) / stats.runs)
     assert abs(stats.success_rate - approx) < 5 * sigma
@@ -241,12 +246,12 @@ def test_quantum_solver_majority_vote():
 def test_success_report_structure_and_determinism(tmp_path):
     from hpp.cli import main
 
-    report = success_report(F5, 2, Analysis.FIRST)
+    report = success_report(Orbits(F5, 2), Analysis.FIRST)
     doc = report.as_dict()
     assert doc["field"] == "5"
     assert doc["analysis"] == "first"
     assert "mc" not in doc
-    assert doc == success_report(F5, 2, Analysis.FIRST).as_dict()
+    assert doc == success_report(Orbits(F5, 2), Analysis.FIRST).as_dict()
     assert json.loads(json.dumps(doc)) == doc
     # The Monte Carlo block is the command's: the same report plus "mc".
     outs = [tmp_path / "a.json", tmp_path / "b.json"]
@@ -278,7 +283,7 @@ def test_success_report_enumerates_once(tmp_path, monkeypatch):
         raise AssertionError("a Sampler was built")
 
     monkeypatch.setattr(hpp.pgm, "iter_eta_tables", counting)
-    success_report(F5, 2, Analysis.FIRST)
+    success_report(Orbits(F5, 2), Analysis.FIRST)
     assert len(passes) == 1
     # The fibers themselves are never enumerated on the report's path.
     assert len(built) == 25 and not any("solutions" in vars(t) for t in built)
@@ -302,7 +307,7 @@ def test_success_report_requires_seed_for_mc(tmp_path, monkeypatch, capsys):
         raise AssertionError("a table was built")
 
     monkeypatch.delenv("HPP_SEED", raising=False)
-    monkeypatch.setattr("hpp.cli.eta_table", no_tables)
+    monkeypatch.setattr("hpp.pgm.eta_table", no_tables)
     monkeypatch.setattr("hpp.pgm.iter_eta_tables", no_tables)
     with pytest.raises(SystemExit) as exc:
         main(["success", "--field", "5", "-n", "2", "--mc", "10",
@@ -313,7 +318,7 @@ def test_success_report_requires_seed_for_mc(tmp_path, monkeypatch, capsys):
 
 
 def test_success_report_rejects_broken_sandwich():
-    report = success_report(F5, 2, Analysis.FIRST)
+    report = success_report(Orbits(F5, 2), Analysis.FIRST)
     with pytest.raises(InvariantViolationError):
         SuccessReport(
             field="5",
@@ -378,7 +383,7 @@ def test_outcome_law_equals_literal_character_sum(desc, n, analysis, stride):
     ctx = parse_field(desc)
     good = good_sets(ctx, n, analysis)
     checked = 0
-    for i, table in enumerate(iter_eta_tables(ctx, n)):
+    for i, table in enumerate(iter_eta_tables(Orbits(ctx, n))):
         if i % stride or not good.x_good(table.x):
             continue
         probs, mass = _delta_distribution(table, good)
@@ -427,13 +432,14 @@ def test_sqrt_sum_equals_fsum_of_expanded_roots():
         a = rng.integers(0, top + 1, size=int(rng.integers(0, 3000)))
         assert _sqrt_sum(hist(a)) == fsum_roots(a), a
     # All-zero and empty arrays, and the single fiber of size d^n at x = 0.
-    for a in (np.zeros(0, np.int64), np.zeros(49, np.int64), eta_table(F7, (0, 0)).counts):
+    zero_x = eta_table(Orbits(F7, 2), (0, 0)).counts
+    for a in (np.zeros(0, np.int64), np.zeros(49, np.int64), zero_x):
         assert _sqrt_sum(hist(a)) == fsum_roots(a)
     # The full tables and the good-target slices success_report sums, the
     # latter read from the histogram cut at the cap on its size axis.
     for ctx, analysis in ((F7, Analysis.FIRST), (parse_field("3^2"), Analysis.SECOND)):
         good = good_sets(ctx, 2, analysis)
-        for table in iter_eta_tables(ctx, 2):
+        for table in iter_eta_tables(Orbits(ctx, 2)):
             by_size = hist(table.counts)
             assert _sqrt_sum(by_size) == fsum_roots(table.counts), table.x
             if good.x_good(table.x):
@@ -491,28 +497,57 @@ def test_samplers_over_equal_good_sets_keep_their_own_laws():
     assert second.orbit_laws[(1, 6)][0] is not first.orbit_laws[(1, 6)][0]
 
 
-def test_table_of_is_called_once_per_drawn_good_orbit_with_its_representative():
-    # A replay on a twin stream lists the directions the draws take; the
-    # sampler asks table_of once for each good orbit among them, with the
-    # orbit's representative, and for nothing else.
-    asked = []
-    sampler = Sampler(
-        good_sets(F7, 2, Analysis.FIRST), lambda x: asked.append(x) or eta_table(F7, x)
+def _drawn_directions(seed, runs):
+    """The directions run_many(sampler, random.Random(seed), runs) draws on
+    GF(7)^2 under the first analysis, read from a replay of the literal
+    draw, and the stream's state after it."""
+    rng, drawn = random.Random(seed), []
+    replay = _sampler(F7, 2, Analysis.FIRST)
+    for _ in range(runs):
+        _literal_draw(replay, rng, drawn)
+    return drawn, rng.getstate()
+
+
+def test_a_sampler_builds_one_law_per_drawn_good_orbit_from_its_representatives_table(
+    monkeypatch,
+):
+    drawn, state = _drawn_directions("table-of", 60)
+    sampler = _sampler(F7, 2, Analysis.FIRST)
+    good = {x for x in drawn if sampler.good.x_good(x)}
+    reps = {direction_orbit(F7, x)[0] for x in good}
+    # Bad directions and orbit members other than the representative were drawn.
+    assert good < set(drawn) and not good <= reps
+    built = []
+    real = hpp.pgm._delta_distribution
+    monkeypatch.setattr(
+        hpp.pgm, "_delta_distribution", lambda table, g: built.append(table) or real(table, g)
     )
     rng = random.Random("table-of")
-    twin = random.Random()
-    twin.setstate(rng.getstate())
     run_many(sampler, rng, 60)
-    drawn = []
-    replay = _sampler(F7, 2, Analysis.FIRST)
-    for _ in range(60):
-        _literal_draw(replay, twin, drawn)
-    assert rng.getstate() == twin.getstate()
-    good = {x for x in drawn if sampler.good.x_good(x)}
-    orbits = {direction_orbit(F7, x)[0] for x in good}
-    # Bad directions and orbit members other than the representative were drawn.
-    assert good < set(drawn) and not good <= orbits
-    assert sorted(asked) == sorted(orbits)
+    assert rng.getstate() == state
+    assert sorted(t.x for t in built) == sorted(reps)
+    for table in built:
+        fresh = eta_table(Orbits(F7, 2), table.x)
+        assert np.array_equal(table.counts, fresh.counts), table.x
+
+
+def test_a_sampler_enumerates_only_the_orbits_its_store_has_not_kept(monkeypatch):
+    # Half the drawn good orbits are kept in the store before the draws; the
+    # sampler asks eta_table for the other half only, with their
+    # representatives, and eta_table keeps those too.
+    drawn, _ = _drawn_directions("table-of", 60)
+    good = good_sets(F7, 2, Analysis.FIRST)
+    reps = sorted({direction_orbit(F7, x)[0] for x in drawn if good.x_good(x)})
+    assert len(reps) >= 2
+    orbits = Orbits(F7, 2)
+    for rep in reps[::2]:
+        eta_table(orbits, rep)
+    asked = []
+    real = hpp.pgm.eta_table
+    monkeypatch.setattr(hpp.pgm, "eta_table", lambda o, x: asked.append(x) or real(o, x))
+    run_many(Sampler(good, orbits), random.Random("table-of"), 60)
+    assert asked == reps[1::2]
+    assert set(orbits.kept) == {encode_point(r, F7.d) for r in reps}
 
 
 # (field, n, analysis, orbit laws built, good directions)
@@ -536,7 +571,7 @@ def test_orbit_laws_equal_fresh_builds(desc, n, analysis, built, good_count):
     ctx = parse_field(desc)
     sampler = _sampler(ctx, n, analysis)
     good = sampler.good
-    tables = [t for t in iter_eta_tables(ctx, n) if good.x_good(t.x)]
+    tables = [t for t in iter_eta_tables(Orbits(ctx, n)) if good.x_good(t.x)]
     assert len(tables) == good_count
     # Each direction's law, read from its orbit representative's law, is
     # compared with a fresh build from the direction's own table.  In
@@ -580,67 +615,80 @@ def test_success_mc_and_dump_dist_enumerate_once_per_direction_orbit(
 ):
     # The dump and the draws read the tables the report's pass kept: a
     # Sampler that rebuilt one would enumerate its orbit a second time.
-    import hpp.fibers
     from hpp.cli import main
-    from hpp.fibers import _orbits
 
     ctx = parse_field(desc)
     orbits = {direction_orbit(ctx, x)[0] for x in product(range(ctx.d), repeat=n)}
     calls = []
     real = hpp.fibers._w_codes
     monkeypatch.setattr(hpp.fibers, "_w_codes", lambda *a: calls.append(a[1]) or real(*a))
-    _orbits.cache_clear()  # no table kept from an earlier call
-    try:
-        assert main(["success", "--field", desc, "-n", str(n), "--mc", "300", "--seed", "o",
-                     "--out", str(tmp_path / "s.json"),
-                     "--dump-dist", str(tmp_path / "d.csv")]) == 0
-    finally:
-        _orbits.cache_clear()
+    assert main(["success", "--field", desc, "-n", str(n), "--mc", "300", "--seed", "o",
+                 "--out", str(tmp_path / "s.json"),
+                 "--dump-dist", str(tmp_path / "d.csv")]) == 0
     assert len(calls) == len(orbits) and set(calls) == orbits
 
 
+def test_no_table_outlives_the_run_that_made_it(tmp_path, monkeypatch):
+    # Each in-process run builds its own orbit store, so a second run
+    # enumerates every direction orbit again, once, as the first did.
+    from hpp.cli import main
+
+    ctx = parse_field("13")
+    orbits = sorted({direction_orbit(ctx, x)[0] for x in product(range(ctx.d), repeat=2)})
+    calls = []
+    real = hpp.fibers._w_codes
+    monkeypatch.setattr(hpp.fibers, "_w_codes", lambda *a: calls.append(a[1]) or real(*a))
+    outs = [tmp_path / "first.json", tmp_path / "second.json"]
+    for out in outs:
+        calls.clear()
+        assert main(["success", "--field", "13", "-n", "2", "--out", str(out)]) == 0
+        assert sorted(calls) == orbits, out.name
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    # A Sampler reads only a store over its good sets' F^n.
+    good = good_sets(ctx, 2, Analysis.FIRST)
+    for other in (Orbits(parse_field("11"), 2), Orbits(ctx, 3)):
+        with pytest.raises(ValueError, match="different F\\^n"):
+            Sampler(good, other)
+
+
 @pytest.mark.parametrize(
-    "argv,module",
+    "argv",
     [
-        (["e2e", "-m", "2", "--trials", "2", "--summary-out", "{out2}"], "hpp.pgm"),
-        (["success", "--mc", "500", "--dump-dist", "{out2}"], "hpp.cli"),
+        ["e2e", "-m", "2", "--trials", "2", "--summary-out", "{out2}"],
+        ["success", "--mc", "500", "--dump-dist", "{out2}"],
     ],
     ids=["e2e", "success"],
 )
-def test_commands_keep_only_good_orbit_representatives_tables(
-    argv, module, tmp_path, monkeypatch
-):
-    # Each command's one Sampler reads the tables of the good orbit
-    # representatives and no other: e2e keeps those of its one pass, and
-    # success asks the tables its report's pass kept, once per good orbit.
+def test_commands_keep_only_good_orbit_representatives_tables(argv, tmp_path, monkeypatch):
+    # Each command's one Sampler reads the store its command's pass filled:
+    # it builds laws for good orbit representatives only, from the tables
+    # the pass kept, and makes no eta_table call of its own.
     from hpp.cli import main
 
-    made, asked = [], []
+    made, built, asked = [], [], []
 
-    def recording(good, table_of):
-        def asking(x):
-            asked.append(table_of(x))
-            return asked[-1]
+    def recording(good, orbits):
+        made.append(orbits)
+        return Sampler(good, orbits)
 
-        made.append((good, table_of))
-        return Sampler(good, asking)
-
-    monkeypatch.setattr(f"{module}.Sampler", recording)
+    real_law, real_table = hpp.pgm._delta_distribution, hpp.pgm.eta_table
+    monkeypatch.setattr(hpp.cli, "Sampler", recording)
+    monkeypatch.setattr(
+        hpp.pgm, "_delta_distribution", lambda t, g: built.append(t.x) or real_law(t, g)
+    )
+    monkeypatch.setattr(hpp.pgm, "eta_table", lambda *a: asked.append(a) or real_table(*a))
     outs = {"{out1}": str(tmp_path / "out1"), "{out2}": str(tmp_path / "out2")}
     argv = [argv[0], "--field", "13", "-n", "2", "--seed", "r", "--out", "{out1}", *argv[1:]]
     assert main([outs.get(a, a) for a in argv]) == 0
-    ((good, table_of),) = made
-    ctx = good.ctx
+    (orbits,) = made
+    ctx = orbits.ctx
+    good = good_sets(ctx, 2, Analysis.FIRST)
     reps = {
         direction_orbit(ctx, x)[0] for x in product(range(ctx.d), repeat=2) if good.x_good(x)
     }
     assert len(reps) == 7
-    if argv[0] == "e2e":
-        tables = table_of.__self__
-        assert set(tables) == reps
-        assert all(tables[r].x == r for r in reps)
-    else:
-        assert len(asked) == 7 and {t.x for t in asked} == reps
+    assert sorted(built) == sorted(reps) and not asked
+    assert {encode_point(r, ctx.d) for r in reps} <= set(orbits.kept)
 
 
 def _full_term_counts(ctx, n, w_codes, size_index, k):
@@ -666,7 +714,7 @@ def _full_term_counts(ctx, n, w_codes, size_index, k):
 def test_line_reduced_term_counts_equal_the_full_count(desc, x):
     ctx = parse_field(desc)
     n = len(x)
-    table = eta_table(ctx, x)
+    table = eta_table(Orbits(ctx, n), x)
     good = good_sets(ctx, n, Analysis.SECOND if ctx.p == 2 else Analysis.FIRST)
     codes = np.flatnonzero(good.w_good(x, table.counts))
     eta = table.counts[codes]
@@ -776,18 +824,18 @@ def test_draw_records_replay_the_searchsorted_draw(desc, analysis, q):
     assert last == cdf.obj[-1]
 
 
-def test_sample_outcome_returns_plain_ints():
-    tables = {}
-    sampler = Sampler(
-        good_sets(F5, 2, Analysis.FIRST), lambda x: tables.setdefault(x, eta_table(F5, x))
-    )
+def test_sample_outcome_returns_plain_ints(monkeypatch):
+    # Drawing reads fiber sizes only: no fiber's points are listed.
+    listed = []
+    monkeypatch.setattr(EtaTable, "solutions", property(lambda t: listed.append(t.x)))
+    sampler = _sampler(F5, 2, Analysis.FIRST)
     rng = random.Random("ints")
     outcomes = [sample_outcome(sampler, rng) for _ in range(100)]
     drawn = [o for o in outcomes if o is not BAD_BRANCH]
     assert drawn
     for code in drawn:
         assert type(code) is int and code in range(F5.d**2)
-    assert not any("solutions" in vars(t) for t in tables.values())
+    assert sampler.orbit_laws and not listed
 
 
 def _assert_pipeline_matches_law(ctx, analysis, x, qc):
