@@ -81,20 +81,19 @@ def _outputs(paths: dict[str, str | None]):
     try:
         with contextlib.ExitStack() as stack:
             handles = []
-            for real in reals:
+            for path, real in zip(paths.values(), reals):
                 if real is None:
                     handles.append(sys.stdout)
                     continue
-                target = real  # a device or pipe is written in place
-                try:
-                    target = os.open(real, create, 0o666)
-                    made.append((real, real))
-                except FileExistsError:
-                    mode = os.stat(real).st_mode
-                    if stat.S_ISREG(mode):
-                        new = f"{real}.{os.urandom(4).hex()}.tmp"
-                        target = os.open(new, create, stat.S_IMODE(mode))
-                        made.append((new, real))
+                try:  # as given: /dev/stdout on a pipe resolves to no path
+                    mode = os.stat(path).st_mode
+                except FileNotFoundError:
+                    mode = None
+                target = path  # a device or pipe is written in place
+                if mode is None or stat.S_ISREG(mode):
+                    new = real if mode is None else f"{real}.{os.urandom(4).hex()}.tmp"
+                    target = os.open(new, create, 0o666 if mode is None else stat.S_IMODE(mode))
+                    made.append((new, real))
                 handles.append(
                     stack.enter_context(open(target, "w", newline="\n", encoding="utf-8"))
                 )

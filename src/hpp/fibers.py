@@ -171,14 +171,15 @@ def _check_enum_budget(d: int, exponent: int) -> None:
 @lru_cache(maxsize=1)
 def _enum_constants(ctx: FieldCtx, k: int, rows: int) -> tuple:
     """Constants of _w_codes for one (field, k, rows), as read-only arrays
-    kept for the most recent call.  Plane P = e(rows - 1 - i) + t holds
-    digit t of w_i, digit P of the code.  A plane's digit table covers two
-    antilog cycles and then zeros from Z = 2(d - 1), the log of zero, so a
-    sum of two logs needs no mod.  Returns the logs as a list; index[P, b]
-    = P * (2Z + 1) + the log of b^(i+1); the digit tables with (first) and
-    without P * S added, S = k(p - 1) + 1 bounding a digit sum; and
-    residues[P * S + s] = (s mod p) * p^P.
-    """
+    kept for the most recent call, the one cache that outlives a run: they
+    grow with d, not d^n, and enumerations with no store share them
+    (EtaTable.solutions, brute_fiber, eta_moments).  Plane P = e(rows - 1
+    - i) + t holds digit t of w_i, digit P of the code.  A plane's digit
+    table covers two antilog cycles and then zeros from Z = 2(d - 1), the
+    log of zero, so a sum of two logs needs no mod.  Returns the logs as a
+    list; index[P, b] = P * (2Z + 1) + the log of b^(i+1); the digit tables
+    with (first) and without P * S added, S = k(p - 1) + 1 bounding a digit
+    sum; and residues[P * S + s] = (s mod p) * p^P."""
     d, p, e = ctx.d, ctx.p, ctx.e
     log, exp = ctx.log_tables
     zero = 2 * (d - 1)
@@ -225,11 +226,11 @@ def _sort_rows(a: np.ndarray) -> None:
 
 
 class Orbits:
-    """The orbit store of one run over F^n.  labels, built on first use:
-    read-only int64 arrays rep and lam by code, with x = lam[c] * sigma(r)
-    for the r coded rep[c] (direction_orbit); each nonzero x_c divides x in
-    the log domain, and the least sorted code wins, then lam.  kept: the
-    read-only counts of each representative eta_table has met, by code."""
+    """The orbit store of one run over F^n, read only through orbit().
+    labels, built on first use: read-only int64 arrays rep and lam by code,
+    with x = lam[c] * sigma(r) for the r coded rep[c] (direction_orbit);
+    each nonzero x_c divides x in the log domain, and the least sorted code
+    wins, then lam.  kept: each representative's read-only counts, by code."""
 
     def __init__(self, ctx: FieldCtx, n: int):
         _check_n(n)
@@ -252,6 +253,18 @@ class Orbits:
         rep.flags.writeable = lam.flags.writeable = False
         return rep, lam
 
+    def orbit(self, x: Point) -> tuple[Point, Felt, np.ndarray]:
+        """(r, lam, counts) with x = lam * sigma(r), counts being r's read-only
+        table: enumerated and kept on the orbit's first use, then shared."""
+        (reps, lams), d, n = self.labels, self.ctx.d, self.n
+        code = encode_point(x, d)
+        rep = int(reps[code])
+        r = decode_point(rep, d, n)
+        if rep not in self.kept:
+            self.kept[rep] = np.bincount(_w_codes(self.ctx, r, n), minlength=d**n)
+            self.kept[rep].flags.writeable = False
+        return r, int(lams[code]), self.kept[rep]
+
 
 def _scaled_read(values: np.ndarray, ctx: FieldCtx, n: int, lam: Felt) -> np.ndarray:
     """values over F^n, by code, read at lam * a, lam nonzero: out[code(a)] =
@@ -271,11 +284,10 @@ def _scaled_read(values: np.ndarray, ctx: FieldCtx, n: int, lam: Felt) -> np.nda
 def eta_table(orbits: Orbits, x: Sequence[Felt]) -> EtaTable:
     """Exact fiber sizes for one x of the store's F^n, as a read-only table.
 
-    With x = lam * sigma(r) (Orbits.labels), x's counts at w are r's at
-    lam^-1 * w: r's table is enumerated and kept in the store on first use,
-    and x's table is that one read.  Nothing is labelled or kept when a
-    pass over F^n, d^(2n) points, exceeds ENUMERATION_BUDGET.  The counts
-    are never writable, since a representative's are shared between calls.
+    With x = lam * sigma(r) (Orbits.orbit), x's counts at w are r's at
+    lam^-1 * w: r's kept array itself when lam = 1, else read from it.
+    Nothing is labelled or kept when a pass over F^n, d^(2n) points,
+    exceeds ENUMERATION_BUDGET.  The counts are never writable: r's are shared.
     """
     ctx, n = orbits.ctx, orbits.n
     x = tuple(map(ctx.check, x))
@@ -285,16 +297,9 @@ def eta_table(orbits: Orbits, x: Sequence[Felt]) -> EtaTable:
     if ctx.d ** (2 * n) > ENUMERATION_BUDGET:
         counts = np.bincount(_w_codes(ctx, x, n), minlength=ctx.d**n)
     else:
-        (reps, lams), kept = orbits.labels, orbits.kept
-        code = encode_point(x, ctx.d)
-        rep = int(reps[code])
-        if rep not in kept:
-            r = decode_point(rep, ctx.d, n)
-            kept[rep] = np.bincount(_w_codes(ctx, r, n), minlength=ctx.d**n)
-            kept[rep].flags.writeable = False
-        counts = kept[rep]
-        if rep != code:
-            counts = _scaled_read(counts, ctx, n, ctx.inv(int(lams[code])))
+        _, lam, counts = orbits.orbit(x)
+        if lam != 1:
+            counts = _scaled_read(counts, ctx, n, ctx.inv(lam))
     counts.flags.writeable = False
     return EtaTable(ctx=ctx, x=x, counts=counts)
 

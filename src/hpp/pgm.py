@@ -33,11 +33,11 @@ reads a fiber table from its orbit's).  A law is built once per orbit of
 directions under x -> lam * sigma(x) (fibers.Orbits), lam in F* and sigma
 a permutation of the coordinates: the fiber sizes of lam * sigma(x) are
 those of x with every w scaled by lam, so its law at delta is x's law at
-lam * delta.  The orbit's law is built from the run's orbit store's table
-of the orbit's least point r, the only table the law layer reads, and
-cached on the Sampler; each direction's law is one move of it, and nothing
-is cached per direction but its draw record.  The law over q' for a given
-q is the delta law read at q - q'.
+lam * delta.  The orbit's law is built from the store's table of the
+orbit's least point r (Orbits.orbit), the only table the law layer reads,
+and cached on the Sampler with the line constants it reads; each law is
+one move of its orbit's, nothing is cached per direction but its draw
+record, and the law over q' for a given q is the delta law read at q - q'.
 
 A draw reads one record per direction from the sampler's draw list,
 indexed by the direction's encode_point code and filled on the direction's
@@ -76,7 +76,7 @@ import random
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 from operator import mul
 from typing import Callable, Iterable
 
@@ -91,8 +91,6 @@ from .fibers import (
     Point,
     _scaled_read,
     decode_point,
-    encode_point,
-    eta_table,
     good_sets,
     iter_eta_tables,
 )
@@ -190,10 +188,9 @@ def corollary_bound(d: int, n: int, cap: int) -> float:
     return (d - 1) ** n * per_x**2 / d ** (3 * n)
 
 
-@lru_cache(maxsize=1)
 def _delta_lines(ctx: FieldCtx, n: int) -> tuple[np.ndarray, ...]:
     """Constants of the line-reduced phase counts of one (field, n), as
-    read-only arrays kept for the most recent (field, n).
+    read-only arrays; a Sampler builds them once (Sampler.lines).
 
     Scaling delta by lam in F_p* scales each base-p digit of its code, so
     every nonzero delta is lam * rho for the one rho on its F_p-line whose
@@ -226,7 +223,7 @@ def _delta_lines(ctx: FieldCtx, n: int) -> tuple[np.ndarray, ...]:
 
 
 def _term_counts(
-    ctx: FieldCtx, n: int, w_codes: np.ndarray, size_index: np.ndarray, k: int
+    ctx: FieldCtx, w_codes: np.ndarray, size_index: np.ndarray, k: int, lines: tuple
 ) -> np.ndarray:
     """terms[delta, t * k + s]: how many targets w (by code, each with its
     index s among k distinct fiber sizes) have phase index Tr(<delta, w>) =
@@ -235,14 +232,14 @@ def _term_counts(
     With the base-p digits of a point as a row vector (e digits per
     coordinate), Tr(<delta, w>) = digits(delta) . blockdiag_n(M) .
     digits(w) mod p, where M is the field's trace form.  Only the rows of
-    the line representatives are computed (_delta_lines): the outer
+    the line representatives are computed (lines, _delta_lines): the outer
     product is accumulated one digit position at a time, every entry stays
     at most n*e*(p-1)^2, one gather from the residue table reduces it mod
     p, and one bincount counts each row's terms.  One more gather derives
     the rows of the other deltas.
     """
     p = ctx.p
-    place, left, residues, gather = _delta_lines(ctx, n)
+    place, left, residues, gather = lines
     right = w_codes[:, None] // place % p
     keys = left[:, :1] * right[:, 0]
     for j in range(1, len(place)):
@@ -293,7 +290,7 @@ def _exact_row_sums(counts: np.ndarray, values: list[list[float]]) -> np.ndarray
     return np.array(list(map(math.fsum, cells.tolist()))).reshape(rows, ncols)
 
 
-def _delta_distribution(table: EtaTable, good: GoodSets) -> tuple[np.ndarray, float]:
+def _delta_distribution(table: EtaTable, good: GoodSets, lines: tuple) -> tuple[np.ndarray, float]:
     """Good-branch probabilities over delta = q - q', indexed by the integer
     code of delta, and the good-branch mass.
 
@@ -314,7 +311,7 @@ def _delta_distribution(table: EtaTable, good: GoodSets) -> tuple[np.ndarray, fl
     if not codes.size:
         return np.empty(0), mass
     sizes = np.flatnonzero(np.bincount(eta))
-    terms = _term_counts(ctx, table.n, codes, np.searchsorted(sizes, eta), len(sizes))
+    terms = _term_counts(ctx, codes, np.searchsorted(sizes, eta), len(sizes), lines)
     roots = [math.sqrt(s) for s in sizes.tolist()]
     values = [[r * z.real, r * z.imag] for z in ctx._unit_roots for r in roots]
     amps = _exact_row_sums(terms, values)
@@ -331,11 +328,11 @@ def _delta_distribution(table: EtaTable, good: GoodSets) -> tuple[np.ndarray, fl
 @dataclass(eq=False)
 class Sampler:
     """The measurement sampler of one good set and the law state it builds:
-    orbits the run's orbit store over the same F^n, whose labels give each
-    direction's orbit and whose kept tables the laws are built from;
-    orbit_laws one law per direction orbit, keyed by its representative r;
-    draws each direction's draw record by code (None until its first
-    draw); points every point of F^n by code, built on first use."""
+    orbits the run's orbit store over the same F^n, whose orbit() gives
+    each direction's orbit and the table its law is built from; orbit_laws
+    one law per direction orbit, keyed by its representative r; draws each
+    direction's draw record by code (None until its first draw); points
+    every point of F^n by code, and lines (_delta_lines), both lazy."""
 
     good: GoodSets
     orbits: Orbits
@@ -351,24 +348,22 @@ class Sampler:
         d, n = self.good.ctx.d, self.good.n
         return [decode_point(code, d, n) for code in range(d**n)]
 
+    @cached_property
+    def lines(self) -> tuple[np.ndarray, ...]:
+        return _delta_lines(self.good.ctx, self.good.n)
+
 
 def _outcome_law(sampler: Sampler, x: Point) -> tuple[np.ndarray, float, Felt]:
     """(probabilities, good-branch mass, lam) for the good direction x =
-    lam * sigma(r), r being its orbit's representative (Orbits.labels):
-    the probabilities are r's law, built on the orbit's first use from the
-    table the store kept for r, or else from eta_table, which keeps it, and
-    cached on the sampler; x's law is law_x[delta] = law_r[lam * delta].
+    lam * sigma(r) (Orbits.orbit): the probabilities are r's law, built on
+    the orbit's first use from r's table in the store and cached on the
+    sampler; x's law is law_x[delta] = law_r[lam * delta].
     """
-    orbits, laws = sampler.orbits, sampler.orbit_laws
-    reps, lams = orbits.labels
-    code = encode_point(x, orbits.ctx.d)
-    rep = int(reps[code])
-    r = decode_point(rep, orbits.ctx.d, orbits.n)
-    if r not in laws:
-        counts = orbits.kept.get(rep)
-        table = eta_table(orbits, r) if counts is None else EtaTable(orbits.ctx, r, counts)
-        laws[r] = _delta_distribution(table, sampler.good)
-    return (*laws[r], int(lams[code]))
+    r, lam, counts = sampler.orbits.orbit(x)
+    if r not in sampler.orbit_laws:
+        table = EtaTable(sampler.orbits.ctx, r, counts)
+        sampler.orbit_laws[r] = _delta_distribution(table, sampler.good, sampler.lines)
+    return (*sampler.orbit_laws[r], lam)
 
 
 def outcome_distribution(sampler: Sampler, x: Point) -> tuple[np.ndarray, float]:

@@ -360,6 +360,19 @@ def test_a_pipe_output_is_written_in_place(tmp_path):
     assert stat.S_ISFIFO(fifo.stat().st_mode) and list(tmp_path.iterdir()) == [fifo]
 
 
+def test_dev_stdout_on_a_pipe_is_written_in_place():
+    # The child's stdout is a pipe: /dev/stdout resolves to no creatable path,
+    # so it is opened as given.  Two options naming it are still refused.
+    plan = ["-m", "hpp.cli", "plan", "--field", "7", "-n", "2", "-m", "2"]
+    proc = _child(*plan, "--out", "/dev/stdout", timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["kappa"] == 3
+    both = ["--out", "/dev/stdout", "--dump-dist", "/dev/stdout"]
+    proc = _child("-m", "hpp.cli", "success", "--field", "5", "-n", "2", *both, timeout=60)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == "error: --out and --dump-dist must name different files\n"
+
+
 @pytest.mark.parametrize("bad", ["--out", "--summary-out"])
 def test_unwritable_e2e_output_exits_2_before_any_trial(
     bad, tmp_path, monkeypatch, capsys

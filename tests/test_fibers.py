@@ -290,6 +290,24 @@ def test_every_table_is_read_only_and_kept_tables_are_shared():
             table.counts[0] = 0
 
 
+@pytest.mark.parametrize("desc,n", [("13", 2), ("7", 3), ("3^2", 2), ("2^3", 2)])
+def test_a_permuted_direction_shares_its_representatives_table(desc, n):
+    # x = sigma(r) with sigma not the identity has exactly r's fiber sizes:
+    # its table is r's kept array itself, not a gathered copy.
+    ctx = parse_field(desc)
+    orbits = Orbits(ctx, n)
+    permuted = 0
+    for x in product(range(ctx.d), repeat=n):
+        r, lam = direction_orbit(ctx, x)
+        if lam != 1 or x == r:
+            continue
+        counts = eta_table(orbits, x).counts
+        assert counts is orbits.kept[encode_point(r, ctx.d)], (desc, x)
+        assert np.array_equal(counts, _enumerated(ctx, x)), (desc, x)
+        permuted += 1
+    assert permuted
+
+
 SCALE_CASES = [("7", 1), ("7", 2), ("5", 3), ("3^2", 1), ("3^2", 2), ("3^2", 3), ("2^3", 1), ("2^3", 2), ("2^2", 3)]
 
 

@@ -1,7 +1,9 @@
+import gc
 import json
 import math
 import operator
 import random
+import weakref
 from bisect import bisect_left
 from itertools import accumulate, product
 from types import SimpleNamespace
@@ -37,6 +39,7 @@ from hpp.pgm import (
     SuccessReport,
     _BAD_X,
     _delta_distribution,
+    _delta_lines,
     _draw_record,
     _exact_row_sums,
     _outcome_law,
@@ -307,7 +310,7 @@ def test_success_report_requires_seed_for_mc(tmp_path, monkeypatch, capsys):
         raise AssertionError("a table was built")
 
     monkeypatch.delenv("HPP_SEED", raising=False)
-    monkeypatch.setattr("hpp.pgm.eta_table", no_tables)
+    monkeypatch.setattr("hpp.fibers._w_codes", no_tables)
     monkeypatch.setattr("hpp.pgm.iter_eta_tables", no_tables)
     with pytest.raises(SystemExit) as exc:
         main(["success", "--field", "5", "-n", "2", "--mc", "10",
@@ -382,11 +385,12 @@ ORACLE_CASES = [
 def test_outcome_law_equals_literal_character_sum(desc, n, analysis, stride):
     ctx = parse_field(desc)
     good = good_sets(ctx, n, analysis)
+    lines = _delta_lines(ctx, n)
     checked = 0
     for i, table in enumerate(iter_eta_tables(Orbits(ctx, n))):
         if i % stride or not good.x_good(table.x):
             continue
-        probs, mass = _delta_distribution(table, good)
+        probs, mass = _delta_distribution(table, good, lines)
         want, want_mass = _literal_delta_distribution(table, good)
         assert probs.tolist() == want, (desc, table.x)
         assert mass == want_mass
@@ -488,6 +492,18 @@ def test_an_empty_orbit_law_is_shared_without_a_gather():
     assert list(sampler.orbit_laws) == [(1, 6)]
 
 
+def test_law_constants_die_with_their_sampler():
+    # The line constants are built by the draws, held by the Sampler alone,
+    # and freed with it: no cache keeps them for a later run.
+    sampler = _sampler(F7, 2, Analysis.FIRST)
+    run_many(sampler, random.Random("lines"), 50)
+    assert "lines" in vars(sampler) and sampler.orbit_laws
+    refs = [weakref.ref(a) for a in sampler.lines]
+    del sampler
+    gc.collect()
+    assert all(ref() is None for ref in refs)
+
+
 def test_samplers_over_equal_good_sets_keep_their_own_laws():
     first, second = _sampler(F7, 2, Analysis.FIRST), _sampler(F7, 2, Analysis.FIRST)
     assert first.good == second.good
@@ -520,7 +536,7 @@ def test_a_sampler_builds_one_law_per_drawn_good_orbit_from_its_representatives_
     built = []
     real = hpp.pgm._delta_distribution
     monkeypatch.setattr(
-        hpp.pgm, "_delta_distribution", lambda table, g: built.append(table) or real(table, g)
+        hpp.pgm, "_delta_distribution", lambda table, *a: built.append(table) or real(table, *a)
     )
     rng = random.Random("table-of")
     run_many(sampler, rng, 60)
@@ -533,8 +549,8 @@ def test_a_sampler_builds_one_law_per_drawn_good_orbit_from_its_representatives_
 
 def test_a_sampler_enumerates_only_the_orbits_its_store_has_not_kept(monkeypatch):
     # Half the drawn good orbits are kept in the store before the draws; the
-    # sampler asks eta_table for the other half only, with their
-    # representatives, and eta_table keeps those too.
+    # sampler's store enumerates the other half only, once each, at their
+    # representatives, and keeps those too.  The sampler calls no eta_table.
     drawn, _ = _drawn_directions("table-of", 60)
     good = good_sets(F7, 2, Analysis.FIRST)
     reps = sorted({direction_orbit(F7, x)[0] for x in drawn if good.x_good(x)})
@@ -542,11 +558,14 @@ def test_a_sampler_enumerates_only_the_orbits_its_store_has_not_kept(monkeypatch
     orbits = Orbits(F7, 2)
     for rep in reps[::2]:
         eta_table(orbits, rep)
-    asked = []
-    real = hpp.pgm.eta_table
-    monkeypatch.setattr(hpp.pgm, "eta_table", lambda o, x: asked.append(x) or real(o, x))
+    enumerated, asked = [], []
+    real_codes, real_table = hpp.fibers._w_codes, hpp.fibers.eta_table
+    monkeypatch.setattr(
+        hpp.fibers, "_w_codes", lambda *a: enumerated.append(a[1]) or real_codes(*a)
+    )
+    monkeypatch.setattr(hpp.fibers, "eta_table", lambda *a: asked.append(a) or real_table(*a))
     run_many(Sampler(good, orbits), random.Random("table-of"), 60)
-    assert asked == reps[1::2]
+    assert enumerated == reps[1::2] and not asked
     assert set(orbits.kept) == {encode_point(r, F7.d) for r in reps}
 
 
@@ -580,9 +599,10 @@ def test_orbit_laws_equal_fresh_builds(desc, n, analysis, built, good_count):
     negated = [
         encode_point([ctx.neg(a) for a in decode_point(code, d, n)], d) for code in range(d**n)
     ]
+    lines = _delta_lines(ctx, n)
     for table in reversed(tables):
         x = table.x
-        want, want_mass = _delta_distribution(table, good)
+        want, want_mass = _delta_distribution(table, good, lines)
         probs, mass = outcome_distribution(sampler, x)
         assert np.array_equal(probs, want[negated]) and mass == want_mass, x
         assert np.array_equal(_draw_record(sampler, x)[1], np.cumsum(want)), x
@@ -662,21 +682,23 @@ def test_no_table_outlives_the_run_that_made_it(tmp_path, monkeypatch):
 def test_commands_keep_only_good_orbit_representatives_tables(argv, tmp_path, monkeypatch):
     # Each command's one Sampler reads the store its command's pass filled:
     # it builds laws for good orbit representatives only, from the tables
-    # the pass kept, and makes no eta_table call of its own.
+    # the pass kept, and enumerates no orbit the pass already enumerated.
     from hpp.cli import main
 
-    made, built, asked = [], [], []
+    made, built, enumerated = [], [], []
 
     def recording(good, orbits):
         made.append(orbits)
         return Sampler(good, orbits)
 
-    real_law, real_table = hpp.pgm._delta_distribution, hpp.pgm.eta_table
+    real_law, real_codes = hpp.pgm._delta_distribution, hpp.fibers._w_codes
     monkeypatch.setattr(hpp.cli, "Sampler", recording)
     monkeypatch.setattr(
-        hpp.pgm, "_delta_distribution", lambda t, g: built.append(t.x) or real_law(t, g)
+        hpp.pgm, "_delta_distribution", lambda t, *a: built.append(t.x) or real_law(t, *a)
     )
-    monkeypatch.setattr(hpp.pgm, "eta_table", lambda *a: asked.append(a) or real_table(*a))
+    monkeypatch.setattr(
+        hpp.fibers, "_w_codes", lambda *a: enumerated.append(a[1]) or real_codes(*a)
+    )
     outs = {"{out1}": str(tmp_path / "out1"), "{out2}": str(tmp_path / "out2")}
     argv = [argv[0], "--field", "13", "-n", "2", "--seed", "r", "--out", "{out1}", *argv[1:]]
     assert main([outs.get(a, a) for a in argv]) == 0
@@ -687,8 +709,11 @@ def test_commands_keep_only_good_orbit_representatives_tables(argv, tmp_path, mo
         direction_orbit(ctx, x)[0] for x in product(range(ctx.d), repeat=2) if good.x_good(x)
     }
     assert len(reps) == 7
-    assert sorted(built) == sorted(reps) and not asked
+    assert sorted(built) == sorted(reps)
     assert {encode_point(r, ctx.d) for r in reps} <= set(orbits.kept)
+    # One enumeration per direction orbit, all made by the pass.
+    every = {direction_orbit(ctx, x)[0] for x in product(range(ctx.d), repeat=2)}
+    assert sorted(enumerated) == sorted(every)
 
 
 def _full_term_counts(ctx, n, w_codes, size_index, k):
@@ -719,8 +744,9 @@ def test_line_reduced_term_counts_equal_the_full_count(desc, x):
     codes = np.flatnonzero(good.w_good(x, table.counts))
     eta = table.counts[codes]
     sizes = np.flatnonzero(np.bincount(eta))
-    args = (ctx, n, codes, np.searchsorted(sizes, eta), len(sizes))
-    assert (_term_counts(*args) == _full_term_counts(*args)).all()
+    args = (codes, np.searchsorted(sizes, eta), len(sizes))
+    want = _full_term_counts(ctx, n, *args)
+    assert (_term_counts(ctx, *args, _delta_lines(ctx, n)) == want).all()
 
 
 def _literal_draw(sampler, rng, drawn=None):

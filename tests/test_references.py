@@ -9,10 +9,12 @@ exceptions are the test-only names ROADMAP lists with their
 reasons, and the set below must match the unused names exactly, so an entry
 that gains a caller leaves the list as well.  Likewise IMPORTS must match
 the hpp modules each module imports, so a new edge between layers shows up
-as a change to this file.
+as a change to this file, and PROCESS_CACHES must match the functions whose
+cache outlives a run, so a new process-lifetime cache does too.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -34,6 +36,15 @@ TEST_ONLY = {
     "fibers.solve_n2_triangular",
     # Reference form the labels are checked against.
     "fibers.direction_orbit",
+}
+
+# Module-level functions of src/hpp wrapped by functools.lru_cache or cache,
+# whose entries outlive the run that made them.
+PROCESS_CACHES = {
+    # maxsize=1, and its arrays grow with d, not d^n; the enumerations that
+    # have no orbit store share it (EtaTable.solutions, brute_fiber,
+    # eta_moments).  Everything else a run builds lives on its store or Sampler.
+    "fibers._enum_constants",
 }
 
 # hpp module -> the hpp modules it imports.
@@ -122,3 +133,16 @@ def test_internal_import_graph_is_pinned():
         for path in sorted((ROOT / "src" / "hpp").glob("*.py"))
     }
     assert graph == IMPORTS
+
+
+def test_only_the_pinned_functions_keep_a_cache_across_runs():
+    cached = set()
+    for path in sorted((ROOT / "src" / "hpp").glob("*.py")):
+        module = importlib.import_module(f"hpp.{path.stem}".removesuffix(".__init__"))
+        cached |= {
+            f"{path.stem}.{name}"
+            for name, obj in vars(module).items()
+            if hasattr(obj, "cache_info")  # functools.lru_cache and cache
+            and obj.__module__ == module.__name__
+        }
+    assert cached == PROCESS_CACHES
