@@ -62,41 +62,39 @@ def _resolve_seed(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
 def _outputs(paths: dict[str, str | None]):
     """Every output a command writes, opened before its first table or
     trial: one handle per option of paths (option -> path), in order, stdout
-    for None or "-".  Two options naming one file, or both "-", are refused:
-    one write would overwrite the other.  A regular file is written as a new
-    file, beside the path if it exists, that becomes the path when the
+    for None or "-".  Two options that open one file, by (st_dev, st_ino),
+    or both "-", are refused: one write would overwrite the other; None and
+    os.devnull clash with nothing.  A regular file is written as a new file,
+    beside the path's target if it exists, that becomes the target when the
     command returns and is deleted on any exception, so a failed run leaves
     the outputs as they were; a device or pipe is written in place."""
-    named = [None if p in (None, "-") else os.path.split(p) for p in paths.values()]
-    dirs = {n[0]: os.path.realpath(n[0]) for n in named if n}  # each directory once
-    reals = [n and os.path.join(dirs[n[0]], n[1]) for n in named]
-    # One lstat per file: a symlinked file resolves as realpath(path) would.
-    reals = [os.path.realpath(r) if r and os.path.islink(r) else r for r in reals]
-    seen: dict[str, str] = {}
-    for option, key in zip(paths, [r or p for r, p in zip(reals, paths.values())]):
-        if key is not None and seen.setdefault(key, option) != option:
-            raise ValueError(f"{seen[key]} and {option} must name different files")
+    seen: dict = {}
     made: list[tuple[str, str]] = []  # (file this command created, the path it becomes)
-    create = os.O_CREAT | os.O_EXCL | os.O_WRONLY
     try:
         with contextlib.ExitStack() as stack:
             handles = []
-            for path, real in zip(paths.values(), reals):
-                if real is None:
-                    handles.append(sys.stdout)
-                    continue
-                try:  # as given: /dev/stdout on a pipe resolves to no path
-                    mode = os.stat(path).st_mode
-                except FileNotFoundError:
-                    mode = None
-                target = path  # a device or pipe is written in place
-                if mode is None or stat.S_ISREG(mode):
-                    new = real if mode is None else f"{real}.{os.urandom(4).hex()}.tmp"
-                    target = os.open(new, create, 0o666 if mode is None else stat.S_IMODE(mode))
-                    made.append((new, real))
-                handles.append(
-                    stack.enter_context(open(target, "w", newline="\n", encoding="utf-8"))
-                )
+            for option, path in paths.items():
+                target = key = path  # "-" is its own key
+                if path is None or path == os.devnull:
+                    key = None
+                elif path != "-":
+                    try:
+                        st = os.stat(path)
+                    except FileNotFoundError:
+                        st = None
+                    if st is None or stat.S_ISREG(st.st_mode):
+                        # A symlink, dangling or not, is written through to its target.
+                        real = os.path.realpath(path) if os.path.islink(path) else path
+                        new = real if st is None else f"{real}.{os.urandom(4).hex()}.tmp"
+                        mode = 0o666 if st is None else stat.S_IMODE(st.st_mode)
+                        target = os.open(new, os.O_CREAT | os.O_EXCL | os.O_WRONLY, mode)
+                        made.append((new, real))
+                        st = st or os.fstat(target)
+                    key = st.st_dev, st.st_ino
+                handles.append(sys.stdout if target in (None, "-") else stack.enter_context(
+                    open(target, "w", newline="\n", encoding="utf-8")))
+                if key is not None and seen.setdefault(key, option) != option:
+                    raise ValueError(f"{seen[key]} and {option} must name different files")
             yield handles
         for new, real in made:
             if new != real:
@@ -184,14 +182,6 @@ def _median(values: list[int]) -> float:
     return float(values[mid]) if len(values) % 2 else (values[mid - 1] + values[mid]) / 2
 
 
-def table_pass(orbits: Orbits) -> Orbits:
-    """The store after e2e's up-front pass over every table, a traced stage of
-    its own.  perfbench's traced check counts the pass; ROADMAP C removes it after A."""
-    for _ in iter_eta_tables(orbits):
-        pass
-    return orbits
-
-
 def _cmd_e2e(args, parser) -> int:
     from .blackbox import sample_instance
     from .polyring import format_multipoly
@@ -210,7 +200,7 @@ def _cmd_e2e(args, parser) -> int:
     solves = kappa(args.n, args.m)  # guards the schedule before any table or instance
     outputs = {"--out": args.out, "--summary-out": args.summary_out}
     with _outputs(outputs) as (out_fh, summary_fh):
-        sampler = Sampler(good, table_pass(Orbits(ctx, args.n)))
+        sampler = Sampler(good, Orbits(ctx, args.n))
         rows = []
         successes = 0
         revealed = []

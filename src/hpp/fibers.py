@@ -230,7 +230,7 @@ class Orbits:
     labels, built on first use: read-only int64 arrays rep and lam by code,
     with x = lam[c] * sigma(r) for the r coded rep[c] (direction_orbit);
     each nonzero x_c divides x in the log domain, and the least sorted code
-    wins, then lam.  kept: each representative's read-only counts, by code."""
+    wins, then lam.  kept: each asked-for representative's read-only counts, by code."""
 
     def __init__(self, ctx: FieldCtx, n: int):
         _check_n(n)

@@ -58,7 +58,8 @@ inner sum sum_w sqrt(eta_w) is taken once per distinct histogram
 The cross-checks drawn from the measurement, the Monte Carlo rate
 (run_many) and the per-direction law (outcome_distribution), read a
 Sampler built after the pass over the same orbit store, so they read the
-representatives' tables the pass kept.
+representatives' tables the pass kept.  hpp e2e makes no pass: its
+Sampler's fresh store enumerates each good orbit it draws, once.
 
 Every sum here that must be exact follows one rule: each float it adds is
 an integer times one power of two (sqrt(k) >= 1 and its square are
@@ -89,6 +90,7 @@ from .fibers import (
     GoodSets,
     Orbits,
     Point,
+    _check_enum_budget,
     _scaled_read,
     decode_point,
     good_sets,
@@ -332,7 +334,10 @@ class Sampler:
     each direction's orbit and the table its law is built from; orbit_laws
     one law per direction orbit, keyed by its representative r; draws each
     direction's draw record by code (None until its first draw); points
-    every point of F^n by code, and lines (_delta_lines), both lazy."""
+    every point of F^n by code, and lines (_delta_lines), both lazy.  As
+    lines holds d^n * p <= d^(2n) entries, a Sampler refuses d^(2n) above
+    ENUMERATION_BUDGET before it builds any state, as a pass would: e2e has
+    no pass.  The store has no such guard; past it, it still serves tables."""
 
     good: GoodSets
     orbits: Orbits
@@ -341,6 +346,7 @@ class Sampler:
     def __post_init__(self):
         if (self.orbits.ctx, self.orbits.n) != (self.good.ctx, self.good.n):
             raise ValueError("the orbit store and the good sets are over different F^n")
+        _check_enum_budget(self.good.ctx.d, 2 * self.good.n)
         self.draws = [None] * self.good.ctx.d**self.good.n
 
     @cached_property

@@ -373,6 +373,35 @@ def test_dev_stdout_on_a_pipe_is_written_in_place():
     assert proc.stderr == "error: --out and --dump-dist must name different files\n"
 
 
+def test_the_null_device_may_take_every_output(capsys):
+    argv = ["e2e", "--field", "7", "-n", "2", "-m", "1", "--trials", "2", "--seed", "a"]
+    assert main([*argv, "--out", os.devnull, "--summary-out", os.devnull]) == 0
+    assert capsys.readouterr() == ("", "")
+
+
+def test_two_hard_links_of_one_file_are_refused(tmp_path, capsys):
+    # Outputs are told apart by the file they open, not by its path.
+    out, link = tmp_path / "out", tmp_path / "link"
+    out.write_bytes(b"earlier output\n")
+    os.link(out, link)
+    argv = ["success", "--field", "5", "-n", "2", "--out", str(out), "--dump-dist", str(link)]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", "error: --out and --dump-dist must name different files\n")
+    assert out.read_bytes() == b"earlier output\n" and out.stat().st_nlink == 2
+    assert sorted(tmp_path.iterdir()) == [link, out]
+
+
+def test_a_symlink_output_writes_its_target(tmp_path):
+    # A dangling link creates its target; once the target exists, the
+    # replaced file is the target, and the link still points at it.
+    out, link = tmp_path / "p.json", tmp_path / "link"
+    link.symlink_to(out)
+    for m, kappa in (("2", 3), ("3", 7)):
+        assert main(["plan", "--field", "7", "-n", "2", "-m", m, "--out", str(link)]) == 0
+        assert link.is_symlink() and json.loads(out.read_text())["kappa"] == kappa
+        assert sorted(tmp_path.iterdir()) == [link, out]
+
+
 @pytest.mark.parametrize("bad", ["--out", "--summary-out"])
 def test_unwritable_e2e_output_exits_2_before_any_trial(
     bad, tmp_path, monkeypatch, capsys
@@ -573,6 +602,9 @@ def test_traced_cli_wraps_every_binding(tmp_path):
     )
     assert spans["blackbox.verify_candidate"][0] > 0
     assert spans["reduction.view.verify_candidate"][0] > 0
+    # e2e makes no pass: its Sampler's store enumerates the orbits it draws,
+    # and no direction's table is read.
+    assert spans["fibers.iter_eta_tables"][0] == spans["fibers.eta_table"][0] == 0
     with trials.open(newline="") as fh:
         rows = list(csv.DictReader(fh))
     retries = sum(int(row["retries"]) for row in rows)

@@ -3,6 +3,7 @@ import json
 import math
 import operator
 import random
+import tracemalloc
 import weakref
 from bisect import bisect_left
 from itertools import accumulate, product
@@ -18,11 +19,12 @@ import hpp.fibers
 import hpp.pgm
 from hpp.blackbox import sample_instance
 from hpp.densmat import pipeline_probability
-from hpp.errors import InvariantViolationError
+from hpp.errors import GuardExceededError, InvariantViolationError
 from hpp.fibers import (
     Analysis,
     EtaTable,
     Orbits,
+    _check_enum_budget,
     _scaled_read,
     decode_point,
     direction_orbit,
@@ -569,6 +571,29 @@ def test_a_sampler_enumerates_only_the_orbits_its_store_has_not_kept(monkeypatch
     assert set(orbits.kept) == {encode_point(r, F7.d) for r in reps}
 
 
+def test_a_sampler_past_the_enumeration_budget_is_refused_before_its_state():
+    # A Sampler's line constants hold d^n * p <= d^(2n) entries, so it
+    # refuses d^(2n) > ENUMERATION_BUDGET, with a pass's message, before it
+    # builds the orbit labels or its draw list of d^n (here 1018081) records.
+    ctx = parse_field("1009")
+    orbits = Orbits(ctx, 2)
+    with pytest.raises(GuardExceededError) as expected:
+        _check_enum_budget(ctx.d, 4)
+    tracemalloc.start()
+    try:
+        with pytest.raises(GuardExceededError) as exc:
+            Sampler(good_sets(ctx, 2, Analysis.FIRST), orbits)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(exc.value) == str(expected.value)
+    assert peak < 1 << 20
+    assert "labels" not in vars(orbits) and orbits.kept == {}
+    # GF(97)^2 is inside the budget: 97^4 < 10^8.
+    f97 = parse_field("97")
+    assert Sampler(good_sets(f97, 2, Analysis.FIRST), Orbits(f97, 2)).draws == [None] * 97**2
+
+
 # (field, n, analysis, orbit laws built, good directions)
 ORBIT_CASES = [
     ("13", 2, Analysis.FIRST, 7, 144),
@@ -680,18 +705,21 @@ def test_no_table_outlives_the_run_that_made_it(tmp_path, monkeypatch):
     ids=["e2e", "success"],
 )
 def test_commands_keep_only_good_orbit_representatives_tables(argv, tmp_path, monkeypatch):
-    # Each command's one Sampler reads the store its command's pass filled:
-    # it builds laws for good orbit representatives only, from the tables
-    # the pass kept, and enumerates no orbit the pass already enumerated.
+    # Each command's one Sampler builds laws for good orbit representatives
+    # only, from the tables its store keeps, and no orbit is enumerated
+    # twice.  e2e makes no pass: it enumerates the good orbits it draws and
+    # reads no direction's table; success's pass enumerates every orbit.
     from hpp.cli import main
 
-    made, built, enumerated = [], [], []
+    made, built, enumerated, tables = [], [], [], []
 
     def recording(good, orbits):
         made.append(orbits)
         return Sampler(good, orbits)
 
-    real_law, real_codes = hpp.pgm._delta_distribution, hpp.fibers._w_codes
+    real_law, real_codes, real_table = (
+        hpp.pgm._delta_distribution, hpp.fibers._w_codes, hpp.fibers.eta_table
+    )
     monkeypatch.setattr(hpp.cli, "Sampler", recording)
     monkeypatch.setattr(
         hpp.pgm, "_delta_distribution", lambda t, *a: built.append(t.x) or real_law(t, *a)
@@ -699,6 +727,7 @@ def test_commands_keep_only_good_orbit_representatives_tables(argv, tmp_path, mo
     monkeypatch.setattr(
         hpp.fibers, "_w_codes", lambda *a: enumerated.append(a[1]) or real_codes(*a)
     )
+    monkeypatch.setattr(hpp.fibers, "eta_table", lambda o, x: tables.append(x) or real_table(o, x))
     outs = {"{out1}": str(tmp_path / "out1"), "{out2}": str(tmp_path / "out2")}
     argv = [argv[0], "--field", "13", "-n", "2", "--seed", "r", "--out", "{out1}", *argv[1:]]
     assert main([outs.get(a, a) for a in argv]) == 0
@@ -711,9 +740,12 @@ def test_commands_keep_only_good_orbit_representatives_tables(argv, tmp_path, mo
     assert len(reps) == 7
     assert sorted(built) == sorted(reps)
     assert {encode_point(r, ctx.d) for r in reps} <= set(orbits.kept)
-    # One enumeration per direction orbit, all made by the pass.
-    every = {direction_orbit(ctx, x)[0] for x in product(range(ctx.d), repeat=2)}
-    assert sorted(enumerated) == sorted(every)
+    if argv[0] == "e2e":
+        # Every good orbit is drawn here, each enumerated once, and nothing else.
+        assert sorted(enumerated) == sorted(reps) and tables == []
+    else:
+        every = {direction_orbit(ctx, x)[0] for x in product(range(ctx.d), repeat=2)}
+        assert sorted(enumerated) == sorted(every)
 
 
 def _full_term_counts(ctx, n, w_codes, size_index, k):
