@@ -497,8 +497,10 @@ class GoodSets:
         return x_good & (eta >= 1) & (eta <= self.cap)
 
 
-def good_sets(ctx: FieldCtx, n: int, analysis: Analysis) -> GoodSets:
+def good_sets(ctx: FieldCtx, n: int, analysis: Analysis | str) -> GoodSets:
+    """The good sets of one analysis, named by member or by value ("first")."""
     _check_n(n)
+    analysis = Analysis(analysis)  # ValueError for an unknown name
     if analysis is Analysis.FIRST:
         if ctx.p <= n:
             raise ValueError(

@@ -51,30 +51,29 @@ solver votes on these codes and subtracts the winner from q once.
 success_report is the one entry for the success analysis, and it computes
 the exact report and nothing else.  Every quantity it reports depends on a
 direction x only through x_good(x) and the histogram of x's fiber sizes,
-so the pass reads that histogram once per direction, as a short list; the
-good-target rule keeps the sizes 1..cap, a cut of its size axis.  Each
-inner sum sum_w sqrt(eta_w) is taken once per distinct histogram
-(_sqrt_sum), and so is its square; the outer sums add the squares over x.
+so the pass reduces to a tally: each distinct histogram maps to [directions,
+good directions] (_success_sums).  One exact row sum per histogram gives
+both inner sums sum_w sqrt(eta_w), over every size and over the sizes
+1..cap the good-target rule keeps; one more weighs their squares by the
+tally, and the good-set counts are integer sums over it.
 The cross-checks drawn from the measurement, the Monte Carlo rate
 (run_many) and the per-direction law (outcome_distribution), read a
 Sampler built after the pass over the same orbit store, so they read the
 representatives' tables the pass kept.  hpp e2e makes no pass: its
 Sampler's fresh store enumerates each good orbit it draws, once.
 
-Every sum here that must be exact follows one rule: each float it adds is
-an integer times one power of two (sqrt(k) >= 1 and its square are
-multiples of 2^-52; a law's products sqrt(size) * cos_t are multiples of
-2^low, low being their least frexp exponent less 53), so the integers
-are added exactly and the total is rounded once.  The result is the
-correctly rounded sum, the float math.fsum returns over the expanded
-terms.
+Every sum here that must be exact goes through one routine,
+_exact_row_sums: each float it adds is an integer times 2^low, low being
+the least frexp exponent of the values less 53, so the integers are added
+exactly and each total is rounded once.  The result is the correctly
+rounded sum, the float math.fsum returns over the expanded terms.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -111,63 +110,49 @@ MAX_SOLVER_DRAWS = 10_000
 SOLVER_VOTES = 5
 
 
-def _sqrt_sum(hist: list[int]) -> float:
-    """Sum of sqrt(k) over the sizes a histogram counts (hist[k] entries of
-    size k), correctly rounded.
-
-    Each size k >= 1 has sqrt(k) >= 1 (math.sqrt rounds correctly, as
-    np.sqrt does), a float that is an integer multiple of 2^-52, so the sum
-    of hist[k] * sqrt(k) * 2^52 is an exact integer; int/int true division
-    rounds it once, to the float math.fsum returns over the expanded sizes.
-    """
-    return sum(c * int(math.sqrt(k) * 2.0**52) for k, c in enumerate(hist) if c) / 2**52
-
-
 def _success_sums(
     tables: Iterable[EtaTable], good: GoodSets
-) -> tuple[float, float, list[int]]:
-    """One pass over the tables of all d^n directions.
+) -> tuple[float, float, int, int, float]:
+    """One pass over the tables of all d^n directions, reduced to a tally.
 
-    Returns the ideal and the good-subspace success probabilities and
-    |W_good^x| for each classified-good x, all read from one fiber-size
-    histogram per direction.  The two squared inner sums and |W_good^x|
-    depend on the histogram alone, so each is taken once per distinct
-    histogram: once per direction orbit, or less.  A square is kept as the
-    integer it is times 2^52, and each sum over x is rounded once.
+    Every number of the report depends on a direction x only through
+    x_good(x) and the histogram of x's fiber sizes, so the pass keeps one
+    entry per distinct histogram, [directions, good directions].  Returns
+    the ideal and the good-subspace success probabilities, |X_good|, and the
+    least and mean |W_good^x| over good x, all read from the tally.
     """
-    ideal = approx = seen = 0
-    w_counts = []
-    by_hist: dict[tuple[int, ...], tuple[int, int, int]] = {}
+    tally: dict[tuple[int, ...], list[int]] = {}
     d = n = None
     for table in tables:
         d, n = table.d, table.n
-        seen += 1
         hist = np.bincount(table.counts).tolist()
         if sum(map(mul, hist, range(len(hist)))) != d**n:
             table.check_partition()  # raises: the sizes must sum to d^n
-        key = tuple(hist)
-        if key not in by_hist:
-            # w_good keeps the sizes 1..cap: a cut of the histogram's size axis.
-            cut = hist[: good.cap + 1]
-            inner, good_inner = _sqrt_sum(hist), _sqrt_sum(cut)
-            by_hist[key] = (
-                int(inner * inner * 2.0**52),
-                int(good_inner * good_inner * 2.0**52),
-                sum(cut) - cut[0],
-            )
-        ideal_term, approx_term, w_count = by_hist[key]
-        ideal += ideal_term
-        if good.x_good(table.x):
-            if len(hist) > good.cap + 1:
-                good.w_good(table.x, len(hist) - 1)  # raises past a cap that is a theorem
-            approx += approx_term
-            w_counts.append(w_count)
+        x_good = good.x_good(table.x)
+        if x_good and len(hist) > good.cap + 1:
+            good.w_good(table.x, len(hist) - 1)  # raises past a cap that is a theorem
+        entry = tally.setdefault(tuple(hist), [0, 0])
+        entry[0] += 1
+        entry[1] += x_good
+    seen = sum(entry[0] for entry in tally.values())
     if d is None or seen != d**n:
         raise InvariantViolationError(
             f"success sums need a table for every x in F^n; saw {seen}"
         )
+    # Columns: the sizes some histogram counts; w_good keeps the sizes 1..cap.
+    sizes = sorted({k for hist in tally for k in range(1, len(hist)) if hist[k]})
+    by_size = [[hist[k] if k < len(hist) else 0 for k in sizes] for hist in tally]
+    roots = [[math.sqrt(k), math.sqrt(k) if k <= good.cap else 0.0] for k in sizes]
+    inner = _exact_row_sums(np.array(by_size, dtype=np.int64), roots)
+    directions = np.array(list(tally.values()), dtype=np.int64).T
+    ideal, approx = _exact_row_sums(directions, (inner * inner).tolist()).diagonal().tolist()
+    w_counts = [sum(row[: bisect_right(sizes, good.cap)]) for row in by_size]
+    goods = [g for _, g in tally.values()]
+    x_good_count = sum(goods)
+    w_good_min = min((w for w, g in zip(w_counts, goods) if g), default=0)
+    w_good_mean = sum(map(mul, w_counts, goods)) / x_good_count if x_good_count else 0.0
     scale = d ** (3 * n)
-    return ideal / 2**52 / scale, approx / 2**52 / scale, w_counts
+    return ideal / scale, approx / scale, x_good_count, w_good_min, w_good_mean
 
 
 def lemma2_bound(d: int, n: int, x_good_count: int, w_good_min: int) -> float:
@@ -377,11 +362,13 @@ def outcome_distribution(sampler: Sampler, x: Point) -> tuple[np.ndarray, float]
     x when q = 0: probs[encode_point(q', d)] is P(q').  The law depends on
     q only through delta = q - q', so this is the delta law read at -q',
     and the law for any q is this one read at q' - q.  A bad direction or
-    an empty law gives (np.empty(0), 0.0)."""
+    an empty law gives (np.empty(0), 0.0); a coordinate outside the field
+    raises ValueError."""
+    ctx = sampler.good.ctx
+    x = tuple(map(ctx.check, x))
     if not sampler.good.x_good(x):
         return np.empty(0), 0.0
     probs, mass, lam = _outcome_law(sampler, x)
-    ctx = sampler.good.ctx
     return _scaled_read(probs, ctx, len(x), ctx.neg(lam)), mass
 
 
@@ -543,7 +530,7 @@ class SuccessReport:
         }
 
 
-def success_report(orbits: Orbits, analysis: Analysis) -> SuccessReport:
+def success_report(orbits: Orbits, analysis: Analysis | str) -> SuccessReport:
     """The exact report, from one pass over the store's tables (_success_sums).
 
     The pass keeps each orbit representative's table in the store, so a
@@ -552,14 +539,14 @@ def success_report(orbits: Orbits, analysis: Analysis) -> SuccessReport:
     """
     ctx, n = orbits.ctx, orbits.n
     good = good_sets(ctx, n, analysis)
-    ideal, approx, w_counts = _success_sums(iter_eta_tables(orbits), good)
-    x_good_count = len(w_counts)
-    w_good_min = min(w_counts, default=0)
+    ideal, approx, x_good_count, w_good_min, w_good_mean = _success_sums(
+        iter_eta_tables(orbits), good
+    )
     return SuccessReport(
         field=field_descriptor(ctx),
         d=ctx.d,
         n=n,
-        analysis=analysis,
+        analysis=good.analysis,
         ideal=ideal,
         approx=approx,
         lemma2=lemma2_bound(ctx.d, n, x_good_count, w_good_min),
@@ -567,5 +554,5 @@ def success_report(orbits: Orbits, analysis: Analysis) -> SuccessReport:
         cap=good.cap,
         x_good_count=x_good_count,
         w_good_min=w_good_min,
-        w_good_mean=sum(w_counts) / x_good_count if w_counts else 0.0,
+        w_good_mean=w_good_mean,
     )

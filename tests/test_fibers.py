@@ -529,6 +529,21 @@ def test_good_sets_are_plain_values():
     assert len(vars(first)) == 4  # ctx, n, analysis and cap; nothing cached
 
 
+def test_an_analysis_named_by_value_is_that_analysis():
+    # Analysis is a str enum: "first" == Analysis.FIRST but is not it, so a
+    # plain name must be coerced before any identity test.
+    first = good_sets(F7, 2, "first")
+    assert first == good_sets(F7, 2, Analysis.FIRST) and first.cap == 2
+    assert first.analysis is Analysis.FIRST
+    assert good_sets(F7, 3, "first").cap == 6
+    report = success_report(Orbits(F7, 2), "first")
+    assert report == success_report(Orbits(F7, 2), Analysis.FIRST)
+    assert report.approx == 0.4333854399113525
+    assert report.as_dict()["analysis"] == "first"
+    with pytest.raises(ValueError):
+        good_sets(F7, 2, "third")
+
+
 def test_first_analysis_fiber_structure():
     # x with all coordinates nonzero: fibers obey eta <= 2 except the
     # degenerate pairs x1 + x2 = 0, which put everything with w = 0 in one

@@ -45,7 +45,6 @@ from hpp.pgm import (
     _draw_record,
     _exact_row_sums,
     _outcome_law,
-    _sqrt_sum,
     _success_sums,
     _term_counts,
     corollary_bound,
@@ -151,12 +150,12 @@ def test_ideal_requires_full_scan():
     "desc,n,analysis",
     [("7", 2, Analysis.FIRST), ("13", 2, Analysis.FIRST), ("13", 2, Analysis.SECOND),
      ("3^2", 2, Analysis.SECOND), ("2^3", 2, Analysis.SECOND), ("7", 3, Analysis.FIRST),
-     ("5", 3, Analysis.FIRST)],
+     ("5", 3, Analysis.FIRST), ("5", 4, Analysis.FIRST), ("2^4", 2, Analysis.SECOND)],
 )
 def test_success_sums_equal_a_table_by_table_computation(desc, n, analysis):
-    # Taken once per distinct histogram, the sums are bit-equal to summing
-    # every direction's own roots, and so are the report's: equal floats,
-    # not a tolerance, so a drift of one ulp fails here.
+    # Read from the tally of histograms, the report's five numbers are equal
+    # to those of every direction's own roots and good targets: equal
+    # floats, not a tolerance, so a drift of one ulp fails here.
     ctx = parse_field(desc)
     good = good_sets(ctx, n, analysis)
     ideal_terms, approx_terms, w_counts = [], [], []
@@ -169,10 +168,20 @@ def test_success_sums_equal_a_table_by_table_computation(desc, n, analysis):
             approx_terms.append(inner * inner)
             w_counts.append(kept.size)
     scale = ctx.d ** (3 * n)
-    want = (math.fsum(ideal_terms) / scale, math.fsum(approx_terms) / scale, w_counts)
-    assert _success_sums(iter_eta_tables(Orbits(ctx, n)), good) == want
+    want = (
+        math.fsum(ideal_terms) / scale,
+        math.fsum(approx_terms) / scale,
+        len(w_counts),
+        min(w_counts, default=0),
+        sum(w_counts) / len(w_counts) if w_counts else 0.0,
+    )
+    got = _success_sums(iter_eta_tables(Orbits(ctx, n)), good)
+    assert got == want
+    assert [type(v) for v in got] == [float, float, int, int, float]
     report = success_report(Orbits(ctx, n), analysis)
-    assert (report.ideal, report.approx) == want[:2]
+    assert (
+        report.ideal, report.approx, report.x_good_count, report.w_good_min, report.w_good_mean
+    ) == want
 
 
 def _sampler(ctx, n, analysis):
@@ -187,6 +196,16 @@ def _direction_law(sampler, x):
     probs, mass, lam = _outcome_law(sampler, x)
     ctx = sampler.good.ctx
     return _scaled_read(probs, ctx, len(x), lam), mass
+
+
+def test_outcome_distribution_refuses_coordinates_outside_the_field():
+    # (1, 8) would read the code of (2, 1), and (1, 99) a code past F^2:
+    # both raise the field's check, for good and bad directions alike.
+    sampler = _sampler(F7, 2, Analysis.FIRST)
+    for x in ((1, 8), (1, 99), (0, 8), (-1, 2), (1, 2.0)):
+        with pytest.raises(ValueError, match="is not an element of"):
+            outcome_distribution(sampler, x)
+    assert not sampler.orbit_laws
 
 
 def test_outcome_distribution_normalization_and_support():
@@ -426,33 +445,35 @@ def test_grouped_row_sums_equal_fsum_of_expanded_terms(nrows, nvalues, rnd):
 
 
 def test_sqrt_sum_equals_fsum_of_expanded_roots():
+    # _success_sums' inner sums: one _exact_row_sums row per histogram, one
+    # column per size that occurs (and one for size 0, worth 0.0), read as
+    # sum_k hist[k] * sqrt(k).
     def fsum_roots(a):
         return math.fsum(np.sqrt(a).tolist())
 
-    def hist(a):
-        return np.bincount(a).tolist()
+    def sqrt_sum(a):
+        hist = np.bincount(a, minlength=1)
+        sizes = [0, *(np.flatnonzero(hist[1:]) + 1).tolist()]
+        return _exact_row_sums(hist[None, sizes], [[math.sqrt(k)] for k in sizes])[0, 0]
 
     rng = np.random.default_rng(20260)
     for _ in range(2000):
         top = int(rng.choice([1, 4, 30, 10**4]))
         a = rng.integers(0, top + 1, size=int(rng.integers(0, 3000)))
-        assert _sqrt_sum(hist(a)) == fsum_roots(a), a
+        assert sqrt_sum(a) == fsum_roots(a), a
     # All-zero and empty arrays, and the single fiber of size d^n at x = 0.
     zero_x = eta_table(Orbits(F7, 2), (0, 0)).counts
     for a in (np.zeros(0, np.int64), np.zeros(49, np.int64), zero_x):
-        assert _sqrt_sum(hist(a)) == fsum_roots(a)
+        assert sqrt_sum(a) == fsum_roots(a)
     # The full tables and the good-target slices success_report sums, the
-    # latter read from the histogram cut at the cap on its size axis.
+    # latter read with every size past the cap weighted 0.
     for ctx, analysis in ((F7, Analysis.FIRST), (parse_field("3^2"), Analysis.SECOND)):
         good = good_sets(ctx, 2, analysis)
         for table in iter_eta_tables(Orbits(ctx, 2)):
-            by_size = hist(table.counts)
-            assert _sqrt_sum(by_size) == fsum_roots(table.counts), table.x
+            assert sqrt_sum(table.counts) == fsum_roots(table.counts), table.x
             if good.x_good(table.x):
                 masked = table.counts[good.w_good(table.x, table.counts)]
-                cut = by_size[: good.cap + 1]
-                assert _sqrt_sum(cut) == fsum_roots(masked), table.x
-                assert sum(cut[1:]) == masked.size, table.x
+                assert sqrt_sum(table.counts[table.counts <= good.cap]) == fsum_roots(masked)
 
 
 def test_grouped_row_sums_refuse_row_counts_of_2_to_the_52():

@@ -1,8 +1,14 @@
-"""The repository's pytest settings report a failing test as a failure."""
+"""The repository's settings in pyproject.toml hold: pytest reports a
+failing test as a failure, and every source file parses at the declared
+Python floor."""
 
+import ast
+import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -31,3 +37,16 @@ def test_a_failing_hypothesis_test_fails_without_an_internal_error(tmp_path):
     assert proc.returncode == 1, proc.stdout[-2000:]
     assert "INTERNALERROR" not in proc.stdout + proc.stderr
     assert "1 failed" in proc.stdout
+
+
+def test_sources_parse_at_the_declared_python_floor():
+    # ast.parse with feature_version rejects syntax newer than the floor
+    # (a match statement below 3.10, say), on any newer interpreter.
+    pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    major, minor = map(int, re.search(r'requires-python = ">=(\d+)\.(\d+)"', pyproject).groups())
+    with pytest.raises(SyntaxError):
+        ast.parse("match x:\n    case _:\n        pass\n", feature_version=(3, 9))
+    sources = sorted((ROOT / "src" / "hpp").glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
+    assert sources
+    for path in sources:
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(major, minor))
