@@ -10,7 +10,7 @@ import argparse
 import sys
 
 from hpp.fibers import Orbits, pick_analysis
-from hpp.gf import parse_field
+from hpp.gf import field_descriptor, parse_field
 from hpp.pgm import success_report
 
 
@@ -26,7 +26,7 @@ def main(argv=None) -> int:
     for desc in args.fields.split(","):
         ctx = parse_field(desc.strip())
         report = success_report(Orbits(ctx, args.n), pick_analysis(ctx, args.n))
-        print(f"{report.field:>7} {report.analysis.value:>9} "
+        print(f"{field_descriptor(ctx):>7} {report.good.analysis.value:>9} "
               f"{report.lemma2:>10.6f} {report.approx:>10.6f} "
               f"{report.ideal:>10.6f} {report.x_good_count:>7} "
               f"{report.w_good_min:>11}")

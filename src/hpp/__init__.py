@@ -29,10 +29,10 @@ _HOMES = {
     "fibers": (
         "Analysis",
         "EtaTable",
+        "GoodSets",
         "Orbits",
         "eta_moments",
         "eta_table",
-        "good_sets",
         "iter_eta_tables",
         "pick_analysis",
     ),

@@ -29,10 +29,9 @@ import sys
 
 from .errors import GuardExceededError, InvariantViolationError, RecoveryError
 from .fibers import (
-    Analysis,
+    GoodSets,
     Orbits,
     eta_moments,
-    good_sets,
     iter_eta_tables,
     pick_analysis,
     write_eta_csv,
@@ -135,7 +134,7 @@ def _cmd_eta(args, parser) -> int:
 
 def _cmd_success(args, parser) -> int:
     ctx = parse_field(args.field)
-    analysis = pick_analysis(ctx, args.n) if args.analysis == "auto" else Analysis(args.analysis)
+    analysis = pick_analysis(ctx, args.n) if args.analysis == "auto" else args.analysis
     if args.mc < 0:
         raise ValueError(f"Monte Carlo run count must be >= 0, got {args.mc}")
     seed = None
@@ -148,12 +147,13 @@ def _cmd_success(args, parser) -> int:
         paths["--dump-dist"] = args.dump_dist
     with _outputs(paths) as handles:
         orbits = Orbits(ctx, args.n)
-        doc = success_report(orbits, analysis).as_dict()
+        report = success_report(orbits, analysis)
+        doc = report.as_dict()
         doc["mc"] = None
         if args.mc or args.dump_dist:
             # One Sampler for the dump and the draws: each good orbit's law
             # is built once, from the table the report's pass kept.
-            sampler = Sampler(good_sets(ctx, args.n, analysis), orbits)
+            sampler = Sampler(report.good, orbits)
         if args.dump_dist:
             writer = csv.writer(handles[1], lineterminator="\n")
             writer.writerow(["x", "good_mass", "qprime", "probability"])
@@ -196,7 +196,7 @@ def _cmd_e2e(args, parser) -> int:
             parser.error("--baseline applies only to m = 1, n = 1 instances")
         from .baseline import solve_linear_classical
     analysis = pick_analysis(ctx, args.n)
-    good = good_sets(ctx, args.n, analysis)
+    good = GoodSets(ctx, args.n, analysis)
     solves = kappa(args.n, args.m)  # guards the schedule before any table or instance
     outputs = {"--out": args.out, "--summary-out": args.summary_out}
     with _outputs(outputs) as (out_fh, summary_fh):

@@ -253,17 +253,34 @@ class Orbits:
         rep.flags.writeable = lam.flags.writeable = False
         return rep, lam
 
-    def orbit(self, x: Point) -> tuple[Point, Felt, np.ndarray]:
+    def orbit(self, x: Sequence[Felt]) -> tuple[Point, Felt, np.ndarray]:
         """(r, lam, counts) with x = lam * sigma(r), counts being r's read-only
-        table: enumerated and kept on the orbit's first use, then shared."""
-        (reps, lams), d, n = self.labels, self.ctx.d, self.n
-        code = encode_point(x, d)
+        table: enumerated and kept on the orbit's first use, then shared.
+
+        x must be a point of the store's F^n (ValueError otherwise), and one
+        table must fit ENUMERATION_BUDGET.  When a pass over F^n, d^(2n)
+        points, exceeds it, x is its own r with lam 1, enumerated, and
+        nothing is labelled or kept."""
+        ctx, n = self.ctx, self.n
+        x = tuple(map(ctx.check, x))
+        if len(x) != n:
+            raise ValueError(f"x has {len(x)} coordinates, expected {n}")
+        _check_enum_budget(ctx.d, n)
+        if ctx.d ** (2 * n) > ENUMERATION_BUDGET:
+            return x, 1, _enumerate(ctx, x)
+        (reps, lams), code = self.labels, encode_point(x, ctx.d)
         rep = int(reps[code])
-        r = decode_point(rep, d, n)
+        r = decode_point(rep, ctx.d, n)
         if rep not in self.kept:
-            self.kept[rep] = np.bincount(_w_codes(self.ctx, r, n), minlength=d**n)
-            self.kept[rep].flags.writeable = False
+            self.kept[rep] = _enumerate(ctx, r)
         return r, int(lams[code]), self.kept[rep]
+
+
+def _enumerate(ctx: FieldCtx, x: Point) -> np.ndarray:
+    """x's fiber sizes by code of w, enumerated, as a read-only array."""
+    counts = np.bincount(_w_codes(ctx, x, len(x)), minlength=ctx.d ** len(x))
+    counts.flags.writeable = False
+    return counts
 
 
 def _scaled_read(values: np.ndarray, ctx: FieldCtx, n: int, lam: Felt) -> np.ndarray:
@@ -284,24 +301,16 @@ def _scaled_read(values: np.ndarray, ctx: FieldCtx, n: int, lam: Felt) -> np.nda
 def eta_table(orbits: Orbits, x: Sequence[Felt]) -> EtaTable:
     """Exact fiber sizes for one x of the store's F^n, as a read-only table.
 
-    With x = lam * sigma(r) (Orbits.orbit), x's counts at w are r's at
-    lam^-1 * w: r's kept array itself when lam = 1, else read from it.
-    Nothing is labelled or kept when a pass over F^n, d^(2n) points,
-    exceeds ENUMERATION_BUDGET.  The counts are never writable: r's are shared.
+    With x = lam * sigma(r) (Orbits.orbit, which checks x), x's counts at w
+    are r's at lam^-1 * w: r's array itself when lam = 1, else read from
+    it.  The counts are never writable: r's are shared.
     """
-    ctx, n = orbits.ctx, orbits.n
-    x = tuple(map(ctx.check, x))
-    if len(x) != n:
-        raise ValueError(f"x has {len(x)} coordinates, expected {n}")
-    _check_enum_budget(ctx.d, n)
-    if ctx.d ** (2 * n) > ENUMERATION_BUDGET:
-        counts = np.bincount(_w_codes(ctx, x, n), minlength=ctx.d**n)
-    else:
-        _, lam, counts = orbits.orbit(x)
-        if lam != 1:
-            counts = _scaled_read(counts, ctx, n, ctx.inv(lam))
-    counts.flags.writeable = False
-    return EtaTable(ctx=ctx, x=x, counts=counts)
+    x = tuple(x)
+    _, lam, counts = orbits.orbit(x)
+    if lam != 1:
+        counts = _scaled_read(counts, orbits.ctx, orbits.n, orbits.ctx.inv(lam))
+        counts.flags.writeable = False
+    return EtaTable(ctx=orbits.ctx, x=x, counts=counts)
 
 
 def brute_fiber(ctx: FieldCtx, x: Sequence[Felt], w: Sequence[Felt]) -> list[Point]:
@@ -467,15 +476,35 @@ class GoodSets:
     The second-analysis cap is a theorem rather than part of the predicate,
     so violating it raises instead of classifying the pair as bad.
 
-    A plain value, compared and hashed by its four fields.  Both predicates
-    are invariant under the orbit maps of Orbits.labels, which is what lets
-    pgm.Sampler keep one outcome law per direction orbit.
+    The analysis may be named by member or by value ("first"); one that
+    does not apply to (field, n) raises ValueError.  A plain value,
+    compared and hashed by its three fields, the cap derived from them.
+    Both predicates are invariant under the orbit maps of Orbits.labels,
+    which is what lets pgm.Sampler keep one outcome law per direction orbit.
     """
 
     ctx: FieldCtx
     n: int
     analysis: Analysis
-    cap: int
+
+    def __post_init__(self):
+        _check_n(self.n)
+        # A plain name must be coerced before any identity test (ValueError
+        # for an unknown one): "first" == Analysis.FIRST but is not it.
+        object.__setattr__(self, "analysis", Analysis(self.analysis))
+        p, n = self.ctx.p, self.n
+        if self.analysis is Analysis.FIRST:
+            if p <= n:
+                raise ValueError(f"first analysis needs characteristic > n; got p = {p}, n = {n}")
+        elif n != 2:
+            raise ValueError(f"second analysis is specific to n = 2, got n = {n}")
+        elif self.ctx.d < 3:
+            raise ValueError("second analysis needs at least 3 field elements")
+
+    @property
+    def cap(self) -> int:
+        # The product of the triangular degrees, n!, bounds a zero-dimensional fiber.
+        return math.factorial(self.n) if self.analysis is Analysis.FIRST else SECOND_ANALYSIS_CAP
 
     def x_good(self, x: Sequence[Felt]) -> bool:
         if len(x) != self.n:
@@ -495,24 +524,6 @@ class GoodSets:
                 f"classified-good direction x={tuple(x)}"
             )
         return x_good & (eta >= 1) & (eta <= self.cap)
-
-
-def good_sets(ctx: FieldCtx, n: int, analysis: Analysis | str) -> GoodSets:
-    """The good sets of one analysis, named by member or by value ("first")."""
-    _check_n(n)
-    analysis = Analysis(analysis)  # ValueError for an unknown name
-    if analysis is Analysis.FIRST:
-        if ctx.p <= n:
-            raise ValueError(
-                f"first analysis needs characteristic > n; got p = {ctx.p}, n = {n}"
-            )
-        # The product of the triangular degrees, n!, bounds a zero-dimensional fiber.
-        return GoodSets(ctx=ctx, n=n, analysis=analysis, cap=math.factorial(n))
-    if n != 2:
-        raise ValueError(f"second analysis is specific to n = 2, got n = {n}")
-    if ctx.d < 3:
-        raise ValueError("second analysis needs at least 3 field elements")
-    return GoodSets(ctx=ctx, n=n, analysis=analysis, cap=SECOND_ANALYSIS_CAP)
 
 
 def pick_analysis(ctx: FieldCtx, n: int) -> Analysis:

@@ -92,7 +92,6 @@ from .fibers import (
     _check_enum_budget,
     _scaled_read,
     decode_point,
-    good_sets,
     iter_eta_tables,
 )
 from .gf import Felt, FieldCtx, field_descriptor
@@ -477,27 +476,26 @@ def make_quantum_solver(sampler: Sampler, rng: random.Random) -> Callable:
 
 @dataclass(frozen=True)
 class SuccessReport:
-    """The exact success analysis of one (field, n, analysis): the ideal
-    and good-subspace success probabilities, their bounds and the good-set
-    counts.  It holds no Monte Carlo estimate.
+    """The exact success analysis of one good set: the ideal and
+    good-subspace success probabilities and the good-set counts, the five
+    sums of _success_sums.  Field, n, analysis, cap and both bounds are
+    read from the good sets.  It holds no Monte Carlo estimate.
 
     The sandwich approx <= ideal and lemma2 <= approx is validated at
     construction; a violation means a computation bug, not a bad parameter,
     and raises accordingly.
     """
 
-    field: str
-    d: int
-    n: int
-    analysis: Analysis
+    good: GoodSets
     ideal: float
     approx: float
-    lemma2: float
-    corollary: float
-    cap: int
     x_good_count: int
     w_good_min: int
     w_good_mean: float
+
+    @property
+    def lemma2(self) -> float:
+        return lemma2_bound(self.good.ctx.d, self.good.n, self.x_good_count, self.w_good_min)
 
     def __post_init__(self):
         tol = 1e-9
@@ -511,18 +509,19 @@ class SuccessReport:
             )
 
     def as_dict(self) -> dict:
+        good, d = self.good, self.good.ctx.d
         return {
-            "field": self.field,
-            "d": self.d,
-            "n": self.n,
-            "analysis": self.analysis.value,
+            "field": field_descriptor(good.ctx),
+            "d": d,
+            "n": good.n,
+            "analysis": good.analysis.value,
             "ideal_success": self.ideal,
             "approx_success": self.approx,
             "lemma2_lower_bound": self.lemma2,
-            "corollary_bound": self.corollary,
+            "corollary_bound": corollary_bound(d, good.n, good.cap),
             "good_sets": {
-                "analysis": self.analysis.value,
-                "D": self.cap,
+                "analysis": good.analysis.value,
+                "D": good.cap,
                 "x_good_count": self.x_good_count,
                 "w_good_min": self.w_good_min,
                 "w_good_mean": self.w_good_mean,
@@ -531,28 +530,12 @@ class SuccessReport:
 
 
 def success_report(orbits: Orbits, analysis: Analysis | str) -> SuccessReport:
-    """The exact report, from one pass over the store's tables (_success_sums).
+    """The exact report of the analysis, named by member or by value, over
+    the store's F^n, from one pass over the store's tables (_success_sums).
 
     The pass keeps each orbit representative's table in the store, so a
-    Sampler built afterwards over the same store enumerates nothing for the
-    Monte Carlo or the outcome law.
+    Sampler built afterwards over the same store and the report's good sets
+    enumerates nothing for the Monte Carlo or the outcome law.
     """
-    ctx, n = orbits.ctx, orbits.n
-    good = good_sets(ctx, n, analysis)
-    ideal, approx, x_good_count, w_good_min, w_good_mean = _success_sums(
-        iter_eta_tables(orbits), good
-    )
-    return SuccessReport(
-        field=field_descriptor(ctx),
-        d=ctx.d,
-        n=n,
-        analysis=good.analysis,
-        ideal=ideal,
-        approx=approx,
-        lemma2=lemma2_bound(ctx.d, n, x_good_count, w_good_min),
-        corollary=corollary_bound(ctx.d, n, good.cap),
-        cap=good.cap,
-        x_good_count=x_good_count,
-        w_good_min=w_good_min,
-        w_good_mean=w_good_mean,
-    )
+    good = GoodSets(orbits.ctx, orbits.n, analysis)
+    return SuccessReport(good, *_success_sums(iter_eta_tables(orbits), good))

@@ -15,11 +15,11 @@ from itertools import product
 from hpp.blackbox import sample_instance
 from hpp.fibers import (
     Analysis,
+    GoodSets,
     Orbits,
     brute_fiber,
     eta_moments,
     eta_table,
-    good_sets,
     iter_eta_tables,
     n2_constraint,
     pick_analysis,
@@ -180,7 +180,7 @@ def test_criterion_7_density_matrix_cross_validation():
 
     # fiber-collapsing isometry contract at d=3, n=2
     ctx = make_field(3)
-    good = good_sets(ctx, 2, Analysis.FIRST)
+    good = GoodSets(ctx, 2, Analysis.FIRST)
     orbits = Orbits(ctx, 2)
     worst_vx = 0.0
     for x in product(range(3), repeat=2):
@@ -204,7 +204,7 @@ def test_criterion_7_density_matrix_cross_validation():
     worst_pipe = 0.0
     for desc, analysis in configs:
         ctx = parse_field(desc)
-        good = good_sets(ctx, 2, analysis)
+        good = GoodSets(ctx, 2, analysis)
         sampler = Sampler(good, Orbits(ctx, 2))
         qc = (2 % ctx.d, 1)
         q = UP(ctx, (0, *qc))
@@ -227,7 +227,7 @@ def test_criterion_8_monte_carlo_consistency():
     ctx = make_field(7)
     analysis = pick_analysis(ctx, 2)
     orbits = Orbits(ctx, 2)
-    sampler = Sampler(good_sets(ctx, 2, analysis), orbits)
+    sampler = Sampler(GoodSets(ctx, 2, analysis), orbits)
     target = success_report(orbits, analysis).approx
     runs = 10_000
     sigma = math.sqrt(target * (1 - target) / runs)

@@ -268,6 +268,24 @@ def test_success_mc_and_dump_dist(tmp_path):
     assert len(lines) > 1
 
 
+def test_success_builds_one_good_set_per_run(tmp_path, monkeypatch):
+    # The report's good sets serve the dump and the draws too.
+    from hpp.fibers import GoodSets
+
+    built = []
+    real_post_init = GoodSets.__post_init__
+
+    def counting_post_init(self):
+        built.append(self)
+        real_post_init(self)
+
+    monkeypatch.setattr(GoodSets, "__post_init__", counting_post_init)
+    assert main(["success", "--field", "5", "-n", "2", "--mc", "10", "--seed", "s",
+                 "--out", str(tmp_path / "s.json"),
+                 "--dump-dist", str(tmp_path / "dist.csv")]) == 0
+    assert len(built) == 1
+
+
 def test_dump_dist_reuses_the_report_pass(tmp_path, monkeypatch):
     import hpp.cli
     import hpp.pgm

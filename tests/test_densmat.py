@@ -17,7 +17,7 @@ from hpp.densmat import (
     x_marginals,
 )
 from hpp.errors import GuardExceededError
-from hpp.fibers import Analysis, Orbits, decode_point, encode_point, eta_table, good_sets
+from hpp.fibers import Analysis, GoodSets, Orbits, decode_point, encode_point, eta_table
 from hpp.gf import chi, dot, make_field, parse_field
 from hpp.polyring import UniPoly, eval_uni
 
@@ -226,7 +226,7 @@ def test_factored_block_and_vx_equal_full_constructions(desc, analyses):
         want = full[:, encode_point(x, d), :, encode_point(x, d)]
         assert np.abs(direction_block(ctx, q, x) - want).max() <= 1e-12, x
     for analysis in analyses.split():
-        good = good_sets(ctx, n, Analysis(analysis))
+        good = GoodSets(ctx, n, Analysis(analysis))
         orbits = Orbits(ctx, n)
         for x in product(range(d), repeat=n):
             table = eta_table(orbits, x)
@@ -237,7 +237,7 @@ def test_factored_block_and_vx_equal_full_constructions(desc, analyses):
 def test_vx_isometry_and_fiber_contract():
     for ctx, analysis in ((F3, Analysis.FIRST), (F5, Analysis.FIRST),
                           (F4, Analysis.SECOND), (F5, Analysis.SECOND)):
-        good = good_sets(ctx, 2, analysis)
+        good = GoodSets(ctx, 2, analysis)
         d = ctx.d
         orbits = Orbits(ctx, 2)
         for x in product(range(d), repeat=2):
@@ -259,7 +259,7 @@ def test_vx_isometry_and_fiber_contract():
 
 def test_vx_flags_bad_points_orthogonally():
     ctx = F5
-    good = good_sets(ctx, 2, Analysis.FIRST)
+    good = GoodSets(ctx, 2, Analysis.FIRST)
     x = (1, 4)  # degenerate direction: x1 + x2 = 0, fiber of size d at w = 0
     table = eta_table(Orbits(ctx, 2), x)
     assert good.x_good(x)
@@ -278,7 +278,7 @@ def test_pipeline_guards_point_register_dimension():
         assert big.d**n > MAX_PIPELINE_DIM
         x = (1,) * n
         with pytest.raises(GuardExceededError):
-            build_vx(big, eta_table(Orbits(big, n), x), good_sets(big, n, Analysis.FIRST))
+            build_vx(big, eta_table(Orbits(big, n), x), GoodSets(big, n, Analysis.FIRST))
         with pytest.raises(GuardExceededError):
             direction_block(big, UniPoly(big, (0, 1)), x)
 
@@ -308,7 +308,7 @@ def test_pipeline_matches_analytic_law():
     ]
     for desc, analysis, qc in cases:
         ctx = parse_field(desc)
-        good = good_sets(ctx, 2, analysis)
+        good = GoodSets(ctx, 2, analysis)
         sampler = Sampler(good, Orbits(ctx, 2))
         q = UniPoly(ctx, (0, *qc))
         for x in product(range(ctx.d), repeat=2):
@@ -323,14 +323,14 @@ def test_pipeline_matches_analytic_law():
 
 
 def test_pipeline_bad_direction_returns_zero():
-    good = good_sets(F5, 2, Analysis.SECOND)
+    good = GoodSets(F5, 2, Analysis.SECOND)
     mass, law = pipeline_probability(F5, UniPoly(F5, (0, 1, 1)), (0, 3), good)
     assert mass == 0.0 and law.shape == (0,)
 
 
 def test_good_mass_is_good_point_fraction():
     ctx = F5
-    good = good_sets(ctx, 2, Analysis.FIRST)
+    good = GoodSets(ctx, 2, Analysis.FIRST)
     q = UniPoly(ctx, (0, 2, 1))
     orbits = Orbits(ctx, 2)
     for x in ((1, 2), (3, 3), (2, 4)):

@@ -14,6 +14,7 @@ import hpp.fibers
 from hpp.fibers import (
     Analysis,
     EtaTable,
+    GoodSets,
     Orbits,
     _enum_constants,
     _scaled_read,
@@ -26,7 +27,6 @@ from hpp.fibers import (
     encode_point,
     eta_moments,
     eta_table,
-    good_sets,
     iter_eta_tables,
     n2_constraint,
     pick_analysis,
@@ -362,10 +362,15 @@ def test_a_pass_hashes_the_field_once_per_enumeration(enumerated, monkeypatch):
 
 
 def test_a_store_reads_only_points_of_its_own_n():
-    orbits = Orbits(F5, 2)
-    for x in ((1,), (1, 2, 3)):
-        with pytest.raises(ValueError, match="expected 2"):
-            eta_table(orbits, x)
+    # orbit() is the store's one gate: at GF(7)^2, (1, 8) is not read as the
+    # code of (2, 1), nor (3,) as that of (0, 3).
+    orbits = Orbits(F7, 2)
+    refused = {(3,): "expected 2", (1, 2, 3): "expected 2", (1, 8): "not an element",
+               (1, 99): "not an element", (1.0, 2): "not an element"}
+    for x, message in refused.items():
+        for read in (orbits.orbit, lambda x: eta_table(orbits, x)):
+            with pytest.raises(ValueError, match=message):
+                read(x)
     assert not orbits.kept and "labels" not in vars(orbits)
     with pytest.raises(ValueError, match="at least 1"):
         Orbits(F5, 0)
@@ -519,29 +524,41 @@ def test_triangular_property(data):
 
 def test_first_cap_is_factorial():
     for n in range(1, 5):
-        assert good_sets(make_field(5), n, Analysis.FIRST).cap == math.factorial(n)
+        assert GoodSets(make_field(5), n, Analysis.FIRST).cap == math.factorial(n)
 
 
 def test_good_sets_are_plain_values():
-    first, again = good_sets(F7, 2, Analysis.FIRST), good_sets(F7, 2, Analysis.FIRST)
+    first, again = GoodSets(F7, 2, Analysis.FIRST), GoodSets(F7, 2, Analysis.FIRST)
     assert first == again and hash(first) == hash(again)
-    assert first != good_sets(F7, 2, Analysis.SECOND)
-    assert len(vars(first)) == 4  # ctx, n, analysis and cap; nothing cached
+    assert first != GoodSets(F7, 2, Analysis.SECOND)
+    assert len(vars(first)) == 3  # ctx, n and analysis; the cap is derived, nothing cached
 
 
 def test_an_analysis_named_by_value_is_that_analysis():
     # Analysis is a str enum: "first" == Analysis.FIRST but is not it, so a
     # plain name must be coerced before any identity test.
-    first = good_sets(F7, 2, "first")
-    assert first == good_sets(F7, 2, Analysis.FIRST) and first.cap == 2
+    first = GoodSets(F7, 2, "first")
+    assert first == GoodSets(F7, 2, Analysis.FIRST) and first.cap == 2
     assert first.analysis is Analysis.FIRST
-    assert good_sets(F7, 3, "first").cap == 6
+    assert GoodSets(F7, 3, "first").cap == 6
     report = success_report(Orbits(F7, 2), "first")
     assert report == success_report(Orbits(F7, 2), Analysis.FIRST)
     assert report.approx == 0.4333854399113525
     assert report.as_dict()["analysis"] == "first"
-    with pytest.raises(ValueError):
-        good_sets(F7, 2, "third")
+    # Built directly, good sets are the analysis they name, with its cap.
+    assert GoodSets(F7, 2, "first").x_good((1, 6))
+    assert GoodSets(F7, 2, "first").cap == 2
+    refused = [
+        (F7, 2, "third", "'third' is not a valid Analysis"),
+        (F7, 3, "second", "second analysis is specific to n = 2, got n = 3"),
+        (make_field(2), 2, "second", "second analysis needs at least 3 field elements"),
+        (F3, 3, "first", "first analysis needs characteristic > n; got p = 3, n = 3"),
+        (F7, 0, "third", "n must be at least 1, got 0"),
+    ]
+    for ctx, n, analysis, message in refused:
+        with pytest.raises(ValueError) as exc:
+            GoodSets(ctx, n, analysis)
+        assert str(exc.value) == message
 
 
 def test_first_analysis_fiber_structure():
@@ -562,12 +579,12 @@ def test_first_analysis_fiber_structure():
 
 
 def test_w_good_is_elementwise_and_keeps_the_second_cap():
-    first = good_sets(F5, 2, Analysis.FIRST)
+    first = GoodSets(F5, 2, Analysis.FIRST)
     etas = [0, 1, 2, 3]
     assert first.w_good((1, 2), np.array(etas)).tolist() == [False, True, True, False]
     assert [bool(first.w_good((1, 2), eta)) for eta in etas] == [False, True, True, False]
     assert not first.w_good((0, 2), np.array(etas)).any()
-    second = good_sets(F5, 2, Analysis.SECOND)
+    second = GoodSets(F5, 2, Analysis.SECOND)
     with pytest.raises(InvariantViolationError):
         second.w_good((1, 2), np.array([1, 5]))
     with pytest.raises(InvariantViolationError):
@@ -578,14 +595,14 @@ def test_w_good_is_elementwise_and_keeps_the_second_cap():
 def test_good_set_counts():
     # Second analysis: x1, x2, x1+x2 all nonzero
     for ctx in (F4, F5, F7):
-        good = good_sets(ctx, 2, Analysis.SECOND)
+        good = GoodSets(ctx, 2, Analysis.SECOND)
         count = sum(
             good.x_good(x) for x in product(range(ctx.d), repeat=2)
         )
         assert count == (ctx.d - 1) * (ctx.d - 2)
     # First analysis: all coordinates nonzero
     for ctx in (F5, F7):
-        good = good_sets(ctx, 2, Analysis.FIRST)
+        good = GoodSets(ctx, 2, Analysis.FIRST)
         count = sum(
             good.x_good(x) for x in product(range(ctx.d), repeat=2)
         )
@@ -595,7 +612,7 @@ def test_good_set_counts():
 def test_second_analysis_cap_is_theorem():
     # no fiber over a good x may exceed 4
     for ctx in (F4, F5, F7):
-        good = good_sets(ctx, 2, Analysis.SECOND)
+        good = GoodSets(ctx, 2, Analysis.SECOND)
         for table in iter_eta_tables(Orbits(ctx, 2)):
             if not good.x_good(table.x):
                 continue
@@ -609,7 +626,7 @@ def test_analysis_selection():
     with pytest.raises(ValueError):
         pick_analysis(F4, 3)  # no certificate applies
     with pytest.raises(ValueError):
-        good_sets(F4, 2, Analysis.FIRST)  # needs p > n
+        GoodSets(F4, 2, Analysis.FIRST)  # needs p > n
 
 
 def test_summary_scan():

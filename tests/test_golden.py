@@ -96,6 +96,13 @@ CASES = {
          "--out", "{trials.csv}", "--summary-out", "{summary.json}"],
         ["trials.csv", "summary.json"],
     ),
+    # An analysis other than the default: the report's analysis and cap, and
+    # the Sampler built from the report's good sets.
+    "success_second_gf7": (
+        ["success", "--field", "7", "-n", "2", "--analysis", "second", "--mc", "200",
+         "--seed", "g", "--out", "{s.json}", "--dump-dist", "{dist.csv}"],
+        ["s.json", "dist.csv"],
+    ),
     "success_mc_gf9": (
         ["success", "--field", "3^2", "-n", "2", "--mc", "500", "--seed", "g",
          "--out", "{s.json}"],

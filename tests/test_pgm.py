@@ -23,6 +23,7 @@ from hpp.errors import GuardExceededError, InvariantViolationError
 from hpp.fibers import (
     Analysis,
     EtaTable,
+    GoodSets,
     Orbits,
     _check_enum_budget,
     _scaled_read,
@@ -30,7 +31,6 @@ from hpp.fibers import (
     direction_orbit,
     encode_point,
     eta_table,
-    good_sets,
     iter_eta_tables,
 )
 from hpp.gf import chi, dot, make_field, parse_field
@@ -143,7 +143,7 @@ def test_corollary_bound_fixture():
 
 def test_ideal_requires_full_scan():
     with pytest.raises(InvariantViolationError, match="a table for every x"):
-        _success_sums([eta_table(Orbits(F5, 2), (1, 2))], good_sets(F5, 2, Analysis.FIRST))
+        _success_sums([eta_table(Orbits(F5, 2), (1, 2))], GoodSets(F5, 2, Analysis.FIRST))
 
 
 @pytest.mark.parametrize(
@@ -157,7 +157,7 @@ def test_success_sums_equal_a_table_by_table_computation(desc, n, analysis):
     # to those of every direction's own roots and good targets: equal
     # floats, not a tolerance, so a drift of one ulp fails here.
     ctx = parse_field(desc)
-    good = good_sets(ctx, n, analysis)
+    good = GoodSets(ctx, n, analysis)
     ideal_terms, approx_terms, w_counts = [], [], []
     for table in iter_eta_tables(Orbits(ctx, n)):
         inner = math.fsum(np.sqrt(table.counts).tolist())
@@ -187,7 +187,7 @@ def test_success_sums_equal_a_table_by_table_computation(desc, n, analysis):
 def _sampler(ctx, n, analysis):
     """A Sampler over a store of its own, which no pass has filled: it
     enumerates each table it reads."""
-    return Sampler(good_sets(ctx, n, analysis), Orbits(ctx, n))
+    return Sampler(GoodSets(ctx, n, analysis), Orbits(ctx, n))
 
 
 def _direction_law(sampler, x):
@@ -345,15 +345,9 @@ def test_success_report_rejects_broken_sandwich():
     report = success_report(Orbits(F5, 2), Analysis.FIRST)
     with pytest.raises(InvariantViolationError):
         SuccessReport(
-            field="5",
-            d=5,
-            n=2,
-            analysis=Analysis.FIRST,
+            good=report.good,
             ideal=0.5,
             approx=0.7,  # impossible: above ideal
-            lemma2=0.1,
-            corollary=0.0,
-            cap=report.cap,
             x_good_count=report.x_good_count,
             w_good_min=report.w_good_min,
             w_good_mean=report.w_good_mean,
@@ -405,7 +399,7 @@ ORACLE_CASES = [
 )
 def test_outcome_law_equals_literal_character_sum(desc, n, analysis, stride):
     ctx = parse_field(desc)
-    good = good_sets(ctx, n, analysis)
+    good = GoodSets(ctx, n, analysis)
     lines = _delta_lines(ctx, n)
     checked = 0
     for i, table in enumerate(iter_eta_tables(Orbits(ctx, n))):
@@ -468,7 +462,7 @@ def test_sqrt_sum_equals_fsum_of_expanded_roots():
     # The full tables and the good-target slices success_report sums, the
     # latter read with every size past the cap weighted 0.
     for ctx, analysis in ((F7, Analysis.FIRST), (parse_field("3^2"), Analysis.SECOND)):
-        good = good_sets(ctx, 2, analysis)
+        good = GoodSets(ctx, 2, analysis)
         for table in iter_eta_tables(Orbits(ctx, 2)):
             assert sqrt_sum(table.counts) == fsum_roots(table.counts), table.x
             if good.x_good(table.x):
@@ -575,7 +569,7 @@ def test_a_sampler_enumerates_only_the_orbits_its_store_has_not_kept(monkeypatch
     # sampler's store enumerates the other half only, once each, at their
     # representatives, and keeps those too.  The sampler calls no eta_table.
     drawn, _ = _drawn_directions("table-of", 60)
-    good = good_sets(F7, 2, Analysis.FIRST)
+    good = GoodSets(F7, 2, Analysis.FIRST)
     reps = sorted({direction_orbit(F7, x)[0] for x in drawn if good.x_good(x)})
     assert len(reps) >= 2
     orbits = Orbits(F7, 2)
@@ -603,7 +597,7 @@ def test_a_sampler_past_the_enumeration_budget_is_refused_before_its_state():
     tracemalloc.start()
     try:
         with pytest.raises(GuardExceededError) as exc:
-            Sampler(good_sets(ctx, 2, Analysis.FIRST), orbits)
+            Sampler(GoodSets(ctx, 2, Analysis.FIRST), orbits)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -612,7 +606,7 @@ def test_a_sampler_past_the_enumeration_budget_is_refused_before_its_state():
     assert "labels" not in vars(orbits) and orbits.kept == {}
     # GF(97)^2 is inside the budget: 97^4 < 10^8.
     f97 = parse_field("97")
-    assert Sampler(good_sets(f97, 2, Analysis.FIRST), Orbits(f97, 2)).draws == [None] * 97**2
+    assert Sampler(GoodSets(f97, 2, Analysis.FIRST), Orbits(f97, 2)).draws == [None] * 97**2
 
 
 # (field, n, analysis, orbit laws built, good directions)
@@ -711,7 +705,7 @@ def test_no_table_outlives_the_run_that_made_it(tmp_path, monkeypatch):
         assert sorted(calls) == orbits, out.name
     assert outs[0].read_bytes() == outs[1].read_bytes()
     # A Sampler reads only a store over its good sets' F^n.
-    good = good_sets(ctx, 2, Analysis.FIRST)
+    good = GoodSets(ctx, 2, Analysis.FIRST)
     for other in (Orbits(parse_field("11"), 2), Orbits(ctx, 3)):
         with pytest.raises(ValueError, match="different F\\^n"):
             Sampler(good, other)
@@ -754,7 +748,7 @@ def test_commands_keep_only_good_orbit_representatives_tables(argv, tmp_path, mo
     assert main([outs.get(a, a) for a in argv]) == 0
     (orbits,) = made
     ctx = orbits.ctx
-    good = good_sets(ctx, 2, Analysis.FIRST)
+    good = GoodSets(ctx, 2, Analysis.FIRST)
     reps = {
         direction_orbit(ctx, x)[0] for x in product(range(ctx.d), repeat=2) if good.x_good(x)
     }
@@ -793,7 +787,7 @@ def test_line_reduced_term_counts_equal_the_full_count(desc, x):
     ctx = parse_field(desc)
     n = len(x)
     table = eta_table(Orbits(ctx, n), x)
-    good = good_sets(ctx, n, Analysis.SECOND if ctx.p == 2 else Analysis.FIRST)
+    good = GoodSets(ctx, n, Analysis.SECOND if ctx.p == 2 else Analysis.FIRST)
     codes = np.flatnonzero(good.w_good(x, table.counts))
     eta = table.counts[codes]
     sizes = np.flatnonzero(np.bincount(eta))
