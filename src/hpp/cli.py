@@ -29,6 +29,7 @@ import sys
 
 from .errors import GuardExceededError, InvariantViolationError, RecoveryError
 from .fibers import (
+    Analysis,
     GoodSets,
     Orbits,
     eta_moments,
@@ -326,7 +327,7 @@ def parse_args(argv=None) -> tuple[argparse.ArgumentParser, argparse.Namespace]:
     common(p_success, seed=True)
     p_success.add_argument("-n", type=int, required=True)
     p_success.add_argument(
-        "--analysis", choices=["auto", "first", "second"], default="auto"
+        "--analysis", choices=["auto", *(a.value for a in Analysis)], default="auto"
     )
     p_success.add_argument("--mc", type=int, default=0, help="Monte Carlo runs")
     p_success.add_argument("--out", default=None, help="JSON output path")

@@ -34,7 +34,9 @@ from itertools import product
 import numpy as np
 
 from .errors import GuardExceededError, InvariantViolationError
-from .fibers import EtaTable, GoodSets, Orbits, Point, decode_point, encode_point, eta_table
+from .fibers import (
+    EtaTable, GoodSets, Orbits, Point, _check_point, decode_point, encode_point, eta_table
+)
 from .gf import FieldCtx, chi
 from .polyring import UniPoly, eval_uni
 
@@ -133,7 +135,7 @@ def direction_block(ctx: FieldCtx, q: UniPoly, x: Point) -> np.ndarray:
     _check_pipeline_dim(d, len(x))
     single = conjugate_fourier(ctx, build_rho_q(ctx, q)).reshape(d, d, d, d)
     block = np.ones((1, 1), dtype=np.complex128)
-    for xj in map(ctx.check, x):
+    for xj in _check_point(ctx, x, len(x)):
         block = np.kron(block, single[:, xj, :, xj])
     return block
 
@@ -275,10 +277,8 @@ def pipeline_probability(
     basis.  Returns (0.0, np.empty(0)) when the good branch is unreachable
     at this x.
     """
-    d = ctx.d
-    n = len(x)
-    if n != good.n:
-        raise ValueError(f"x has {n} coordinates but the good sets expect {good.n}")
+    d, n = ctx.d, good.n
+    x = _check_point(ctx, x, n)
     block = direction_block(ctx, q, x)
     tr = np.trace(block).real
     if abs(tr - 1.0 / d**n) > 1e-10:

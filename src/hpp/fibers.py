@@ -83,15 +83,22 @@ def decode_point(code: int, d: int, n: int) -> Point:
     return tuple(reversed(out))
 
 
+def _check_point(ctx: FieldCtx, x: Iterable[Felt], n: int) -> Point:
+    """x as a point of F^n, a tuple: each coordinate passes FieldCtx.check,
+    then the length must be n (ValueError otherwise).  The one point check
+    of the analysis layers."""
+    x = tuple(map(ctx.check, x))
+    if len(x) != n:
+        raise ValueError(f"point {x} has {len(x)} coordinates, expected {n}")
+    return x
+
+
 def apply_map(ctx: FieldCtx, x: Sequence[Felt], b: Sequence[Felt], rows: int | None = None):
     """w = Phi(b) @ x with rows power levels (defaults to len(x))."""
-    if len(x) != len(b):
-        raise ValueError(f"length mismatch: x has {len(x)}, b has {len(b)}")
+    x = _check_point(ctx, x, len(x))
     n = len(x) if rows is None else rows
     w = [0] * n
-    for xj, bj in zip(x, b):
-        ctx.check(xj)
-        ctx.check(bj)
+    for xj, bj in zip(x, _check_point(ctx, b, len(x))):
         pw = 1
         for i in range(n):
             pw = ctx.mul(pw, bj)
@@ -121,9 +128,7 @@ class EtaTable:
         return len(self.x)
 
     def eta(self, w: Sequence[Felt]) -> int:
-        if len(w) != self.n:
-            raise ValueError(f"w has {len(w)} components, expected {self.n}")
-        return int(self.counts[encode_point(map(self.ctx.check, w), self.d)])
+        return int(self.counts[encode_point(_check_point(self.ctx, w, self.n), self.d)])
 
     def items(self) -> Iterator[tuple[Point, int]]:
         """(w, eta_w^x) for every nonempty fiber, in lexicographic order of w."""
@@ -262,9 +267,7 @@ class Orbits:
         points, exceeds it, x is its own r with lam 1, enumerated, and
         nothing is labelled or kept."""
         ctx, n = self.ctx, self.n
-        x = tuple(map(ctx.check, x))
-        if len(x) != n:
-            raise ValueError(f"x has {len(x)} coordinates, expected {n}")
+        x = _check_point(ctx, x, n)
         _check_enum_budget(ctx.d, n)
         if ctx.d ** (2 * n) > ENUMERATION_BUDGET:
             return x, 1, _enumerate(ctx, x)
@@ -315,14 +318,8 @@ def eta_table(orbits: Orbits, x: Sequence[Felt]) -> EtaTable:
 
 def brute_fiber(ctx: FieldCtx, x: Sequence[Felt], w: Sequence[Felt]) -> list[Point]:
     """S_w^x by brute force, in lexicographic order; the oracle for the solver."""
-    x = tuple(x)
-    w = tuple(w)
-    n = len(x)
-    d = ctx.d
-    if len(w) != n:
-        raise ValueError(f"w has {len(w)} components, expected {n}")
-    for v in (*x, *w):
-        ctx.check(v)
+    d, n = ctx.d, len(x)
+    x, w = _check_point(ctx, x, n), _check_point(ctx, w, n)
     _check_enum_budget(d, n)
     hits = np.flatnonzero(_w_codes(ctx, x, n) == encode_point(w, d))
     return [decode_point(b, d, n) for b in hits.tolist()]
@@ -388,9 +385,7 @@ def eta_moments(ctx: FieldCtx, n: int, k: int | None = None) -> tuple[Fraction, 
 
 def n2_constraint(ctx: FieldCtx, x: Sequence[Felt]) -> Felt:
     """x1*x2*(x1+x2): nonzero exactly when the n = 2 elimination is sound."""
-    if len(x) != 2:
-        raise ValueError(f"constraint is defined for n = 2, got {len(x)} coordinates")
-    x1, x2 = x
+    x1, x2 = _check_point(ctx, x, 2)
     return ctx.mul(ctx.mul(x1, x2), ctx.add(x1, x2))
 
 
@@ -431,12 +426,7 @@ def solve_n2_triangular(ctx: FieldCtx, x: Sequence[Felt], w: Sequence[Felt]) -> 
     4 = 2*2 solutions survive; the final filter makes the answer immune to
     any labeling convention in the eliminated quadratics.
     """
-    x = tuple(x)
-    w = tuple(w)
-    if len(x) != 2 or len(w) != 2:
-        raise ValueError("triangular solver is specific to n = 2")
-    for v in (*x, *w):
-        ctx.check(v)
+    x, w = _check_point(ctx, x, 2), _check_point(ctx, w, 2)
     if n2_constraint(ctx, x) == 0:
         raise ValueError(
             f"x = {x} is outside the solvable set: x1*x2*(x1+x2) must be nonzero"
@@ -507,8 +497,8 @@ class GoodSets:
         return math.factorial(self.n) if self.analysis is Analysis.FIRST else SECOND_ANALYSIS_CAP
 
     def x_good(self, x: Sequence[Felt]) -> bool:
-        if len(x) != self.n:
-            raise ValueError(f"x has {len(x)} coordinates, expected {self.n}")
+        """Good-direction test; x must be a point of F^n (ValueError)."""
+        x = _check_point(self.ctx, x, self.n)
         if self.analysis is Analysis.FIRST:
             return 0 not in x
         return n2_constraint(self.ctx, x) != 0

@@ -90,6 +90,7 @@ from .fibers import (
     Orbits,
     Point,
     _check_enum_budget,
+    _check_point,
     _scaled_read,
     decode_point,
     iter_eta_tables,
@@ -361,10 +362,10 @@ def outcome_distribution(sampler: Sampler, x: Point) -> tuple[np.ndarray, float]
     x when q = 0: probs[encode_point(q', d)] is P(q').  The law depends on
     q only through delta = q - q', so this is the delta law read at -q',
     and the law for any q is this one read at q' - q.  A bad direction or
-    an empty law gives (np.empty(0), 0.0); a coordinate outside the field
+    an empty law gives (np.empty(0), 0.0); an x that is not a point of F^n
     raises ValueError."""
     ctx = sampler.good.ctx
-    x = tuple(map(ctx.check, x))
+    x = _check_point(ctx, x, sampler.good.n)
     if not sampler.good.x_good(x):
         return np.empty(0), 0.0
     probs, mass, lam = _outcome_law(sampler, x)

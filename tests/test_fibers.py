@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hpp.densmat import pipeline_probability
 from hpp.errors import GuardExceededError, InvariantViolationError
 import hpp.fibers
 from hpp.fibers import (
@@ -34,7 +35,8 @@ from hpp.fibers import (
     write_eta_csv,
 )
 from hpp.gf import FieldCtx, make_field, parse_field
-from hpp.pgm import success_report
+from hpp.pgm import Sampler, outcome_distribution, success_report
+from hpp.polyring import UniPoly
 
 F3 = make_field(3)
 F5 = make_field(5)
@@ -374,6 +376,45 @@ def test_a_store_reads_only_points_of_its_own_n():
     assert not orbits.kept and "labels" not in vars(orbits)
     with pytest.raises(ValueError, match="at least 1"):
         Orbits(F5, 0)
+
+
+def _point_readers():
+    # Every analysis entry that reads a point of GF(7)^2, as name -> reader
+    # of that one point (any other argument is a valid point).
+    good = {a: GoodSets(F7, 2, a) for a in Analysis}
+    sampler = Sampler(good[Analysis.FIRST], Orbits(F7, 2))
+    q = UniPoly(F7, (0, 3, 2))
+    readers = {
+        "apply_map": lambda p: apply_map(F7, (1, 2), p),
+        "EtaTable.eta": lambda p: eta_table(Orbits(F7, 2), (1, 2)).eta(p),
+        "Orbits.orbit": lambda p: Orbits(F7, 2).orbit(p),
+        "brute_fiber": lambda p: brute_fiber(F7, (1, 2), p),
+        "n2_constraint": lambda p: n2_constraint(F7, p),
+        "solve_n2_triangular x": lambda p: solve_n2_triangular(F7, p, (1, 2)),
+        "solve_n2_triangular w": lambda p: solve_n2_triangular(F7, (1, 2), p),
+        "outcome_distribution": lambda p: outcome_distribution(sampler, p),
+        "pipeline_probability": lambda p: pipeline_probability(F7, q, p, good[Analysis.FIRST]),
+    }
+    for a, g in good.items():
+        readers[f"x_good {a.value}"] = g.x_good
+        readers[f"w_good {a.value}"] = lambda p, g=g: g.w_good(p, 1)
+    return readers
+
+
+@pytest.mark.parametrize("reader", sorted(_point_readers()))
+def test_every_entry_refuses_a_point_outside_f_n(reader):
+    # One gate, one message: a coordinate outside GF(7) fails FieldCtx.check,
+    # a wrong length names the point and n.  (1, 8) is not read as the code
+    # of (2, 1), nor (7, 1) as a nonzero direction.
+    # A list, not a dict: (1.0, 2) and (True, 2) are equal keys.
+    refused = [(p, f"{c!r} is not an element of GF(7)")
+               for p, c in (((7, 1), 7), ((1, 8), 8), ((1.0, 2), 1.0), ((True, 2), True))]
+    refused += [(p, f"point {p} has {len(p)} coordinates, expected 2") for p in ((3,), (1, 2, 3))]
+    read = _point_readers()[reader]
+    for p, message in refused:
+        with pytest.raises(ValueError) as err:
+            read(p)
+        assert str(err.value) == message, (reader, p)
 
 
 def test_nothing_is_kept_when_a_pass_exceeds_the_budget(monkeypatch):

@@ -2,9 +2,10 @@
 
 Each case runs `hpp.cli.main` in-process and compares every file it writes
 with the copy stored under tests/golden/ (gzip-compressed to keep the
-repository small).  Regenerate after an intended output change with
+repository small).  Regenerate every case after an intended output change,
+or only the cases named, with
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py [CASE ...]
 """
 
 import gzip
@@ -96,6 +97,13 @@ CASES = {
          "--out", "{trials.csv}", "--summary-out", "{summary.json}"],
         ["trials.csv", "summary.json"],
     ),
+    # A failed trial: all three solves of trial 7 fail (RecoveryError), so its
+    # row has success 0 and success_rate is 0.95.
+    "e2e_fail_gf5": (
+        ["e2e", "--field", "5", "-n", "2", "-m", "1", "--trials", "20", "--seed", "f7",
+         "--out", "{trials.csv}", "--summary-out", "{summary.json}"],
+        ["trials.csv", "summary.json"],
+    ),
     # An analysis other than the default: the report's analysis and cap, and
     # the Sampler built from the report's good sets.
     "success_second_gf7": (
@@ -147,7 +155,10 @@ def test_monte_carlo_and_dump_dist_in_one_run_match_their_goldens(tmp_path):
 if __name__ == "__main__":
     import tempfile
 
-    for name in sorted(CASES):
+    names = sys.argv[1:] or sorted(CASES)
+    if unknown := sorted(set(names) - set(CASES)):
+        sys.exit(f"unknown golden case(s): {', '.join(unknown)}")
+    for name in names:
         with tempfile.TemporaryDirectory() as tmp:
             for fname, data in _run(name, Path(tmp)).items():
                 (GOLDEN / f"{name}.{fname}.gz").write_bytes(gzip.compress(data, mtime=0))

@@ -6,6 +6,7 @@ import random
 import tracemalloc
 import weakref
 from bisect import bisect_left
+from fractions import Fraction
 from itertools import accumulate, product
 from types import SimpleNamespace
 
@@ -125,14 +126,33 @@ def test_first_analysis_n2_closed_form(desc):
 
 @pytest.mark.parametrize("e", [2, 3, 4, 5, 6])
 def test_second_analysis_characteristic_2_pin(e):
-    # A measured pin, not a closed form derived here: at GF(2^e), n = 2, the
-    # good-subspace success is (d-1)(d-2)/d^2 exactly, over (d-1)(d-2) good
-    # directions (0.375, 0.65625, 0.8203125, 0.908203125, 0.95361328125).
+    # In characteristic 2, b -> b^2 is additive, so w -> (w1, sqrt(w2)) is an
+    # F-linear map of b with determinant sqrt(x1 x2) (sqrt(x1) + sqrt(x2)),
+    # nonzero exactly on the (d-1)(d-2) good directions: there eta = 1 at
+    # every w, and approx = (d-1)(d-2)/d^2.  Each direction adds
+    # 1/(|kernel| d^2) to ideal: the kernel has 1 point on the good ones, d
+    # on the 3(d-1) with one zero coordinate or x1 = x2, d^2 at x = 0.
     ctx = parse_field(f"2^{e}")
     d = ctx.d
     report = success_report(Orbits(ctx, 2), Analysis.SECOND)
-    assert report.approx == (d - 1) * (d - 2) / d**2
+    assert report.approx == float(Fraction((d - 1) * (d - 2), d * d))
+    ideal = Fraction((d - 1) * (d - 2)) + Fraction(3 * (d - 1), d) + Fraction(1, d * d)
+    assert report.ideal == float(ideal / (d * d))
     assert report.x_good_count == (d - 1) * (d - 2)
+
+
+@pytest.mark.parametrize("e", [2, 3, 4, 5])
+def test_second_analysis_characteristic_2_laws_are_point_masses(e):
+    # eta = 1 over every good direction, so each good law (sum_w chi(<delta,
+    # w>))^2 is a point mass at delta = 0, up to the rounding of the unit
+    # roots.  GF(2^6)^2 is left out: its laws take about 26 s.
+    ctx = parse_field(f"2^{e}")
+    sampler = _sampler(ctx, 2, Analysis.SECOND)
+    good = [x for x in product(range(ctx.d), repeat=2) if sampler.good.x_good(x)]
+    assert len(good) == (ctx.d - 1) * (ctx.d - 2)
+    for x in good:
+        probs, _ = outcome_distribution(sampler, x)
+        assert probs[0] >= 1 - 1e-12, x
 
 
 def test_corollary_bound_fixture():
@@ -411,6 +431,34 @@ def test_outcome_law_equals_literal_character_sum(desc, n, analysis, stride):
         assert mass == want_mass
         checked += 1
     assert checked > 0
+
+
+# Every ORACLE_CASES field with all its directions, and more fields under
+# each analysis that applies (the first needs p > n: not at GF(2^4)).
+EXACT_LINK_CASES = [c[:3] for c in ORACLE_CASES] + [
+    ("7", 2, Analysis.FIRST), ("7", 2, Analysis.SECOND), ("2^4", 2, Analysis.SECOND),
+    ("5^2", 2, Analysis.FIRST), ("5^2", 2, Analysis.SECOND), ("7", 3, Analysis.FIRST),
+]
+
+
+@pytest.mark.parametrize(
+    "desc,n,analysis",
+    EXACT_LINK_CASES,
+    ids=[f"{c[0]}-{c[1]}-{c[2].value}" for c in EXACT_LINK_CASES],
+)
+def test_approx_is_the_mean_success_of_the_samplers_laws(desc, n, analysis):
+    # The exact link the Monte Carlo tests check to a few sigma: approx =
+    # (1/d^n) * sum over good x of mass_x * law_x(q' = 0), each law read
+    # from the Sampler for q = 0 and summed literally.
+    ctx = parse_field(desc)
+    sampler = _sampler(ctx, n, analysis)
+    terms = []
+    for x in product(range(ctx.d), repeat=n):
+        probs, mass = outcome_distribution(sampler, x)
+        if probs.size:
+            terms.append(mass * probs[0])
+    approx = success_report(Orbits(ctx, n), analysis).approx
+    assert abs(math.fsum(terms) / ctx.d**n - approx) <= 4 * math.ulp(approx)
 
 
 @given(
