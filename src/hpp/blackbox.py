@@ -42,6 +42,8 @@ class HiddenInstance:
 
     def __post_init__(self):
         d = self.ctx.d
+        if self.Q.ctx != self.ctx:
+            raise ValueError("the hidden polynomial and the instance are over different fields")
         if self.Q.arity != self.m:
             raise ValueError(f"hidden polynomial arity {self.Q.arity} != m = {self.m}")
         if self.Q.total_degree > self.n:
@@ -55,9 +57,6 @@ class HiddenInstance:
 
     def query(self, r, s: Felt) -> Felt:
         """Oracle call: pi(s - Q(r)).  r is a point of F^m, s a field element."""
-        r = tuple(r)
-        if len(r) != self.m:
-            raise ValueError(f"query point has {len(r)} coordinates, expected {self.m}")
         self.ctx.check(s)
         value = self.pi[self.ctx.sub(s, eval_multi(self.Q, r))]
         self.query_count += 1
@@ -127,6 +126,8 @@ def verify_candidate(inst: HiddenInstance, cand: MultiPoly, trials: int, rng=Non
     """
     if trials < 2:
         raise ValueError(f"verification needs at least 2 trials, got {trials}")
+    if cand.ctx != inst.ctx:
+        raise ValueError("the candidate and the instance are over different fields")
     if cand.arity != inst.m:
         raise ValueError(f"candidate arity {cand.arity} != instance arity {inst.m}")
     if cand.total_degree > inst.n:

@@ -34,9 +34,7 @@ from itertools import product
 import numpy as np
 
 from .errors import GuardExceededError, InvariantViolationError
-from .fibers import (
-    EtaTable, GoodSets, Orbits, Point, _check_point, decode_point, encode_point, eta_table
-)
+from .fibers import EtaTable, GoodSets, Orbits, Point, decode_point, encode_point, eta_table
 from .gf import FieldCtx, chi
 from .polyring import UniPoly, eval_uni
 
@@ -135,7 +133,7 @@ def direction_block(ctx: FieldCtx, q: UniPoly, x: Point) -> np.ndarray:
     _check_pipeline_dim(d, len(x))
     single = conjugate_fourier(ctx, build_rho_q(ctx, q)).reshape(d, d, d, d)
     block = np.ones((1, 1), dtype=np.complex128)
-    for xj in _check_point(ctx, x, len(x)):
+    for xj in ctx.check_point(x, len(x)):
         block = np.kron(block, single[:, xj, :, xj])
     return block
 
@@ -278,7 +276,7 @@ def pipeline_probability(
     at this x.
     """
     d, n = ctx.d, good.n
-    x = _check_point(ctx, x, n)
+    x = ctx.check_point(x, n)
     block = direction_block(ctx, q, x)
     tr = np.trace(block).real
     if abs(tr - 1.0 / d**n) > 1e-10:

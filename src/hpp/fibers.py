@@ -24,7 +24,8 @@ every other table of the orbit from it at lam^-1 * w (_scaled_read).
 
 Points of F^n are numbered by their big-endian base-d code (encode_point /
 decode_point), which is also lexicographic order; fiber tables are dense
-count arrays indexed by that code.
+count arrays indexed by that code.  Every entry that reads a point reads it
+through FieldCtx.check_point, the one point gate.
 
 Two classifications of "good" (x, w) pairs are provided.  The first applies
 whenever the characteristic exceeds n: x must have all coordinates nonzero
@@ -83,22 +84,12 @@ def decode_point(code: int, d: int, n: int) -> Point:
     return tuple(reversed(out))
 
 
-def _check_point(ctx: FieldCtx, x: Iterable[Felt], n: int) -> Point:
-    """x as a point of F^n, a tuple: each coordinate passes FieldCtx.check,
-    then the length must be n (ValueError otherwise).  The one point check
-    of the analysis layers."""
-    x = tuple(map(ctx.check, x))
-    if len(x) != n:
-        raise ValueError(f"point {x} has {len(x)} coordinates, expected {n}")
-    return x
-
-
 def apply_map(ctx: FieldCtx, x: Sequence[Felt], b: Sequence[Felt], rows: int | None = None):
     """w = Phi(b) @ x with rows power levels (defaults to len(x))."""
-    x = _check_point(ctx, x, len(x))
+    x = ctx.check_point(x, len(x))
     n = len(x) if rows is None else rows
     w = [0] * n
-    for xj, bj in zip(x, _check_point(ctx, b, len(x))):
+    for xj, bj in zip(x, ctx.check_point(b, len(x))):
         pw = 1
         for i in range(n):
             pw = ctx.mul(pw, bj)
@@ -128,7 +119,7 @@ class EtaTable:
         return len(self.x)
 
     def eta(self, w: Sequence[Felt]) -> int:
-        return int(self.counts[encode_point(_check_point(self.ctx, w, self.n), self.d)])
+        return int(self.counts[encode_point(self.ctx.check_point(w, self.n), self.d)])
 
     def items(self) -> Iterator[tuple[Point, int]]:
         """(w, eta_w^x) for every nonempty fiber, in lexicographic order of w."""
@@ -267,7 +258,7 @@ class Orbits:
         points, exceeds it, x is its own r with lam 1, enumerated, and
         nothing is labelled or kept."""
         ctx, n = self.ctx, self.n
-        x = _check_point(ctx, x, n)
+        x = ctx.check_point(x, n)
         _check_enum_budget(ctx.d, n)
         if ctx.d ** (2 * n) > ENUMERATION_BUDGET:
             return x, 1, _enumerate(ctx, x)
@@ -319,7 +310,7 @@ def eta_table(orbits: Orbits, x: Sequence[Felt]) -> EtaTable:
 def brute_fiber(ctx: FieldCtx, x: Sequence[Felt], w: Sequence[Felt]) -> list[Point]:
     """S_w^x by brute force, in lexicographic order; the oracle for the solver."""
     d, n = ctx.d, len(x)
-    x, w = _check_point(ctx, x, n), _check_point(ctx, w, n)
+    x, w = ctx.check_point(x, n), ctx.check_point(w, n)
     _check_enum_budget(d, n)
     hits = np.flatnonzero(_w_codes(ctx, x, n) == encode_point(w, d))
     return [decode_point(b, d, n) for b in hits.tolist()]
@@ -385,7 +376,7 @@ def eta_moments(ctx: FieldCtx, n: int, k: int | None = None) -> tuple[Fraction, 
 
 def n2_constraint(ctx: FieldCtx, x: Sequence[Felt]) -> Felt:
     """x1*x2*(x1+x2): nonzero exactly when the n = 2 elimination is sound."""
-    x1, x2 = _check_point(ctx, x, 2)
+    x1, x2 = ctx.check_point(x, 2)
     return ctx.mul(ctx.mul(x1, x2), ctx.add(x1, x2))
 
 
@@ -426,7 +417,7 @@ def solve_n2_triangular(ctx: FieldCtx, x: Sequence[Felt], w: Sequence[Felt]) -> 
     4 = 2*2 solutions survive; the final filter makes the answer immune to
     any labeling convention in the eliminated quadratics.
     """
-    x, w = _check_point(ctx, x, 2), _check_point(ctx, w, 2)
+    x, w = ctx.check_point(x, 2), ctx.check_point(w, 2)
     if n2_constraint(ctx, x) == 0:
         raise ValueError(
             f"x = {x} is outside the solvable set: x1*x2*(x1+x2) must be nonzero"
@@ -498,7 +489,7 @@ class GoodSets:
 
     def x_good(self, x: Sequence[Felt]) -> bool:
         """Good-direction test; x must be a point of F^n (ValueError)."""
-        x = _check_point(self.ctx, x, self.n)
+        x = self.ctx.check_point(x, self.n)
         if self.analysis is Analysis.FIRST:
             return 0 not in x
         return n2_constraint(self.ctx, x) != 0

@@ -26,7 +26,9 @@ when m = 0 and exactly 0 otherwise.
 
 Integers in [0, p) double as prime-subfield elements (their digit vector is
 a constant polynomial), so small constants like 2 % p can be fed straight
-into the arithmetic helpers.
+into the arithmetic helpers.  Two gates check input: FieldCtx.check takes
+an int in [0, d), and FieldCtx.check_point(x, n), the one point check of
+every layer, checks each coordinate of any iterable x, then its length n.
 
 A sum of many field elements, each read as an antilog, is one plain
 integer sum reduced once.  FieldCtx._wide lists the antilogs in a "wide"
@@ -123,7 +125,7 @@ class FieldCtx:
     """Immutable description of GF(p^e) plus all element-level arithmetic.
 
     Elements are bare ints; every method validates nothing beyond what it
-    needs, so callers pushing untrusted input should run check() first.
+    needs, so callers pushing untrusted input run check() or check_point().
     """
 
     p: int
@@ -154,6 +156,16 @@ class FieldCtx:
         if not isinstance(a, int) or isinstance(a, bool) or not 0 <= a < self.d:
             raise ValueError(f"{a!r} is not an element of {self.describe()}")
         return a
+
+    def check_point(self, x: Iterable[Felt], n: int) -> tuple[Felt, ...]:
+        """x as a point of F^n, a tuple (ValueError otherwise; see the module docstring)."""
+        x, d = tuple(x), self.d
+        for a in x:
+            if not (type(a) is int and 0 <= a < d):
+                self.check(a)
+        if len(x) != n:
+            raise ValueError(f"point {x} has {len(x)} coordinates, expected {n}")
+        return x
 
     def digits(self, a: Felt) -> list[int]:
         return _int_digits(a, self.e, self.p)

@@ -90,7 +90,6 @@ from .fibers import (
     Orbits,
     Point,
     _check_enum_budget,
-    _check_point,
     _scaled_read,
     decode_point,
     iter_eta_tables,
@@ -365,7 +364,7 @@ def outcome_distribution(sampler: Sampler, x: Point) -> tuple[np.ndarray, float]
     an empty law gives (np.empty(0), 0.0); an x that is not a point of F^n
     raises ValueError."""
     ctx = sampler.good.ctx
-    x = _check_point(ctx, x, sampler.good.n)
+    x = ctx.check_point(x, sampler.good.n)
     if not sampler.good.x_good(x):
         return np.empty(0), 0.0
     probs, mass, lam = _outcome_law(sampler, x)
@@ -435,6 +434,8 @@ class RunStats:
 def run_many(sampler: Sampler, rng: random.Random, runs: int) -> RunStats:
     """Monte Carlo estimate of the unconditional success probability, the
     same for every instance: a run succeeds when it draws delta = 0."""
+    if runs < 0:
+        raise ValueError(f"runs must be >= 0, got {runs}")
     codes = Counter(sample_outcome(sampler, rng) for _ in range(runs))
     return RunStats(runs, codes[BAD_BRANCH], codes[0])
 
@@ -442,16 +443,18 @@ def run_many(sampler: Sampler, rng: random.Random, runs: int) -> RunStats:
 def make_quantum_solver(sampler: Sampler, rng: random.Random) -> Callable:
     """Univariate solver backed by the measurement sampler.
 
-    The returned callable takes any view exposing ctx and
-    effective_coeffs(), collects SOLVER_VOTES good-branch delta codes
-    (discarding bad branches, up to MAX_SOLVER_DRAWS total), and returns
-    q' = q - delta for the most-voted delta as a candidate polynomial with
-    zero constant term; a tie goes to the least q'.  The view's
-    coefficients q are read once, after the vote.  Verification and retries
-    are the caller's business.
+    The returned callable takes any view exposing ctx, n and
+    effective_coeffs(), refuses one over another F^n than the sampler's before
+    it draws, collects SOLVER_VOTES good-branch delta codes (discarding bad
+    branches, up to MAX_SOLVER_DRAWS total), and returns q' = q - delta for
+    the most-voted delta as a candidate polynomial with zero constant term; a
+    tie goes to the least q'.  The view's coefficients q are read once, after
+    the vote.  Verification and retries are the caller's business.
     """
 
     def solver(view) -> UniPoly:
+        if (view.ctx, view.n) != (sampler.good.ctx, sampler.good.n):
+            raise ValueError("the view and the sampler are over different F^n")
         votes: list[int] = []
         for _ in range(MAX_SOLVER_DRAWS):
             code = sample_outcome(sampler, rng)

@@ -183,12 +183,9 @@ def multi_poly(
 
 
 def eval_multi(q: MultiPoly, point: Sequence[Felt]) -> Felt:
-    """Evaluate at a point of matching arity."""
+    """Evaluate at a point of F^arity."""
     ctx = q.ctx
-    if len(point) != q.arity:
-        raise ValueError(f"point has {len(point)} coordinates, polynomial has {q.arity}")
-    for v in point:
-        ctx.check(v)
+    point = ctx.check_point(point, q.arity)
     log, wide = ctx._log_lists[0], ctx._wide
     order, acc = ctx.d - 1, 0
     for k, factors in q._factors:

@@ -93,14 +93,10 @@ class UnivariateView:
     """
 
     def __init__(self, inst: HiddenInstance, point: tuple[Felt, ...], free: int):
-        if len(point) != inst.m:
-            raise ValueError(f"point {point} has {len(point)} coordinates, want m = {inst.m}")
+        self.point = inst.ctx.check_point(point, inst.m)
         if not 0 <= free < inst.m:
             raise ValueError(f"free variable {free} is not in [0, {inst.m})")
-        for v in point:
-            inst.ctx.check(v)
         self.inst = inst
-        self.point = tuple(point)
         self.free = free
         self.ctx = inst.ctx
         self.n = inst.n
@@ -119,6 +115,8 @@ class UnivariateView:
         Each trial is one parent query at the lifted point, built inline."""
         if trials < 2:
             raise ValueError(f"verification needs at least 2 trials, got {trials}")
+        if cand.ctx != self.ctx:
+            raise ValueError("the candidate and the view are over different fields")
         trials = min(trials, self.ctx.d)
         points = rng.sample(range(self.ctx.d), trials)
         head, tail, query = self._head, self._tail, self.inst.query

@@ -99,6 +99,19 @@ def test_query_validates_inputs():
         inst.query((1, 7), 0)  # out of range
 
 
+def test_a_polynomial_over_another_field_is_refused():
+    # 12*X over GF(13) behind a GF(7) oracle would read Q(3) = 10 in GF(13)
+    # and the shift and permutation in GF(7).
+    F13 = make_field(13)
+    with pytest.raises(ValueError, match="hidden polynomial and the instance are over different"):
+        make_instance(F7, multi_poly(F13, 1, {(1,): 12}), 1)
+    # A candidate whose values all lie below 7 is refused all the same.
+    inst = make_instance(F7, multi_poly(F7, 1, {(1,): 3}), 1)
+    with pytest.raises(ValueError, match="candidate and the instance are over different"):
+        verify_candidate(inst, multi_poly(F13, 1, {(0,): 1}), trials=3)
+    assert inst.query_count == 0
+
+
 def test_verify_accepts_truth_and_constant_offsets():
     inst = sample_instance(F7, m=2, n=2, seed="v1")
     assert verify_candidate(inst, inst.Q, trials=6)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hpp.blackbox import make_instance
 from hpp.densmat import pipeline_probability
 from hpp.errors import GuardExceededError, InvariantViolationError
 import hpp.fibers
@@ -36,7 +37,8 @@ from hpp.fibers import (
 )
 from hpp.gf import FieldCtx, make_field, parse_field
 from hpp.pgm import Sampler, outcome_distribution, success_report
-from hpp.polyring import UniPoly
+from hpp.polyring import UniPoly, eval_multi, multi_poly
+from hpp.reduction import UnivariateView
 
 F3 = make_field(3)
 F5 = make_field(5)
@@ -379,11 +381,13 @@ def test_a_store_reads_only_points_of_its_own_n():
 
 
 def _point_readers():
-    # Every analysis entry that reads a point of GF(7)^2, as name -> reader
-    # of that one point (any other argument is a valid point).
+    # Every entry that reads a point of GF(7)^2, the analysis entries and
+    # the recovery ones at m = 2, as name -> reader of that one point (any
+    # other argument is a valid point).
     good = {a: GoodSets(F7, 2, a) for a in Analysis}
     sampler = Sampler(good[Analysis.FIRST], Orbits(F7, 2))
     q = UniPoly(F7, (0, 3, 2))
+    inst = make_instance(F7, multi_poly(F7, 2, {(1, 0): 3, (1, 1): 2}), 2)
     readers = {
         "apply_map": lambda p: apply_map(F7, (1, 2), p),
         "EtaTable.eta": lambda p: eta_table(Orbits(F7, 2), (1, 2)).eta(p),
@@ -394,6 +398,9 @@ def _point_readers():
         "solve_n2_triangular w": lambda p: solve_n2_triangular(F7, (1, 2), p),
         "outcome_distribution": lambda p: outcome_distribution(sampler, p),
         "pipeline_probability": lambda p: pipeline_probability(F7, q, p, good[Analysis.FIRST]),
+        "eval_multi": lambda p: eval_multi(inst.Q, p),
+        "HiddenInstance.query": lambda p: inst.query(p, 0),
+        "UnivariateView": lambda p: UnivariateView(inst, p, 0),
     }
     for a, g in good.items():
         readers[f"x_good {a.value}"] = g.x_good

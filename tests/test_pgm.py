@@ -271,6 +271,34 @@ def test_run_many_matches_approx_success():
     assert stats.bad_branches + stats.successes <= stats.runs
 
 
+def test_run_many_refuses_a_negative_run_count():
+    sampler, rng = _sampler(F5, 2, Analysis.FIRST), random.Random("negative")
+    state = rng.getstate()
+    with pytest.raises(ValueError, match="runs must be >= 0, got -3"):
+        run_many(sampler, rng, -3)
+    assert rng.getstate() == state
+    assert run_many(sampler, rng, 0).runs == 0
+
+
+@pytest.mark.parametrize("desc, m, n", [("7", 2, 3), ("13", 1, 2)])
+def test_quantum_solver_refuses_a_view_over_another_f_n(desc, m, n):
+    # The sampler is over GF(7)^2: a view of an n = 3 instance, or of a
+    # GF(13) instance, is refused before the first draw, and a recovery
+    # through the solver fails as a usage error, not a RecoveryError.
+    from hpp.reduction import solve_multivariate, univariate_oracle_view
+
+    inst = sample_instance(parse_field(desc), m=m, n=n, seed="other")
+    rng = random.Random("other")
+    state = rng.getstate()
+    solver = make_quantum_solver(_sampler(F7, 2, Analysis.FIRST), rng)
+    message = "the view and the sampler are over different F\\^n"
+    with pytest.raises(ValueError, match=message):
+        solver(univariate_oracle_view(inst, (0,) * m, 0))
+    with pytest.raises(ValueError, match=message):
+        solve_multivariate(inst, solver, random.Random("other"))
+    assert rng.getstate() == state and inst.query_count == 0
+
+
 def test_quantum_solver_majority_vote():
     ctx = F7
     sampler = _sampler(ctx, 2, Analysis.FIRST)
@@ -875,7 +903,7 @@ def _assert_solver_takes_the_vote(sampler, seed, q, got):
         if code is not BAD_BRANCH
     ][:SOLVER_VOTES]
     top = max(map(votes.count, votes))
-    view = SimpleNamespace(ctx=ctx, effective_coeffs=lambda: q)
+    view = SimpleNamespace(ctx=ctx, n=good.n, effective_coeffs=lambda: q)
     cand = make_quantum_solver(sampler, random.Random(seed))(view)
     assert tuple(cand.coeff(i) for i in range(1, good.n + 1)) == min(
         v for v in votes if votes.count(v) == top

@@ -118,6 +118,8 @@ def test_eval_multi():
     for x1 in range(5):
         for x2 in range(5):
             assert eval_multi(q, (x1, x2)) == (x1 * x2 + 2 * x1 * x1) % 5
+    # Any iterable of coordinates is a point, a generator included.
+    assert eval_multi(q, (v for v in (2, 3))) == eval_multi(q, (2, 3)) == 4
 
 
 def test_substitute_matches_eval():

@@ -136,6 +136,16 @@ def test_view_verification_accepts_shifts_rejects_wrong():
         view.verify_candidate(truth, 1, rng)
 
 
+def test_view_refuses_a_candidate_over_another_field():
+    inst = _two_var_instance()
+    view = univariate_oracle_view(inst, (3, 0), 1)
+    # Every coefficient is an element of GF(5) too.
+    cand = UniPoly(F7, (0, *view.effective_coeffs()))
+    with pytest.raises(ValueError, match="candidate and the view are over different fields"):
+        view.verify_candidate(cand, 4, random.Random(11))
+    assert inst.query_count == 0
+
+
 @pytest.mark.parametrize("d,m,n", [(5, 2, 2), (7, 2, 3), (7, 3, 2), (11, 1, 4)])
 def test_perfect_solver_recovers_exactly(d, m, n):
     ctx = make_field(d)
